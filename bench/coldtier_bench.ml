@@ -33,6 +33,7 @@
 
 module E = Lesslog_harness.Experiments
 module Des_sim = Lesslog_des.Des_sim
+module Control_plane = Lesslog_des.Control_plane
 module Pdes_sim = Lesslog_des.Pdes_sim
 module Bench_json = Lesslog_report.Bench_json
 
@@ -111,12 +112,12 @@ let determinism_gate ~quick =
   let rc = Option.get reference.Pdes_sim.cold in
   Printf.printf
     "determinism (cold tier): m=%d, digest at 1 domain = %d, %d demotions\n%!"
-    m reference.Pdes_sim.digest rc.Des_sim.demotions;
-  if rc.Des_sim.demotions < 1 || rc.Des_sim.coded_serves < 1 then
+    m reference.Pdes_sim.digest rc.Control_plane.demotions;
+  if rc.Control_plane.demotions < 1 || rc.Control_plane.coded_serves < 1 then
     fail
       "bench coldtier: FAIL: determinism workload never exercised the \
        tier (demotions %d, coded serves %d)\n"
-      rc.Des_sim.demotions rc.Des_sim.coded_serves;
+      rc.Control_plane.demotions rc.Control_plane.coded_serves;
   List.iter
     (fun domains ->
       let p = point domains in
@@ -128,7 +129,7 @@ let determinism_gate ~quick =
         && pc = rc
       in
       Printf.printf "  %d domains: digest %d  coded serves %d  %s\n%!"
-        domains p.Pdes_sim.digest pc.Des_sim.coded_serves
+        domains p.Pdes_sim.digest pc.Control_plane.coded_serves
         (if same then "OK" else "DIVERGED");
       if not same then
         fail
@@ -165,9 +166,9 @@ let run () =
       ( "coldtier/hybrid/saved_fraction",
         1.0 -. (hybrid.E.ct_mean_bytes /. full.E.ct_mean_bytes) );
       ("coldtier/determinism_digest", float_of_int reference.Pdes_sim.digest);
-      ("coldtier/determinism_demotions", float_of_int rc.Des_sim.demotions);
+      ("coldtier/determinism_demotions", float_of_int rc.Control_plane.demotions);
       ( "coldtier/determinism_coded_serves",
-        float_of_int rc.Des_sim.coded_serves );
+        float_of_int rc.Control_plane.coded_serves );
     ];
   Printf.printf "bench coldtier: wrote %s\n%!" (out_file "BENCH_coldtier.json");
   if !failed then exit 1;

@@ -28,11 +28,11 @@ let generate ~rng ~live config =
       while !t < config.duration do
         let action =
           if !online then
-            if Rng.bernoulli rng ~p:config.fail_fraction then Des_sim.Fail node
-            else Des_sim.Leave node
-          else Des_sim.Join node
+            if Rng.bernoulli rng ~p:config.fail_fraction then Churn.Fail node
+            else Churn.Leave node
+          else Churn.Join node
         in
-        events := { Des_sim.at = !t; action } :: !events;
+        events := { Churn.at = !t; action } :: !events;
         online := not !online;
         let mean =
           if !online then config.mean_session else config.mean_downtime
@@ -40,13 +40,13 @@ let generate ~rng ~live config =
         t := !t +. Rng.exponential rng ~rate:(1.0 /. mean)
       done)
     live;
-  List.sort (fun a b -> compare a.Des_sim.at b.Des_sim.at) !events
+  List.sort (fun a b -> compare a.Churn.at b.Churn.at) !events
 
 let summary events =
   List.fold_left
     (fun (j, l, f) e ->
-      match e.Des_sim.action with
-      | Des_sim.Join _ -> (j + 1, l, f)
-      | Des_sim.Leave _ -> (j, l + 1, f)
-      | Des_sim.Fail _ -> (j, l, f + 1))
+      match e.Churn.action with
+      | Churn.Join _ -> (j + 1, l, f)
+      | Churn.Leave _ -> (j, l + 1, f)
+      | Churn.Fail _ -> (j, l, f + 1))
     (0, 0, 0) events

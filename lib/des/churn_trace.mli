@@ -19,9 +19,9 @@ val generate :
   rng:Lesslog_prng.Rng.t ->
   live:Lesslog_id.Pid.t list ->
   config ->
-  Des_sim.churn_event list
+  Churn.churn_event list
 (** One alternating session/downtime timeline per node (all initially
     online), merged and sorted by time. Deterministic given the RNG. *)
 
-val summary : Des_sim.churn_event list -> int * int * int
+val summary : Churn.churn_event list -> int * int * int
 (** (joins, leaves, fails) in a trace. *)

@@ -75,37 +75,6 @@ type result = {
   messages : int;
 }
 
-(* Overlay messages ride the packed plane (tag in bits 0-2 of [b], fields
-   above, issue timestamp in [x] where needed):
-
-     GET    b = 0 | origin << 3 | hops << 27 | id << 33   x = issued_at
-     REPLY  b = 1 | hops << 3 | server << 9 | id << 33    x = issued_at
-     PUSH   b = 2 | version << 3
-     PING   b = 3 | seq << 3
-     PONG   b = 4 | seq << 3
-
-   Request ids are per-run monotone counters, comfortably under the 30
-   bits both layouts leave them at bit 33. The reply carries the serving
-   node so the origin can attribute the request's span. *)
-
-let origin_bits = 24
-let origin_mask = (1 lsl origin_bits) - 1
-let hops_bits = 6
-let hops_mask = (1 lsl hops_bits) - 1
-
-let get_b ~id ~origin ~hops =
-  0 lor (origin lsl 3)
-  lor (hops lsl (3 + origin_bits))
-  lor (id lsl (3 + origin_bits + hops_bits))
-
-let reply_b ~id ~server ~hops =
-  1 lor (hops lsl 3)
-  lor (server lsl (3 + hops_bits))
-  lor (id lsl (3 + hops_bits + origin_bits))
-let push_b ~version = 2 lor (version lsl 3)
-let ping_b ~seq = 3 lor (seq lsl 3)
-let pong_b ~seq = 4 lor (seq lsl 3)
-
 (* Per-request metadata threaded through the rpc tracker. *)
 type request = { origin : Pid.t; issued_at : float }
 
@@ -221,7 +190,7 @@ let maybe_replicate st ~overloaded =
                ~key:st.key)
         in
         Overlay.send_packed st.overlay ~src:overloaded ~dst:dest
-          ~b:(push_b ~version) ~x:0.0
+          ~b:(Wire.push ~version) ~x:0.0
   end
 
 (* First delivery of a request ID does the work; duplicates only re-send
@@ -251,7 +220,7 @@ let serve st ~server ~id ~origin ~issued_at ~hops =
   end
   else
     Overlay.send_packed st.overlay ~src:server ~dst:origin
-      ~b:(reply_b ~id ~server:(Pid.to_int server) ~hops)
+      ~b:(Wire.reply ~id ~server:(Pid.to_int server) ~hops)
       ~x:issued_at
 
 (* One transmission attempt: route the request from its origin. A dead
@@ -266,34 +235,31 @@ let transmit st ~id ~attempt:_ { origin; issued_at } =
       match route_next st origin with
       | Some next ->
           Overlay.send_packed st.overlay ~src:origin ~dst:next
-            ~b:(get_b ~id ~origin:(Pid.to_int origin) ~hops:1)
+            ~b:(Wire.get ~id ~origin:(Pid.to_int origin) ~hops:1)
             ~x:issued_at
       | None -> ()
   end
 
 let handle st ~me ~src b x =
-  match b land 7 with
-  | 0 (* GET *) ->
-      let origin = Pid.unsafe_of_int ((b lsr 3) land origin_mask) in
-      let hops = (b lsr (3 + origin_bits)) land hops_mask in
-      let id = b lsr (3 + origin_bits + hops_bits) in
+  match Wire.kind b with
+  | Wire.Get ->
+      let origin = Pid.unsafe_of_int (Wire.get_origin b) in
+      let hops = Wire.get_hops b and id = Wire.id b in
       if Cluster.holds st.cluster me ~key:st.key then
         serve st ~server:me ~id ~origin ~issued_at:x ~hops
       else begin
         (* The hop guard keeps a (non-conforming) substrate route from
            wrapping the packed hop field; native routes never reach it. *)
         match route_next st me with
-        | Some next when hops < hops_mask ->
+        | Some next when hops < Wire.hops_max ->
             Overlay.send_packed st.overlay ~src:me ~dst:next
-              ~b:(get_b ~id ~origin:(Pid.to_int origin) ~hops:(hops + 1))
+              ~b:(Wire.get ~id ~origin:(Pid.to_int origin) ~hops:(hops + 1))
               ~x
         | Some _ | None -> ()
         (* Dead end: the rpc layer, not the router, reports the fault. *)
       end
-  | 1 (* REPLY *) -> (
-      let hops = (b lsr 3) land hops_mask in
-      let server = (b lsr (3 + hops_bits)) land origin_mask in
-      let id = b lsr (3 + hops_bits + origin_bits) in
+  | Wire.Reply -> (
+      let id = Wire.id b and hops = Wire.reply_hops b in
       match Rpc.complete (rpc st) ~id with
       | Some _ ->
           st.served <- st.served + 1;
@@ -302,13 +268,12 @@ let handle st ~me ~src b x =
           Histogram.add_int st.hops hops;
           if latency <= st.config.deadline then
             st.within_deadline <- st.within_deadline + 1;
-          obs_completed st ~id ~server ~hops
+          obs_completed st ~id ~server:(Wire.reply_server b) ~hops
       | None -> ())
-  | 2 (* PUSH *) ->
+  | Wire.Push ->
       if not (Cluster.holds st.cluster me ~key:st.key) then begin
-        let version = b lsr 3 in
         File_store.add (Cluster.store st.cluster me) ~key:st.key
-          ~origin:File_store.Replicated ~version ~now:(now st);
+          ~origin:File_store.Replicated ~version:(Wire.payload b) ~now:(now st);
         st.replicas_created <- st.replicas_created + 1;
         emit st
           (Trace.Event.Replicate
@@ -321,11 +286,11 @@ let handle st ~me ~src b x =
               ~origin:(Pid.to_int src) ~at:(now st) ~dur:0.0
               ~server:(Some (Pid.to_int me)) ~hops:0 ~attempt:0
       end
-  | 3 (* PING *) ->
+  | Wire.Ping ->
       Overlay.send_packed st.overlay ~src:me ~dst:src
-        ~b:(pong_b ~seq:(b lsr 3)) ~x:0.0
-  | 4 (* PONG *) -> Heartbeat.pong (detector st) ~peer:src ~seq:(b lsr 3)
-  | _ -> ()
+        ~b:(Wire.pong ~seq:(Wire.payload b)) ~x:0.0
+  | Wire.Pong -> Heartbeat.pong (detector st) ~peer:src ~seq:(Wire.payload b)
+  | Wire.Other -> ()
 
 (* --- The detector drives membership -------------------------------------- *)
 
@@ -355,7 +320,7 @@ let send_ping st ~seq peer =
   match pick_truth_live st with
   | None -> ()
   | Some monitor ->
-      Overlay.send_packed st.overlay ~src:monitor ~dst:peer ~b:(ping_b ~seq)
+      Overlay.send_packed st.overlay ~src:monitor ~dst:peer ~b:(Wire.ping ~seq)
         ~x:0.0
 
 (* Membership repair dispatch (see Des_sim): Generic substrates run the

@@ -133,6 +133,7 @@ let fig8 ?(config = default) () = dead_series config ~demand_model:Locality
 (* --- DES m-sweep --------------------------------------------------------- *)
 
 module Des_sim = Lesslog_des.Des_sim
+module Control_plane = Lesslog_des.Control_plane
 module Histogram = Lesslog_metrics.Histogram
 
 type des_point = {
@@ -692,7 +693,7 @@ let coldtier_point ?(m = 10) ?(capacity = 100.0) ?(seed = 42) ?(peak = 500.0)
   in
   let cold_tier =
     {
-      Des_sim.code_k;
+      Control_plane.code_k;
       code_r;
       file_bytes;
       (* The full-replication baseline runs the identical policy and
@@ -741,16 +742,16 @@ let coldtier_point ?(m = 10) ?(capacity = 100.0) ?(seed = 42) ?(peak = 500.0)
     ct_loss =
       (if requests = 0 then 0.0
        else float_of_int r.Des_sim.faults /. float_of_int requests);
-    ct_demotions = c.Des_sim.demotions;
-    ct_promotions = c.Des_sim.promotions;
-    ct_fragment_repairs = c.Des_sim.fragment_repairs;
-    ct_coded_serves = c.Des_sim.coded_serves;
-    ct_mean_bytes = c.Des_sim.mean_bytes_stored;
-    ct_amplification = c.Des_sim.mean_bytes_stored /. float_of_int file_bytes;
-    ct_bytes_moved = c.Des_sim.bytes_moved;
-    ct_repair_bytes = c.Des_sim.repair_bytes;
-    ct_bytes_end = c.Des_sim.bytes_stored_end;
-    ct_lost = c.Des_sim.lost_cold;
+    ct_demotions = c.Control_plane.demotions;
+    ct_promotions = c.Control_plane.promotions;
+    ct_fragment_repairs = c.Control_plane.fragment_repairs;
+    ct_coded_serves = c.Control_plane.coded_serves;
+    ct_mean_bytes = c.Control_plane.mean_bytes_stored;
+    ct_amplification = c.Control_plane.mean_bytes_stored /. float_of_int file_bytes;
+    ct_bytes_moved = c.Control_plane.bytes_moved;
+    ct_repair_bytes = c.Control_plane.repair_bytes;
+    ct_bytes_end = c.Control_plane.bytes_stored_end;
+    ct_lost = c.Control_plane.lost_cold;
     ct_secs = secs;
   }
 
@@ -811,7 +812,7 @@ let coldtier_pdes ?(m = 8) ?(b = 2) ?(domains = 1) ?(rate = 8.0)
      tier demotes), bursts re-heat the key — several full
      demote/serve-coded/promote cycles per run. *)
   let cold_tier =
-    { Des_sim.default_cold_tier with Des_sim.demote_after = 1 }
+    { Control_plane.default_cold_tier with Control_plane.demote_after = 1 }
   in
   Pdes_sim.run ~policy ~cold_tier ~domains ~seed ~params ~key:"cold/object"
     ~demand ~duration ()

@@ -309,10 +309,10 @@ let test_pdes_cold_tier_domain_invariance () =
     | None -> Alcotest.fail "expected a cold ledger"
   in
   Alcotest.(check bool) "tier exercised" true
-    (bc.Lesslog_des.Des_sim.demotions >= 1
-    && bc.Lesslog_des.Des_sim.coded_serves >= 1);
+    (bc.Lesslog_des.Control_plane.demotions >= 1
+    && bc.Lesslog_des.Control_plane.coded_serves >= 1);
   Alcotest.(check bool) "payload intact" false
-    bc.Lesslog_des.Des_sim.lost_cold;
+    bc.Lesslog_des.Control_plane.lost_cold;
   List.iter
     (fun domains ->
       let p = point domains in
