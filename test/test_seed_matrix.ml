@@ -1,6 +1,7 @@
 (* Seed-matrix differential: a fixed set of runs through every simulator
-   path the policy/cold-tier control plane touches, each pinned field by
-   field. A refactor that keeps every field here has not changed what the
+   path the policy/cold-tier control plane and the shared node protocol
+   (route, overload trigger, replica push, membership repair) touch, each
+   pinned field by field. A refactor that keeps every field here has not changed what the
    simulators compute; a change that moves a field must say which one and
    why. *)
 
@@ -10,6 +11,11 @@ module Ops = Lesslog.Ops
 module Demand = Lesslog_workload.Demand
 module Status_word = Lesslog_membership.Status_word
 module Des_sim = Lesslog_des.Des_sim
+module Fault_sim = Lesslog_des.Fault_sim
+module Faults = Lesslog_workload.Faults
+module Chord_sub = Lesslog_substrate.Chord_sub
+module Histogram = Lesslog_metrics.Histogram
+module Timeseries = Lesslog_metrics.Timeseries
 module Control_plane = Lesslog_des.Control_plane
 module Pdes_sim = Lesslog_des.Pdes_sim
 module Experiments = Lesslog_harness.Experiments
@@ -177,6 +183,153 @@ let pdes_policy () =
 
 let coldtier_pdes () = pdes_fields (Experiments.coldtier_pdes ~m:7 ~duration:4.0 ())
 
+(* --- Node-protocol runs: the native overload trigger, replica push and
+   Section 5 repair through Des_sim, Fault_sim and Pdes_sim. --- *)
+
+let hist name h =
+  [ (name ^ " count", i (Histogram.count h)); (name ^ " mean", f (Histogram.mean h)) ]
+
+let trace_run run =
+  let buf = Buffer.create 65536 in
+  let writer = Trace.Writer.to_buffer buf in
+  let fields = run (Trace.Writer.emit writer) in
+  ("digest", i (Fnv.hash63 (Buffer.contents buf)))
+  :: ("trace events", i (Trace.Writer.count writer))
+  :: fields
+
+(* A cluster with [key] inserted natively, or through Chord when
+   [chord]; returns the first inserted holder too. *)
+let setup ~m ~b ~chord key =
+  let params = Params.create ~m ~b () in
+  let cluster = Cluster.create params in
+  let substrate =
+    if chord then
+      Some
+        (Chord_sub.make params (Cluster.status cluster) (Cluster.psi cluster))
+    else None
+  in
+  let holders =
+    match substrate with
+    | None -> Ops.insert cluster ~key
+    | Some s -> Ops.insert_via s cluster ~key
+  in
+  (cluster, substrate, List.hd holders)
+
+(* Fault_sim with a crash of the first inserted holder at [holder_crash]
+   (early enough over Chord that it is the sole holder: a lost key), a
+   crash and restart, a loss burst and a partition: the detector drives
+   Self_org (or the Generic repair over Chord) through fail, leave and
+   join. *)
+let fault_run ~b ~chord ~holder_crash () =
+  let key = "matrix/faults" in
+  let cluster, substrate, holder = setup ~m:6 ~b ~chord key in
+  let p = Pid.unsafe_of_int in
+  let plan =
+    {
+      Faults.crashes =
+        [ { Faults.node = holder; at = holder_crash; restart_at = None };
+          { Faults.node = p 9; at = 2.0; restart_at = Some 4.5 } ];
+      bursts = [ { Faults.from_ = 1.0; until = 2.5; loss = 0.3 } ];
+      partitions =
+        [ { Faults.from_ = 3.0; until = 4.0;
+            group = List.init 8 (fun k -> p (40 + k));
+            direction = Faults.Both } ];
+    }
+  in
+  trace_run (fun sink ->
+      let r =
+        Fault_sim.run ~plan ~sink ?substrate ~rng:(Rng.create ~seed:21)
+          ~cluster ~key
+          ~demand:(Demand.uniform (Cluster.status cluster) ~total:700.0)
+          ~duration:8.0 ()
+      in
+      [
+        ("issued", i r.Fault_sim.issued);
+        ("served", i r.Fault_sim.served);
+        ("faulted", i r.Fault_sim.faulted);
+        ("pending", i r.Fault_sim.pending_at_end);
+        ("within deadline", i r.Fault_sim.within_deadline);
+        ("duplicate serves", i r.Fault_sim.duplicate_serves);
+        ("retransmissions", i r.Fault_sim.retransmissions);
+        ("timeouts", i r.Fault_sim.timeouts);
+        ("replicas created", i r.Fault_sim.replicas_created);
+        ("suspicions", i r.Fault_sim.suspicions);
+        ("recoveries", i r.Fault_sim.recoveries);
+        ("spurious suspicions", i r.Fault_sim.spurious_suspicions);
+        ("migrations", i r.Fault_sim.migrations);
+        ("spurious migrations", i r.Fault_sim.spurious_migrations);
+        ("crashes", i r.Fault_sim.crashes);
+        ("restarts", i r.Fault_sim.restarts);
+        ("lost keys", i r.Fault_sim.lost_keys);
+        ("agreement", f r.Fault_sim.detector_agreement);
+        ( "convergence",
+          match r.Fault_sim.convergence with None -> "none" | Some c -> f c );
+        ("messages", i r.Fault_sim.messages);
+        ("replicas end", i (Cluster.total_copies cluster ~key));
+      ]
+      @ hist "latency" r.Fault_sim.latencies
+      @ hist "hops" r.Fault_sim.hops)
+
+(* Des_sim under the native overload trigger with Join/Leave/Fail churn
+   (the first inserted holder fails and rejoins) and counter-based
+   eviction. *)
+let des_run ~b ~chord () =
+  let key = "matrix/des" in
+  let cluster, substrate, holder = setup ~m:6 ~b ~chord key in
+  let p = Pid.unsafe_of_int in
+  let churn =
+    [ { Des_sim.at = 1.2; action = Des_sim.Leave (p 12) };
+      { Des_sim.at = 1.6; action = Des_sim.Fail (p 33) };
+      { Des_sim.at = 2.2; action = Des_sim.Join (p 12) };
+      { Des_sim.at = 2.4; action = Des_sim.Fail holder };
+      { Des_sim.at = 3.0; action = Des_sim.Join holder } ]
+  in
+  let config =
+    {
+      Des_sim.default_config with
+      Des_sim.eviction = Some { Des_sim.period = 0.5; min_rate = 20.0 };
+    }
+  in
+  trace_run (fun sink ->
+      let r =
+        Des_sim.run ~config ~churn ~sink ?substrate ~rng:(Rng.create ~seed:17)
+          ~cluster ~key
+          ~demand:(Demand.uniform (Cluster.status cluster) ~total:900.0)
+          ~duration:3.5 ()
+      in
+      [
+        ("served", i r.Des_sim.served);
+        ("faults", i r.Des_sim.faults);
+        ("replicas created", i r.Des_sim.replicas_created);
+        ("replicas evicted", i r.Des_sim.replicas_evicted);
+        ("replicas end", i (Cluster.total_copies cluster ~key));
+        ("timeline", i (Timeseries.length r.Des_sim.replica_timeline));
+        ( "last replication",
+          match r.Des_sim.last_replication with None -> "none" | Some t -> f t );
+        ("messages", i r.Des_sim.messages);
+        ("control messages", i r.Des_sim.control_messages);
+        ("file transfers", i r.Des_sim.file_transfers);
+        ("overloaded at end", i r.Des_sim.overloaded_at_end);
+        ("events", i r.Des_sim.events);
+      ]
+      @ hist "latency" r.Des_sim.latencies
+      @ hist "hops" r.Des_sim.hops)
+
+(* Pdes_sim's native overload trigger (no policy) under churn. *)
+let pdes_native ~b () =
+  let params = Params.create ~m:7 ~b () in
+  let status = Status_word.create params ~initially_live:true in
+  let p = Pid.unsafe_of_int in
+  let churn =
+    [ { Pdes_sim.at = 0.5; action = Pdes_sim.Fail (p 3) };
+      { Pdes_sim.at = 0.9; action = Pdes_sim.Leave (p 70) };
+      { Pdes_sim.at = 1.4; action = Pdes_sim.Join (p 3) } ]
+  in
+  pdes_fields
+    (Pdes_sim.run ~churn ~seed:77 ~params ~key:"matrix/pdes"
+       ~demand:(Demand.uniform status ~total:1200.0)
+       ~duration:2.0 ())
+
 let check name run expected () =
   let actual = run () in
   Alcotest.(check (list string))
@@ -334,6 +487,197 @@ let coldtier_pdes_pins =
     ("repair bytes", "0");
   ]
 
+let faults_native_b0 =
+  [
+    ("digest", "543026618704040488");
+    ("trace events", "6713");
+    ("issued", "3534");
+    ("served", "3534");
+    ("faulted", "0");
+    ("pending", "0");
+    ("within deadline", "3106");
+    ("duplicate serves", "148");
+    ("retransmissions", "1580");
+    ("timeouts", "1580");
+    ("replicas created", "13");
+    ("suspicions", "2");
+    ("recoveries", "1");
+    ("spurious suspicions", "1");
+    ("migrations", "2");
+    ("spurious migrations", "1");
+    ("crashes", "2");
+    ("restarts", "1");
+    ("lost keys", "0");
+    ("agreement", "0x1p+0");
+    ("convergence", "0x0p+0");
+    ("messages", "14072");
+    ("replicas end", "13");
+    ("latency count", "3534");
+    ("latency mean", "0x1.5e3493aa4d7e2p-1");
+    ("hops count", "3534");
+    ("hops mean", "0x1.b996d17e7a913p+0");
+  ]
+
+let faults_native_b2 =
+  [
+    ("digest", "736011420583301268");
+    ("trace events", "7107");
+    ("issued", "3511");
+    ("served", "3511");
+    ("faulted", "0");
+    ("pending", "0");
+    ("within deadline", "3033");
+    ("duplicate serves", "124");
+    ("retransmissions", "1790");
+    ("timeouts", "1790");
+    ("replicas created", "10");
+    ("suspicions", "2");
+    ("recoveries", "1");
+    ("spurious suspicions", "1");
+    ("migrations", "2");
+    ("spurious migrations", "1");
+    ("crashes", "2");
+    ("restarts", "1");
+    ("lost keys", "0");
+    ("agreement", "0x1p+0");
+    ("convergence", "0x0p+0");
+    ("messages", "13466");
+    ("replicas end", "14");
+    ("latency count", "3511");
+    ("latency mean", "0x1.866131e96b946p-1");
+    ("hops count", "3511");
+    ("hops mean", "0x1.8779416751972p+0");
+  ]
+
+let faults_chord =
+  [
+    ("digest", "3455452744773737417");
+    ("trace events", "12003");
+    ("issued", "3521");
+    ("served", "3521");
+    ("faulted", "0");
+    ("pending", "0");
+    ("within deadline", "2047");
+    ("duplicate serves", "21");
+    ("retransmissions", "4235");
+    ("timeouts", "4235");
+    ("replicas created", "6");
+    ("suspicions", "2");
+    ("recoveries", "1");
+    ("spurious suspicions", "0");
+    ("migrations", "2");
+    ("spurious migrations", "0");
+    ("crashes", "2");
+    ("restarts", "1");
+    ("lost keys", "1");
+    ("agreement", "0x1p+0");
+    ("convergence", "0x0p+0");
+    ("messages", "24192");
+    ("replicas end", "7");
+    ("latency count", "3521");
+    ("latency mean", "0x1.ba889e2003558p+0");
+    ("hops count", "3521");
+    ("hops mean", "0x1.1cb817d9077d2p+1");
+  ]
+
+let des_churn_b0 =
+  [
+    ("digest", "3104533114543165583");
+    ("trace events", "2995");
+    ("served", "2768");
+    ("faults", "209");
+    ("replicas created", "7");
+    ("replicas evicted", "6");
+    ("replicas end", "1");
+    ("timeline", "14");
+    ("last replication", "0x1.92b321e4f16edp+1");
+    ("messages", "11084");
+    ("control messages", "313");
+    ("file transfers", "0");
+    ("overloaded at end", "2");
+    ("events", "14090");
+    ("latency count", "2739");
+    ("latency mean", "0x1.56b527745492dp-3");
+    ("hops count", "2768");
+    ("hops mean", "0x1.5e6d80bd69104p+1");
+  ]
+
+let des_churn_b2 =
+  [
+    ("digest", "1814723397066033355");
+    ("trace events", "3065");
+    ("served", "3022");
+    ("faults", "0");
+    ("replicas created", "19");
+    ("replicas evicted", "19");
+    ("replicas end", "4");
+    ("timeline", "25");
+    ("last replication", "0x1.b0b3758a361ep+1");
+    ("messages", "8548");
+    ("control messages", "313");
+    ("file transfers", "2");
+    ("overloaded at end", "4");
+    ("events", "11548");
+    ("latency count", "2976");
+    ("latency mean", "0x1.011c20005ef57p-3");
+    ("hops count", "3022");
+    ("hops mean", "0x1.dd2eee35e07cbp+0");
+  ]
+
+let des_churn_chord =
+  [
+    ("digest", "3860800515349168908");
+    ("trace events", "2925");
+    ("served", "2904");
+    ("faults", "0");
+    ("replicas created", "8");
+    ("replicas evicted", "8");
+    ("replicas end", "2");
+    ("timeline", "15");
+    ("last replication", "0x1.aabaed7df7568p+1");
+    ("messages", "13667");
+    ("control messages", "313");
+    ("file transfers", "2");
+    ("overloaded at end", "3");
+    ("events", "16582");
+    ("latency count", "2856");
+    ("latency mean", "0x1.aae39975a9397p-3");
+    ("hops count", "2904");
+    ("hops mean", "0x1.d13bf1e5337b7p+1");
+  ]
+
+let pdes_native_b0 =
+  [
+    ("digest", "760667583678198877");
+    ("served", "2226");
+    ("faults", "0");
+    ("requests", "2326");
+    ("migrations", "0");
+    ("replicas created", "9");
+    ("replicas end", "10");
+    ("messages", "8101");
+    ("control messages", "380");
+    ("file transfers", "0");
+    ("events", "10277");
+    ("cold", "none");
+  ]
+
+let pdes_native_b2 =
+  [
+    ("digest", "4218188214395302215");
+    ("served", "2301");
+    ("faults", "0");
+    ("requests", "2396");
+    ("migrations", "0");
+    ("replicas created", "10");
+    ("replicas end", "14");
+    ("messages", "7162");
+    ("control messages", "380");
+    ("file transfers", "0");
+    ("events", "9419");
+    ("cold", "none");
+  ]
+
 (* [SEED_MATRIX_DUMP=1] prints every run's fields in pin syntax instead
    of checking them — for re-pinning a field a change is meant to move. *)
 let runs =
@@ -346,6 +690,14 @@ let runs =
     ("coldtier_point hybrid", (fun () -> coldtier_arm true), coldtier_hybrid);
     ("pdes policy", pdes_policy, pdes_policy_pins);
     ("coldtier_pdes", coldtier_pdes, coldtier_pdes_pins);
+    ("faults native b=0", fault_run ~b:0 ~chord:false ~holder_crash:1.5, faults_native_b0);
+    ("faults native b=2", fault_run ~b:2 ~chord:false ~holder_crash:0.1, faults_native_b2);
+    ("faults chord", fault_run ~b:0 ~chord:true ~holder_crash:0.1, faults_chord);
+    ("des churn b=0", des_run ~b:0 ~chord:false, des_churn_b0);
+    ("des churn b=2", des_run ~b:2 ~chord:false, des_churn_b2);
+    ("des churn chord", des_run ~b:0 ~chord:true, des_churn_chord);
+    ("pdes native b=0", pdes_native ~b:0, pdes_native_b0);
+    ("pdes native b=2", pdes_native ~b:2, pdes_native_b2);
   ]
 
 let () =
