@@ -96,9 +96,6 @@ let holds_fragment cluster p ~key =
       in
       scan 0
 
-let coded_can_serve cluster ~key ~at =
-  holds_fragment cluster at ~key && coded_servable cluster ~key
-
 let get_single_tree cluster ~now ~origin ~key =
   (* Walk hop by hop instead of materializing the full route first: the
      common request is answered within a hop or two, so computing the
@@ -217,32 +214,71 @@ let get ?(now = 0.0) ?registry cluster ~origin ~key =
   Option.iter (fun reg -> record_get reg r) registry;
   r
 
-let non_holders cluster ~key pids =
-  List.filter (fun p -> not (Cluster.holds cluster p ~key)) pids
+let rec without holds = function
+  | [] -> []
+  | p :: rest -> if holds p then without holds rest else p :: without holds rest
+
+let children_list ~subtree tree status p =
+  if subtree then Subtrees.children_list_in_subtree tree status p
+  else Topology.children_list tree status p
+
+(* The two candidate children lists of REPLICATEFILE, holders excluded:
+   the overloaded node's, plus the root's when attribution is ambiguous
+   (the overloaded node is the max-VID live node under a dead root,
+   Section 3). With [subtree], the tree is the overloaded node's binomial
+   subtree (Section 4). *)
+let candidates ~holds ~subtree tree status ~overloaded =
+  let own = without holds (children_list ~subtree tree status overloaded) in
+  let root =
+    if subtree then
+      Subtrees.subtree_root tree
+        ~subtree_id:(Subtrees.subtree_id_of_pid tree overloaded)
+    else Ptree.root tree
+  in
+  if
+    Pid.equal overloaded root
+    || (if subtree then Subtrees.has_live_with_greater_svid tree status overloaded
+        else Topology.has_live_with_greater_vid tree status overloaded)
+  then (own, [])
+  else (own, without holds (children_list ~subtree tree status root))
+
+(* Proportional choice (Section 3): attribute the overload to the
+   overloaded node's offspring vs. the rest of the population in
+   proportion to their sizes. *)
+let choose ~rng ~holds ~subtree tree status ~overloaded =
+  match candidates ~holds ~subtree tree status ~overloaded with
+  | [], [] -> None
+  | c :: _, [] | [], c :: _ -> Some c
+  | own_first :: _, root_first :: _ ->
+      let offspring =
+        if subtree then
+          Subtrees.live_offspring_count_in_subtree tree status overloaded
+        else Topology.live_offspring_count tree status overloaded
+      in
+      let population =
+        if subtree then
+          List.length
+            (List.filter (Status_word.is_live status)
+               (Subtrees.members tree
+                  ~subtree_id:(Subtrees.subtree_id_of_pid tree overloaded)))
+        else Status_word.live_count status
+      in
+      let rest = max 0 (population - 1 - offspring) in
+      let total = offspring + rest in
+      let p =
+        if total = 0 then 0.0 else float_of_int offspring /. float_of_int total
+      in
+      if Rng.bernoulli rng ~p then Some own_first else Some root_first
+
+let choose_in_subtree ~rng ~holds tree status ~overloaded =
+  choose ~rng ~holds ~subtree:true tree status ~overloaded
 
 let replication_candidates cluster ~overloaded ~key =
-  let tree = Cluster.tree_of_key cluster key in
-  let status = Cluster.status cluster in
-  let own, root_list =
-    if fault_tolerant cluster then begin
-      let sid = Subtrees.subtree_id_of_pid tree overloaded in
-      let sroot = Subtrees.subtree_root tree ~subtree_id:sid in
-      let cl p = Subtrees.children_list_in_subtree tree status p in
-      if Pid.equal overloaded sroot then (cl sroot, [])
-      else if Subtrees.has_live_with_greater_svid tree status overloaded then
-        (cl overloaded, [])
-      else (cl overloaded, cl sroot)
-    end
-    else begin
-      let r = Ptree.root tree in
-      let cl p = Topology.children_list tree status p in
-      if Pid.equal overloaded r then (cl r, [])
-      else if Topology.has_live_with_greater_vid tree status overloaded then
-        (cl overloaded, [])
-      else (cl overloaded, cl r)
-    end
-  in
-  (non_holders cluster ~key own, non_holders cluster ~key root_list)
+  candidates
+    ~holds:(fun p -> Cluster.holds cluster p ~key)
+    ~subtree:(fault_tolerant cluster)
+    (Cluster.tree_of_key cluster key)
+    (Cluster.status cluster) ~overloaded
 
 let current_version cluster ~key ~overloaded =
   match File_store.version (Cluster.store cluster overloaded) ~key with
@@ -256,36 +292,11 @@ let current_version cluster ~key ~overloaded =
           | None -> 0))
 
 let choose_replica_target ~rng cluster ~overloaded ~key =
-  let own, root_list = replication_candidates cluster ~overloaded ~key in
-  let tree = Cluster.tree_of_key cluster key in
-  let status = Cluster.status cluster in
-  match (own, root_list) with
-    | [], [] -> None
-    | c :: _, [] | [], c :: _ -> Some c
-    | own_first :: _, root_first :: _ ->
-        (* Proportional choice (Section 3): attribute the overload to the
-           overloaded node's offspring vs. the rest of the system in
-           proportion to their populations. *)
-        let offspring =
-          if fault_tolerant cluster then
-            Subtrees.live_offspring_count_in_subtree tree status overloaded
-          else Topology.live_offspring_count tree status overloaded
-        in
-        let population =
-          if fault_tolerant cluster then
-            let sid = Subtrees.subtree_id_of_pid tree overloaded in
-            List.length
-              (List.filter
-                 (Status_word.is_live status)
-                 (Subtrees.members tree ~subtree_id:sid))
-          else Status_word.live_count status
-        in
-        let rest = max 0 (population - 1 - offspring) in
-        let total = offspring + rest in
-        let p =
-          if total = 0 then 0.0 else float_of_int offspring /. float_of_int total
-        in
-        if Rng.bernoulli rng ~p then Some own_first else Some root_first
+  choose ~rng
+    ~holds:(fun p -> Cluster.holds cluster p ~key)
+    ~subtree:(fault_tolerant cluster)
+    (Cluster.tree_of_key cluster key)
+    (Cluster.status cluster) ~overloaded
 
 let replicate ?(now = 0.0) ?registry ~rng cluster ~overloaded ~key =
   (match registry with

@@ -66,6 +66,16 @@ val choose_replica_target :
     children lists when attribution is ambiguous. [None] when every
     candidate already holds the file. *)
 
+val choose_in_subtree :
+  rng:Lesslog_prng.Rng.t ->
+  holds:(Pid.t -> bool) ->
+  Lesslog_ptree.Ptree.t ->
+  Lesslog_membership.Status_word.t ->
+  overloaded:Pid.t ->
+  Pid.t option
+(** {!choose_replica_target}'s [b > 0] branch over the overloaded node's
+    subtree, with the caller's holder test. *)
+
 val replicate :
   ?now:float ->
   ?registry:Lesslog_obs.Obs.Registry.t ->
@@ -179,10 +189,6 @@ val coded_servable : Cluster.t -> key:string -> bool
 
 val holds_fragment : Cluster.t -> Pid.t -> key:string -> bool
 (** Does this node hold any fragment of the (coded) key? *)
-
-val coded_can_serve : Cluster.t -> key:string -> at:Pid.t -> bool
-(** [holds_fragment] at the node and [coded_servable] cluster-wide: the
-    node can gather [k] fragments and decode. *)
 
 val demote_to_coded :
   ?now:float ->

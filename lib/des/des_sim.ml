@@ -4,18 +4,14 @@ module Overlay = Lesslog_net.Overlay
 module Latency = Lesslog_net.Latency
 module Cluster = Lesslog.Cluster
 module Ops = Lesslog.Ops
-module Self_org = Lesslog.Self_org
 module Status_word = Lesslog_membership.Status_word
-module Topology = Lesslog_topology.Topology
 module File_store = Lesslog_storage.File_store
-module Access_counter = Lesslog_storage.Access_counter
 module Demand = Lesslog_workload.Demand
 module Histogram = Lesslog_metrics.Histogram
 module Timeseries = Lesslog_metrics.Timeseries
 module Rng = Lesslog_prng.Rng
 module Trace = Lesslog_trace.Trace
 module Obs = Lesslog_obs.Obs
-module Substrate = Lesslog_substrate.Substrate
 module Rf_policy = Lesslog_policy.Rf_policy
 module Packed_bits = Lesslog_bits.Packed_bits
 
@@ -65,30 +61,14 @@ type result = {
    ({!finalize_obs}), and the latency and hop timers are backed by the
    run's own result histograms ({!Obs.Registry.timer_backed}): per-request
    attribution costs exactly one span open and one span close. *)
-type instruments = {
-  spans : Obs.Span.sink;
-  sp_lookup : int;
-  sp_replicate : int;
-}
+type instruments = { spans : Obs.Span.sink; sp_lookup : int }
 
 let make_instruments (obs : Obs.t) =
-  {
-    spans = obs.Obs.spans;
-    sp_lookup = Obs.Span.intern obs.Obs.spans "lookup";
-    sp_replicate = Obs.Span.intern obs.Obs.spans "replicate";
-  }
+  { spans = obs.Obs.spans; sp_lookup = Obs.Span.intern obs.Obs.spans "lookup" }
 
 type state = {
   config : config;
-  rng : Rng.t;
-  cluster : Cluster.t;
-  key : string;
-  tree : Lesslog_ptree.Ptree.t;
-      (* the key's lookup tree, fixed for the whole run *)
-  engine : Engine.t;
-  overlay : unit Overlay.t;
-  estimators : Access_counter.t array;
-  cooldown_until : float array;
+  p : Protocol.t;
   (* one demand/deadline pair per workload phase, indexed by the arrival
      event's [b] word *)
   phase_demand : Demand.t array;
@@ -105,12 +85,7 @@ type state = {
   mutable control_messages : int;
   mutable file_transfers : int;
   mutable next_req : int;
-  sink : (Trace.Event.t -> unit) option;
   obs : instruments option;
-  substrate : Substrate.t option;
-      (* [None] = the native direct path (the default, digest-pinned);
-         [Some] routes, places replicas and repairs churn through the
-         substrate contract instead *)
   plane : Control_plane.t option;
       (* [Some] swaps the native overload-driven replication for the
          log-driven dynamic-RF competitor (plus, with a ledger, the
@@ -125,11 +100,12 @@ type state = {
   mutable coded_serves : int;
 }
 
-let now st = Engine.now st.engine
+let now st = Protocol.now st.p
+let emit st event = Protocol.emit st.p event
 
 let record_copies st =
   Timeseries.record st.replica_timeline ~time:(now st)
-    (float_of_int (Cluster.total_copies st.cluster ~key:st.key))
+    (float_of_int (Cluster.total_copies st.p.cluster ~key:st.p.key))
 
 (* --- Cold tier: fragment placement is [Ops]'s, the flags and the byte
    ledger are the control plane's; this simulator keeps the fragment
@@ -138,28 +114,21 @@ let record_copies st =
 
 let sample_bytes st ~t (l, _) =
   Control_plane.sample l ~t
-    ~copies:(Cluster.total_copies st.cluster ~key:st.key)
-    ~fragments:(Ops.live_fragment_count st.cluster ~key:st.key)
+    ~copies:(Cluster.total_copies st.p.cluster ~key:st.p.key)
+    ~fragments:(Ops.live_fragment_count st.p.cluster ~key:st.p.key)
 
 let refresh_frags st (l, frag_holders) =
   Packed_bits.clear_all frag_holders;
-  match Cluster.coded_params st.cluster ~key:st.key with
+  match Cluster.coded_params st.p.cluster ~key:st.p.key with
   | None -> Control_plane.fragments_live l 0
   | Some (k, r) ->
       for i = 0 to k + r - 1 do
         List.iter
           (fun p -> Packed_bits.set frag_holders (Pid.to_int p))
-          (Cluster.holders st.cluster ~key:(Ops.frag_key st.key i))
+          (Cluster.holders st.p.cluster ~key:(Ops.frag_key st.p.key i))
       done;
       Control_plane.fragments_live l
-        (Ops.live_fragment_count st.cluster ~key:st.key)
-
-let route_next st me =
-  match st.substrate with
-  | None -> Topology.route_next st.tree (Cluster.status st.cluster) me
-  | Some sub -> sub.Substrate.next_hop ~key:st.key me
-
-let emit st event = match st.sink with None -> () | Some f -> f event
+        (Ops.live_fragment_count st.p.cluster ~key:st.p.key)
 
 (* A request resolved at [origin] ([server < 0] = fault): record its
    whole span in one call. The wire already carries the issue timestamp
@@ -177,39 +146,9 @@ let obs_resolved st ~id ~origin ~server ~hops ~issued_at =
         ~dur:(now st -. issued_at)
         ~server ~hops ~attempt:0
 
-(* Trigger a replication from [overloaded] when its estimated serve rate
-   exceeds capacity and its cooldown has expired. The copy travels the
-   network: it only becomes servable when the push arrives. *)
-let maybe_replicate st ~overloaded =
-  let i = Pid.to_int overloaded in
-  let rate = Access_counter.rate st.estimators.(i) ~now:(now st) in
-  if rate > st.config.capacity && now st >= st.cooldown_until.(i) then begin
-    let target =
-      match st.substrate with
-      | None ->
-          Ops.choose_replica_target ~rng:st.rng st.cluster ~overloaded
-            ~key:st.key
-      | Some sub ->
-          Ops.choose_replica_target_via ~rng:st.rng sub st.cluster ~overloaded
-            ~key:st.key
-    in
-    match target with
-    | None -> ()
-    | Some dest ->
-        st.cooldown_until.(i) <- now st +. st.config.cooldown;
-        let version =
-          Option.value ~default:0
-            (File_store.version (Cluster.store st.cluster overloaded) ~key:st.key)
-        in
-        Overlay.send_packed st.overlay ~src:overloaded ~dst:dest
-          ~b:(Wire.push ~version) ~x:0.0
-  end
-
 let serve st ~server ~id ~origin ~issued_at ~hops =
   let i = Pid.to_int server in
-  File_store.record_access (Cluster.store st.cluster server) ~key:st.key
-    ~now:(now st);
-  Access_counter.record st.estimators.(i) ~now:(now st);
+  Protocol.record_serve st.p ~server;
   st.served <- st.served + 1;
   Histogram.add_int st.hops hops;
   emit st
@@ -221,12 +160,12 @@ let serve st ~server ~id ~origin ~issued_at ~hops =
     obs_resolved st ~id ~origin:(Pid.to_int origin) ~server:i ~hops ~issued_at
   end
   else
-    Overlay.send_packed st.overlay ~src:server ~dst:origin
+    Overlay.send_packed st.p.overlay ~src:server ~dst:origin
       ~b:(Wire.reply ~id ~server:i ~hops) ~x:issued_at;
   (* Under the dynamic-RF policy the interval tick owns replica
      management; the native overload trigger stays off. *)
   match st.plane with
-  | None -> maybe_replicate st ~overloaded:server
+  | None -> Protocol.maybe_replicate st.p ~overloaded:server
   | Some _ -> ()
 
 let fault st ~id ~origin ~hops ~issued_at =
@@ -243,7 +182,7 @@ let fault st ~id ~origin ~hops ~issued_at =
    into both callers: out of line it adds allocation on the request
    path. *)
 let[@inline] get_step st ~me ~id ~origin ~hops ~issued_at =
-  if Cluster.holds st.cluster me ~key:st.key then
+  if Cluster.holds st.p.cluster me ~key:st.p.key then
     serve st ~server:me ~id ~origin ~issued_at ~hops
   else
     match st.cold with
@@ -258,17 +197,10 @@ let[@inline] get_step st ~me ~id ~origin ~hops ~issued_at =
           serve st ~server:me ~id ~origin ~issued_at ~hops
         end
         else fault st ~id ~origin ~hops ~issued_at
-    | _ -> (
-        (* The [hops < hops_max] guard keeps a (non-conforming) substrate
-           route from wrapping the packed hop field: overflow is a
-           routing fault. Native routes are bounded by the tree depth
-           (≤ m) and never reach it. *)
-        match route_next st me with
-        | Some next when hops < Wire.hops_max ->
-            Overlay.send_packed st.overlay ~src:me ~dst:next
-              ~b:(Wire.get ~id ~origin:(Pid.to_int origin) ~hops:(hops + 1))
-              ~x:issued_at
-        | Some _ | None -> fault st ~id ~origin ~hops ~issued_at)
+    | _ ->
+        (* A dead end (or a hop-field overflow) is a routing fault. *)
+        if not (Protocol.forward st.p ~me ~id ~origin ~hops ~issued_at) then
+          fault st ~id ~origin ~hops ~issued_at
 
 let handle st ~me ~src b x =
   match Wire.kind b with
@@ -282,21 +214,9 @@ let handle st ~me ~src b x =
       obs_resolved st ~id:(Wire.id b) ~origin:(Pid.to_int me)
         ~server:(Wire.reply_server b) ~hops:(Wire.reply_hops b) ~issued_at:x
   | Wire.Push ->
-      if not (Cluster.holds st.cluster me ~key:st.key) then begin
-        File_store.add (Cluster.store st.cluster me) ~key:st.key
-          ~origin:File_store.Replicated ~version:(Wire.payload b) ~now:(now st);
+      if Protocol.apply_push st.p ~me ~src ~version:(Wire.payload b) then begin
         st.replicas_created <- st.replicas_created + 1;
         st.last_replication <- Some (now st);
-        emit st
-          (Trace.Event.Replicate
-             { at = now st; src = Pid.to_int src; dst = Pid.to_int me;
-               key = st.key });
-        (match st.obs with
-        | None -> ()
-        | Some i ->
-            Obs.Span.emit i.spans ~name:i.sp_replicate ~id:(Pid.to_int src)
-              ~origin:(Pid.to_int src) ~at:(now st) ~dur:0.0
-              ~server:(Some (Pid.to_int me)) ~hops:0 ~attempt:0);
         record_copies st
       end
   | Wire.Ping | Wire.Pong | Wire.Other -> ()
@@ -319,12 +239,12 @@ let issue_request st ~origin =
    not restart it, matching the documented semantics). *)
 let on_arrival st origin_i phase _x =
   let origin = Pid.unsafe_of_int origin_i in
-  if Status_word.is_live (Cluster.status st.cluster) origin then begin
+  if Status_word.is_live (Cluster.status st.p.cluster) origin then begin
     issue_request st ~origin;
     let rate = Demand.rate st.phase_demand.(phase) origin in
-    let t = now st +. Rng.exponential st.rng ~rate in
+    let t = now st +. Rng.exponential st.p.rng ~rate in
     if t < st.phase_until.(phase) then
-      Engine.post_at st.engine ~time:t ~h:st.h_arrival ~a:origin_i ~b:phase
+      Engine.post_at st.p.engine ~time:t ~h:st.h_arrival ~a:origin_i ~b:phase
         ~x:0.0
   end
 
@@ -332,12 +252,12 @@ let on_arrival st origin_i phase _x =
    [from_time, until). *)
 let start_arrivals st ~phase ~from_time =
   let demand = st.phase_demand.(phase) and until = st.phase_until.(phase) in
-  Status_word.iter_live (Cluster.status st.cluster) (fun origin ->
+  Status_word.iter_live (Cluster.status st.p.cluster) (fun origin ->
       let rate = Demand.rate demand origin in
       if rate > 0.0 then begin
-        let t = from_time +. Rng.exponential st.rng ~rate in
+        let t = from_time +. Rng.exponential st.p.rng ~rate in
         if t < until then
-          Engine.post_at st.engine ~time:t ~h:st.h_arrival
+          Engine.post_at st.p.engine ~time:t ~h:st.h_arrival
             ~a:(Pid.to_int origin) ~b:phase ~x:0.0
       end)
 
@@ -351,9 +271,9 @@ let start_eviction st ~duration =
       let rec tick () =
         let t = now st +. period in
         if t <= duration then
-          Engine.schedule_at st.engine ~time:t (fun () ->
+          Engine.schedule_at st.p.engine ~time:t (fun () ->
               let removed = ref 0 in
-              Status_word.iter_live (Cluster.status st.cluster) (fun p ->
+              Status_word.iter_live (Cluster.status st.p.cluster) (fun p ->
                   let dropped =
                     (* The survivor floor: when every live holder is a
                        below-rate replica (the inserted copy's node is
@@ -361,18 +281,18 @@ let start_eviction st ~duration =
                        last live copy cluster-wide. *)
                     File_store.evict_cold_replicas
                       ~survivors:(fun key ->
-                        Cluster.total_copies st.cluster ~key)
+                        Cluster.total_copies st.p.cluster ~key)
                       ~min_survivors:1
-                      (Cluster.store st.cluster p)
+                      (Cluster.store st.p.cluster p)
                       ~now:(now st) ~min_rate
                   in
                   let mine =
-                    List.length (List.filter (String.equal st.key) dropped)
+                    List.length (List.filter (String.equal st.p.key) dropped)
                   in
                   if mine > 0 then
                     emit st
                       (Trace.Event.Evict
-                         { at = now st; node = Pid.to_int p; key = st.key });
+                         { at = now st; node = Pid.to_int p; key = st.p.key });
                   removed := !removed + mine);
               if !removed > 0 then begin
                 st.replicas_evicted <- st.replicas_evicted + !removed;
@@ -391,22 +311,22 @@ let start_eviction st ~duration =
    comparison against LessLog should not charge it the simulator's
    network model twice. *)
 let policy_enforce st p =
-  let key = st.key in
+  let key = st.p.key in
   let rf = Rf_policy.rf p ~file:0 in
-  let before = Cluster.total_copies st.cluster ~key in
+  let before = Cluster.total_copies st.p.cluster ~key in
   if before < rf then begin
     let src, version =
-      match Cluster.holders st.cluster ~key with
+      match Cluster.holders st.p.cluster ~key with
       | h :: _ ->
           ( Pid.to_int h,
             Option.value ~default:0
-              (File_store.version (Cluster.store st.cluster h) ~key) )
+              (File_store.version (Cluster.store st.p.cluster h) ~key) )
       | [] -> (-1, 0)
     in
     let deficit = ref (rf - before) in
-    Status_word.iter_live (Cluster.status st.cluster) (fun q ->
-        if !deficit > 0 && not (Cluster.holds st.cluster q ~key) then begin
-          File_store.add (Cluster.store st.cluster q) ~key
+    Status_word.iter_live (Cluster.status st.p.cluster) (fun q ->
+        if !deficit > 0 && not (Cluster.holds st.p.cluster q ~key) then begin
+          File_store.add (Cluster.store st.p.cluster q) ~key
             ~origin:File_store.Replicated ~version ~now:(now st);
           st.replicas_created <- st.replicas_created + 1;
           st.last_replication <- Some (now st);
@@ -422,17 +342,17 @@ let policy_enforce st p =
       (fun q ->
         if
           !surplus > 0
-          && File_store.origin (Cluster.store st.cluster q) ~key
+          && File_store.origin (Cluster.store st.p.cluster q) ~key
              = Some File_store.Replicated
         then begin
-          File_store.remove (Cluster.store st.cluster q) ~key;
+          File_store.remove (Cluster.store st.p.cluster q) ~key;
           st.replicas_evicted <- st.replicas_evicted + 1;
           emit st (Trace.Event.Evict { at = now st; node = Pid.to_int q; key });
           decr surplus
         end)
-      (List.rev (Cluster.holders st.cluster ~key))
+      (List.rev (Cluster.holders st.p.cluster ~key))
   end;
-  let after = Cluster.total_copies st.cluster ~key in
+  let after = Cluster.total_copies st.p.cluster ~key in
   if after <> before then
     Timeseries.record st.replica_timeline ~time:(now st) (float_of_int after)
 
@@ -441,15 +361,17 @@ let policy_enforce st p =
    live nodes, a promotion rebuilds the policy's replica factor from the
    fragments. *)
 let demote st (tier : Control_plane.cold_tier) =
-  Ops.demote_to_coded ~now:(now st) ?substrate:st.substrate st.cluster
-    ~key:st.key ~k:tier.code_k ~r:tier.code_r
+  Ops.demote_to_coded ~now:(now st) ?substrate:(Protocol.placement st.p)
+    st.p.cluster
+    ~key:st.p.key ~k:tier.code_k ~r:tier.code_r
   |> Option.map (fun holders ->
          record_copies st;
          List.length holders)
 
 let promote st ~copies =
-  Ops.promote_from_coded ~now:(now st) ?substrate:st.substrate st.cluster
-    ~key:st.key ~copies
+  Ops.promote_from_coded ~now:(now st) ?substrate:(Protocol.placement st.p)
+    st.p.cluster
+    ~key:st.p.key ~copies
   |> Option.map (fun placed ->
          record_copies st;
          List.length placed)
@@ -464,7 +386,7 @@ let start_policy st ~duration =
       let rec chain = function
         | [] -> ()
         | t :: later ->
-            Engine.schedule_at st.engine ~time:t (fun () ->
+            Engine.schedule_at st.p.engine ~time:t (fun () ->
                 Control_plane.tick pl ~demote:(demote st) ~promote:(promote st)
                   ~enforce:(fun () -> policy_enforce st pl.policy);
                 Option.iter
@@ -492,81 +414,36 @@ let finalize_obs st (obs : Obs.t) =
   ignore (Obs.Registry.timer_backed r "des/latency_s" st.latencies);
   ignore (Obs.Registry.timer_backed r "des/hops" st.hops)
 
-(* Control-traffic model for a membership event: the status word is
-   broadcast to every live node (Section 5), and each relocated file costs
-   one transfer. *)
-let account_churn st ~relocated =
-  st.control_messages <-
-    st.control_messages + Status_word.live_count (Cluster.status st.cluster);
-  st.file_transfers <- st.file_transfers + relocated
-
-(* Membership repair dispatch: Generic substrates run the overlay-agnostic
-   registry repair, which repairs a coded key too (reported through
-   [on_coded_repair]); everything else (the direct path and the native
-   adapter, whose membership is Self_organized) runs the paper's Section 5
-   mechanism verbatim, then [Ops.repair_coded]. Returns the relocation
-   count for {!account_churn}. *)
-let repair_membership st action =
+(* A membership event: the trace mark, the repair ({!Protocol.repair})
+   with the cold tier's fragment bitset and byte sample on top, and the
+   control-traffic model — the status word is broadcast to every live
+   node (Section 5), and each relocated file costs one transfer. *)
+let churn st p change =
+  emit st (Trace.Event.Membership { at = now st; node = Pid.to_int p; change });
   let relocated =
-    match st.substrate with
-    | Some sub when sub.Substrate.membership = Substrate.Generic ->
-        Ops.on_membership_via ~now:(now st)
-          ?on_coded_repair:
-            (Option.map
-               (fun (l, _) ~key:_ ~rebuilt ~lost ->
-                 Control_plane.repaired l ~rebuilt ~lost)
-               st.cold)
-          sub st.cluster
-          ~event:
-            (match action with
-            | Join p -> `Join p
-            | Leave p -> `Leave p
-            | Fail p -> `Fail p)
-    | _ ->
-        let relocated =
-          match action with
-          | Join p ->
-              List.length (Self_org.join ~now:(now st) st.cluster p).took_over
-          | Leave p ->
-              List.length (Self_org.leave ~now:(now st) st.cluster p).reinserted
-          | Fail p ->
-              List.length (Self_org.fail ~now:(now st) st.cluster p).recovered
-        in
-        (match st.cold with
-        | Some (l, _) when l.coded -> (
-            match
-              Ops.repair_coded ~now:(now st) ?substrate:st.substrate
-                st.cluster ~key:st.key
-            with
-            | `Intact -> ()
-            | `Repaired n -> Control_plane.repaired l ~rebuilt:n ~lost:false
-            | `Lost -> Control_plane.repaired l ~rebuilt:0 ~lost:true)
-        | Some _ | None -> ());
-        relocated
+    Protocol.repair st.p p ~change
+      ~ledger:(match st.plane with Some pl -> pl.ledger | None -> None)
   in
   (match st.cold with
   | Some c ->
       refresh_frags st c;
       sample_bytes st ~t:(now st) c
   | None -> ());
-  relocated
-
-let churn st p change action =
-  emit st (Trace.Event.Membership { at = now st; node = Pid.to_int p; change });
-  account_churn st ~relocated:(repair_membership st action);
-  if change = `Join then Overlay.attach st.overlay p
-  else Overlay.detach st.overlay p
+  st.control_messages <-
+    st.control_messages + Status_word.live_count (Cluster.status st.p.cluster);
+  st.file_transfers <- st.file_transfers + relocated;
+  if change = `Join then Overlay.attach st.p.overlay p
+  else Overlay.detach st.p.overlay p
 
 let apply_churn st events =
   List.iter
     (fun { at; action } ->
-      Engine.schedule_at st.engine ~time:at (fun () ->
-          let status = Cluster.status st.cluster in
+      Engine.schedule_at st.p.engine ~time:at (fun () ->
+          let status = Cluster.status st.p.cluster in
           match action with
-          | Join p -> if Status_word.is_dead status p then churn st p `Join action
-          | Leave p ->
-              if Status_word.is_live status p then churn st p `Leave action
-          | Fail p -> if Status_word.is_live status p then churn st p `Fail action))
+          | Join p -> if Status_word.is_dead status p then churn st p `Join
+          | Leave p -> if Status_word.is_live status p then churn st p `Leave
+          | Fail p -> if Status_word.is_live status p then churn st p `Fail))
     events
 
 let run_internal ~config ~churn ~sink ~obs ~substrate ~policy ~cold_tier ~rng
@@ -591,19 +468,18 @@ let run_internal ~config ~churn ~sink ~obs ~substrate ~policy ~cold_tier ~rng
       phase_until.(i) <- !offset)
     phases;
   let latencies = Histogram.create () and hops = Histogram.create () in
+  (* "lookup" is interned before the protocol's "replicate". *)
+  let instruments = Option.map make_instruments obs in
+  let trigger =
+    Protocol.Trigger.create ~capacity:config.capacity ~tau:config.detection_tau
+      ~cooldown:config.cooldown (Params.space params)
+  in
   let st =
     {
       config;
-      rng;
-      cluster;
-      key;
-      tree = Cluster.tree_of_key cluster key;
-      engine;
-      overlay;
-      estimators =
-        Array.init (Params.space params) (fun _ ->
-            Access_counter.create ~tau:config.detection_tau ~now:0.0 ());
-      cooldown_until = Array.make (Params.space params) 0.0;
+      p =
+        Protocol.create ~rng ~cluster ~key ~engine ~overlay ~trigger ~substrate
+          ~sink ~obs;
       phase_demand;
       phase_until;
       h_arrival = -1;
@@ -618,9 +494,7 @@ let run_internal ~config ~churn ~sink ~obs ~substrate ~policy ~cold_tier ~rng
       control_messages = 0;
       file_transfers = 0;
       next_req = 0;
-      sink;
-      obs = Option.map make_instruments obs;
-      substrate;
+      obs = instruments;
       plane;
       cold =
         (match plane with
@@ -652,10 +526,9 @@ let run_internal ~config ~churn ~sink ~obs ~substrate ~policy ~cold_tier ~rng
   Option.iter (finalize_obs st) obs;
   let overloaded_at_end =
     Status_word.fold_live (Cluster.status cluster) ~init:0 ~f:(fun acc p ->
-        let rate =
-          Access_counter.rate st.estimators.(Pid.to_int p) ~now:duration
-        in
-        if rate > config.capacity then acc + 1 else acc)
+        if Protocol.Trigger.overloaded trigger (Pid.to_int p) ~now:duration
+        then acc + 1
+        else acc)
   in
   {
     served = st.served;

@@ -96,9 +96,10 @@ type result = {
     [next_hop], placement through [Ops.choose_replica_target_via], and
     churn through [Ops.on_membership_via] for
     {!Lesslog_substrate.Substrate.Generic} substrates (the native
-    adapter's [Self_organized] membership keeps the Section 5 mechanism,
-    so running through {!Lesslog.Substrate_native} is bit-for-bit
-    identical to omitting [substrate]). Routes longer than the packed
+    adapter's [Self_organized] membership keeps the Section 5 mechanism
+    and the native cold-tier placement, so running through
+    {!Lesslog.Substrate_native} is bit-for-bit identical to omitting
+    [substrate], with or without a cold tier). Routes longer than the packed
     hop field (63) — impossible on a conforming substrate — count as
     faults.
 
@@ -130,7 +131,8 @@ type result = {
     not simulated messages); below [k] survivors requests degrade to
     reported faults — no panic. Churn events trigger fragment repair
     ({!Lesslog.Ops.repair_coded}, through [Ops.on_membership_via] on
-    Generic substrates). The [cold] result field carries demotion/
+    Generic substrates, which alone also place fragments and promoted
+    copies). The [cold] result field carries demotion/
     promotion/repair counts and the byte ledger; it is present whenever
     [cold_tier] was given, so a baseline run with [demote_after =
     max_int] yields comparable byte accounting under full replication.

@@ -77,7 +77,8 @@ type result = {
   spurious_migrations : int;
   crashes : int;
   restarts : int;
-  lost_keys : int;  (** Keys wiped with no surviving copy ([b = 0]). *)
+  lost_keys : int;
+      (** Keys a crash verdict left with no surviving copy, at any [b]. *)
   detector_agreement : float;
       (** Fraction of monitored nodes whose detector verdict matches
           injected truth when the run ends. *)

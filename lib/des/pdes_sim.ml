@@ -15,13 +15,13 @@
    All mutable per-node state is owned by the node's shard and indexed
    by subtree VID: holder bits ({!Lesslog_bits.Packed_bits} over the
    2^(m-b) subtree slots — never the global PID space, whose packed
-   words would be shared across shards), access-rate estimators,
-   replication cooldowns, result histograms, the span sink and an FNV
-   digest accumulator. The status word and lookup tree are shared but
-   only read during an epoch; membership churn runs as sequential
-   barrier globals. Each shard draws from its own seeded RNG stream, so
-   the full run — event order, RNG draws, digest — is bit-identical at
-   any domain count, including 1. *)
+   words would be shared across shards), the overload trigger's
+   access-rate estimators and cooldowns ({!Protocol.Trigger}), result
+   histograms, the span sink and an FNV digest accumulator. The status
+   word and lookup tree are shared but only read during an epoch;
+   membership churn runs as sequential barrier globals. Each shard draws
+   from its own seeded RNG stream, so the full run — event order, RNG
+   draws, digest — is bit-identical at any domain count, including 1. *)
 
 open Lesslog_id
 module Engine = Lesslog_sim.Engine
@@ -30,7 +30,6 @@ module Latency = Lesslog_net.Latency
 module Status_word = Lesslog_membership.Status_word
 module Subtrees = Lesslog_topology.Subtrees
 module Ptree = Lesslog_ptree.Ptree
-module Access_counter = Lesslog_storage.Access_counter
 module Demand = Lesslog_workload.Demand
 module Histogram = Lesslog_metrics.Histogram
 module Packed_bits = Lesslog_bits.Packed_bits
@@ -82,8 +81,7 @@ type shard = {
       (* subtree-VID indexed fragment holders of the cold tier — each
          node carries at most one (distinct) fragment, so the bit count
          is the shard's live-fragment count; mutated only at barriers *)
-  estimators : Access_counter.t array;  (* subtree-VID indexed *)
-  cooldown_until : float array;
+  trigger : Protocol.Trigger.t;  (* subtree-VID indexed *)
   latencies : Histogram.t;
   hops_h : Histogram.t;
   spans : Obs.Span.sink option;
@@ -181,58 +179,25 @@ let obs_resolved (sh : shard) ~id ~origin ~server ~hops ~issued_at ~at =
       Obs.Span.emit_int spans ~name:sh.sp_lookup ~id ~origin ~at:issued_at
         ~dur:(at -. issued_at) ~server ~hops ~attempt:0
 
-(* Replica placement, Section 4 flavour of {!Lesslog.Ops.choose_replica_target}:
-   candidates are the overloaded node's dead-node-aware subtree children
-   list (or the subtree root's when nothing lives above it), holders
-   excluded, and the two lists are weighed by live offspring vs. the rest
-   of the subtree population. Everything is subtree-local, so the chosen
-   target is always on the overloaded node's own shard. *)
-let choose_replica_target st (sh : shard) ~overloaded =
-  let tree = st.tree and status = st.status in
-  let non_holders = List.filter (fun p -> not (holds st p)) in
-  let cl p = non_holders (Subtrees.children_list_in_subtree tree status p) in
-  let sroot = Subtrees.subtree_root tree ~subtree_id:sh.sid in
-  let own, root_list =
-    if Pid.equal overloaded sroot then (cl sroot, [])
-    else if Subtrees.has_live_with_greater_svid tree status overloaded then
-      (cl overloaded, [])
-    else (cl overloaded, cl sroot)
-  in
-  match (own, root_list) with
-  | [], [] -> None
-  | c :: _, [] | [], c :: _ -> Some c
-  | own_first :: _, root_first :: _ ->
-      let offspring =
-        Subtrees.live_offspring_count_in_subtree tree status overloaded
-      in
-      let population =
-        List.length
-          (List.filter (Status_word.is_live status)
-             (Subtrees.members tree ~subtree_id:sh.sid))
-      in
-      let rest = max 0 (population - 1 - offspring) in
-      let total = offspring + rest in
-      let p =
-        if total = 0 then 0.0 else float_of_int offspring /. float_of_int total
-      in
-      if Rng.bernoulli sh.rng ~p then Some own_first else Some root_first
-
+(* Overload replication: every candidate is in the overloaded node's
+   subtree, so the chosen target is always on its own shard. *)
 let maybe_replicate st (sh : shard) ~overloaded =
   let sv = svid_of st overloaded in
   let now = Engine.now sh.eng in
-  let rate = Access_counter.rate sh.estimators.(sv) ~now in
-  if rate > st.config.capacity && now >= sh.cooldown_until.(sv) then begin
-    match choose_replica_target st sh ~overloaded with
+  if Protocol.Trigger.due sh.trigger sv ~now then
+    match
+      Lesslog.Ops.choose_in_subtree ~rng:sh.rng ~holds:(holds st) st.tree
+        st.status ~overloaded
+    with
     | None -> ()
     | Some dest ->
-        sh.cooldown_until.(sv) <- now +. st.config.cooldown;
+        Protocol.Trigger.arm sh.trigger sv ~now;
         send_msg st sh ~dst:dest ~b:(Wire.push ~version:0) ~x:0.0
-  end
 
 let serve st (sh : shard) ~server ~id ~origin ~issued_at ~hops =
   let sv = svid_of st server in
   let now = Engine.now sh.eng in
-  Access_counter.record sh.estimators.(sv) ~now;
+  Protocol.Trigger.record sh.trigger sv ~now;
   sh.served <- sh.served + 1;
   Histogram.add_int sh.hops_h hops;
   if Pid.equal server origin then begin
@@ -772,10 +737,9 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
                 (Fnv.hash63 (Printf.sprintf "%d|pdes|%d" seed sid)
                 land 0x3FFFFFFF);
           holders = Packed_bits.create sspace;
-          estimators =
-            Array.init sspace (fun _ ->
-                Access_counter.create ~tau:config.detection_tau ~now:0.0 ());
-          cooldown_until = Array.make sspace 0.0;
+          trigger =
+            Protocol.Trigger.create ~capacity:config.capacity
+              ~tau:config.detection_tau ~cooldown:config.cooldown sspace;
           latencies = Histogram.create ();
           hops_h = Histogram.create ();
           spans;

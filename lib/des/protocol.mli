@@ -1,0 +1,96 @@
+(** What one LessLog node does, written once under the simulators: forward
+    a GET one hop, record a serve, decide on and send an overload replica
+    push, apply an arriving push, and repair after a membership change.
+
+    {!Des_sim} and {!Fault_sim} keep one {!t} each and call these steps
+    from their handlers; {!Pdes_sim} shares the overload test
+    ({!Trigger}) and {!Lesslog.Ops.choose_in_subtree}. The per-request
+    steps take no closures, build no tuples or records, and are inlined
+    into their callers ([-inline 100]): out of line, the request path
+    allocates. *)
+
+open Lesslog_id
+
+(** Per-slot access-rate estimators and replication cooldowns, indexed by
+    PID (by subtree VID in [Pdes_sim]). *)
+module Trigger : sig
+  type t
+
+  val create : capacity:float -> tau:float -> cooldown:float -> int -> t
+  val record : t -> int -> now:float -> unit
+
+  val overloaded : t -> int -> now:float -> bool
+  (** The slot's estimated serve rate exceeds capacity. *)
+
+  val due : t -> int -> now:float -> bool
+  (** {!overloaded}, and the slot's cooldown has expired. *)
+
+  val arm : t -> int -> now:float -> unit
+  (** Start the slot's cooldown: a push was sent. *)
+end
+
+type t = {
+  rng : Lesslog_prng.Rng.t;
+  cluster : Lesslog.Cluster.t;
+  key : string;
+  tree : Lesslog_ptree.Ptree.t;  (** the key's lookup tree *)
+  engine : Lesslog_sim.Engine.t;
+  overlay : unit Lesslog_net.Overlay.t;
+  trigger : Trigger.t;
+  substrate : Lesslog_substrate.Substrate.t option;
+      (** [None] = the native direct path *)
+  sink : (Lesslog_trace.Trace.Event.t -> unit) option;
+  spans : Lesslog_obs.Obs.Span.sink option;
+  sp_replicate : int;
+  mutable lost_keys : int;  (** keys a failure left with no copy *)
+}
+
+val create :
+  rng:Lesslog_prng.Rng.t ->
+  cluster:Lesslog.Cluster.t ->
+  key:string ->
+  engine:Lesslog_sim.Engine.t ->
+  overlay:unit Lesslog_net.Overlay.t ->
+  trigger:Trigger.t ->
+  substrate:Lesslog_substrate.Substrate.t option ->
+  sink:(Lesslog_trace.Trace.Event.t -> unit) option ->
+  obs:Lesslog_obs.Obs.t option ->
+  t
+
+val now : t -> float
+val emit : t -> Lesslog_trace.Trace.Event.t -> unit
+
+val forward :
+  t -> me:Pid.t -> id:int -> origin:Pid.t -> hops:int -> issued_at:float -> bool
+(** Send the GET one hop along the route (the direct
+    [Topology.route_next] or the substrate's [next_hop]); [false] at a
+    dead end or a hop-field overflow, which the caller reports. *)
+
+val record_serve : t -> server:Pid.t -> unit
+(** The store's access record and the node's rate estimator. *)
+
+val maybe_replicate : t -> overloaded:Pid.t -> unit
+(** When {!Trigger.due}: choose a target ([Ops.choose_replica_target], or
+    [_via] the substrate), arm the cooldown and send a PUSH carrying the
+    holder's version. *)
+
+val apply_push : t -> me:Pid.t -> src:Pid.t -> version:int -> bool
+(** Add a [Replicated] copy unless [me] holds one, with its [Replicate]
+    trace event and ["replicate"] span; [true] when added. *)
+
+val placement : t -> Lesslog_substrate.Substrate.t option
+(** The substrate that places and repairs data: the run's when its
+    membership is [Generic], else [None] (the native adapter places
+    exactly like the direct path). *)
+
+val repair :
+  t ->
+  Pid.t ->
+  change:[ `Join | `Leave | `Fail ] ->
+  ledger:Control_plane.ledger option ->
+  int
+(** Apply a membership change at the node and repair after it:
+    [Ops.on_membership_via] over a {!placement} substrate, else the
+    Section 5 [Self_org.join]/[leave]/[fail] and, for a coded key,
+    [Ops.repair_coded]. Returns the copies relocated; [ledger] hears the
+    fragment repair; a failure adds to [lost_keys] at any [b]. *)

@@ -11,7 +11,8 @@
    Part 2 is the refactor's differential gate: the native adapter driven
    through the substrate-parameterized simulator paths must produce the
    same trace event-for-event as the direct (substrate-less) code, in
-   both Des_sim and Fault_sim. *)
+   both Des_sim and Fault_sim, at b = 0 and in the fault-tolerant model
+   (b = 2), and with the cold tier armed. *)
 
 open Lesslog_id
 module Status_word = Lesslog_membership.Status_word
@@ -24,6 +25,9 @@ module Pastry_sub = Lesslog_substrate.Pastry_sub
 module Can_sub = Lesslog_substrate.Can_sub
 module Schedule = Lesslog_check.Schedule
 module Des_sim = Lesslog_des.Des_sim
+module Control_plane = Lesslog_des.Control_plane
+module Rf_policy = Lesslog_policy.Rf_policy
+module Demand = Lesslog_workload.Demand
 module Fault_sim = Lesslog_des.Fault_sim
 module Trace = Lesslog_trace.Trace
 module Rng = Lesslog_prng.Rng
@@ -229,15 +233,15 @@ let scalars_faults (r : Fault_sim.result) =
     r.Fault_sim.lost_keys,
     r.Fault_sim.messages )
 
-let fresh_cluster (sch : Schedule.t) =
-  let cluster = Cluster.create (Params.create ~m:sch.Schedule.m ()) in
+let fresh_cluster ~b (sch : Schedule.t) =
+  let cluster = Cluster.create (Params.create ~m:sch.Schedule.m ~b ()) in
   for i = 0 to sch.Schedule.keys - 1 do
     ignore (Ops.insert cluster ~key:(Schedule.key_of_index i))
   done;
   cluster
 
-let des_events substrate (sch : Schedule.t) =
-  let cluster = fresh_cluster sch in
+let des_events ~b substrate (sch : Schedule.t) =
+  let cluster = fresh_cluster ~b sch in
   let substrate =
     if substrate then Some (Substrate_native.of_cluster cluster) else None
   in
@@ -256,8 +260,8 @@ let des_events substrate (sch : Schedule.t) =
   in
   (List.rev !events, r)
 
-let fault_events substrate (sch : Schedule.t) =
-  let cluster = fresh_cluster sch in
+let fault_events ~b substrate (sch : Schedule.t) =
+  let cluster = fresh_cluster ~b sch in
   let substrate =
     if substrate then Some (Substrate_native.of_cluster cluster) else None
   in
@@ -277,6 +281,47 @@ let fault_events substrate (sch : Schedule.t) =
   in
   (List.rev !events, r)
 
+(* Des_sim with the cold tier armed under a trickle (the seed matrix's
+   cold run): idle intervals demote to fragments, bursts promote, and two
+   low-PID failures force fragment repair — every placement the cold tier
+   makes runs through the substrate when one is given. *)
+let des_cold_events ~b substrate =
+  let params = Params.create ~m:7 ~b () in
+  let cluster = Cluster.create params in
+  let key = "differential/cold" in
+  ignore (Ops.insert cluster ~key);
+  let substrate =
+    if substrate then Some (Substrate_native.of_cluster cluster) else None
+  in
+  let policy =
+    Rf_policy.create
+      ~config:
+        {
+          Rf_policy.default_config with
+          Rf_policy.interval = 0.25;
+          rf_max = Params.space params;
+          capacity = Some 100.0;
+        }
+      ~nodes:(Params.space params) ~files:1 ()
+  in
+  let churn =
+    [ { Des_sim.at = 1.3; action = Des_sim.Fail (Pid.unsafe_of_int 0) };
+      { Des_sim.at = 2.1; action = Des_sim.Fail (Pid.unsafe_of_int 1) } ]
+  in
+  let events = ref [] in
+  let r =
+    Des_sim.run ~churn ~policy
+      ~cold_tier:
+        { Control_plane.default_cold_tier with Control_plane.demote_after = 1 }
+      ~sink:(fun e -> events := e :: !events)
+      ?substrate ~rng:(Rng.create ~seed:9) ~cluster ~key
+      ~demand:(Demand.uniform (Cluster.status cluster) ~total:4.0)
+      ~duration:4.0 ()
+  in
+  (List.rev !events, r)
+
+let scalars_cold (r : Des_sim.result) = (scalars_des r, r.Des_sim.cold)
+
 let check_identical name (direct_ev, direct_r) (via_ev, via_r) scalars =
   Alcotest.(check int)
     (name ^ ": event count")
@@ -290,24 +335,29 @@ let check_identical name (direct_ev, direct_r) (via_ev, via_r) scalars =
   if scalars direct_r <> scalars via_r then
     Alcotest.failf "%s: result counters differ" name
 
-let test_des_differential () =
+let test_des_differential ~b () =
   List.iter
     (fun seed ->
       let sch = Schedule.generate ~seed ~m:6 ~sim:Schedule.Des in
       check_identical
-        (Printf.sprintf "des seed %d" seed)
-        (des_events false sch) (des_events true sch) scalars_des)
+        (Printf.sprintf "des b=%d seed %d" b seed)
+        (des_events ~b false sch) (des_events ~b true sch) scalars_des)
     [ 7; 42; 1234 ]
 
-let test_faults_differential () =
+let test_faults_differential ~b () =
   List.iter
     (fun seed ->
       let sch = Schedule.generate ~seed ~m:6 ~sim:Schedule.Faults in
       let sch = { sch with Schedule.duration = 10.0 } in
       check_identical
-        (Printf.sprintf "faults seed %d" seed)
-        (fault_events false sch) (fault_events true sch) scalars_faults)
+        (Printf.sprintf "faults b=%d seed %d" b seed)
+        (fault_events ~b false sch) (fault_events ~b true sch) scalars_faults)
     [ 7; 42 ]
+
+let test_cold_differential ~b () =
+  check_identical
+    (Printf.sprintf "des cold tier b=%d" b)
+    (des_cold_events ~b false) (des_cold_events ~b true) scalars_cold
 
 (* The shootout's own gate, exercised at test scale: the report must
    self-certify the native digest. *)
@@ -335,9 +385,18 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "des: native via substrate = direct" `Quick
-            test_des_differential;
+            (test_des_differential ~b:0);
           Alcotest.test_case "faults: native via substrate = direct" `Quick
-            test_faults_differential;
+            (test_faults_differential ~b:0);
+          Alcotest.test_case "des b=2: native via substrate = direct" `Quick
+            (test_des_differential ~b:2);
+          Alcotest.test_case "faults b=2: native via substrate = direct"
+            `Quick (test_faults_differential ~b:2);
+          Alcotest.test_case "des cold tier: native via substrate = direct"
+            `Quick (test_cold_differential ~b:0);
+          Alcotest.test_case
+            "des cold tier b=2: native via substrate = direct" `Quick
+            (test_cold_differential ~b:2);
           Alcotest.test_case "shootout digest gate" `Quick test_shootout_gate;
         ] );
     ]
