@@ -270,6 +270,68 @@ let fault_run ~b ~chord ~holder_crash () =
       @ hist "latency" r.Fault_sim.latencies
       @ hist "hops" r.Fault_sim.hops)
 
+(* Fault_sim with overlapping disturbances of the same kind: two bursts
+   with the same loss value over a third with another (ending one burst
+   removes a single occurrence of its value), a [Both] and an [Inbound]
+   partition that overlap (ending one removes that partition's own cut),
+   and a crash and a restart at instants that are also sampling ticks and
+   heartbeat rounds, so their same-time order is pinned too. *)
+let fault_overlap () =
+  let key = "matrix/overlap" in
+  let cluster, substrate, _ = setup ~m:6 ~b:1 ~chord:false key in
+  let p = Pid.unsafe_of_int in
+  let plan =
+    {
+      Faults.crashes =
+        [ { Faults.node = p 21; at = 1.5; restart_at = Some 4.5 } ];
+      bursts =
+        [ { Faults.from_ = 1.0; until = 2.5; loss = 0.3 };
+          { Faults.from_ = 1.5; until = 3.0; loss = 0.3 };
+          { Faults.from_ = 2.0; until = 3.5; loss = 0.15 } ];
+      partitions =
+        [ { Faults.from_ = 2.0; until = 3.5;
+            group = List.init 8 (fun k -> p (40 + k));
+            direction = Faults.Both };
+          { Faults.from_ = 2.5; until = 4.0;
+            group = List.init 8 (fun k -> p (36 + k));
+            direction = Faults.Inbound } ];
+    }
+  in
+  trace_run (fun sink ->
+      let r =
+        Fault_sim.run ~plan ~sink ?substrate ~rng:(Rng.create ~seed:33)
+          ~cluster ~key
+          ~demand:(Demand.uniform (Cluster.status cluster) ~total:600.0)
+          ~duration:6.0 ()
+      in
+      [
+        ("issued", i r.Fault_sim.issued);
+        ("served", i r.Fault_sim.served);
+        ("faulted", i r.Fault_sim.faulted);
+        ("pending", i r.Fault_sim.pending_at_end);
+        ("within deadline", i r.Fault_sim.within_deadline);
+        ("duplicate serves", i r.Fault_sim.duplicate_serves);
+        ("retransmissions", i r.Fault_sim.retransmissions);
+        ("timeouts", i r.Fault_sim.timeouts);
+        ("replicas created", i r.Fault_sim.replicas_created);
+        ("suspicions", i r.Fault_sim.suspicions);
+        ("recoveries", i r.Fault_sim.recoveries);
+        ("spurious suspicions", i r.Fault_sim.spurious_suspicions);
+        ("migrations", i r.Fault_sim.migrations);
+        ("spurious migrations", i r.Fault_sim.spurious_migrations);
+        ("crashes", i r.Fault_sim.crashes);
+        ("restarts", i r.Fault_sim.restarts);
+        ("lost keys", i r.Fault_sim.lost_keys);
+        ("agreement", f r.Fault_sim.detector_agreement);
+        ( "convergence",
+          match r.Fault_sim.convergence with None -> "none" | Some c -> f c );
+        ("agreement samples", i (Timeseries.length r.Fault_sim.agreement_timeline));
+        ("messages", i r.Fault_sim.messages);
+        ("replicas end", i (Cluster.total_copies cluster ~key));
+      ]
+      @ hist "latency" r.Fault_sim.latencies
+      @ hist "hops" r.Fault_sim.hops)
+
 (* Des_sim under the native overload trigger with Join/Leave/Fail churn
    (the first inserted holder fails and rejoins) and counter-based
    eviction. *)
@@ -580,6 +642,38 @@ let faults_chord =
     ("hops mean", "0x1.1cb817d9077d2p+1");
   ]
 
+let faults_overlap =
+  [
+    ("digest", "2398954221058977954");
+    ("trace events", "6955");
+    ("issued", "2344");
+    ("served", "2340");
+    ("faulted", "0");
+    ("pending", "4");
+    ("within deadline", "1586");
+    ("duplicate serves", "205");
+    ("retransmissions", "2294");
+    ("timeouts", "2294");
+    ("replicas created", "7");
+    ("suspicions", "7");
+    ("recoveries", "7");
+    ("spurious suspicions", "6");
+    ("migrations", "7");
+    ("spurious migrations", "6");
+    ("crashes", "1");
+    ("restarts", "1");
+    ("lost keys", "0");
+    ("agreement", "0x1p+0");
+    ("convergence", "0x0p+0");
+    ("agreement samples", "24");
+    ("messages", "11596");
+    ("replicas end", "8");
+    ("latency count", "2340");
+    ("latency mean", "0x1.5fdba96f3485fp+0");
+    ("hops count", "2340");
+    ("hops mean", "0x1.e17a17a17a17ap+0");
+  ]
+
 let des_churn_b0 =
   [
     ("digest", "3104533114543165583");
@@ -693,6 +787,7 @@ let runs =
     ("faults native b=0", fault_run ~b:0 ~chord:false ~holder_crash:1.5, faults_native_b0);
     ("faults native b=2", fault_run ~b:2 ~chord:false ~holder_crash:0.1, faults_native_b2);
     ("faults chord", fault_run ~b:0 ~chord:true ~holder_crash:0.1, faults_chord);
+    ("faults overlap", fault_overlap, faults_overlap);
     ("des churn b=0", des_run ~b:0 ~chord:false, des_churn_b0);
     ("des churn b=2", des_run ~b:2 ~chord:false, des_churn_b2);
     ("des churn chord", des_run ~b:0 ~chord:true, des_churn_chord);
