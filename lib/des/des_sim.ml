@@ -264,43 +264,47 @@ let start_arrivals st ~phase ~from_time =
 (* The counter-based mechanism of Section 2.2: each node periodically
    drops replicated copies whose locally-observed access rate fell below
    the threshold — a purely local decision, still logless. *)
+let evict st ~min_rate =
+  let removed = ref 0 in
+  Status_word.iter_live (Cluster.status st.p.cluster) (fun p ->
+      let dropped =
+        (* The survivor floor: when every live holder is a below-rate
+           replica (the inserted copy's node is down), unguarded local
+           eviction would drop the last live copy cluster-wide. *)
+        File_store.evict_cold_replicas
+          ~survivors:(fun key -> Cluster.total_copies st.p.cluster ~key)
+          ~min_survivors:1
+          (Cluster.store st.p.cluster p)
+          ~now:(now st) ~min_rate
+      in
+      let mine = List.length (List.filter (String.equal st.p.key) dropped) in
+      if mine > 0 then
+        emit st
+          (Trace.Event.Evict
+             { at = now st; node = Pid.to_int p; key = st.p.key });
+      removed := !removed + mine);
+  if !removed > 0 then begin
+    st.replicas_evicted <- st.replicas_evicted + !removed;
+    record_copies st
+  end
+
+(* Eviction ticks every [period] up to [duration], each posting the
+   next after it ran. *)
 let start_eviction st ~duration =
   match st.config.eviction with
   | None -> ()
   | Some { period; min_rate } ->
-      let rec tick () =
+      let h = ref (-1) in
+      let arm () =
         let t = now st +. period in
         if t <= duration then
-          Engine.schedule_at st.p.engine ~time:t (fun () ->
-              let removed = ref 0 in
-              Status_word.iter_live (Cluster.status st.p.cluster) (fun p ->
-                  let dropped =
-                    (* The survivor floor: when every live holder is a
-                       below-rate replica (the inserted copy's node is
-                       down), unguarded local eviction would drop the
-                       last live copy cluster-wide. *)
-                    File_store.evict_cold_replicas
-                      ~survivors:(fun key ->
-                        Cluster.total_copies st.p.cluster ~key)
-                      ~min_survivors:1
-                      (Cluster.store st.p.cluster p)
-                      ~now:(now st) ~min_rate
-                  in
-                  let mine =
-                    List.length (List.filter (String.equal st.p.key) dropped)
-                  in
-                  if mine > 0 then
-                    emit st
-                      (Trace.Event.Evict
-                         { at = now st; node = Pid.to_int p; key = st.p.key });
-                  removed := !removed + mine);
-              if !removed > 0 then begin
-                st.replicas_evicted <- st.replicas_evicted + !removed;
-                record_copies st
-              end;
-              tick ())
+          Engine.post_at st.p.engine ~time:t ~h:!h ~a:0 ~b:0 ~x:0.0
       in
-      tick ()
+      h :=
+        Engine.register_handler st.p.engine (fun _ _ _ ->
+            evict st ~min_rate;
+            arm ());
+      arm ()
 
 (* Bring the key's live copy count to the policy's replica factor:
    deficits fill at the first live non-holders in ascending PID order,
@@ -376,27 +380,30 @@ let promote st ~copies =
          record_copies st;
          List.length placed)
 
-(* The policy's analysis-interval ticks, each scheduling the next (the
-   shape of {!start_eviction}); every request already went into the
-   policy's log at issue. *)
+(* The policy's analysis-interval ticks, each posting the next (the
+   shape of {!start_eviction}); the event's [a] word indexes the tick
+   times. Every request already went into the policy's log at issue. *)
 let start_policy st ~duration =
   match st.plane with
   | None -> ()
   | Some pl ->
-      let rec chain = function
-        | [] -> ()
-        | t :: later ->
-            Engine.schedule_at st.p.engine ~time:t (fun () ->
-                Control_plane.tick pl ~demote:(demote st) ~promote:(promote st)
-                  ~enforce:(fun () -> policy_enforce st pl.policy);
-                Option.iter
-                  (fun c ->
-                    refresh_frags st c;
-                    sample_bytes st ~t c)
-                  st.cold;
-                chain later)
+      let ticks = Array.of_list (Control_plane.ticks pl ~duration) in
+      let h = ref (-1) in
+      let arm i =
+        if i < Array.length ticks then
+          Engine.post_at st.p.engine ~time:ticks.(i) ~h:!h ~a:i ~b:0 ~x:0.0
       in
-      chain (Control_plane.ticks pl ~duration)
+      h :=
+        Engine.register_handler st.p.engine (fun i _ _ ->
+            Control_plane.tick pl ~demote:(demote st) ~promote:(promote st)
+              ~enforce:(fun () -> policy_enforce st pl.policy);
+            Option.iter
+              (fun c ->
+                refresh_frags st c;
+                sample_bytes st ~t:ticks.(i) c)
+              st.cold;
+            arm (i + 1));
+      arm 0
 
 (* Registry attribution, once per run: counters from the simulator's own
    tallies (so the hot path never touches them), timers backed by the
@@ -435,19 +442,28 @@ let churn st p change =
   if change = `Join then Overlay.attach st.p.overlay p
   else Overlay.detach st.p.overlay p
 
+(* Every churn event is posted at setup; the event's [a] word indexes
+   the list. *)
 let apply_churn st events =
-  List.iter
-    (fun { at; action } ->
-      Engine.schedule_at st.p.engine ~time:at (fun () ->
-          let status = Cluster.status st.p.cluster in
-          match action with
-          | Join p -> if Status_word.is_dead status p then churn st p `Join
-          | Leave p -> if Status_word.is_live status p then churn st p `Leave
-          | Fail p -> if Status_word.is_live status p then churn st p `Fail))
+  let events = Array.of_list events in
+  let h =
+    Engine.register_handler st.p.engine (fun i _ _ ->
+        let status = Cluster.status st.p.cluster in
+        match events.(i).action with
+        | Join p -> if Status_word.is_dead status p then churn st p `Join
+        | Leave p -> if Status_word.is_live status p then churn st p `Leave
+        | Fail p -> if Status_word.is_live status p then churn st p `Fail)
+  in
+  Array.iteri
+    (fun i { at; _ } -> Engine.post_at st.p.engine ~time:at ~h ~a:i ~b:0 ~x:0.0)
     events
 
 let run_internal ~config ~churn ~sink ~obs ~substrate ~policy ~cold_tier ~rng
     ~cluster ~key ~phases ~duration =
+  (match config.eviction with
+  | Some { period; _ } when not (period > 0.0) ->
+      invalid_arg "Des_sim: eviction period must be > 0"
+  | Some _ | None -> ());
   let params = Cluster.params cluster in
   let plane =
     Control_plane.create ~who:"Des_sim" ~nodes:(Params.space params) policy

@@ -14,7 +14,8 @@ module Histogram = Lesslog_metrics.Histogram
 module Timeseries = Lesslog_metrics.Timeseries
 
 type eviction = {
-  period : float;  (** How often each node reconsiders its replicas. *)
+  period : float;
+      (** How often each node reconsiders its replicas; must be [> 0]. *)
   min_rate : float;
       (** Locally-estimated accesses/s below which a replica is dropped. *)
 }
@@ -138,7 +139,8 @@ type result = {
     max_int] yields comparable byte accounting under full replication.
     @raise Invalid_argument when the policy's accessor population does
     not match the cluster's PID space, when [cold_tier] is given without
-    [policy], or on invalid code/size parameters. *)
+    [policy], on invalid code/size parameters, or when the eviction
+    period is not [> 0]. *)
 
 val run :
   ?config:config ->

@@ -288,42 +288,67 @@ let restart st p =
          { at = now st; node = Pid.to_int p; change = `Join })
   end
 
+(* The plan is posted at setup, one handler per kind of disturbance;
+   an event's [a] word is the crashed node, or the burst's or the
+   partition's index in the plan. *)
 let schedule_plan st (plan : Faults.plan) =
-  let at time f = Engine.schedule_at st.p.engine ~time f in
+  let engine = st.p.engine in
+  let on f = Engine.register_handler engine (fun a _ _ -> f a) in
+  let at time h a = Engine.post_at engine ~time ~h ~a ~b:0 ~x:0.0 in
+  let h_crash = on (fun node -> crash st (Pid.unsafe_of_int node)) in
+  let h_restart = on (fun node -> restart st (Pid.unsafe_of_int node)) in
   List.iter
     (fun (c : Faults.crash) ->
-      at c.at (fun () -> crash st c.node);
-      Option.iter (fun r -> at r (fun () -> restart st c.node)) c.restart_at)
+      at c.at h_crash (Pid.to_int c.node);
+      Option.iter (fun r -> at r h_restart (Pid.to_int c.node)) c.restart_at)
     plan.crashes;
   (* Loss bursts stack: the effective loss is the max of the baseline and
      every active burst. *)
+  let bursts = Array.of_list plan.bursts in
   let active_losses = ref [] in
   let apply_loss () =
     let eff = List.fold_left Float.max st.config.loss !active_losses in
     Overlay.set_loss st.p.overlay eff
   in
-  List.iter
-    (fun (b : Faults.burst) ->
-      at b.from_ (fun () ->
-          active_losses := b.loss :: !active_losses;
-          apply_loss ());
-      at b.until (fun () ->
-          (* Remove one occurrence. *)
-          let rec drop = function
-            | [] -> []
-            | x :: rest -> if x = b.loss then rest else x :: drop rest
-          in
-          active_losses := drop !active_losses;
-          apply_loss ()))
-    plan.bursts;
-  (* Partitions: a send is dropped when any active cut blocks the link. *)
+  let h_burst =
+    on (fun i ->
+        active_losses := bursts.(i).loss :: !active_losses;
+        apply_loss ())
+  in
+  let h_burst_end =
+    on (fun i ->
+        (* Remove one occurrence. *)
+        let rec drop = function
+          | [] -> []
+          | x :: rest -> if x = bursts.(i).loss then rest else x :: drop rest
+        in
+        active_losses := drop !active_losses;
+        apply_loss ())
+  in
+  Array.iteri
+    (fun i (b : Faults.burst) ->
+      at b.from_ h_burst i;
+      at b.until h_burst_end i)
+    bursts;
+  (* Partitions: a send is dropped when any active cut blocks the link.
+     Active cuts are held by partition index. *)
   let space = Array.length st.truth in
-  let active_cuts : (bool array * Faults.direction) list ref = ref [] in
+  let cuts =
+    Array.of_list
+      (List.map
+         (fun (p : Faults.partition) ->
+           let in_group = Array.make space false in
+           List.iter (fun q -> in_group.(Pid.to_int q) <- true) p.group;
+           (in_group, p.direction))
+         plan.partitions)
+  in
+  let active_cuts = ref [] in
   Overlay.set_filter st.p.overlay
     (Some
        (fun ~src ~dst ->
          List.for_all
-           (fun (in_group, direction) ->
+           (fun c ->
+             let in_group, direction = cuts.(c) in
              let s = in_group.(Pid.to_int src)
              and d = in_group.(Pid.to_int dst) in
              match direction with
@@ -331,14 +356,14 @@ let schedule_plan st (plan : Faults.plan) =
              | Faults.Inbound -> not (d && not s)
              | Faults.Outbound -> not (s && not d))
            !active_cuts));
-  List.iter
-    (fun (p : Faults.partition) ->
-      let in_group = Array.make space false in
-      List.iter (fun q -> in_group.(Pid.to_int q) <- true) p.group;
-      let cut = (in_group, p.direction) in
-      at p.from_ (fun () -> active_cuts := cut :: !active_cuts);
-      at p.until (fun () ->
-          active_cuts := List.filter (fun c -> c != cut) !active_cuts))
+  let h_cut = on (fun i -> active_cuts := i :: !active_cuts) in
+  let h_heal =
+    on (fun i -> active_cuts := List.filter (fun c -> c <> i) !active_cuts)
+  in
+  List.iteri
+    (fun i (p : Faults.partition) ->
+      at p.from_ h_cut i;
+      at p.until h_heal i)
     plan.partitions
 
 (* --- Detector accuracy ---------------------------------------------------- *)
@@ -354,47 +379,62 @@ let agreement st =
   in
   float_of_int agree /. float_of_int (Array.length st.monitored)
 
+(* Agreement samples every [sample_period] up to [duration]. Sample
+   times are accumulated, not read back from the clock: the event's
+   float word carries its own time and the next is that plus the
+   period. *)
 let start_sampling st ~quiet_from ~duration =
-  let rec tick time =
+  let h = ref (-1) in
+  let arm time =
     if time <= duration then
-      Engine.schedule_at st.p.engine ~time (fun () ->
-          let a = agreement st in
-          Timeseries.record st.agreement_timeline ~time a;
-          if
-            st.convergence = None && time >= quiet_from
-            && a >= st.config.agreement_target
-          then st.convergence <- Some (time -. quiet_from);
-          tick (time +. st.config.sample_period))
+      Engine.post_at st.p.engine ~time ~h:!h ~a:0 ~b:0 ~x:time
   in
-  tick st.config.sample_period
+  h :=
+    Engine.register_handler st.p.engine (fun _ _ time ->
+        let a = agreement st in
+        Timeseries.record st.agreement_timeline ~time a;
+        if
+          st.convergence = None && time >= quiet_from
+          && a >= st.config.agreement_target
+        then st.convergence <- Some (time -. quiet_from);
+        arm (time +. st.config.sample_period));
+  arm st.config.sample_period
 
 (* --- Arrivals ------------------------------------------------------------- *)
 
+(* Per origin, a Poisson chain of arrivals on [0, until): each event
+   ([a] = origin, [x] = its rate) issues a request when the origin is up
+   and draws the next gap either way, so a crashed origin resumes issuing
+   once it restarts. *)
 let start_arrivals st ~demand ~until =
+  let h = ref (-1) in
+  let arm origin ~rate ~from =
+    let t = from +. Rng.exponential st.p.rng ~rate in
+    if t < until then
+      Engine.post_at st.p.engine ~time:t ~h:!h ~a:origin ~b:0 ~x:rate
+  in
+  h :=
+    Engine.register_handler st.p.engine (fun origin_i _ rate ->
+        let origin = Pid.unsafe_of_int origin_i in
+        if truth_live st origin then begin
+          let id = Rpc.issue (rpc st) { origin; issued_at = now st } in
+          match st.obs with
+          | None -> ()
+          | Some i ->
+              Obs.Span.begin_span i.spans ~name:i.sp_lookup ~id ~origin:origin_i
+                ~at:(now st)
+        end;
+        arm origin_i ~rate ~from:(now st));
   Status_word.iter_live (Cluster.status st.p.cluster) (fun origin ->
       let rate = Demand.rate demand origin in
-      if rate > 0.0 then begin
-        let rec schedule_from t0 =
-          let t = t0 +. Rng.exponential st.p.rng ~rate in
-          if t < until then
-            Engine.schedule_at st.p.engine ~time:t (fun () ->
-                if truth_live st origin then begin
-                  let id = Rpc.issue (rpc st) { origin; issued_at = now st } in
-                  match st.obs with
-                  | None -> ()
-                  | Some i ->
-                      Obs.Span.begin_span i.spans ~name:i.sp_lookup ~id
-                        ~origin:(Pid.to_int origin) ~at:(now st)
-                end;
-                schedule_from (now st))
-        in
-        schedule_from 0.0
-      end)
+      if rate > 0.0 then arm (Pid.to_int origin) ~rate ~from:0.0)
 
 (* --- Entry point ----------------------------------------------------------- *)
 
 let run ?(config = default_config) ?(plan = Faults.empty) ?sink ?obs
     ?substrate ~rng ~cluster ~key ~demand ~duration () =
+  if not (config.sample_period > 0.0) then
+    invalid_arg "Fault_sim: sample_period must be > 0";
   let params = Cluster.params cluster in
   let engine = Engine.create () in
   let overlay =

@@ -50,7 +50,8 @@ type config = {
           in the remaining 35% of any run of 30 s or more). *)
   agreement_target : float;
       (** Detector-vs-truth agreement that counts as converged. *)
-  sample_period : float;  (** Agreement sampling interval, seconds. *)
+  sample_period : float;
+      (** Agreement sampling interval, seconds; must be [> 0]. *)
 }
 
 val default_config : config
@@ -119,4 +120,5 @@ val run :
     {!Lesslog_substrate.Substrate.Generic} substrates; the native
     adapter keeps the Section 5 mechanism and is bit-for-bit identical to
     omitting [substrate]). The rpc, dedup and heartbeat layers are
-    substrate-independent and run unchanged. *)
+    substrate-independent and run unchanged.
+    @raise Invalid_argument when [config.sample_period] is not [> 0]. *)

@@ -38,7 +38,7 @@ type t = {
   key : string;
   tree : Lesslog_ptree.Ptree.t;
   engine : Lesslog_sim.Engine.t;
-  overlay : unit Overlay.t;
+  overlay : Overlay.t;
   trigger : Trigger.t;
   substrate : Substrate.t option;
   sink : (Trace.Event.t -> unit) option;

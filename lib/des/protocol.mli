@@ -35,7 +35,7 @@ type t = {
   key : string;
   tree : Lesslog_ptree.Ptree.t;  (** the key's lookup tree *)
   engine : Lesslog_sim.Engine.t;
-  overlay : unit Lesslog_net.Overlay.t;
+  overlay : Lesslog_net.Overlay.t;
   trigger : Trigger.t;
   substrate : Lesslog_substrate.Substrate.t option;
       (** [None] = the native direct path *)
@@ -50,7 +50,7 @@ val create :
   cluster:Lesslog.Cluster.t ->
   key:string ->
   engine:Lesslog_sim.Engine.t ->
-  overlay:unit Lesslog_net.Overlay.t ->
+  overlay:Lesslog_net.Overlay.t ->
   trigger:Trigger.t ->
   substrate:Lesslog_substrate.Substrate.t option ->
   sink:(Lesslog_trace.Trace.Event.t -> unit) option ->

@@ -26,31 +26,8 @@ type t = {
   mutable rounds : int;
   mutable suspicions : int;
   mutable recoveries : int;
+  mutable tick_h : int;
 }
-
-let create ~engine ?(config = default_config) ~peers ~ping ~on_change () =
-  if config.period <= 0.0 then invalid_arg "Heartbeat.create: period";
-  if config.suspect_after < 1 then invalid_arg "Heartbeat.create: suspect_after";
-  let peers =
-    Array.map
-      (fun pid ->
-        { pid; misses = 0; suspected = false; last_seq = -1; answered = true })
-      peers
-  in
-  let index = Hashtbl.create (Array.length peers) in
-  Array.iter (fun p -> Hashtbl.replace index (Pid.to_int p.pid) p) peers;
-  {
-    engine;
-    config;
-    peers;
-    index;
-    ping;
-    on_change;
-    next_seq = 0;
-    rounds = 0;
-    suspicions = 0;
-    recoveries = 0;
-  }
 
 let round t =
   t.rounds <- t.rounds + 1;
@@ -71,15 +48,45 @@ let round t =
       t.ping ~seq p.pid)
     t.peers
 
+(* One round now, then one per period while [now <= until]: each round
+   posts the next as an event of the detector's tick handler, carrying
+   [until] in its float word. *)
 let start t ~until =
-  let rec tick () =
-    if Engine.now t.engine <= until then begin
-      round t;
-      let next = Engine.now t.engine +. t.config.period in
-      if next <= until then Engine.schedule_at t.engine ~time:next tick
-    end
+  if Engine.now t.engine <= until then begin
+    round t;
+    let next = Engine.now t.engine +. t.config.period in
+    if next <= until then
+      Engine.post_at t.engine ~time:next ~h:t.tick_h ~a:0 ~b:0 ~x:until
+  end
+
+let create ~engine ?(config = default_config) ~peers ~ping ~on_change () =
+  if config.period <= 0.0 then invalid_arg "Heartbeat.create: period";
+  if config.suspect_after < 1 then invalid_arg "Heartbeat.create: suspect_after";
+  let peers =
+    Array.map
+      (fun pid ->
+        { pid; misses = 0; suspected = false; last_seq = -1; answered = true })
+      peers
   in
-  tick ()
+  let index = Hashtbl.create (Array.length peers) in
+  Array.iter (fun p -> Hashtbl.replace index (Pid.to_int p.pid) p) peers;
+  let t =
+    {
+      engine;
+      config;
+      peers;
+      index;
+      ping;
+      on_change;
+      next_seq = 0;
+      rounds = 0;
+      suspicions = 0;
+      recoveries = 0;
+      tick_h = -1;
+    }
+  in
+  t.tick_h <- Engine.register_handler engine (fun _ _ until -> start t ~until);
+  t
 
 let pong t ~peer ~seq =
   match Hashtbl.find_opt t.index (Pid.to_int peer) with

@@ -42,8 +42,9 @@ val create :
     @raise Invalid_argument when [period <= 0] or [suspect_after < 1]. *)
 
 val start : t -> until:float -> unit
-(** Schedule rounds every [period] seconds from now up to [until]
-    (simulated time). *)
+(** Run the first round now, synchronously, then one every [period]
+    seconds up to [until] (simulated time), as events of the tick handler
+    that {!create} registered with the engine. *)
 
 val pong : t -> peer:Pid.t -> seq:int -> unit
 (** Evidence of life. Unknown peers and forged sequence numbers are

@@ -2,18 +2,17 @@ open Lesslog_id
 module Engine = Lesslog_sim.Engine
 module Rng = Lesslog_prng.Rng
 
-type 'msg t = {
+type t = {
   engine : Engine.t;
   rng : Rng.t;
   latency : Latency.t;
   mutable loss : float;
   mutable filter : (src:Pid.t -> dst:Pid.t -> bool) option;
-  handlers : (src:Pid.t -> 'msg -> unit) option array;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
-  (* packed plane: one engine handler for every delivery, src/dst bit-packed
-     into the event's [a] word, node liveness as a byte per slot *)
+  (* one engine handler for every delivery, src/dst bit-packed into the
+     event's [a] word, node liveness as a byte per slot *)
   mutable deliver_h : int;
   mutable packed_recv : (src:Pid.t -> dst:Pid.t -> int -> float -> unit) option;
   attached : Bytes.t;
@@ -36,7 +35,6 @@ let create ~engine ~rng ?(latency = Latency.default) ?(loss = 0.0) params =
       latency;
       loss;
       filter = None;
-      handlers = Array.make space None;
       sent = 0;
       delivered = 0;
       dropped = 0;
@@ -66,27 +64,8 @@ let loss t = t.loss
 
 let set_filter t f = t.filter <- f
 
-let set_handler t p f = t.handlers.(Pid.to_int p) <- Some f
-
-let clear_handler t p = t.handlers.(Pid.to_int p) <- None
-
 let link_up t ~src ~dst =
   match t.filter with None -> true | Some f -> f ~src ~dst
-
-let send t ~src ~dst msg =
-  t.sent <- t.sent + 1;
-  if not (link_up t ~src ~dst) then t.dropped <- t.dropped + 1
-  else if t.loss > 0.0 && Rng.bernoulli t.rng ~p:t.loss then
-    t.dropped <- t.dropped + 1
-  else begin
-    let delay = Latency.sample t.latency t.rng in
-    Engine.schedule t.engine ~delay (fun () ->
-        match t.handlers.(Pid.to_int dst) with
-        | Some handler ->
-            t.delivered <- t.delivered + 1;
-            handler ~src msg
-        | None -> t.dropped <- t.dropped + 1)
-  end
 
 let set_packed_recv t f = t.packed_recv <- f
 

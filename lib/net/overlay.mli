@@ -1,10 +1,13 @@
-(** Message-passing overlay on top of the discrete-event engine: each node
-    registers a handler; sends are delivered after a sampled per-hop
-    latency, with optional loss injection. *)
+(** Message-passing overlay on top of the discrete-event engine. A message
+    is an [(int, float)] payload carried inside a packed engine event
+    (src/dst share one word), delivered after a sampled per-hop latency
+    to a single per-overlay receive function — node-level demux is the
+    receiver's job. Loss injection and link filters apply at send time;
+    {!attach}/{!detach} mark which nodes are up to receive. *)
 
 open Lesslog_id
 
-type 'msg t
+type t
 
 val create :
   engine:Lesslog_sim.Engine.t ->
@@ -12,55 +15,37 @@ val create :
   ?latency:Latency.t ->
   ?loss:float ->
   Params.t ->
-  'msg t
-(** [loss] is the probability a message is silently dropped (default 0). *)
+  t
+(** [loss] is the probability a message is silently dropped (default 0).
+    Every node starts detached. *)
 
-val set_loss : 'msg t -> float -> unit
+val set_loss : t -> float -> unit
 (** Change the drop probability mid-run — loss bursts in fault-injection
     scenarios. @raise Invalid_argument outside [[0, 1)]. *)
 
-val loss : 'msg t -> float
+val loss : t -> float
 
-val set_filter : 'msg t -> (src:Pid.t -> dst:Pid.t -> bool) option -> unit
+val set_filter : t -> (src:Pid.t -> dst:Pid.t -> bool) option -> unit
 (** Install (or clear) a link filter consulted at send time: a message
     whose link is down ([false]) is dropped and counted. Partitions —
     including asymmetric ones — are expressed here. *)
 
-val set_handler : 'msg t -> Pid.t -> (src:Pid.t -> 'msg -> unit) -> unit
-
-val clear_handler : 'msg t -> Pid.t -> unit
-(** A node with no handler silently drops deliveries (a crashed node). *)
-
-val send : 'msg t -> src:Pid.t -> dst:Pid.t -> 'msg -> unit
-(** Schedule delivery after one latency sample. Delivery to a node without
-    a handler counts as dropped. *)
-
-(** {2 Packed plane}
-
-    Allocation-free counterpart of {!send}: the message is an [(int,
-    float)] payload carried inside a packed engine event (src/dst share
-    one word), dispatched to a single per-overlay receive function —
-    node-level demux is the receiver's job. Loss, filters, latency
-    sampling and the counters behave exactly as for {!send}, and both
-    planes share them. Liveness is per-plane: {!attach}/{!detach} play
-    the role of {!set_handler}/{!clear_handler} — a detached destination
-    drops the delivery. *)
-
 val set_packed_recv :
-  'msg t -> (src:Pid.t -> dst:Pid.t -> int -> float -> unit) option -> unit
-(** The simulator's demux: receives every packed delivery as
-    [(src, dst, b, x)]. *)
+  t -> (src:Pid.t -> dst:Pid.t -> int -> float -> unit) option -> unit
+(** The simulator's demux: receives every delivery as [(src, dst, b, x)].
+    With none installed, deliveries count as dropped. *)
 
-val attach : 'msg t -> Pid.t -> unit
-(** Mark a node live for packed deliveries. *)
+val attach : t -> Pid.t -> unit
+(** Mark a node live for deliveries. *)
 
-val detach : 'msg t -> Pid.t -> unit
-(** A detached node silently drops packed deliveries (a crashed node). *)
+val detach : t -> Pid.t -> unit
+(** A detached node silently drops deliveries (a crashed node); they
+    count as dropped. *)
 
-val send_packed : 'msg t -> src:Pid.t -> dst:Pid.t -> b:int -> x:float -> unit
-(** Schedule a packed delivery after one latency sample; no per-message
+val send_packed : t -> src:Pid.t -> dst:Pid.t -> b:int -> x:float -> unit
+(** Schedule a delivery after one latency sample; no per-message
     closure. [b] and [x] are opaque payload words. *)
 
-val messages_sent : 'msg t -> int
-val messages_delivered : 'msg t -> int
-val messages_dropped : 'msg t -> int
+val messages_sent : t -> int
+val messages_delivered : t -> int
+val messages_dropped : t -> int

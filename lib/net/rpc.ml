@@ -33,10 +33,10 @@ type 'meta event =
   | Retransmit of { id : int; attempt : int; meta : 'meta }
   | Exhausted of { id : int; attempts : int; meta : 'meta }
 
-(* The engine has no timer cancellation: a timeout callback fires
-   unconditionally and checks that the request is still pending on the
-   same attempt it was armed for. Completion removes the pending entry, so
-   stale timers are no-ops. *)
+(* The engine has no timer cancellation: a timer fires unconditionally
+   and checks that the request is still pending on the same attempt it
+   was armed for. Completion removes the pending entry, so stale timers
+   are no-ops. *)
 type 'meta request = { meta : 'meta; issued_at : float; mutable attempt : int }
 
 type 'meta t = {
@@ -53,59 +53,75 @@ type 'meta t = {
   mutable exhausted : int;
   mutable retransmissions : int;
   mutable timeouts : int;
+  mutable timer_h : int;
 }
-
-let create ~engine ~rng ?(config = default_config) ?on_event ?registry
-    ~transmit () =
-  if config.timeout <= 0.0 then invalid_arg "Rpc.create: timeout";
-  {
-    engine;
-    rng;
-    config;
-    transmit;
-    on_event;
-    metrics = Option.map make_metrics registry;
-    live = Hashtbl.create 64;
-    next_id = 0;
-    issued = 0;
-    completed = 0;
-    exhausted = 0;
-    retransmissions = 0;
-    timeouts = 0;
-  }
 
 let emit t e = match t.on_event with None -> () | Some f -> f e
 
 let count t f = match t.metrics with None -> () | Some m -> Obs.Registry.incr (f m)
 
-let rec arm t id attempt =
-  Engine.schedule t.engine ~delay:t.config.timeout (fun () ->
-      match Hashtbl.find_opt t.live id with
-      | Some r when r.attempt = attempt ->
-          t.timeouts <- t.timeouts + 1;
-          count t (fun m -> m.m_timeouts);
-          emit t (Timeout { id; attempt; meta = r.meta });
-          if attempt + 1 >= Retry.attempts t.config.policy then begin
-            Hashtbl.remove t.live id;
-            t.exhausted <- t.exhausted + 1;
-            count t (fun m -> m.m_exhausted);
-            emit t (Exhausted { id; attempts = attempt + 1; meta = r.meta })
-          end
-          else
-            let backoff =
-              Retry.delay t.config.policy t.rng ~retry:(attempt + 1)
-            in
-            Engine.schedule t.engine ~delay:backoff (fun () ->
-                match Hashtbl.find_opt t.live id with
-                | Some r when r.attempt = attempt ->
-                    r.attempt <- attempt + 1;
-                    t.retransmissions <- t.retransmissions + 1;
-                    count t (fun m -> m.m_retransmissions);
-                    emit t (Retransmit { id; attempt = attempt + 1; meta = r.meta });
-                    t.transmit ~id ~attempt:(attempt + 1) r.meta;
-                    arm t id (attempt + 1)
-                | _ -> ())
-      | _ -> ())
+(* Both timers of a request are events of one engine handler: [a] is
+   the request id and [b] the attempt, shifted left past a bit that is 0
+   for the attempt's timeout and 1 for the end of the backoff before the
+   next attempt. *)
+let arm t id attempt =
+  Engine.post t.engine ~delay:t.config.timeout ~h:t.timer_h ~a:id
+    ~b:(attempt lsl 1) ~x:0.0
+
+let timed_out t id attempt r =
+  t.timeouts <- t.timeouts + 1;
+  count t (fun m -> m.m_timeouts);
+  emit t (Timeout { id; attempt; meta = r.meta });
+  if attempt + 1 >= Retry.attempts t.config.policy then begin
+    Hashtbl.remove t.live id;
+    t.exhausted <- t.exhausted + 1;
+    count t (fun m -> m.m_exhausted);
+    emit t (Exhausted { id; attempts = attempt + 1; meta = r.meta })
+  end
+  else
+    let backoff = Retry.delay t.config.policy t.rng ~retry:(attempt + 1) in
+    Engine.post t.engine ~delay:backoff ~h:t.timer_h ~a:id
+      ~b:((attempt lsl 1) lor 1) ~x:0.0
+
+let retransmit t id attempt r =
+  r.attempt <- attempt + 1;
+  t.retransmissions <- t.retransmissions + 1;
+  count t (fun m -> m.m_retransmissions);
+  emit t (Retransmit { id; attempt = attempt + 1; meta = r.meta });
+  t.transmit ~id ~attempt:(attempt + 1) r.meta;
+  arm t id (attempt + 1)
+
+let on_timer t id word _ =
+  let attempt = word lsr 1 in
+  match Hashtbl.find_opt t.live id with
+  | Some r when r.attempt = attempt ->
+      if word land 1 = 0 then timed_out t id attempt r
+      else retransmit t id attempt r
+  | _ -> ()
+
+let create ~engine ~rng ?(config = default_config) ?on_event ?registry
+    ~transmit () =
+  if config.timeout <= 0.0 then invalid_arg "Rpc.create: timeout";
+  let t =
+    {
+      engine;
+      rng;
+      config;
+      transmit;
+      on_event;
+      metrics = Option.map make_metrics registry;
+      live = Hashtbl.create 64;
+      next_id = 0;
+      issued = 0;
+      completed = 0;
+      exhausted = 0;
+      retransmissions = 0;
+      timeouts = 0;
+      timer_h = -1;
+    }
+  in
+  t.timer_h <- Engine.register_handler engine (on_timer t);
+  t
 
 let issue t meta =
   let id = t.next_id in
@@ -130,8 +146,6 @@ let complete t ~id =
       Some r.meta
   | None -> None
 
-let meta t ~id = Option.map (fun r -> r.meta) (Hashtbl.find_opt t.live id)
-let pending t ~id = Hashtbl.mem t.live id
 let in_flight t = Hashtbl.length t.live
 let issued t = t.issued
 let completed t = t.completed

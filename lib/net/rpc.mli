@@ -46,7 +46,8 @@ val create :
   unit ->
   'meta t
 (** [transmit] is called synchronously from {!issue} (attempt 0) and from
-    the engine's timer callbacks (retransmissions). With [registry], the
+    the tracker's timer handler, which [create] registers with [engine]
+    (retransmissions). With [registry], the
     tracker keeps the [rpc/]* metrics: issued / completed / timeouts /
     retransmissions / exhausted counters and an issue-to-completion
     latency timer ([rpc/request_s], retries included).
@@ -62,11 +63,8 @@ val complete : 'meta t -> id:int -> 'meta option
     completed, already exhausted, or this is a duplicate response —
     callers count a request served only on [Some]. *)
 
-val meta : 'meta t -> id:int -> 'meta option
-(** Metadata of a still-pending request. *)
-
-val pending : 'meta t -> id:int -> bool
 val in_flight : 'meta t -> int
+(** Requests neither completed nor exhausted yet. *)
 
 (** Lifetime counters. [issued t = completed t + exhausted t + in_flight t]. *)
 

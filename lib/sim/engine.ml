@@ -7,37 +7,19 @@ type t = {
   mutable executed : int;
   mutable handlers : handler array;
   mutable nhandlers : int;
-  (* slot store for legacy closure events, dispatched by handler 0 *)
-  mutable thunks : (unit -> unit) array;
-  mutable free : int list;
-  mutable nthunks : int;
 }
 
 let noop_handler (_ : int) (_ : int) (_ : float) = ()
-let noop_thunk () = ()
-
-let run_thunk t slot =
-  let f = t.thunks.(slot) in
-  t.thunks.(slot) <- noop_thunk;
-  t.free <- slot :: t.free;
-  f ()
 
 let create () =
-  let t =
-    {
-      q = Ladder_queue.create ();
-      clock = 0.0;
-      next_seq = 0;
-      executed = 0;
-      handlers = Array.make 8 noop_handler;
-      nhandlers = 1;
-      thunks = [||];
-      free = [];
-      nthunks = 0;
-    }
-  in
-  t.handlers.(0) <- (fun a _ _ -> run_thunk t a);
-  t
+  {
+    q = Ladder_queue.create ();
+    clock = 0.0;
+    next_seq = 0;
+    executed = 0;
+    handlers = Array.make 8 noop_handler;
+    nhandlers = 0;
+  }
 
 let now t = t.clock
 
@@ -86,32 +68,6 @@ let post_batch t ~len ~time ~h ~a ~b ~x =
       ~b:(Array.unsafe_get b i) ~x:(Array.unsafe_get x i);
     incr seq
   done
-
-let alloc_slot t action =
-  match t.free with
-  | slot :: rest ->
-      t.free <- rest;
-      t.thunks.(slot) <- action;
-      slot
-  | [] ->
-      if t.nthunks = Array.length t.thunks then begin
-        let cap = max 16 (2 * t.nthunks) in
-        let grown = Array.make cap noop_thunk in
-        Array.blit t.thunks 0 grown 0 t.nthunks;
-        t.thunks <- grown
-      end;
-      let slot = t.nthunks in
-      t.thunks.(slot) <- action;
-      t.nthunks <- slot + 1;
-      slot
-
-let schedule_at t ~time action =
-  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
-  enqueue t ~time ~h:0 ~a:(alloc_slot t action) ~b:0 ~x:0.0
-
-let schedule t ~delay action =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  enqueue t ~time:(t.clock +. delay) ~h:0 ~a:(alloc_slot t action) ~b:0 ~x:0.0
 
 let pending t = Ladder_queue.length t.q
 

@@ -3,17 +3,14 @@
     fire in scheduling order (a monotone sequence number breaks ties),
     which keeps runs deterministic.
 
-    Two scheduling planes share one timeline:
-
-    - the {b packed} plane — {!register_handler} + {!post}/{!post_at} —
-      stores events as plain scalars [(h, a, b, x)] and dispatches through
-      a handler table, so the hot path allocates nothing per event;
-    - the {b closure} plane — {!schedule}/{!schedule_at} — accepts
-      arbitrary thunks, parked in a slot store and fired by a reserved
-      handler. Convenient for rare timers (ticks, timeouts) and tests.
-
-    Simulators should post packed events for per-message work and reserve
-    closures for low-frequency control events. *)
+    Every event is packed: a handler id from {!register_handler} plus a
+    payload of two ints and a float [(a, b, x)], stored as plain scalars
+    and dispatched through the handler table, so scheduling allocates
+    nothing per event. Timers, message deliveries and fault plans alike
+    register a handler once at setup and carry what varies per event —
+    a node, a request id and attempt, an index into a setup-time array,
+    a time — in the payload. There is no cancellation: consumers ignore
+    stale timers with generation counters or liveness checks. *)
 
 type t
 
@@ -22,7 +19,7 @@ val create : unit -> t
 val now : t -> float
 (** Current simulated time, seconds. Starts at 0. *)
 
-(** {2 Packed events} *)
+(** {2 Scheduling} *)
 
 val register_handler : t -> (int -> int -> float -> unit) -> int
 (** Add a dispatch-table entry; the returned id is passed to {!post}.
@@ -52,14 +49,6 @@ val post_batch :
     single posts. The arrays are read, never kept.
     @raise Invalid_argument when [len] exceeds any array or any of the
     first [len] times is below [now]. *)
-
-(** {2 Closure events} *)
-
-val schedule : t -> delay:float -> (unit -> unit) -> unit
-(** Run a callback [delay] seconds from now. [delay >= 0]. *)
-
-val schedule_at : t -> time:float -> (unit -> unit) -> unit
-(** Run a callback at an absolute time [>= now]. *)
 
 (** {2 Driving the clock} *)
 
@@ -94,6 +83,6 @@ val advance_to : t -> time:float -> unit
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the queue. [until] stops the clock at that time (later events
     stay queued, [now] is clamped to [until]); [max_events] bounds the
-    number of callbacks executed — a runaway guard. *)
+    number of events executed — a runaway guard. *)
 
 val events_executed : t -> int

@@ -493,6 +493,23 @@ let test_cold_tier_validation () =
         cases)
     [ ("Des_sim", des); ("Pdes_sim.run", pdes) ]
 
+(* A non-positive eviction period would post every tick at the same
+   instant (0) or in the past (< 0); [run] rejects it up front. *)
+let test_rejects_bad_eviction_period () =
+  List.iter
+    (fun period ->
+      let config =
+        {
+          Des_sim.default_config with
+          Des_sim.eviction = Some { Des_sim.period; min_rate = 1.0 };
+        }
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "eviction period %g" period)
+        (Invalid_argument "Des_sim: eviction period must be > 0")
+        (fun () -> ignore (run ~config ~m:4 ~total:10.0 ~duration:1.0 ())))
+    [ 0.0; -1.0 ]
+
 let test_replica_timeline_monotone () =
   let _, r = run ~total:2000.0 ~duration:15.0 () in
   let pts = Lesslog_metrics.Timeseries.points r.Des_sim.replica_timeline in
@@ -530,6 +547,8 @@ let () =
             test_scenario_with_eviction_trims_fleet;
           Alcotest.test_case "eviction spares inserted" `Quick
             test_eviction_never_removes_inserted_copy;
+          Alcotest.test_case "rejects non-positive eviction period" `Quick
+            test_rejects_bad_eviction_period;
         ] );
       ( "dynamic-rf policy",
         [

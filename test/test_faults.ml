@@ -189,6 +189,21 @@ let test_acceptance_loss02_crash5pct () =
   Alcotest.(check bool) "work happened under faults" true
     (r.F.served > 0 && r.F.retransmissions > 0)
 
+(* A non-positive sample period would post every agreement sample at
+   the same instant (0) or in the past (< 0); [run] rejects it up front. *)
+let test_rejects_bad_sample_period () =
+  List.iter
+    (fun sample_period ->
+      Alcotest.check_raises
+        (Printf.sprintf "sample_period %g" sample_period)
+        (Invalid_argument "Fault_sim: sample_period must be > 0")
+        (fun () ->
+          ignore
+            (run ~m:4 ~rate:10.0 ~duration:1.0
+               ~config:{ F.default_config with F.sample_period }
+               ())))
+    [ 0.0; -1.0 ]
+
 let () =
   Alcotest.run "faults"
     [
@@ -207,6 +222,8 @@ let () =
             test_detector_converges;
           Alcotest.test_case "false suspicions recover" `Slow
             test_false_suspicions_recover;
+          Alcotest.test_case "rejects non-positive sample period" `Quick
+            test_rejects_bad_sample_period;
         ] );
       ( "plans",
         [

@@ -46,52 +46,77 @@ let make_overlay ?loss ?latency () =
   let overlay = Overlay.create ~engine ~rng ?latency ?loss params in
   (engine, overlay)
 
+(* Install a receive function that logs [(src, dst, b)] per delivery. *)
+let logging_recv overlay =
+  let log = ref [] in
+  Overlay.set_packed_recv overlay
+    (Some
+       (fun ~src ~dst b _ ->
+         log := (Pid.to_int src, Pid.to_int dst, b) :: !log));
+  fun () -> List.rev !log
+
 let test_overlay_delivery () =
   let engine, overlay = make_overlay ~latency:(Latency.Constant 0.1) () in
   let received = ref [] in
-  Overlay.set_handler overlay (pid 3) (fun ~src msg ->
-      received := (Pid.to_int src, msg, Engine.now engine) :: !received);
-  Overlay.send overlay ~src:(pid 1) ~dst:(pid 3) "hello";
+  Overlay.set_packed_recv overlay
+    (Some
+       (fun ~src ~dst b x ->
+         received :=
+           (Pid.to_int src, Pid.to_int dst, b, x, Engine.now engine)
+           :: !received));
+  Overlay.attach overlay (pid 3);
+  Overlay.send_packed overlay ~src:(pid 1) ~dst:(pid 3) ~b:42 ~x:0.25;
   Alcotest.(check int) "not yet delivered" 0 (List.length !received);
   Engine.run engine;
-  Alcotest.(check (list (triple int string (float 1e-9))))
-    "delivered with latency"
-    [ (1, "hello", 0.1) ]
-    !received;
+  (match !received with
+  | [ (src, dst, b, x, at) ] ->
+      Alcotest.(check (list int)) "src, dst, b" [ 1; 3; 42 ] [ src; dst; b ];
+      Alcotest.(check (float 0.0)) "x" 0.25 x;
+      Alcotest.(check (float 1e-9)) "delivered with latency" 0.1 at
+  | l -> Alcotest.failf "expected one delivery, got %d" (List.length l));
   Alcotest.(check int) "sent" 1 (Overlay.messages_sent overlay);
   Alcotest.(check int) "delivered" 1 (Overlay.messages_delivered overlay)
 
 let test_overlay_no_handler_drops () =
+  (* A destination never attached, and an attached one with no receive
+     function installed, both drop. *)
   let engine, overlay = make_overlay () in
-  Overlay.send overlay ~src:(pid 1) ~dst:(pid 9) "void";
+  Overlay.attach overlay (pid 4);
+  Overlay.send_packed overlay ~src:(pid 1) ~dst:(pid 4) ~b:0 ~x:0.0;
   Engine.run engine;
-  Alcotest.(check int) "dropped" 1 (Overlay.messages_dropped overlay);
-  Alcotest.(check int) "not delivered" 0 (Overlay.messages_delivered overlay)
+  let log = logging_recv overlay in
+  Overlay.send_packed overlay ~src:(pid 1) ~dst:(pid 9) ~b:0 ~x:0.0;
+  Engine.run engine;
+  Alcotest.(check int) "dropped" 2 (Overlay.messages_dropped overlay);
+  Alcotest.(check int) "not delivered" 0 (Overlay.messages_delivered overlay);
+  Alcotest.(check int) "nothing received" 0 (List.length (log ()))
 
-let test_overlay_clear_handler () =
+let test_overlay_detach () =
   let engine, overlay = make_overlay () in
-  let count = ref 0 in
-  Overlay.set_handler overlay (pid 2) (fun ~src:_ _ -> incr count);
-  Overlay.send overlay ~src:(pid 0) ~dst:(pid 2) ();
+  let log = logging_recv overlay in
+  Overlay.attach overlay (pid 2);
+  Overlay.send_packed overlay ~src:(pid 0) ~dst:(pid 2) ~b:1 ~x:0.0;
   Engine.run engine;
-  Overlay.clear_handler overlay (pid 2);
-  Overlay.send overlay ~src:(pid 0) ~dst:(pid 2) ();
+  Overlay.detach overlay (pid 2);
+  Overlay.send_packed overlay ~src:(pid 0) ~dst:(pid 2) ~b:2 ~x:0.0;
   Engine.run engine;
-  Alcotest.(check int) "only first delivered" 1 !count;
+  Alcotest.(check (list (triple int int int)))
+    "only first delivered" [ (0, 2, 1) ] (log ());
   Alcotest.(check int) "second dropped" 1 (Overlay.messages_dropped overlay)
 
 let test_overlay_loss () =
   let engine, overlay = make_overlay ~loss:0.5 () in
-  let count = ref 0 in
-  Overlay.set_handler overlay (pid 2) (fun ~src:_ _ -> incr count);
+  let log = logging_recv overlay in
+  Overlay.attach overlay (pid 2);
   for _ = 1 to 1000 do
-    Overlay.send overlay ~src:(pid 0) ~dst:(pid 2) ()
+    Overlay.send_packed overlay ~src:(pid 0) ~dst:(pid 2) ~b:0 ~x:0.0
   done;
   Engine.run engine;
+  let count = List.length (log ()) in
   Alcotest.(check bool)
-    (Printf.sprintf "roughly half delivered (%d)" !count)
+    (Printf.sprintf "roughly half delivered (%d)" count)
     true
-    (!count > 400 && !count < 600);
+    (count > 400 && count < 600);
   Alcotest.(check int) "accounting adds up" 1000
     (Overlay.messages_delivered overlay + Overlay.messages_dropped overlay)
 
@@ -100,8 +125,6 @@ let test_overlay_in_flight_ordering () =
      send order. *)
   let engine = Engine.create () in
   let rng = Rng.create ~seed:5 in
-  let overlay = Overlay.create ~engine ~rng ~latency:(Latency.Constant 0.0) params in
-  ignore overlay;
   let overlay_slow =
     Overlay.create ~engine ~rng ~latency:(Latency.Constant 0.2) params
   in
@@ -109,12 +132,16 @@ let test_overlay_in_flight_ordering () =
     Overlay.create ~engine ~rng ~latency:(Latency.Constant 0.1) params
   in
   let log = ref [] in
-  Overlay.set_handler overlay_slow (pid 1) (fun ~src:_ m -> log := m :: !log);
-  Overlay.set_handler overlay_fast (pid 1) (fun ~src:_ m -> log := m :: !log);
-  Overlay.send overlay_slow ~src:(pid 0) ~dst:(pid 1) "slow";
-  Overlay.send overlay_fast ~src:(pid 0) ~dst:(pid 1) "fast";
+  List.iter
+    (fun o ->
+      Overlay.set_packed_recv o
+        (Some (fun ~src:_ ~dst:_ b _ -> log := b :: !log));
+      Overlay.attach o (pid 1))
+    [ overlay_slow; overlay_fast ];
+  Overlay.send_packed overlay_slow ~src:(pid 0) ~dst:(pid 1) ~b:2 ~x:0.0;
+  Overlay.send_packed overlay_fast ~src:(pid 0) ~dst:(pid 1) ~b:1 ~x:0.0;
   Engine.run engine;
-  Alcotest.(check (list string)) "latency order" [ "fast"; "slow" ] (List.rev !log)
+  Alcotest.(check (list int)) "latency order" [ 1; 2 ] (List.rev !log)
 
 let () =
   Alcotest.run "net"
@@ -132,7 +159,7 @@ let () =
           Alcotest.test_case "delivery" `Quick test_overlay_delivery;
           Alcotest.test_case "no handler drops" `Quick
             test_overlay_no_handler_drops;
-          Alcotest.test_case "clear handler" `Quick test_overlay_clear_handler;
+          Alcotest.test_case "detach drops" `Quick test_overlay_detach;
           Alcotest.test_case "loss injection" `Quick test_overlay_loss;
           Alcotest.test_case "latency ordering" `Quick
             test_overlay_in_flight_ordering;

@@ -68,15 +68,28 @@ let make_rpc ?config () =
   in
   (engine, rpc, log, events)
 
+(* The "network" side of the toy transport: [complete ~delay id] posts
+   an event of a test handler that completes request [id] then; the
+   returned list holds what each {!Rpc.complete} gave back. *)
+let completer engine rpc =
+  let results = ref [] in
+  let h =
+    Engine.register_handler engine (fun id _ _ ->
+        results := Rpc.complete rpc ~id :: !results)
+  in
+  ( (fun ~delay id -> Engine.post engine ~delay ~h ~a:id ~b:0 ~x:0.0),
+    fun () -> List.rev !results )
+
 let test_complete_cancels_retries () =
   let engine, rpc, log, _ = make_rpc () in
   let id = Rpc.issue rpc "meta" in
   Alcotest.(check (list (pair int int))) "attempt 0 sent" [ (id, 0) ] !log;
   (* Complete before the timeout: no retransmissions ever. *)
-  Engine.schedule engine ~delay:0.1 (fun () ->
-      Alcotest.(check (option string)) "meta back" (Some "meta")
-        (Rpc.complete rpc ~id));
+  let complete, results = completer engine rpc in
+  complete ~delay:0.1 id;
   Engine.run engine;
+  Alcotest.(check (list (option string))) "meta back" [ Some "meta" ]
+    (results ());
   Alcotest.(check (list (pair int int))) "no retransmit" [ (id, 0) ] !log;
   Alcotest.(check int) "completed" 1 (Rpc.completed rpc);
   Alcotest.(check int) "in flight" 0 (Rpc.in_flight rpc);
@@ -119,8 +132,8 @@ let test_mid_flight_completion () =
   let engine, rpc, log, _ = make_rpc ~config () in
   let id = Rpc.issue rpc "m" in
   (* Answer after two timeouts (attempt 2 is in flight at t = 3.5). *)
-  Engine.schedule engine ~delay:3.6 (fun () ->
-      ignore (Rpc.complete rpc ~id));
+  let complete, _ = completer engine rpc in
+  complete ~delay:3.6 id;
   Engine.run engine;
   Alcotest.(check int) "three transmissions" 3 (List.length !log);
   Alcotest.(check int) "completed" 1 (Rpc.completed rpc);
@@ -157,20 +170,18 @@ let prop_never_silent =
     (fun reply_delays ->
       let engine = Engine.create () in
       let rng = Rng.create ~seed:3 in
-      let rpc_ref = ref None in
       let rpc =
         Rpc.create ~engine ~rng
           ~transmit:(fun ~id:_ ~attempt:_ () -> ())
           ()
       in
-      rpc_ref := Some rpc;
+      let complete, _ = completer engine rpc in
       List.iter
         (fun delay ->
           let id = Rpc.issue rpc () in
           (* Some delays land after exhaustion: those completions are
              rejected, the request already counted as a fault. *)
-          Engine.schedule engine ~delay (fun () ->
-              ignore (Rpc.complete rpc ~id)))
+          complete ~delay id)
         reply_delays;
       Engine.run engine;
       Rpc.completed rpc + Rpc.exhausted rpc = Rpc.issued rpc
@@ -185,11 +196,17 @@ let make_detector ?config ~peers () =
   let down = Hashtbl.create 8 in
   let changes = ref [] in
   let detector_ref = ref None in
+  (* A pong event carries the peer in [a] and the ping's seq in [b]. *)
+  let pong_h =
+    Engine.register_handler engine (fun peer seq _ ->
+        Heartbeat.pong (Option.get !detector_ref)
+          ~peer:(Pid.unsafe_of_int peer) ~seq)
+  in
   let ping ~seq peer =
     if not (Hashtbl.mem down (Pid.to_int peer)) then
       (* Answer on the next instant, like a zero-latency network. *)
-      Engine.schedule engine ~delay:0.0 (fun () ->
-          Heartbeat.pong (Option.get !detector_ref) ~peer ~seq)
+      Engine.post engine ~delay:0.0 ~h:pong_h ~a:(Pid.to_int peer) ~b:seq
+        ~x:0.0
   in
   let detector =
     Heartbeat.create ~engine ?config ~peers
@@ -227,7 +244,10 @@ let test_detector_recovers () =
   let engine, detector, down, _ = make_detector ~config ~peers () in
   Hashtbl.replace down 1 ();
   (* Down for 4 s (long enough to be suspected), then back. *)
-  Engine.schedule engine ~delay:4.0 (fun () -> Hashtbl.remove down 1);
+  let revive =
+    Engine.register_handler engine (fun p _ _ -> Hashtbl.remove down p)
+  in
+  Engine.post engine ~delay:4.0 ~h:revive ~a:1 ~b:0 ~x:0.0;
   Heartbeat.start detector ~until:10.0;
   Engine.run engine;
   Alcotest.(check bool) "trusted again" false
