@@ -151,9 +151,7 @@ let serve st ~server ~id ~origin ~issued_at ~hops =
   Protocol.record_serve st.p ~server;
   st.served <- st.served + 1;
   Histogram.add_int st.hops hops;
-  emit st
-    (Trace.Event.Request
-       { at = now st; origin = Pid.to_int origin; server = Some i; hops });
+  Protocol.emit_request st.p ~origin:(Pid.to_int origin) ~server:i ~hops;
   if Pid.equal server origin then begin
     (* Served locally: the reply needs no network hop. *)
     Histogram.add st.latencies (now st -. issued_at);
@@ -170,9 +168,7 @@ let serve st ~server ~id ~origin ~issued_at ~hops =
 
 let fault st ~id ~origin ~hops ~issued_at =
   st.faults <- st.faults + 1;
-  emit st
-    (Trace.Event.Request
-       { at = now st; origin = Pid.to_int origin; server = None; hops });
+  Protocol.emit_request st.p ~origin:(Pid.to_int origin) ~server:(-1) ~hops;
   obs_resolved st ~id ~origin:(Pid.to_int origin) ~server:(-1) ~hops
     ~issued_at
 

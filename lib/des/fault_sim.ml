@@ -146,10 +146,8 @@ let detector st = Option.get st.detector
 let serve st ~server ~id ~origin ~issued_at ~hops =
   if Rpc.Dedup.first st.dedup ~id then begin
     Protocol.record_serve st.p ~server;
-    emit st
-      (Trace.Event.Request
-         { at = now st; origin = Pid.to_int origin;
-           server = Some (Pid.to_int server); hops });
+    Protocol.emit_request st.p ~origin:(Pid.to_int origin)
+      ~server:(Pid.to_int server) ~hops;
     Protocol.maybe_replicate st.p ~overloaded:server
   end;
   if Pid.equal server origin then begin
@@ -486,27 +484,32 @@ let run ?(config = default_config) ?(plan = Faults.empty) ?sink ?obs
         Obs.Span.emit i.spans ~name:(name i) ~id ~origin ~at:(now st) ~dur:0.0
           ~server:None ~hops:0 ~attempt
   in
+  (* Trace records are built only under a sink, as in {!Protocol}. *)
   let rpc_events = function
     | Rpc.Timeout { id; attempt; meta } ->
-        emit st
-          (Trace.Event.Timeout
-             { at = now st; id; origin = Pid.to_int meta.origin; attempt });
+        (match st.p.sink with
+        | None -> ()
+        | Some f ->
+            f
+              (Trace.Event.Timeout
+                 { at = now st; id; origin = Pid.to_int meta.origin; attempt }));
         mark (fun i -> i.sp_timeout) ~id ~origin:(Pid.to_int meta.origin)
           ~attempt
     | Rpc.Retransmit { id; attempt; meta } ->
-        emit st
-          (Trace.Event.Retry
-             { at = now st; id; origin = Pid.to_int meta.origin; attempt });
+        (match st.p.sink with
+        | None -> ()
+        | Some f ->
+            f
+              (Trace.Event.Retry
+                 { at = now st; id; origin = Pid.to_int meta.origin; attempt }));
         (match st.obs with
         | None -> ()
         | Some i -> Obs.Span.set_attempt i.spans ~id ~attempt);
         mark (fun i -> i.sp_retry) ~id ~origin:(Pid.to_int meta.origin)
           ~attempt
     | Rpc.Exhausted { id; attempts = _; meta } ->
-        emit st
-          (Trace.Event.Request
-             { at = now st; origin = Pid.to_int meta.origin; server = None;
-               hops = 0 });
+        Protocol.emit_request st.p ~origin:(Pid.to_int meta.origin)
+          ~server:(-1) ~hops:0;
         (match st.obs with
         | None -> ()
         | Some i ->

@@ -16,14 +16,17 @@ let inv_ln_gamma = 1.0 /. log gamma
    clamped into the edge buckets, bounding the window at ~12001 slots. *)
 let max_idx = 6000
 
+(* The running sum and extremes in an all-float record, which OCaml
+   stores flat: as float fields of the mixed record [t] they would be
+   pointers to boxes, and every [add] would allocate up to three. *)
+type moments = { mutable sum : float; mutable mn : float; mutable mx : float }
+
 type t = {
   mutable counts : int array;
   mutable base : int; (* bucket index of counts.(0) *)
   mutable zero : int; (* samples <= 0 *)
   mutable n : int;
-  mutable sum : float;
-  mutable mn : float;
-  mutable mx : float;
+  m : moments;
 }
 
 let create () =
@@ -32,12 +35,10 @@ let create () =
     base = 0;
     zero = 0;
     n = 0;
-    sum = 0.0;
-    mn = infinity;
-    mx = neg_infinity;
+    m = { sum = 0.0; mn = infinity; mx = neg_infinity };
   }
 
-let bucket_idx x =
+let[@inline] bucket_idx x =
   let i = int_of_float (Float.round (log x *. inv_ln_gamma)) in
   if i < -max_idx then -max_idx else if i > max_idx then max_idx else i
 
@@ -51,11 +52,13 @@ let grow t i =
   t.counts <- grown;
   t.base <- lo
 
-let add t x =
+(* Inlined into both entry points, so [add_int]'s converted sample is
+   never boxed. *)
+let[@inline] record t x =
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
-  if x < t.mn then t.mn <- x;
-  if x > t.mx then t.mx <- x;
+  t.m.sum <- t.m.sum +. x;
+  if x < t.m.mn then t.m.mn <- x;
+  if x > t.m.mx then t.m.mx <- x;
   if x <= 0.0 then t.zero <- t.zero + 1
   else begin
     let i = bucket_idx x in
@@ -67,9 +70,10 @@ let add t x =
     t.counts.(i - t.base) <- t.counts.(i - t.base) + 1
   end
 
-let add_int t x = add t (float_of_int x)
+let add t x = record t x
+let add_int t x = record t (float_of_int x)
 let count t = t.n
-let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
+let mean t = if t.n = 0 then 0.0 else t.m.sum /. float_of_int t.n
 
 (* Every sketch shares the module-level gamma, so bucket index [i] means
    the same value range in both operands and merging is a bucket-wise
@@ -80,9 +84,9 @@ let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
 let merge t ~from =
   if from.n > 0 then begin
     t.n <- t.n + from.n;
-    t.sum <- t.sum +. from.sum;
-    if from.mn < t.mn then t.mn <- from.mn;
-    if from.mx > t.mx then t.mx <- from.mx;
+    t.m.sum <- t.m.sum +. from.m.sum;
+    if from.m.mn < t.m.mn then t.m.mn <- from.m.mn;
+    if from.m.mx > t.m.mx then t.m.mx <- from.m.mx;
     t.zero <- t.zero + from.zero;
     let flen = Array.length from.counts in
     if flen > 0 then begin
@@ -109,18 +113,18 @@ let merge t ~from =
     end
   end
 
-let clamp t v = Float.max t.mn (Float.min t.mx v)
+let clamp t v = Float.max t.m.mn (Float.min t.m.mx v)
 
 let quantile t q =
   if t.n = 0 then invalid_arg "Histogram.quantile: empty";
   if q < 0.0 || q > 1.0 then invalid_arg "Histogram.quantile: out of range";
-  if q = 0.0 then t.mn
-  else if q = 1.0 then t.mx
+  if q = 0.0 then t.m.mn
+  else if q = 1.0 then t.m.mx
   else begin
     let rank = int_of_float (Float.round (q *. float_of_int (t.n - 1))) in
     if rank < t.zero then clamp t 0.0
     else begin
-      let cum = ref t.zero and res = ref t.mx in
+      let cum = ref t.zero and res = ref t.m.mx in
       (try
          for i = 0 to Array.length t.counts - 1 do
            cum := !cum + t.counts.(i);
@@ -138,11 +142,11 @@ let median t = quantile t 0.5
 
 let max_value t =
   if t.n = 0 then invalid_arg "Histogram.max_value: empty";
-  t.mx
+  t.m.mx
 
 let min_value t =
   if t.n = 0 then invalid_arg "Histogram.min_value: empty";
-  t.mn
+  t.m.mn
 
 let buckets t ~width =
   if width <= 0.0 then invalid_arg "Histogram.buckets";

@@ -11,26 +11,28 @@ let int t bound =
   (* Rejection sampling to avoid modulo bias. *)
   let max63 = max_int in
   let limit = max63 - (max63 mod bound) in
-  let rec draw () =
-    let x = Splitmix.next_int63 t in
-    if x >= limit then draw () else x mod bound
-  in
-  draw ()
+  let x = ref (Splitmix.next_int63 t) in
+  while !x >= limit do
+    x := Splitmix.next_int63 t
+  done;
+  !x mod bound
 
 let int_in t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+(* [float], [bernoulli] and [exponential] are inlined at their call
+   sites, so no float argument or result of theirs is boxed. *)
+let[@inline] float t bound =
   (* 53 of the 62 random bits, scaled to [0, bound). *)
   let bits = Splitmix.next_int63 t lsr 9 in
   float_of_int bits /. 9007199254740992.0 *. bound
 
 let bool t = Splitmix.next_int63 t land 1 = 1
 
-let bernoulli t ~p = float t 1.0 < p
+let[@inline] bernoulli t ~p = float t 1.0 < p
 
-let exponential t ~rate =
+let[@inline] exponential t ~rate =
   if rate <= 0.0 then invalid_arg "Rng.exponential";
   let u = 1.0 -. float t 1.0 in
   -.log u /. rate

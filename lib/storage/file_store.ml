@@ -57,10 +57,12 @@ let version t ~key = Option.map (fun e -> e.version) (find t ~key)
 let origin t ~key = Option.map (fun e -> e.origin) (find t ~key)
 let tier t ~key = Option.map (fun e -> e.tier) (find t ~key)
 
-let record_access t ~key ~now =
-  match Hashtbl.find_opt t.entries key with
-  | None -> ()
-  | Some e -> Access_counter.record e.counter ~now
+(* Inlined, like [Access_counter.record], so a serve boxes no [now];
+   [Hashtbl.find] builds no option. *)
+let[@inline] record_access t ~key ~now =
+  match Hashtbl.find t.entries key with
+  | e -> Access_counter.record e.counter ~now
+  | exception Not_found -> ()
 
 let set_version t ~key ~version =
   match Hashtbl.find_opt t.entries key with
