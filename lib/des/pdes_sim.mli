@@ -125,7 +125,8 @@ val run :
     bits, so the digest stays bit-identical at any [domains]. A lost key
     (below [k] survivors) degrades requests to reported faults.
     @raise Invalid_argument when [m] exceeds the 24-bit packed origin
-    field, [b > 0] with a latency minimum of zero, [faults] contains
+    field, the latency model fails [Latency.validate], [b > 0] with a
+    latency minimum of zero, [faults] contains
     partitions, the policy's accessor population does not match the
     PID space, [cold_tier] is given without [policy], or on invalid
     code/size parameters. *)

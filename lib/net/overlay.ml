@@ -26,6 +26,7 @@ let dst_mask = (1 lsl dst_bits) - 1
 
 let create ~engine ~rng ?(latency = Latency.default) ?(loss = 0.0) params =
   check_loss loss;
+  Latency.validate ~who:"Overlay.create" latency;
   let space = Params.space params in
   if space > dst_mask + 1 then invalid_arg "Overlay.create: space too large";
   let t =

@@ -17,7 +17,9 @@ val create :
   Params.t ->
   t
 (** [loss] is the probability a message is silently dropped (default 0).
-    Every node starts detached. *)
+    Every node starts detached.
+    @raise Invalid_argument on a [latency] that {!Latency.validate}
+    rejects. *)
 
 val set_loss : t -> float -> unit
 (** Change the drop probability mid-run — loss bursts in fault-injection

@@ -184,6 +184,19 @@ let test_histogram_empty_raises () =
     (Invalid_argument "Histogram.quantile: empty") (fun () ->
       ignore (Histogram.Exact.quantile e 0.5))
 
+(* The running sum, min and max live in a flat float record, so a warm
+   sketch records a sample without allocating. *)
+let test_histogram_add_allocates_nothing () =
+  let h = Histogram.create () in
+  Histogram.add h 0.25;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    Histogram.add h 0.25
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words;
+  Alcotest.(check int) "count" 100_001 (Histogram.count h)
+
 let test_histogram_buckets () =
   let h = Histogram.Exact.create () in
   List.iter (Histogram.Exact.add h) [ 0.1; 0.2; 1.5; 1.9; 3.0 ];
@@ -330,6 +343,8 @@ let () =
             test_histogram_sketch_quantiles;
           Alcotest.test_case "empty raises" `Quick test_histogram_empty_raises;
           Alcotest.test_case "buckets" `Quick test_histogram_buckets;
+          Alcotest.test_case "add allocates nothing" `Quick
+            test_histogram_add_allocates_nothing;
           Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "exact merge" `Quick test_histogram_exact_merge;
           prop_histogram_merge_matches_single_stream;

@@ -38,6 +38,38 @@ let test_latency_means () =
   Alcotest.(check (float 1e-9)) "exp" 0.025
     (Latency.mean (Latency.Exponential { mean = 0.02; floor = 0.005 }))
 
+(* Every malformed model is rejected up front, naming the caller and the
+   field; the edge values a model may take are accepted. *)
+let test_latency_validate () =
+  let rejects name model msg =
+    Alcotest.check_raises name (Invalid_argument ("Overlay.create: latency " ^ msg))
+      (fun () ->
+        ignore
+          (Overlay.create ~engine:(Engine.create ()) ~rng:(Rng.create ~seed:1)
+             ~latency:model params))
+  in
+  rejects "negative constant" (Latency.Constant (-0.01)) "constant must be >= 0";
+  rejects "nan constant" (Latency.Constant Float.nan) "constant must be finite";
+  rejects "infinite constant" (Latency.Constant Float.infinity)
+    "constant must be finite";
+  rejects "lo above hi" (Latency.Uniform { lo = 0.08; hi = 0.01 })
+    "hi must be >= lo";
+  rejects "negative lo" (Latency.Uniform { lo = -0.01; hi = 0.01 })
+    "lo must be >= 0";
+  rejects "nan hi" (Latency.Uniform { lo = 0.01; hi = Float.nan })
+    "hi must be finite";
+  rejects "zero mean" (Latency.Exponential { mean = 0.0; floor = 0.0 })
+    "mean must be > 0";
+  rejects "negative floor" (Latency.Exponential { mean = 0.02; floor = -0.001 })
+    "floor must be >= 0";
+  rejects "nan mean" (Latency.Exponential { mean = Float.nan; floor = 0.0 })
+    "mean must be finite";
+  List.iter
+    (Latency.validate ~who:"test")
+    [ Latency.default; Latency.Constant 0.0;
+      Latency.Uniform { lo = 0.0; hi = 0.0 };
+      Latency.Exponential { mean = 1e-9; floor = 0.0 } ]
+
 (* --- Overlay ------------------------------------------------------------ *)
 
 let make_overlay ?loss ?latency () =
@@ -153,6 +185,7 @@ let () =
           Alcotest.test_case "exponential floor" `Quick
             test_latency_exponential_floor;
           Alcotest.test_case "means" `Quick test_latency_means;
+          Alcotest.test_case "validate" `Quick test_latency_validate;
         ] );
       ( "overlay",
         [

@@ -462,6 +462,29 @@ let test_pdes_partitions_rejected () =
       ignore
         (Pdes.run ~faults ~seed:1 ~params ~key:"cut" ~demand ~duration:0.5 ()))
 
+(* A [Uniform] model with [lo > hi] samples below [lo], yet [lo] would
+   become the conservative lookahead; a NaN model would corrupt the event
+   order. Both are rejected before any shard is built. *)
+let test_pdes_latency_validated () =
+  let params = Params.create ~m:6 ~b:1 () in
+  let status = Status_word.create params ~initially_live:true in
+  let demand = Demand.uniform status ~total:100.0 in
+  let run latency () =
+    ignore
+      (Pdes.run
+         ~config:{ Pdes.default_config with latency }
+         ~seed:1 ~params ~key:"lat" ~demand ~duration:0.5 ())
+  in
+  Alcotest.check_raises "lo above hi"
+    (Invalid_argument "Pdes_sim.run: latency hi must be >= lo")
+    (run (Latency.Uniform { lo = 0.08; hi = 0.01 }));
+  Alcotest.check_raises "nan constant"
+    (Invalid_argument "Pdes_sim.run: latency constant must be finite")
+    (run (Latency.Constant Float.nan));
+  Alcotest.check_raises "negative floor"
+    (Invalid_argument "Pdes_sim.run: latency floor must be >= 0")
+    (run (Latency.Exponential { mean = 0.02; floor = -0.01 }))
+
 let () =
   Alcotest.run "pdes"
     [
@@ -508,5 +531,7 @@ let () =
             test_pdes_loss_burst_drops_messages;
           Alcotest.test_case "partitions rejected" `Quick
             test_pdes_partitions_rejected;
+          Alcotest.test_case "latency model validated" `Quick
+            test_pdes_latency_validated;
         ] );
     ]

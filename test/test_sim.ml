@@ -128,6 +128,47 @@ let ladder_matches_oracle ?buckets ?split_threshold times =
   ladder_drain (ladder_of_times ?buckets ?split_threshold times)
   = oracle_order times
 
+(* One round of a drain over a warm queue. The near cluster is dense
+   enough to split a bucket twice and arrives shuffled, so dumped buckets
+   are sorted; the outliers spread over the rest of the first rung. After
+   a few pops, events at the head's own time go to the open heap and a
+   far batch lands beyond the rung, to be refilled mid-drain. All times
+   are dyadic, so every round with a new [base] lays out identically.
+   Returns the minor words the drain allocated and the events popped. *)
+let ladder_round lq ~seq ~base =
+  let push time =
+    Ladder.push lq ~time ~seq:!seq ~h:0 ~a:0 ~b:0 ~x:time;
+    incr seq
+  in
+  for i = 0 to 999 do
+    push (base +. (float_of_int (i * 7919 mod 1000) /. 1024.0))
+  done;
+  for i = 0 to 199 do
+    push (base +. 4096.0 +. (8.0 *. float_of_int i))
+  done;
+  for _ = 1 to 10 do
+    ignore (Ladder.pop lq)
+  done;
+  let head = Ladder.time lq in
+  for _ = 1 to 50 do
+    push head;
+    push (base +. 131072.0)
+  done;
+  let popped = ref 10 in
+  let w0 = Gc.minor_words () in
+  while Ladder.pop lq do
+    incr popped
+  done;
+  (Gc.minor_words () -. w0, !popped)
+
+let test_ladder_warm_pop_allocates_nothing () =
+  let lq = Ladder.create () and seq = ref 0 in
+  ignore (ladder_round lq ~seq ~base:0.0);
+  ignore (ladder_round lq ~seq ~base:1048576.0);
+  let words, popped = ladder_round lq ~seq ~base:2097152.0 in
+  Alcotest.(check int) "every event popped" 1300 popped;
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words
+
 let test_ladder_pop_until_boundary () =
   let lq = ladder_of_times [ 1.0; 2.0; 2.0; 3.0 ] in
   Alcotest.(check bool) "below bound" true (Ladder.pop_until lq ~bound:2.0);
@@ -401,6 +442,43 @@ let test_engine_rejects_past () =
     (Invalid_argument "Engine.post: negative delay") (fun () ->
       Engine.post e ~delay:(-1.0) ~h ~a:0 ~b:0 ~x:0.0)
 
+(* NaN and negative times are rejected by every entry point before
+   anything is queued. Accepted, a NaN time would pop out of (time, seq)
+   order and move the clock backwards. *)
+let test_engine_rejects_nan_and_negative () =
+  let cases =
+    [
+      ("post nan", "Engine.post: negative delay",
+       fun e h -> Engine.post e ~delay:Float.nan ~h ~a:2 ~b:0 ~x:0.0);
+      ("post negative", "Engine.post: negative delay",
+       fun e h -> Engine.post e ~delay:(-0.5) ~h ~a:2 ~b:0 ~x:0.0);
+      ("post_at nan", "Engine.post_at: time in the past",
+       fun e h -> Engine.post_at e ~time:Float.nan ~h ~a:2 ~b:0 ~x:0.0);
+      ("post_at negative", "Engine.post_at: time in the past",
+       fun e h -> Engine.post_at e ~time:(-1.0) ~h ~a:2 ~b:0 ~x:0.0);
+      ("post_batch nan", "Engine.post_batch: time in the past",
+       fun e h ->
+         Engine.post_batch e ~len:2 ~time:[| 2.0; Float.nan |] ~h:[| h; h |]
+           ~a:[| 2; 3 |] ~b:[| 0; 0 |] ~x:[| 0.0; 0.0 |]);
+      ("post_batch negative", "Engine.post_batch: time in the past",
+       fun e h ->
+         Engine.post_batch e ~len:1 ~time:[| -1.0 |] ~h:[| h |] ~a:[| 2 |]
+           ~b:[| 0 |] ~x:[| 0.0 |]);
+    ]
+  in
+  List.iter
+    (fun (name, msg, bad) ->
+      let e, h, log = logging_engine () in
+      Engine.post e ~delay:1.0 ~h ~a:1 ~b:0 ~x:0.0;
+      ignore (Engine.step e);
+      Alcotest.check_raises name (Invalid_argument msg) (fun () -> bad e h);
+      Alcotest.(check int) (name ^ ": nothing queued") 0 (Engine.pending e);
+      Engine.post e ~delay:0.5 ~h ~a:4 ~b:0 ~x:0.0;
+      Engine.run e;
+      Alcotest.(check (list int)) (name ^ ": order") [ 1; 4 ] (log ());
+      Alcotest.(check (float 0.0)) (name ^ ": clock") 1.5 (Engine.now e))
+    cases
+
 let test_engine_post_rejects_past () =
   (* A rejected post enqueues nothing, and a post at exactly [now] is
      not in the past. *)
@@ -560,6 +638,8 @@ let () =
             test_ladder_payload_roundtrip;
           Alcotest.test_case "pop_until boundary" `Quick
             test_ladder_pop_until_boundary;
+          Alcotest.test_case "warm pop allocates nothing" `Quick
+            test_ladder_warm_pop_allocates_nothing;
         ] );
       ( "engine",
         [
@@ -577,6 +657,8 @@ let () =
             test_engine_packed_reentrant;
           Alcotest.test_case "packed rejects past" `Quick
             test_engine_post_rejects_past;
+          Alcotest.test_case "rejects NaN and negative times" `Quick
+            test_engine_rejects_nan_and_negative;
           Alcotest.test_case "step_below / drain_below / advance_to" `Quick
             test_engine_step_below_and_advance;
           Alcotest.test_case "post_batch validates" `Quick
