@@ -6,7 +6,8 @@
     Every event is packed: a handler id from {!register_handler} plus a
     payload of two ints and a float [(a, b, x)], stored as plain scalars
     and dispatched through the handler table, so scheduling allocates
-    nothing per event. Timers, message deliveries and fault plans alike
+    nothing per event (see {!post} for the one boxed float dispatch
+    hands the handler). Timers, message deliveries and fault plans alike
     register a handler once at setup and carry what varies per event —
     a node, a request id and attempt, an index into a setup-time array,
     a time — in the payload. There is no cancellation: consumers ignore
@@ -28,10 +29,19 @@ val register_handler : t -> (int -> int -> float -> unit) -> int
 
 val post : t -> delay:float -> h:int -> a:int -> b:int -> x:float -> unit
 (** Enqueue a packed event [delay] seconds from now for handler [h].
-    [delay >= 0]. Allocation-free once queue capacity is warm. *)
+    @raise Invalid_argument unless [delay >= 0] (so also on NaN).
+
+    What an event allocates, once queue capacity is warm: [post] and
+    {!post_at} are inlined into their callers in release builds and then
+    allocate nothing — the time reaches the queue unboxed. Dispatch
+    allocates exactly one boxed float, the [x] handed to the handler
+    closure (2 words). Under [-opaque] (dev builds) nothing is inlined
+    across modules, so the floats are boxed at each call on the way to
+    the queue. *)
 
 val post_at : t -> time:float -> h:int -> a:int -> b:int -> x:float -> unit
-(** Same at an absolute time [>= now]. *)
+(** Same at an absolute time.
+    @raise Invalid_argument unless [time >= now] (so also on NaN). *)
 
 val post_batch :
   t ->
@@ -48,7 +58,7 @@ val post_batch :
     tie-breaking seqs in slice order — bit-identical scheduling to [len]
     single posts. The arrays are read, never kept.
     @raise Invalid_argument when [len] exceeds any array or any of the
-    first [len] times is below [now]. *)
+    first [len] times is below [now] or NaN; nothing is queued then. *)
 
 (** {2 Driving the clock} *)
 

@@ -11,8 +11,13 @@
     keyed by [(Float.compare, Int.compare)] — [Heap] stays in-tree as the
     differential oracle for exactly that property.
 
-    Popping uses a cursor so the hot path allocates nothing: [pop] returns
-    whether an event was dequeued and the accessors read its fields. *)
+    Popping uses a cursor: [pop] returns whether an event was dequeued
+    and the accessors read its fields. Once capacity is warm, [pop] and
+    [pop_until] allocate nothing. [push] allocates nothing where it is
+    inlined (release builds); as an out-of-line call ([-opaque] dev
+    builds) its caller boxes [time] and [x]. Only capacity growth
+    allocates. The float accessors [time], [arg_x] and [min_time] return
+    a boxed float unless inlined. *)
 
 type t
 
