@@ -15,24 +15,9 @@
    wall-clock seconds), written to $LESSLOG_BENCH_OUT or the working
    directory. The format is documented in EXPERIMENTS.md.
 
-   Part 3 — `main.exe des` runs only the event-core throughput benchmark
-   (Des_bench): packed scheduler vs the closure+heap baseline, plus full
-   Des_sim runs at m = 10 and m = 16, appending BENCH_des.json.
-
-   Part 4 — `main.exe obs` runs the observability overhead gate
-   (Obs_bench): the des m = 10 workload plain vs instrumented, enforcing
-   the < 5% budget and appending BENCH_obs.json.
-
-   Part 5 — `main.exe adaptive` runs the adaptive-replication gates
-   (Adaptive_bench): the native-vs-dynamic-RF curve family against the
-   mean-field oracle, the policy-active determinism check and the
-   multi-file timeline, appending BENCH_adaptive.json.
-
-   Part 6 — `main.exe coldtier` runs the erasure-coded cold-tier gates
-   (Coldtier_bench): storage amplification and repair bytes of the
-   hybrid replicated/coded stack against full replication on the
-   adaptive lifecycle, plus the cold-ledger domain-count determinism
-   check, appending BENCH_coldtier.json.
+   Part 3 — `main.exe obs` runs the observability overhead gate
+   (Obs_bench): the m = 10 Des_sim workload plain vs instrumented,
+   enforcing the < 5% budget and appending BENCH_obs.json.
 
    Set LESSLOG_BENCH_QUICK=1 to run the figures at reduced scale and
    LESSLOG_BENCH_MICRO_ONLY=1 to skip them entirely. *)
@@ -326,11 +311,7 @@ let run_figures () =
   Printf.printf "\nwrote %s\n" (out_file "BENCH_figures.json")
 
 let () =
-  if Array.exists (( = ) "des") Sys.argv then Des_bench.run ()
-  else if Array.exists (( = ) "pdes") Sys.argv then Pdes_bench.run ()
-  else if Array.exists (( = ) "obs") Sys.argv then Obs_bench.run ()
-  else if Array.exists (( = ) "adaptive") Sys.argv then Adaptive_bench.run ()
-  else if Array.exists (( = ) "coldtier") Sys.argv then Coldtier_bench.run ()
+  if Array.exists (( = ) "obs") Sys.argv then Obs_bench.run ()
   else begin
     run_micro ();
     if Sys.getenv_opt "LESSLOG_BENCH_MICRO_ONLY" <> Some "1" then run_figures ()

@@ -1,7 +1,7 @@
 (* `bench obs`: the observability overhead gate.
 
-   Runs the `bench des` m = 10 workload (full event-driven simulator,
-   one Poisson arrival process per node) twice per round — plain, and
+   Runs the m = 10 Des_sim workload (full event-driven simulator, one
+   Poisson arrival process per node) twice per round — plain, and
    with a metrics registry plus span sink attached — on identical seeds,
    interleaved so neither variant systematically lands on a noisier
    stretch of the machine. Each variant keeps its best (minimum) wall

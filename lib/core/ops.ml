@@ -432,38 +432,6 @@ let insert_via ?(now = 0.0) sub cluster ~key =
           f "insert[%s] %S -> P(%d)" sub.Substrate.name key (Pid.to_int p));
       [ p ]
 
-let get_via ?(now = 0.0) ?registry sub cluster ~origin ~key =
-  if Status_word.is_dead (Cluster.status cluster) origin then
-    invalid_arg "Ops.get_via: dead origin";
-  let held = Cluster.holder_bitset cluster ~key in
-  (* A conforming substrate terminates long before visiting every slot;
-     the cap only turns a non-conforming route into a fault instead of a
-     hang. *)
-  let cap = Params.space (Cluster.params cluster) in
-  let rec walk visited hops p =
-    if Lesslog_bits.Packed_bits.get held (Pid.to_int p) then begin
-      File_store.record_access (Cluster.store cluster p) ~key ~now;
-      {
-        server = Some p;
-        hops;
-        path = List.rev (p :: visited);
-        subtree_migrations = 0;
-      }
-    end
-    else if hops >= cap then
-      { server = None; hops; path = List.rev (p :: visited);
-        subtree_migrations = 0 }
-    else
-      match sub.Substrate.next_hop ~key p with
-      | None ->
-          { server = None; hops; path = List.rev (p :: visited);
-            subtree_migrations = 0 }
-      | Some q -> walk (p :: visited) (hops + 1) q
-  in
-  let r = coded_fallback cluster ~now ~key (walk [] 0 origin) in
-  Option.iter (fun reg -> record_get reg r) registry;
-  r
-
 let choose_replica_target_via ~rng sub cluster ~overloaded ~key =
   sub.Substrate.replica_target ~rng
     ~holds:(fun p -> Cluster.holds cluster p ~key)

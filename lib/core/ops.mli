@@ -116,20 +116,6 @@ val insert_via :
     current owner ([\[\]] iff no node is live). On the native substrate
     with [b = 0] this is exactly {!insert}. *)
 
-val get_via :
-  ?now:float ->
-  ?registry:Lesslog_obs.Obs.Registry.t ->
-  Lesslog_substrate.Substrate.t ->
-  Cluster.t ->
-  origin:Pid.t ->
-  key:string ->
-  get_result
-(** GETFILE over a substrate: serve at the first node on the substrate
-    route holding a copy, a fault when the route ends (or exceeds the
-    [2^m] hop cap a conforming substrate never reaches) without one.
-    Identical metrics attribution to {!get}.
-    @raise Invalid_argument when [origin] is dead. *)
-
 val choose_replica_target_via :
   rng:Lesslog_prng.Rng.t ->
   Lesslog_substrate.Substrate.t ->

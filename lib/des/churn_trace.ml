@@ -16,9 +16,9 @@ let default =
   }
 
 let generate ~rng ~live config =
-  if config.mean_session <= 0.0 || config.mean_downtime <= 0.0 then
+  if not (config.mean_session > 0.0 && config.mean_downtime > 0.0) then
     invalid_arg "Churn_trace.generate: means must be positive";
-  if config.fail_fraction < 0.0 || config.fail_fraction > 1.0 then
+  if not (config.fail_fraction >= 0.0 && config.fail_fraction <= 1.0) then
     invalid_arg "Churn_trace.generate: fail_fraction";
   let events = ref [] in
   List.iter

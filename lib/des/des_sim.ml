@@ -460,6 +460,7 @@ let run_internal ~config ~churn ~sink ~obs ~substrate ~policy ~cold_tier ~rng
   | Some { period; _ } when not (period > 0.0) ->
       invalid_arg "Des_sim: eviction period must be > 0"
   | Some _ | None -> ());
+  Overlay.check_loss ~who:"Des_sim" config.loss;
   let params = Cluster.params cluster in
   let plane =
     Control_plane.create ~who:"Des_sim" ~nodes:(Params.space params) policy

@@ -139,8 +139,9 @@ type result = {
     max_int] yields comparable byte accounting under full replication.
     @raise Invalid_argument when the policy's accessor population does
     not match the cluster's PID space, when [cold_tier] is given without
-    [policy], on invalid code/size parameters, or when the eviction
-    period is not [> 0]. *)
+    [policy], on invalid code/size parameters, when the eviction period
+    is not [> 0], or when [config.loss] is outside [[0, 1)] (NaN
+    included). *)
 
 val run :
   ?config:config ->

@@ -433,6 +433,10 @@ let run ?(config = default_config) ?(plan = Faults.empty) ?sink ?obs
     ?substrate ~rng ~cluster ~key ~demand ~duration () =
   if not (config.sample_period > 0.0) then
     invalid_arg "Fault_sim: sample_period must be > 0";
+  Overlay.check_loss ~who:"Fault_sim" config.loss;
+  List.iter
+    (fun (b : Faults.burst) -> Overlay.check_loss ~who:"Fault_sim" b.loss)
+    plan.Faults.bursts;
   let params = Cluster.params cluster in
   let engine = Engine.create () in
   let overlay =

@@ -121,4 +121,6 @@ val run :
     adapter keeps the Section 5 mechanism and is bit-for-bit identical to
     omitting [substrate]). The rpc, dedup and heartbeat layers are
     substrate-independent and run unchanged.
-    @raise Invalid_argument when [config.sample_period] is not [> 0]. *)
+    @raise Invalid_argument when [config.sample_period] is not [> 0], or
+    when [config.loss] or a burst's loss in [plan] is outside [[0, 1)]
+    (NaN included) — checked before the run starts. *)

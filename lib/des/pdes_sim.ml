@@ -27,6 +27,7 @@ open Lesslog_id
 module Engine = Lesslog_sim.Engine
 module Sharded_engine = Lesslog_sim.Sharded_engine
 module Latency = Lesslog_net.Latency
+module Overlay = Lesslog_net.Overlay
 module Status_word = Lesslog_membership.Status_word
 module Subtrees = Lesslog_topology.Subtrees
 module Ptree = Lesslog_ptree.Ptree
@@ -58,11 +59,6 @@ let default_config =
     latency = Latency.default;
     loss = 0.0;
   }
-
-let min_latency = function
-  | Latency.Constant c -> c
-  | Latency.Uniform { lo; _ } -> lo
-  | Latency.Exponential { floor; _ } -> floor
 
 (* FNV-1a folded over native ints, 63-bit wrap — the per-shard event
    digest. Cheap enough to run on every handled event, and combining
@@ -253,25 +249,7 @@ and route_get_replicated st (sh : shard) ~me ~id ~origin ~hops ~issued_at =
     in
     if hops >= Wire.hops_max then fault sh ~id ~origin ~hops ~issued_at
     else begin
-      let next_in_subtree =
-        match
-          Subtrees.first_alive_ancestor_in_subtree st.tree st.status me
-        with
-        | Some _ as a -> a
-        | None -> (
-            (* Dead subtree root: fall back to the insertion scan
-               (modified FINDLIVENODE) before giving up on the subtree. *)
-            let sroot = Subtrees.subtree_root st.tree ~subtree_id:sh.sid in
-            if Status_word.is_live st.status sroot then None
-            else
-              match
-                Subtrees.insertion_target_in_subtree st.tree st.status
-                  ~subtree_id:sh.sid
-              with
-              | Some g when not (Pid.equal g me) -> Some g
-              | Some _ | None -> None)
-      in
-      match next_in_subtree with
+      match Subtrees.route_next_in_subtree st.tree st.status me with
       | Some next -> forward next
       | None ->
           let n = Array.length st.shards in
@@ -708,9 +686,13 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
   in
   if faults.Faults.partitions <> [] then
     invalid_arg "Pdes_sim.run: partitions are not supported";
+  Overlay.check_loss ~who:"Pdes_sim.run" config.loss;
+  List.iter
+    (fun (b : Faults.burst) -> Overlay.check_loss ~who:"Pdes_sim.run" b.loss)
+    faults.Faults.bursts;
   Latency.validate ~who:"Pdes_sim.run" config.latency;
   let nshards = Params.subtree_count params in
-  let lmin = min_latency config.latency in
+  let lmin = Latency.min config.latency in
   if nshards > 1 && not (lmin > 0.0) then
     invalid_arg "Pdes_sim.run: latency minimum must be positive (lookahead)";
   (* With a single subtree there is no cross-shard traffic, so the epoch

@@ -126,7 +126,7 @@ val run :
     (below [k] survivors) degrades requests to reported faults.
     @raise Invalid_argument when [m] exceeds the 24-bit packed origin
     field, the latency model fails [Latency.validate], [b > 0] with a
-    latency minimum of zero, [faults] contains
-    partitions, the policy's accessor population does not match the
-    PID space, [cold_tier] is given without [policy], or on invalid
-    code/size parameters. *)
+    latency minimum of zero, [config.loss] or a burst's loss outside
+    [[0, 1)] (NaN included), [faults] contains partitions, the policy's
+    accessor population does not match the PID space, [cold_tier] is
+    given without [policy], or on invalid code/size parameters. *)

@@ -21,7 +21,7 @@ let overloaded_pids ~capacity (loads : Flow.loads) =
   |> List.map (fun (i, _) -> Pid.unsafe_of_int i)
 
 let run ?max_steps ~rng ~cluster ~key ~demand ~capacity ~policy () =
-  if capacity <= 0.0 then invalid_arg "Balance.run: capacity";
+  if not (capacity > 0.0) then invalid_arg "Balance.run: capacity";
   let params = Cluster.params cluster in
   let max_steps =
     match max_steps with Some s -> s | None -> 4 * Params.space params

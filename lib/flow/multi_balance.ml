@@ -45,7 +45,7 @@ let per_key_loads ~cluster ~catalog ~at =
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 let run ?max_steps ~rng ~cluster ~catalog ~capacity ~policy () =
-  if capacity <= 0.0 then invalid_arg "Multi_balance.run: capacity";
+  if not (capacity > 0.0) then invalid_arg "Multi_balance.run: capacity";
   let params = Cluster.params cluster in
   let max_steps =
     match max_steps with Some s -> s | None -> 8 * Params.space params

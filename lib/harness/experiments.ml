@@ -78,17 +78,6 @@ let one_trial config ~rng ~dead_fraction ~demand_model ~policy ~rate =
   in
   float_of_int outcome.Balance.replicas
 
-let replicas_to_balance config ~rng ~dead_fraction ~demand_model ~policy ~rate =
-  let total = ref 0.0 in
-  for _ = 1 to config.trials do
-    let trial_rng = Rng.split rng in
-    total :=
-      !total
-      +. one_trial config ~rng:trial_rng ~dead_fraction ~demand_model ~policy
-           ~rate
-  done;
-  !total /. float_of_int config.trials
-
 let averaged_point config ~label ~dead_fraction ~demand_model ~policy ~rate =
   let total = ref 0.0 in
   for trial = 1 to config.trials do
@@ -255,8 +244,7 @@ let pdes_oracle_replicas ~total_rate ~capacity =
     invalid_arg "Experiments.pdes_oracle_replicas: capacity must be positive";
   Float.max 1.0 (total_rate /. capacity)
 
-let pdes_point ?(b = 2) ?(domains = 1) ?(fuse = true) ?faults ~m ~rate_per_node
-    ~duration ~capacity ~seed () =
+let pdes_point ~b ~domains ~m ~rate_per_node ~duration ~capacity ~seed =
   let params = Params.create ~b ~m () in
   let status = Status_word.create params ~initially_live:true in
   let nodes = Status_word.live_count status in
@@ -267,8 +255,8 @@ let pdes_point ?(b = 2) ?(domains = 1) ?(fuse = true) ?faults ~m ~rate_per_node
   let config = { Pdes_sim.default_config with capacity } in
   let t0 = Sys.time () in
   let r =
-    Pdes_sim.run ~config ?faults ~domains ~fuse ~seed:run_seed ~params
-      ~key:hot_file ~demand ~duration ()
+    Pdes_sim.run ~config ~domains ~seed:run_seed ~params ~key:hot_file ~demand
+      ~duration ()
   in
   let secs = Sys.time () -. t0 in
   let q h p = if Histogram.count h = 0 then 0.0 else Histogram.quantile h p in
@@ -295,32 +283,11 @@ let pdes_point ?(b = 2) ?(domains = 1) ?(fuse = true) ?faults ~m ~rate_per_node
     pdes_p99_latency = q r.Pdes_sim.latencies 0.99;
   }
 
-(* Churn-heavy row: a generated fault plan (crashes with restarts plus a
-   loss burst, no partitions) replayed through the sharded simulator's
-   barrier globals. The plan is derived from its own seed tag, so the
-   same row is reproducible at any domain count. *)
-let pdes_fault_point ?(b = 2) ?(domains = 1) ?(fuse = true) ~m ~rate_per_node
-    ~duration ~capacity ~seed () =
-  let params = Params.create ~b ~m () in
-  let status = Status_word.create params ~initially_live:true in
-  let tag = Printf.sprintf "%d|pdesfault|%d" seed m in
-  let rng = Rng.create ~seed:(Lesslog_hash.Fnv.hash63 tag land 0x3FFFFFFF) in
-  let live = Status_word.live_pids status in
-  let crash_fraction =
-    Float.min 0.25 (8.0 /. float_of_int (List.length live))
-  in
-  let faults =
-    Lesslog_workload.Faults.generate ~rng ~live ~duration ~crash_fraction
-      ~restart_fraction:0.5 ~bursts:2 ~burst_loss:0.3 ~partitions:0 ()
-  in
-  pdes_point ~b ~domains ~fuse ~faults ~m ~rate_per_node ~duration ~capacity
-    ~seed ()
-
 let pdes_sweep ?(ms = [ 10; 11; 12; 13; 14; 15; 16 ]) ?(b = 2) ?(domains = 1)
     ?(rate_per_node = 2.0) ?(duration = 5.0) ?(capacity = 100.0) ?(seed = 42)
     () =
   List.map
-    (fun m -> pdes_point ~b ~domains ~m ~rate_per_node ~duration ~capacity ~seed ())
+    (fun m -> pdes_point ~b ~domains ~m ~rate_per_node ~duration ~capacity ~seed)
     ms
 
 (* --- Adaptive replication under time-varying demand --------------------- *)
@@ -373,31 +340,30 @@ type adaptive_point = {
   ad_secs : float;
 }
 
-let adaptive_policy ?config ~params ~capacity () =
-  let config =
-    Option.value config
-      ~default:
-        {
-          Rf_policy.default_config with
-          Rf_policy.interval = 0.25;
-          rf_max = Params.space params;
-          capacity = Some capacity;
-        }
-  in
-  Rf_policy.create ~config
-    ~rf0:(min (Params.subtree_count params) config.Rf_policy.rf_max)
-    ~nodes:(Params.space params) ~files:1 ()
-
-let adaptive_point ?(b = 2) ?(domains = 1) ?policy_config ~dynamic ~m ~rate
-    ~duration ~capacity ~seed () =
+let adaptive_point ~b ~domains ~dynamic ~m ~rate ~duration ~capacity ~seed =
   let params = Params.create ~b ~m () in
   let status = Status_word.create params ~initially_live:true in
   let demand = Demand.uniform status ~total:rate in
   let tag = Printf.sprintf "%d|adaptive|%d|%g|%b" seed m rate dynamic in
   let run_seed = Lesslog_hash.Fnv.hash63 tag land 0x3FFFFFFF in
+  (* 0.25 s intervals, capacity-aware classification, RF capped at the
+     slot count, starting from the per-subtree insertion population. *)
   let policy =
-    if dynamic then Some (adaptive_policy ?config:policy_config ~params ~capacity ())
-    else None
+    if not dynamic then None
+    else
+      let space = Params.space params in
+      let config =
+        {
+          Rf_policy.default_config with
+          Rf_policy.interval = 0.25;
+          rf_max = space;
+          capacity = Some capacity;
+        }
+      in
+      Some
+        (Rf_policy.create ~config
+           ~rf0:(min (Params.subtree_count params) space)
+           ~nodes:space ~files:1 ())
   in
   let config = { Pdes_sim.default_config with capacity } in
   let t0 = Sys.time () in
@@ -437,9 +403,9 @@ let adaptive_sweep ?(b = 2) ?(domains = 1) ?(m = 10) ?(duration = 8.0)
     (fun rate ->
       [
         adaptive_point ~b ~domains ~dynamic:false ~m ~rate ~duration ~capacity
-          ~seed ();
+          ~seed;
         adaptive_point ~b ~domains ~dynamic:true ~m ~rate ~duration ~capacity
-          ~seed ();
+          ~seed;
       ])
     rates
 
@@ -478,7 +444,7 @@ type adaptive_step = {
 }
 
 let adaptive_timeline ?(m = 8) ?(capacity = 100.0) ?(seed = 42) ?(files = 8)
-    ?(intervals = 12) ?(shift_every = 4) ?(flash_factor = 25.0) () =
+    ?(intervals = 12) ?(shift_every = 4) () =
   let params = Params.create ~m () in
   let status = Status_word.create params ~initially_live:true in
   let tag s = Lesslog_hash.Fnv.hash63 s land 0x3FFFFFFF in
@@ -487,7 +453,9 @@ let adaptive_timeline ?(m = 8) ?(capacity = 100.0) ?(seed = 42) ?(files = 8)
   let flash =
     {
       Catalog.rank = files - 1;
-      factor = flash_factor;
+      (* A cold file's demand must clear one node's capacity to force
+         replicas. *)
+      factor = 25.0;
       from_i = intervals / 2;
       until_i = min intervals ((intervals / 2) + 2);
     }

@@ -35,27 +35,6 @@ type demand_model = Even | Locality
 val hot_file : string
 (** The key used for the single hot file in every figure. *)
 
-val one_trial :
-  config ->
-  rng:Lesslog_prng.Rng.t ->
-  dead_fraction:float ->
-  demand_model:demand_model ->
-  policy:Lesslog_flow.Policy.t ->
-  rate:float ->
-  float
-(** One run: fresh cluster, [dead_fraction] of the slots killed, one file
-    inserted, demand applied, balanced; returns the replica count. *)
-
-val replicas_to_balance :
-  config ->
-  rng:Lesslog_prng.Rng.t ->
-  dead_fraction:float ->
-  demand_model:demand_model ->
-  policy:Lesslog_flow.Policy.t ->
-  rate:float ->
-  float
-(** {!one_trial} averaged over [config.trials] runs seeded from [rng]. *)
-
 val fig5 : ?config:config -> unit -> Series.t list
 (** Figure 5: evenly-distributed load; one series per policy
     (log-based, LessLog, random). *)
@@ -98,16 +77,6 @@ type des_point = {
   mean_hops : float;
 }
 
-val des_point :
-  m:int ->
-  rate_per_node:float ->
-  duration:float ->
-  capacity:float ->
-  seed:int ->
-  des_point
-(** One {!Lesslog_des.Des_sim} run at identifier-space exponent [m] with
-    total demand [rate_per_node * live_nodes], timed with [Sys.time]. *)
-
 val des_sweep :
   ?ms:int list ->
   ?rate_per_node:float ->
@@ -116,8 +85,10 @@ val des_sweep :
   ?seed:int ->
   unit ->
   des_point list
-(** {!des_point} for each exponent in [ms] (default 10–16, 2 req/s per
-    node, 5 simulated seconds, capacity 100, seed 42). *)
+(** One {!Lesslog_des.Des_sim} run per exponent in [ms] (default 10–16)
+    with total demand [rate_per_node * live_nodes] (default 2 req/s per
+    node), 5 simulated seconds, capacity 100, seed 42; each run is timed
+    with [Sys.time]. *)
 
 val render_des_sweep : des_point list -> string
 (** One table row per sweep point, ready to print. *)
@@ -159,45 +130,9 @@ val pdes_oracle_replicas : total_rate:float -> capacity:float -> float
     [capacity], so the population settles near [total_rate /. capacity]
     (never below the 1 copy insertion guarantees per subtree's worth of
     demand). The simulated end-state should land within a small constant
-    factor — the acceptance gate checks the ratio, not equality, because
+    factor — checks compare the ratio, not equality, because
     cooldowns and discrete copies quantise the approach.
     @raise Invalid_argument if [capacity <= 0]. *)
-
-val pdes_point :
-  ?b:int ->
-  ?domains:int ->
-  ?fuse:bool ->
-  ?faults:Lesslog_workload.Faults.plan ->
-  m:int ->
-  rate_per_node:float ->
-  duration:float ->
-  capacity:float ->
-  seed:int ->
-  unit ->
-  pdes_point
-(** One {!Lesslog_des.Pdes_sim} run at exponent [m] with [2^b] subtrees
-    (default 2, i.e. 4 shards) on [domains] worker domains (default 1),
-    total demand [rate_per_node * live_nodes], timed with [Sys.time].
-    [fuse] and [faults] pass through to {!Lesslog_des.Pdes_sim.run}.
-    The run seed is derived as [hash63 "seed|pdes|m"], so rows are
-    independent and reproducible point-wise. *)
-
-val pdes_fault_point :
-  ?b:int ->
-  ?domains:int ->
-  ?fuse:bool ->
-  m:int ->
-  rate_per_node:float ->
-  duration:float ->
-  capacity:float ->
-  seed:int ->
-  unit ->
-  pdes_point
-(** {!pdes_point} under a churn-heavy generated fault plan (crashes of
-    up to a quarter of the population with 50% restarts, two loss
-    bursts, no partitions) derived from [hash63 "seed|pdesfault|m"] —
-    the workload that exercises barrier globals and cross-epoch traffic
-    rather than the embarrassingly parallel steady state. *)
 
 val pdes_sweep :
   ?ms:int list ->
@@ -209,8 +144,12 @@ val pdes_sweep :
   ?seed:int ->
   unit ->
   pdes_point list
-(** {!pdes_point} for each exponent in [ms] (defaults mirror
-    {!des_sweep}). *)
+(** One {!Lesslog_des.Pdes_sim} run per exponent in [ms] with [2^b]
+    subtrees (default 2, i.e. 4 shards) on [domains] worker domains
+    (default 1), total demand [rate_per_node * live_nodes], timed with
+    [Sys.time]; the other defaults mirror {!des_sweep}. Each run's seed
+    is derived as [hash63 "seed|pdes|m"], so rows are independent and
+    reproducible point-wise. *)
 
 val render_pdes_sweep : pdes_point list -> string
 (** One table row per sweep point, ready to print. *)
@@ -259,35 +198,6 @@ type adaptive_point = {
   ad_secs : float;
 }
 
-val adaptive_policy :
-  ?config:Lesslog_policy.Rf_policy.config ->
-  params:Lesslog_id.Params.t ->
-  capacity:float ->
-  unit ->
-  Lesslog_policy.Rf_policy.t
-(** A fresh single-file policy instance sized to [params]: 0.25 s
-    intervals, capacity-aware classification, RF capped at the slot
-    count, starting from the per-subtree insertion population. *)
-
-val adaptive_point :
-  ?b:int ->
-  ?domains:int ->
-  ?policy_config:Lesslog_policy.Rf_policy.config ->
-  dynamic:bool ->
-  m:int ->
-  rate:float ->
-  duration:float ->
-  capacity:float ->
-  seed:int ->
-  unit ->
-  adaptive_point
-(** One {!Lesslog_des.Pdes_sim} run at total demand [rate]: native
-    logless placement when [dynamic] is false, the dynamic-RF policy
-    (via {!adaptive_policy}, or [policy_config]) when true. The run seed
-    is derived from [seed], [m], [rate] and [dynamic], so points are
-    independent and reproducible; [domains] is a speed knob that leaves
-    [ad_digest] unchanged. *)
-
 val adaptive_sweep :
   ?b:int ->
   ?domains:int ->
@@ -300,7 +210,13 @@ val adaptive_sweep :
   adaptive_point list
 (** The replicas-vs-request-rate curve family: for each rate (default
     500/1,000/2,000 requests/s at m = 10, 8 simulated seconds), one
-    native point and one dynamic-RF point, in that order. *)
+    {!Lesslog_des.Pdes_sim} run with native logless placement and one
+    with the dynamic-RF policy (0.25 s intervals, capacity-aware
+    classification, RF capped at the slot count, starting from the
+    per-subtree insertion population), in that order. Each run's seed
+    is derived from [seed], [m], the rate and the policy, so points are
+    independent and reproducible; [domains] is a speed knob that leaves
+    [ad_digest] unchanged. *)
 
 val render_adaptive : adaptive_point list -> string
 (** One table row per point, ready to print. *)
@@ -325,18 +241,15 @@ val adaptive_timeline :
   ?files:int ->
   ?intervals:int ->
   ?shift_every:int ->
-  ?flash_factor:float ->
   unit ->
   adaptive_step list
 (** The multi-file experiment: a hot/warm/cold
     {!Lesslog_workload.Catalog.timeline} (popularity re-dealt every
-    [shift_every] intervals, one flash crowd of [flash_factor]x in the
-    middle) played against both sides — per interval, the fluid
+    [shift_every] intervals, one 25x flash crowd in the middle) played against both sides — per interval, the fluid
     multi-file balancer's replica population versus the total the
     dynamic-RF policy prescribes from the same demand (file identity
     tracked by name across popularity shifts). Defaults: m = 8, 8
-    files, 12 one-second intervals, shift every 4, flash 25x (a cold
-    file's demand must clear one node's capacity to force replicas). *)
+    files, 12 one-second intervals, shift every 4. *)
 
 val render_adaptive_timeline : adaptive_step list -> string
 (** One table row per interval, ready to print. *)

@@ -60,7 +60,7 @@ let start t ~until =
   end
 
 let create ~engine ?(config = default_config) ~peers ~ping ~on_change () =
-  if config.period <= 0.0 then invalid_arg "Heartbeat.create: period";
+  if not (config.period > 0.0) then invalid_arg "Heartbeat.create: period";
   if config.suspect_after < 1 then invalid_arg "Heartbeat.create: suspect_after";
   let peers =
     Array.map

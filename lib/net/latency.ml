@@ -25,6 +25,11 @@ let validate ~who t =
       if floor < 0.0 then fail "floor must be >= 0";
       if not (mean > 0.0) then fail "mean must be > 0"
 
+let min = function
+  | Constant d -> d
+  | Uniform { lo; _ } -> lo
+  | Exponential { floor; _ } -> floor
+
 (* Inlined at its call sites, so the sampled delay reaches
    [Engine.post] unboxed. *)
 let[@inline] sample t rng =

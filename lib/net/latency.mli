@@ -17,6 +17,10 @@ val validate : who:string -> t -> unit
     corrupt the event order (NaN).
     @raise Invalid_argument ["<who>: latency ..."] naming the bad field. *)
 
+val min : t -> float
+(** The smallest delay the model can sample: the constant, [lo] or
+    [floor]. The sharded simulator's conservative lookahead. *)
+
 val sample : t -> Lesslog_prng.Rng.t -> float
 val mean : t -> float
 val pp : Format.formatter -> t -> unit

@@ -18,14 +18,15 @@ type t = {
   attached : Bytes.t;
 }
 
-let check_loss loss =
-  if loss < 0.0 || loss >= 1.0 then invalid_arg "Overlay: loss"
+(* Written so that NaN fails too. *)
+let check_loss ~who p =
+  if not (p >= 0.0 && p < 1.0) then invalid_arg (who ^ ": loss must be in [0, 1)")
 
 let dst_bits = 24
 let dst_mask = (1 lsl dst_bits) - 1
 
 let create ~engine ~rng ?(latency = Latency.default) ?(loss = 0.0) params =
-  check_loss loss;
+  check_loss ~who:"Overlay.create" loss;
   Latency.validate ~who:"Overlay.create" latency;
   let space = Params.space params in
   if space > dst_mask + 1 then invalid_arg "Overlay.create: space too large";
@@ -58,7 +59,7 @@ let create ~engine ~rng ?(latency = Latency.default) ?(loss = 0.0) params =
   t
 
 let set_loss t loss =
-  check_loss loss;
+  check_loss ~who:"Overlay.set_loss" loss;
   t.loss <- loss
 
 let loss t = t.loss

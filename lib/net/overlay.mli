@@ -18,12 +18,18 @@ val create :
   t
 (** [loss] is the probability a message is silently dropped (default 0).
     Every node starts detached.
-    @raise Invalid_argument on a [latency] that {!Latency.validate}
-    rejects. *)
+    @raise Invalid_argument on a [loss] that {!check_loss} rejects or a
+    [latency] that {!Latency.validate} rejects. *)
 
 val set_loss : t -> float -> unit
 (** Change the drop probability mid-run — loss bursts in fault-injection
-    scenarios. @raise Invalid_argument outside [[0, 1)]. *)
+    scenarios. @raise Invalid_argument as {!check_loss}. *)
+
+val check_loss : who:string -> float -> unit
+(** The one drop-probability check every simulator applies at run entry,
+    to its baseline loss and to every loss burst.
+    @raise Invalid_argument ["<who>: loss must be in [0, 1)"] unless
+    [0 <= p < 1]; NaN is rejected. *)
 
 val loss : t -> float
 

@@ -15,10 +15,10 @@ let create ?(max_retries = default.max_retries) ?(base = default.base)
     ?(factor = default.factor) ?(max_delay = default.max_delay)
     ?(jitter = default.jitter) () =
   if max_retries < 0 then invalid_arg "Retry.create: max_retries";
-  if base <= 0.0 then invalid_arg "Retry.create: base";
+  if not (base > 0.0) then invalid_arg "Retry.create: base";
   if factor < 1.0 then invalid_arg "Retry.create: factor";
   if max_delay < base then invalid_arg "Retry.create: max_delay";
-  if jitter < 0.0 || jitter > 1.0 then invalid_arg "Retry.create: jitter";
+  if not (jitter >= 0.0 && jitter <= 1.0) then invalid_arg "Retry.create: jitter";
   { max_retries; base; factor; max_delay; jitter }
 
 let attempts p = p.max_retries + 1

@@ -101,7 +101,7 @@ let on_timer t id word _ =
 
 let create ~engine ~rng ?(config = default_config) ?on_event ?registry
     ~transmit () =
-  if config.timeout <= 0.0 then invalid_arg "Rpc.create: timeout";
+  if not (config.timeout > 0.0) then invalid_arg "Rpc.create: timeout";
   let t =
     {
       engine;

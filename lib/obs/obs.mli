@@ -2,7 +2,7 @@
     sink, both O(1) and allocation-flat on the hot path, so the
     simulators can stay instrumented even at the m = 16 scale-up
     (see ARCHITECTURE.md, "Observability" — the budget is < 5% on the
-    [bench des] workload, enforced by [bench/obs_bench.ml]).
+    m = 10 [Des_sim] workload, enforced by [bench/obs_bench.ml]).
 
     {!Registry} holds named counters, gauges and histogram-backed
     timers. Registration hands back a handle; updates through the handle

@@ -52,15 +52,15 @@ type t = {
 let create ?(config = default_config) ?rf0 ~nodes ~files () =
   if nodes <= 0 then invalid_arg "Rf_policy.create: nodes";
   if files <= 0 then invalid_arg "Rf_policy.create: files";
-  if config.interval <= 0.0 then invalid_arg "Rf_policy.create: interval";
+  if not (config.interval > 0.0) then invalid_arg "Rf_policy.create: interval";
   if config.rf_min < 1 then invalid_arg "Rf_policy.create: rf_min";
   if config.rf_max < config.rf_min then invalid_arg "Rf_policy.create: rf_max";
   if config.cold_factor > config.hot_factor then
     invalid_arg "Rf_policy.create: cold_factor > hot_factor";
-  if config.history < 0.0 || config.history >= 1.0 then
+  if not (config.history >= 0.0 && config.history < 1.0) then
     invalid_arg "Rf_policy.create: history";
   (match config.capacity with
-  | Some c when c <= 0.0 -> invalid_arg "Rf_policy.create: capacity"
+  | Some c when not (c > 0.0) -> invalid_arg "Rf_policy.create: capacity"
   | _ -> ());
   let rf0 = Option.value rf0 ~default:config.rf_min in
   if rf0 < config.rf_min || rf0 > config.rf_max then

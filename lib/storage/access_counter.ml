@@ -1,7 +1,7 @@
 type t = { tau : float; mutable count : float; mutable stamp : float }
 
 let create ?(tau = 30.0) ~now () =
-  if tau <= 0.0 then invalid_arg "Access_counter.create";
+  if not (tau > 0.0) then invalid_arg "Access_counter.create";
   { tau; count = 0.0; stamp = now }
 
 (* The per-serve entry points are inlined at their callers, so [now]

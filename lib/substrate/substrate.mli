@@ -3,8 +3,9 @@
 
     LessLog's claim (PAPER.md §1.4) is that logless replication rides on
     the lookup structure alone. This record is that boundary made
-    explicit: {!Lesslog.Ops} ([get_via]/[insert_via]/[replicate]) and the
-    simulators ([Des_sim]/[Fault_sim] in substrate mode) speak only this
+    explicit: {!Lesslog.Ops} ([insert_via]/[choose_replica_target_via]/
+    [on_membership_via]) and the simulators ([Des_sim]/[Fault_sim] in
+    substrate mode, which route through [next_hop]) speak only this
     interface, so the identical protocol code, [lib/net] reliability
     layer, and [Obs] span attribution run over the native binomial trees,
     Chord, Pastry, or CAN.

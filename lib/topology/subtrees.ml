@@ -141,10 +141,10 @@ let live_offspring_count_in_subtree tree status p =
     (members tree ~subtree_id:sid)
 
 let route_next_in_subtree tree status p =
-  let sid = subtree_id_of_pid tree p in
   match first_alive_ancestor_in_subtree tree status p with
-  | Some a -> Some a
+  | Some _ as a -> a
   | None ->
+      let sid = subtree_id_of_pid tree p in
       let sroot = subtree_root tree ~subtree_id:sid in
       if Status_word.is_live status sroot then None
       else begin

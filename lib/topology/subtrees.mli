@@ -74,6 +74,12 @@ val live_offspring_count_in_subtree : Ptree.t -> Status_word.t -> Pid.t -> int
 (** Live strict descendants of a node within its own subtree — the
     numerator of the fault-tolerant proportional choice. *)
 
+val route_next_in_subtree : Ptree.t -> Status_word.t -> Pid.t -> Pid.t option
+(** One hop of the advanced GETFILE inside the node's subtree: its first
+    live ancestor there or, when the subtree root is dead, the insertion
+    scan's target (modified FINDLIVENODE) unless that is the node itself.
+    [None] when the request must leave the subtree. *)
+
 val route_path_in_subtree :
   Ptree.t -> Status_word.t -> origin:Pid.t -> Pid.t list
 (** Resolution path of the advanced GETFILE confined to the origin's

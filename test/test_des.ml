@@ -365,10 +365,17 @@ let test_cold_ops_lifecycle () =
 (* The simulator end to end, through the harness lifecycle: flash
    crowd, demotion during the calm, two fragment-holder failures
    (<= r), fragment repair, promotion on the re-heat — the payload
-   survives and requests are served out of fragments. *)
+   survives and requests are served out of fragments. The (10, 4) code
+   keeps a 1.4x footprint through the calm where the rf_min = 3 floor
+   keeps 3x, so the hybrid saves at least 30% of stored bytes; repair
+   is k reads and one write per missing fragment, bounded by rebuilding
+   every parity's worth of fragments plus the two relocated copies the
+   baseline moves. *)
 let test_cold_sim_lifecycle () =
+  let code_k = 10 and code_r = 4 and file_bytes = 1 lsl 20 in
   let points =
-    Experiments.coldtier_run ~m:9 ~calm_duration:10.0 ()
+    Experiments.coldtier_run ~m:9 ~calm_duration:10.0 ~code_k ~code_r
+      ~file_bytes ()
   in
   match points with
   | [ full; hybrid ] ->
@@ -389,8 +396,22 @@ let test_cold_sim_lifecycle () =
         (Float.abs
            (hybrid.Experiments.ct_loss -. full.Experiments.ct_loss)
         <= 0.05);
-      Alcotest.(check bool) "hybrid stores fewer bytes" true
-        (hybrid.Experiments.ct_mean_bytes < full.Experiments.ct_mean_bytes)
+      let ratio =
+        hybrid.Experiments.ct_mean_bytes /. full.Experiments.ct_mean_bytes
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "hybrid stores <= 0.70 of the baseline's bytes (%.3f)"
+           ratio)
+        true (ratio <= 0.70);
+      let frag_bytes = (file_bytes + code_k - 1) / code_k in
+      let repair_bound =
+        (code_r * (code_k + 1) * frag_bytes) + (2 * file_bytes)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "repair %d bytes within the %d-byte rebuild bound"
+           hybrid.Experiments.ct_repair_bytes repair_bound)
+        true
+        (hybrid.Experiments.ct_repair_bytes <= repair_bound)
   | _ -> Alcotest.fail "coldtier_run: expected [full; hybrid]"
 
 (* Every fault is traced, including one resolved at the request's own

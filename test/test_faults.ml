@@ -9,6 +9,14 @@ module Rpc = Lesslog_net.Rpc
 module Retry = Lesslog_net.Retry
 module Rng = Lesslog_prng.Rng
 module F = Fault_sim
+module Des_sim = Lesslog_des.Des_sim
+module Churn_trace = Lesslog_des.Churn_trace
+module Heartbeat = Lesslog_net.Heartbeat
+module Access_counter = Lesslog_storage.Access_counter
+module Rf_policy = Lesslog_policy.Rf_policy
+module Balance = Lesslog_flow.Balance
+module Multi_balance = Lesslog_flow.Multi_balance
+module Policy = Lesslog_flow.Policy
 
 let key = "faults/test-object"
 
@@ -204,6 +212,119 @@ let test_rejects_bad_sample_period () =
                ())))
     [ 0.0; -1.0 ]
 
+(* The one loss check runs at run entry, on the baseline loss and on
+   every burst, so a bad burst fails before the run starts rather than
+   when the run reaches it. *)
+let test_rejects_bad_loss () =
+  let params = Params.create ~m:4 () in
+  let cluster = Cluster.create params in
+  ignore (Ops.insert cluster ~key);
+  let demand = Demand.uniform (Cluster.status cluster) ~total:10.0 in
+  let rng = Rng.create ~seed:1 in
+  List.iter
+    (fun loss ->
+      let rejects label who f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s, loss %g" label loss)
+          (Invalid_argument (who ^ ": loss must be in [0, 1)"))
+          f
+      in
+      rejects "Fault_sim baseline" "Fault_sim" (fun () ->
+          ignore
+            (F.run
+               ~config:{ F.default_config with F.loss }
+               ~rng ~cluster ~key ~demand ~duration:1.0 ()));
+      rejects "Fault_sim burst" "Fault_sim" (fun () ->
+          ignore
+            (F.run
+               ~plan:
+                 {
+                   Faults.empty with
+                   Faults.bursts = [ { Faults.from_ = 0.5; until = 0.8; loss } ];
+                 }
+               ~rng ~cluster ~key ~demand ~duration:1.0 ()));
+      rejects "Des_sim" "Des_sim" (fun () ->
+          ignore
+            (Des_sim.run
+               ~config:{ Des_sim.default_config with Des_sim.loss }
+               ~rng ~cluster ~key ~demand ~duration:1.0 ())))
+    [ -0.5; 1.0; 1.5; Float.nan ]
+
+(* NaN fails every [x <= 0.0] comparison, so each positive-value guard
+   reads [not (x > 0.0)]: a NaN parameter must be rejected at create
+   time, not fail mid-run (a NaN rpc timeout posts a negative delay) or
+   silently disable a mechanism (a NaN policy interval never ticks). *)
+let test_rejects_nan_parameters () =
+  let nan = Float.nan in
+  let engine = Lesslog_sim.Engine.create () in
+  let rng = Rng.create ~seed:1 in
+  let cluster = Cluster.create (Params.create ~m:4 ()) in
+  ignore (Ops.insert cluster ~key);
+  let demand = Demand.uniform (Cluster.status cluster) ~total:10.0 in
+  let rf_policy config =
+    ignore (Rf_policy.create ~config ~nodes:16 ~files:1 ())
+  in
+  let churn_trace config =
+    ignore (Churn_trace.generate ~rng ~live:[] config)
+  in
+  List.iter
+    (fun (msg, f) -> Alcotest.check_raises msg (Invalid_argument msg) f)
+    [
+      ( "Rpc.create: timeout",
+        fun () ->
+          ignore
+            (Rpc.create ~engine ~rng
+               ~config:{ Rpc.default_config with Rpc.timeout = nan }
+               ~transmit:(fun ~id:_ ~attempt:_ () -> ())
+               ()) );
+      ( "Heartbeat.create: period",
+        fun () ->
+          ignore
+            (Heartbeat.create ~engine
+               ~config:{ Heartbeat.default_config with Heartbeat.period = nan }
+               ~peers:[||]
+               ~ping:(fun ~seq:_ _ -> ())
+               ~on_change:(fun _ _ -> ())
+               ()) );
+      ("Retry.create: base", fun () -> ignore (Retry.create ~base:nan ()));
+      ("Retry.create: jitter", fun () -> ignore (Retry.create ~jitter:nan ()));
+      ( "Access_counter.create",
+        fun () -> ignore (Access_counter.create ~tau:nan ~now:0.0 ()) );
+      ( "Churn_trace.generate: means must be positive",
+        fun () ->
+          churn_trace { Churn_trace.default with Churn_trace.mean_session = nan }
+      );
+      ( "Churn_trace.generate: means must be positive",
+        fun () ->
+          churn_trace
+            { Churn_trace.default with Churn_trace.mean_downtime = nan } );
+      ( "Churn_trace.generate: fail_fraction",
+        fun () ->
+          churn_trace
+            { Churn_trace.default with Churn_trace.fail_fraction = nan } );
+      ( "Rf_policy.create: interval",
+        fun () ->
+          rf_policy { Rf_policy.default_config with Rf_policy.interval = nan }
+      );
+      ( "Rf_policy.create: history",
+        fun () ->
+          rf_policy { Rf_policy.default_config with Rf_policy.history = nan } );
+      ( "Rf_policy.create: capacity",
+        fun () ->
+          rf_policy
+            { Rf_policy.default_config with Rf_policy.capacity = Some nan } );
+      ( "Balance.run: capacity",
+        fun () ->
+          ignore
+            (Balance.run ~rng ~cluster ~key ~demand ~capacity:nan
+               ~policy:Policy.Lesslog ()) );
+      ( "Multi_balance.run: capacity",
+        fun () ->
+          ignore
+            (Multi_balance.run ~rng ~cluster ~catalog:[ (key, demand) ]
+               ~capacity:nan ~policy:Policy.Lesslog ()) );
+    ]
+
 let () =
   Alcotest.run "faults"
     [
@@ -224,6 +345,13 @@ let () =
             test_false_suspicions_recover;
           Alcotest.test_case "rejects non-positive sample period" `Quick
             test_rejects_bad_sample_period;
+        ] );
+      ( "validation",
+        [
+          Alcotest.test_case "loss checked at run entry" `Quick
+            test_rejects_bad_loss;
+          Alcotest.test_case "NaN rejected at create" `Quick
+            test_rejects_nan_parameters;
         ] );
       ( "plans",
         [

@@ -195,6 +195,56 @@ let test_des_sweep_smoke () =
         (big.E.served > small.E.served)
   | _ -> Alcotest.fail "expected two points"
 
+(* --- Adaptive replication vs the mean-field oracle --------------------- *)
+
+(* The replicas-vs-rate curve family on the sharded simulator. Each
+   point's end-state population must sit in its policy's band around the
+   oracle max(1, R / capacity): the dynamic-RF policy sizes the replica
+   set from the access log, so its band is tight; the native logless
+   trigger overshoots by design (per-node detection plus cooldown
+   quantisation). Loss may exceed the fluid bound at the end-state
+   population by at most 5 points, the slack for the convergence ramp. *)
+let test_adaptive_curve_in_oracle_band () =
+  let points =
+    E.adaptive_sweep ~m:9 ~duration:6.0 ~rates:[ 500.0; 1000.0; 2000.0 ] ()
+  in
+  Alcotest.(check int) "two policies per rate" 6 (List.length points);
+  List.iter
+    (fun (p : E.adaptive_point) ->
+      let ratio = float_of_int p.E.ad_replicas_end /. p.E.ad_oracle_replicas in
+      let lo, hi =
+        if p.E.ad_label = "dynamic-rf" then (0.6, 2.0) else (1.0, 4.0)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s at %.0f req/s: %d replicas, %.2fx oracle %.1f"
+           p.E.ad_label p.E.ad_rate p.E.ad_replicas_end ratio
+           p.E.ad_oracle_replicas)
+        true
+        (ratio >= lo && ratio <= hi);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s at %.0f req/s: loss %.4f vs fluid bound %.4f"
+           p.E.ad_label p.E.ad_rate p.E.ad_loss p.E.ad_oracle_loss)
+        true
+        (p.E.ad_loss <= p.E.ad_oracle_loss +. 0.05))
+    points
+
+(* The multi-file hot/warm/cold timeline: at every interval the policy's
+   prescribed population stays within [0.5x, 3x] of the per-class
+   oracle. The ramp-rate lag on the flash crowd is expected and bounded
+   by the band. *)
+let test_adaptive_timeline_tracks_oracle () =
+  let steps = E.adaptive_timeline ~intervals:12 () in
+  Alcotest.(check int) "one step per interval" 12 (List.length steps);
+  List.iter
+    (fun (s : E.adaptive_step) ->
+      let ratio = float_of_int s.E.st_rf_replicas /. s.E.st_oracle in
+      Alcotest.(check bool)
+        (Printf.sprintf "interval %d: %d replicas, %.2fx oracle %.1f" s.E.st_i
+           s.E.st_rf_replicas ratio s.E.st_oracle)
+        true
+        (ratio >= 0.5 && ratio <= 3.0))
+    steps
+
 let test_churn_availability_high () =
   let outcomes = A.churn ~m:7 ~duration:20.0 ~events_per_min:[ 0.0; 30.0 ] () in
   List.iter
@@ -239,4 +289,11 @@ let () =
         ] );
       ( "m-sweep",
         [ Alcotest.test_case "des sweep smoke" `Slow test_des_sweep_smoke ] );
+      ( "adaptive",
+        [
+          Alcotest.test_case "curve family in oracle band" `Slow
+            test_adaptive_curve_in_oracle_band;
+          Alcotest.test_case "timeline tracks oracle" `Slow
+            test_adaptive_timeline_tracks_oracle;
+        ] );
     ]

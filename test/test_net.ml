@@ -152,6 +152,22 @@ let test_overlay_loss () =
   Alcotest.(check int) "accounting adds up" 1000
     (Overlay.messages_delivered overlay + Overlay.messages_dropped overlay)
 
+(* The one loss check: [0, 1) with NaN rejected, at creation and on
+   every mid-run change. *)
+let test_overlay_loss_validated () =
+  List.iter
+    (fun loss ->
+      Alcotest.check_raises
+        (Printf.sprintf "create, loss %g" loss)
+        (Invalid_argument "Overlay.create: loss must be in [0, 1)")
+        (fun () -> ignore (make_overlay ~loss ()));
+      let _, overlay = make_overlay () in
+      Alcotest.check_raises
+        (Printf.sprintf "set_loss %g" loss)
+        (Invalid_argument "Overlay.set_loss: loss must be in [0, 1)")
+        (fun () -> Overlay.set_loss overlay loss))
+    [ -0.5; 1.0; 1.5; Float.nan ]
+
 let test_overlay_in_flight_ordering () =
   (* Two messages with different latencies arrive in latency order, not
      send order. *)
@@ -194,6 +210,8 @@ let () =
             test_overlay_no_handler_drops;
           Alcotest.test_case "detach drops" `Quick test_overlay_detach;
           Alcotest.test_case "loss injection" `Quick test_overlay_loss;
+          Alcotest.test_case "loss validated" `Quick
+            test_overlay_loss_validated;
           Alcotest.test_case "latency ordering" `Quick
             test_overlay_in_flight_ordering;
         ] );

@@ -209,6 +209,7 @@ let check_same_result msg (a : Pdes.result) (b : Pdes.result) =
   Alcotest.(check int)
     (msg ^ ": replicas_end") a.Pdes.replicas_end b.Pdes.replicas_end;
   Alcotest.(check int) (msg ^ ": messages") a.Pdes.messages b.Pdes.messages;
+  Alcotest.(check int) (msg ^ ": events") a.Pdes.events b.Pdes.events;
   Alcotest.(check int)
     (msg ^ ": latency count")
     (Histogram.count a.Pdes.latencies)
@@ -405,7 +406,7 @@ let test_pdes_faulted_domain_invariance () =
         (Printf.sprintf "faulted, %d domains" domains)
         base
         (run_faulted ~domains ()))
-    [ 2; 8 ];
+    [ 2; 4; 8 ];
   let unfused = run_faulted ~fuse:false ~domains:2 () in
   check_same_result "faulted, unfused" base unfused;
   Alcotest.(check int) "unfused: one dispatch per epoch" unfused.Pdes.epochs
@@ -414,8 +415,9 @@ let test_pdes_faulted_domain_invariance () =
     (base.Pdes.phases < base.Pdes.epochs)
 
 let test_pdes_loss_burst_drops_messages () =
-  (* A wall-to-wall loss burst at p = 1 suppresses every overlay message
-     for its span, so far fewer requests resolve than in the quiet run. *)
+  (* A wall-to-wall loss burst at p = 0.99 suppresses almost every
+     overlay message for its span, so far fewer requests resolve than in
+     the quiet run. *)
   let params = Params.create ~m:8 ~b:2 () in
   let status = Status_word.create params ~initially_live:true in
   let demand = Demand.uniform status ~total:900.0 in
@@ -430,13 +432,43 @@ let test_pdes_loss_burst_drops_messages () =
          {
            Faults.empty with
            Faults.bursts =
-             [ { Faults.from_ = 0.1; until = 1.9; loss = 1.0 } ];
+             [ { Faults.from_ = 0.1; until = 1.9; loss = 0.99 } ];
          })
   in
   Alcotest.(check bool) "burst suppresses resolutions" true
     (bursty.Pdes.served * 2 < quiet.Pdes.served);
   Alcotest.(check bool) "demand kept flowing" true
     (bursty.Pdes.requests > 100)
+
+(* Baseline and burst losses outside [0, 1) — NaN included — are
+   rejected before any shard is built. *)
+let test_pdes_loss_validated () =
+  let params = Params.create ~m:6 ~b:1 () in
+  let status = Status_word.create params ~initially_live:true in
+  let demand = Demand.uniform status ~total:100.0 in
+  let run ?faults loss () =
+    ignore
+      (Pdes.run
+         ~config:{ Pdes.default_config with loss }
+         ?faults ~seed:1 ~params ~key:"lossy" ~demand ~duration:0.5 ())
+  in
+  let burst loss =
+    {
+      Faults.empty with
+      Faults.bursts = [ { Faults.from_ = 0.1; until = 0.3; loss } ];
+    }
+  in
+  List.iter
+    (fun loss ->
+      Alcotest.check_raises
+        (Printf.sprintf "loss %g" loss)
+        (Invalid_argument "Pdes_sim.run: loss must be in [0, 1)")
+        (run loss);
+      Alcotest.check_raises
+        (Printf.sprintf "burst loss %g" loss)
+        (Invalid_argument "Pdes_sim.run: loss must be in [0, 1)")
+        (run ~faults:(burst loss) 0.0))
+    [ -0.5; 1.0; 1.5; Float.nan ]
 
 let test_pdes_partitions_rejected () =
   let params = Params.create ~m:6 ~b:1 () in
@@ -525,10 +557,11 @@ let () =
         ] );
       ( "pdes-faults",
         [
-          Alcotest.test_case "faulted run bit-identical at 1/2/8 domains"
+          Alcotest.test_case "faulted run bit-identical at 1/2/4/8 domains"
             `Quick test_pdes_faulted_domain_invariance;
           Alcotest.test_case "loss burst drops messages" `Quick
             test_pdes_loss_burst_drops_messages;
+          Alcotest.test_case "loss validated" `Quick test_pdes_loss_validated;
           Alcotest.test_case "partitions rejected" `Quick
             test_pdes_partitions_rejected;
           Alcotest.test_case "latency model validated" `Quick
