@@ -4,7 +4,6 @@ module Ptree = Lesslog_ptree.Ptree
 module File_store = Lesslog_storage.File_store
 module Psi = Lesslog_hash.Psi
 module Packed_bits = Lesslog_bits.Packed_bits
-module Topology = Lesslog_topology.Topology
 
 type t = {
   params : Params.t;
@@ -26,9 +25,6 @@ type t = {
      [holds] is a bit test and [holders] a live-AND-holder word walk. *)
   holder_index : (string, Packed_bits.t) Hashtbl.t;
   mutable last_holders : (string * Packed_bits.t) option;
-  (* (key, status epoch, router) — revalidated by an int compare, saving
-     the domain-local cache lookup on every request walk. *)
-  mutable last_router : (string * int * Topology.router) option;
 }
 
 let holder_bits t key =
@@ -58,7 +54,6 @@ let make params status =
       last_tree = None;
       holder_index = Hashtbl.create 16;
       last_holders = None;
-      last_router = None;
     }
   in
   Array.iteri
@@ -106,15 +101,6 @@ let tree_of_key t key =
       tree
 
 let target_of_key t key = Ptree.root (tree_of_key t key)
-
-let router_of_key t key =
-  let epoch = Status_word.epoch t.status in
-  match t.last_router with
-  | Some (k, e, r) when e = epoch && (k == key || String.equal k key) -> r
-  | _ ->
-      let r = Topology.router (tree_of_key t key) t.status in
-      t.last_router <- Some (key, epoch, r);
-      r
 
 let holds t p ~key = Packed_bits.get (holder_bits t key) (Pid.to_int p)
 

@@ -43,12 +43,6 @@ val tree_of_key : t -> string -> Ptree.t
     are pure functions of the key, so the same tree value is returned on
     every call (the common repeated key costs a pointer compare). *)
 
-val router_of_key : t -> string -> Lesslog_topology.Topology.router
-(** The key's current next-hop table ({!Lesslog_topology.Topology.router}),
-    revalidated against the status word's epoch. Same freshness contract
-    as the router itself: fetch per walk, do not hold across membership
-    changes. *)
-
 val tree_of : t -> Pid.t -> Ptree.t
 (** The lookup tree rooted at an arbitrary node. *)
 

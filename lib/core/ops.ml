@@ -96,34 +96,30 @@ let holds_fragment cluster p ~key =
       in
       scan 0
 
+(* Walk hop by hop instead of materializing the full route first: the
+   common request is answered within a hop or two, so computing the rest
+   of the route (and its list) would be wasted work. Each hop is one
+   on-the-fly ROUTE-NEXT climb over the status word. *)
+let rec walk_single cluster held tree status ~now ~key visited hops p =
+  if Lesslog_bits.Packed_bits.get held (Pid.to_int p) then begin
+    File_store.record_access (Cluster.store cluster p) ~key ~now;
+    { server = Some p; hops; path = List.rev (p :: visited);
+      subtree_migrations = 0 }
+  end
+  else
+    match Topology.route_next_int tree status (Pid.to_int p) with
+    | -1 ->
+        { server = None; hops; path = List.rev (p :: visited);
+          subtree_migrations = 0 }
+    | q ->
+        walk_single cluster held tree status ~now ~key (p :: visited)
+          (hops + 1) (Pid.unsafe_of_int q)
+
 let get_single_tree cluster ~now ~origin ~key =
-  (* Walk hop by hop instead of materializing the full route first: the
-     common request is answered within a hop or two, so computing the
-     rest of the route (and its list) would be wasted work. *)
-  let held = Cluster.holder_bitset cluster ~key in
-  let router = Cluster.router_of_key cluster key in
-  let rec walk visited hops p =
-    if Lesslog_bits.Packed_bits.get held (Pid.to_int p) then begin
-      File_store.record_access (Cluster.store cluster p) ~key ~now;
-      {
-        server = Some p;
-        hops;
-        path = List.rev (p :: visited);
-        subtree_migrations = 0;
-      }
-    end
-    else
-      match Topology.next_hop_int router (Pid.to_int p) with
-      | -1 ->
-          {
-            server = None;
-            hops;
-            path = List.rev (p :: visited);
-            subtree_migrations = 0;
-          }
-      | q -> walk (p :: visited) (hops + 1) (Pid.unsafe_of_int q)
-  in
-  walk [] 0 origin
+  walk_single cluster
+    (Cluster.holder_bitset cluster ~key)
+    (Cluster.tree_of_key cluster key)
+    (Cluster.status cluster) ~now ~key [] 0 origin
 
 let get_fault_tolerant cluster ~now ~origin ~key =
   let tree = Cluster.tree_of_key cluster key in

@@ -3,10 +3,10 @@
 
     Every field delegates to the exact calls the direct code path makes —
     [next_hop] is {!Lesslog_topology.Topology.route_next} on the key's
-    tree (answered out of the epoch-revalidated {!Topology_cache} fast
-    path), [owner] is the FINDLIVENODE insertion target, [neighbors] is
-    the advanced-model children list, and [replica_target] is
-    {!Ops.choose_replica_target} including the Section 3 proportional
+    tree (the same climb over the status word as the direct path's
+    [route_next_int]), [owner] is the FINDLIVENODE insertion target,
+    [neighbors] is the advanced-model children list, and [replica_target]
+    is {!Ops.choose_replica_target} including the Section 3 proportional
     choice and its single [rng] draw — so simulations routed through this
     adapter are bit-for-bit identical to the direct path (pinned by the
     golden digest and the event-for-event differential test).

@@ -73,9 +73,7 @@ let[@inline] emit_request t ~origin ~server ~hops =
 let[@inline] route_step t me =
   match t.substrate with
   | None ->
-      Topology.next_hop_int
-        (Topology.router t.tree (Cluster.status t.cluster))
-        (Pid.to_int me)
+      Topology.route_next_int t.tree (Cluster.status t.cluster) (Pid.to_int me)
   | Some sub -> (
       match sub.Substrate.next_hop ~key:t.key me with
       | Some next -> Pid.to_int next

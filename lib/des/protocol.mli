@@ -68,9 +68,9 @@ val forward :
   t -> me:Pid.t -> id:int -> origin:Pid.t -> hops:int -> issued_at:float -> bool
 (** Send the GET one hop along the route; [false] at a dead end or a
     hop-field overflow, which the caller reports. The route step is one
-    int, [-1] at the end of the route: a load from [Topology.router]'s
-    table on the direct path, the substrate's [next_hop] answer
-    otherwise. *)
+    int, [-1] at the end of the route: [Topology.route_next_int]'s
+    climb over the status word on the direct path, the substrate's
+    [next_hop] answer otherwise. *)
 
 val record_serve : t -> server:Pid.t -> unit
 (** The store's access record and the node's rate estimator. *)

@@ -9,10 +9,12 @@
     layer can answer "highest live PID below x" with a single popcount /
     floor-log2 word scan.
 
-    Each mutation that actually changes a bit bumps a monotonic {!epoch}.
-    Derived structures (the topology cache) record the epoch they were
-    built at and rebuild lazily when it moves — the epoch-invalidation
-    contract documented in ARCHITECTURE.md. *)
+    Each mutation that actually changes a bit bumps a monotonic {!epoch}
+    and records the flipped PID in a fixed ring of the last {!ring_size}
+    deltas. Derived structures (the topology cache) record the epoch they
+    were built at; when it moves they replay the ring's deltas, or rebuild
+    once they have fallen more than {!ring_size} epochs behind — the
+    epoch-invalidation contract documented in ARCHITECTURE.md. *)
 
 open Lesslog_id
 
@@ -25,8 +27,8 @@ val of_live_list : Params.t -> Pid.t list -> t
 (** Only the listed PIDs are live. *)
 
 val copy : t -> t
-(** Fresh status word with the same membership; it has its own {!uid} and
-    its epoch restarts at 0. *)
+(** Fresh status word with the same membership; it has its own {!uid},
+    its epoch restarts at 0 and its delta ring starts empty. *)
 
 val params : t -> Params.t
 
@@ -35,6 +37,17 @@ val epoch : t -> int
     that changes a bit (idempotent no-ops do not bump it). A derived
     structure is valid exactly while the epoch it was built at is
     current. *)
+
+val ring_size : int
+(** Number of membership deltas the ring keeps: 64. *)
+
+val flipped : t -> int -> int
+(** [flipped t e] is [Pid.to_int] of the PID whose flip moved the epoch
+    from [e - 1] to [e]. Meaningful only for
+    [epoch t - ring_size < e <= epoch t] and [e >= 1]; older slots have
+    been overwritten. The delta says which bit moved, not which way: a
+    reader re-reads the PID's current liveness, so replaying a window
+    in any order, with repeats, lands on the current membership. *)
 
 val uid : t -> int
 (** Process-unique identity of this status word, distinct across {!copy}.
@@ -91,7 +104,9 @@ val random_dead : t -> Lesslog_prng.Rng.t -> Pid.t option
 
 val kill_fraction : t -> Lesslog_prng.Rng.t -> fraction:float -> Pid.t list
 (** Mark a uniformly chosen [fraction] of the currently live nodes dead and
-    return them — the paper's 10/20/30%-dead configurations. *)
+    return them — the paper's 10/20/30%-dead configurations.
+    @raise Invalid_argument unless [fraction] is in [\[0, 1\]] (NaN
+    included). *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -96,6 +96,7 @@ end
    counterexample. Never set outside tests. *)
 module Testing = struct
   let broken_find_live_node = ref false
+  let broken_catch_up = Topology_cache.broken_catch_up
 end
 
 let entry tree status = Topology_cache.get status ~comp:(Ptree.comp tree)
@@ -131,23 +132,27 @@ let max_live tree status =
    answer is just the maximum live VID. *)
 let insertion_target = max_live
 
+(* The first live strict ancestor of VID [v], as a PID, or [-1]: climb
+   in VID space, where the parent sets the highest zero bit (P2), testing
+   each ancestor's bit of the status word's own bitset through comp. A
+   toplevel function with explicit arguments, so a hop allocates no
+   closure. *)
+let rec climb bits mask comp v =
+  let zeros = lnot v land mask in
+  if zeros = 0 then -1
+  else
+    let v = v lor (1 lsl Bitops.floor_log2 zeros) in
+    let p = v lxor comp in
+    if Packed_bits.get bits p then p else climb bits mask comp v
+
 let first_alive_ancestor tree status p =
-  (* Climb in VID space: the parent sets the highest zero bit (P2). Pure
-     bit arithmetic over the status word's own bitset — individual
-     liveness tests translate through comp directly, so this path never
-     touches the cache. *)
-  let mask = Params.mask (Ptree.params tree) in
   let comp = Ptree.comp tree in
-  let bits = Status_word.live_bits status in
-  let rec climb v =
-    let zeros = lnot v land mask in
-    if zeros = 0 then None
-    else
-      let v' = v lor (1 lsl Bitops.floor_log2 zeros) in
-      let p' = v' lxor comp in
-      if Packed_bits.get bits p' then Some (Pid.unsafe_of_int p') else climb v'
-  in
-  climb (Pid.to_int p lxor comp)
+  match
+    climb (Status_word.live_bits status) (Params.mask (Ptree.params tree))
+      comp (Pid.to_int p lxor comp)
+  with
+  | -1 -> None
+  | q -> Some (Pid.unsafe_of_int q)
 
 let has_live_with_greater_vid tree status p =
   let e = entry tree status in
@@ -208,23 +213,30 @@ let live_offspring_count tree status p =
     if Packed_bits.get vids v then !count - 1 else !count
   end
 
-type router = int array
+(* ROUTE-NEXT of PID [pi]: its first live ancestor; at the root, or when
+   every ancestor is dead and so is the root, FINDLIVENODE's maximum live
+   VID unless [pi] is that node. Only the last case reads the cache. *)
+let route_next_int tree status pi =
+  let mask = Params.mask (Ptree.params tree) and comp = Ptree.comp tree in
+  let bits = Status_word.live_bits status in
+  let q = climb bits mask comp (pi lxor comp) in
+  if q >= 0 || Packed_bits.get bits (mask lxor comp) then q
+  else
+    let g = (entry tree status).Topology_cache.max_live_vid in
+    if g < 0 || g = pi lxor comp then -1 else g lxor comp
 
-let router tree status = Topology_cache.next_pids (entry tree status)
+type router = Topology_cache.entry
 
-let next_hop_int (r : router) pi = Array.unsafe_get r pi
+let router = entry
 
-let next_hop r p =
-  match next_hop_int r (Pid.to_int p) with
+let route_next tree status p =
+  match route_next_int tree status (Pid.to_int p) with
   | -1 -> None
   | q -> Some (Pid.unsafe_of_int q)
 
-let route_next tree status p = next_hop (router tree status) p
-
 let route_path tree status ~origin =
-  let r = router tree status in
   let rec go acc p =
-    match next_hop_int r (Pid.to_int p) with
+    match route_next_int tree status (Pid.to_int p) with
     | -1 -> List.rev (p :: acc)
     | q -> go (p :: acc) (Pid.unsafe_of_int q)
   in

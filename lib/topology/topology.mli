@@ -2,12 +2,14 @@
     (Section 3).
 
     All queries combine a physical lookup tree with the membership status
-    word. The toplevel functions answer out of the domain-local
+    word. Routing ({!route_next_int} and everything built on it) climbs
+    the status word's own bits on the fly: at most m bit tests per hop,
+    no per-tree table. The selects answer out of the domain-local
     {!Topology_cache}: the live set re-expressed in VID space as a packed
-    bitset, revalidated lazily against the status word's epoch. Selects
-    like {!find_live_node} and {!max_live} become word scans
-    (O(space/62)), ancestry climbs become pure bit arithmetic, and
-    {!children_list} is memoized per (epoch, node).
+    bitset, caught up lazily to the status word's epoch from its
+    membership deltas. {!find_live_node} and {!max_live} become word
+    scans (O(space/62)) and {!children_list} is memoized per
+    (epoch, node).
 
     {!Naive} keeps the original per-node scans; the cached versions are
     verified bit-identical against them by the differential tests. *)
@@ -20,10 +22,14 @@ module Ptree = Lesslog_ptree.Ptree
     ([lib/check]) to validate itself: with {!Testing.broken_find_live_node}
     set, the cached {!find_live_node} deliberately scans {e upward} in VID
     space, violating FINDLIVENODE whenever the start node is dead. The
-    checker must then find and shrink a counterexample. Never set this
+    checker must then find and shrink a counterexample. With
+    {!Testing.broken_catch_up} set, the cache's delta catch-up skips the
+    oldest delta of its window, so its VID view drifts from membership;
+    the checker's cache-coherence oracle must catch it. Never set either
     outside tests. *)
 module Testing : sig
   val broken_find_live_node : bool ref
+  val broken_catch_up : bool ref
 end
 
 val find_live_node : Ptree.t -> Status_word.t -> start:Pid.t -> Pid.t option
@@ -68,21 +74,25 @@ val live_offspring_count : Ptree.t -> Status_word.t -> Pid.t -> int
     live members of that class: O(min(2^n, live) ) bit tests instead of a
     fold over every live node with an ancestry climb each. *)
 
+val route_next_int : Ptree.t -> Status_word.t -> int -> int
+(** [route_next_int tree status (Pid.to_int p)] is {!route_next} as an
+    int, [-1] at the end of the route. It climbs P2 over the status
+    word's bits — set the highest zero VID bit, test that ancestor's
+    PID — so a hop is at most m bit tests and allocates nothing. Only
+    when every ancestor and the root are dead does it read the cache's
+    maximum live VID. No bounds check: the caller guarantees the argument
+    is a valid PID of the tree. *)
+
 type router
-(** A snapshot of every ROUTE-NEXT answer for one (tree, status) pair —
-    the cache's lazily built per-PID next-hop table. Valid until the next
-    status-word mutation: fetch it once per request walk, use it
-    immediately, do not store it across mutations. *)
+(** The validated {!Topology_cache} entry of one (tree, status) pair.
+    Routing needs no table ({!route_next_int} climbs the status word), so
+    fetching a router only brings the cache's VID view up to the status
+    word's epoch: a catch-up from the delta ring, or a rebuild. After a
+    join, or a leave that reinserts a file, {!Self_org} has usually
+    caught the entry up already (through {!insertion_target}), so a
+    fetch that follows one is only a lookup on a current entry. *)
 
 val router : Ptree.t -> Status_word.t -> router
-
-val next_hop : router -> Pid.t -> Pid.t option
-(** Same answer as {!route_next}, as one array load. *)
-
-val next_hop_int : router -> int -> int
-(** [next_hop_int r (Pid.to_int p)] is [Pid.to_int] of the next hop, or
-    [-1] at the end of the route. No bounds check: the caller guarantees
-    the argument is a valid PID of the router's tree. *)
 
 val route_next : Ptree.t -> Status_word.t -> Pid.t -> Pid.t option
 (** One forwarding hop of the advanced GETFILE from a live node: the first

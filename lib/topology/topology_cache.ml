@@ -8,9 +8,10 @@ type entry = {
   mutable epoch : int;
   vids : Packed_bits.t;
   mutable max_live_vid : int;
-  mutable next_pids : int array;
   children : (int, Pid.t list) Hashtbl.t;
 }
+
+let broken_catch_up = ref false
 
 type state = { mutable last : entry option; table : (int, entry) Hashtbl.t }
 
@@ -35,9 +36,33 @@ let rebuild e =
       Packed_bits.set vids (p lxor comp));
   e.max_live_vid <-
     Packed_bits.first_set_at_or_below vids (Packed_bits.length vids - 1);
-  e.next_pids <- [||];
   Hashtbl.reset e.children;
   e.epoch <- Status_word.epoch e.status
+
+(* Replay the deltas of epochs (e.epoch, now], at most ring_size of them.
+   Each bit is re-synced to its PID's current liveness, so order and
+   repeats within the window do not matter. A VID that joined above the
+   old maximum is in the window, so the new maximum is the highest live
+   VID at or below max(old maximum, every live replayed VID). *)
+let catch_up e now =
+  let status = e.status and comp = e.comp and vids = e.vids in
+  let live = Status_word.live_bits status in
+  let top = ref e.max_live_vid in
+  for ep = e.epoch + (if !broken_catch_up then 2 else 1) to now do
+    let p = Status_word.flipped status ep in
+    let v = p lxor comp in
+    if Packed_bits.get live p then begin
+      Packed_bits.set vids v;
+      if v > !top then top := v
+    end
+    else Packed_bits.clear vids v
+  done;
+  let top = !top in
+  e.max_live_vid <-
+    (if top < 0 || Packed_bits.get vids top then top
+     else Packed_bits.first_set_at_or_below vids top);
+  Hashtbl.reset e.children;
+  e.epoch <- now
 
 let make status ~comp =
   let space = Params.space (Status_word.params status) in
@@ -48,7 +73,6 @@ let make status ~comp =
       epoch = -1;
       vids = Packed_bits.create space;
       max_live_vid = -1;
-      next_pids = [||];
       children = Hashtbl.create 16;
     }
   in
@@ -56,40 +80,11 @@ let make status ~comp =
   e
 
 let validate e =
-  if e.epoch <> Status_word.epoch e.status then rebuild e;
+  let now = Status_word.epoch e.status in
+  if e.epoch <> now then
+    if now - e.epoch <= Status_word.ring_size then catch_up e now
+    else rebuild e;
   e
-
-let next_pids e =
-  if Array.length e.next_pids <> 0 then e.next_pids
-  else begin
-    let space = Packed_bits.length e.vids in
-    let mask = space - 1 in
-    let comp = e.comp in
-    let vids = e.vids in
-    let root_live = Packed_bits.get vids mask in
-    let g = e.max_live_vid in
-    (* First alive ancestor per VID, by descending-VID dynamic
-       programming: parents have larger VIDs, so faa.(parent) is final
-       when v is processed — O(space) total instead of O(space * m). *)
-    let faa = Array.make space (-1) in
-    for v = space - 2 downto 0 do
-      let pv =
-        v lor (1 lsl Lesslog_bits.Bitops.floor_log2 (lnot v land mask))
-      in
-      faa.(v) <- (if Packed_bits.get vids pv then pv else faa.(pv))
-    done;
-    let next = Array.make space (-1) in
-    for v = 0 to space - 1 do
-      let a = faa.(v) in
-      next.(v lxor comp) <-
-        (if a >= 0 then a lxor comp
-         else if root_live then -1
-         else if g >= 0 && g <> v then g lxor comp
-         else -1)
-    done;
-    e.next_pids <- next;
-    next
-  end
 
 let get status ~comp =
   let s = Domain.DLS.get dls in

@@ -5,8 +5,14 @@
     constant — to the live set re-expressed in VID space, plus the cached
     maximum live VID and a memo table for children lists. Entries
     revalidate lazily: each access compares the entry's recorded epoch
-    with the status word's current {!Lesslog_membership.Status_word.epoch}
-    and rebuilds the VID view (O(space/62 + live)) when membership moved.
+    with the status word's current {!Lesslog_membership.Status_word.epoch}.
+    When membership moved by at most
+    {!Lesslog_membership.Status_word.ring_size} epochs, the entry catches
+    up from the status word's delta ring in O(Δ): each flipped PID's VID
+    bit is re-synced, the maximum live VID is raised by a join or
+    re-selected when it left, and the children memo is cleared. An entry
+    further behind rebuilds the VID view from scratch (O(space/62 +
+    live)).
 
     State is domain-local ({!Domain.DLS}): the experiment harness fans
     trials out across real domains, and a shared mutable cache would race.
@@ -20,24 +26,22 @@ module Packed_bits = Lesslog_bits.Packed_bits
 type entry = private {
   status : Status_word.t;
   comp : int;
-  mutable epoch : int;  (** status epoch the VID view was built at *)
+  mutable epoch : int;  (** status epoch the VID view is current at *)
   vids : Packed_bits.t;  (** bit [v] set iff the node with VID [v] is live *)
   mutable max_live_vid : int;  (** largest set VID, [-1] when none *)
-  mutable next_pids : int array;
-      (** per-PID route_next answers ([-1] = end of route), built lazily
-          by {!next_pids}; [\[||\]] when not built for this epoch *)
   children : (int, Pid.t list) Hashtbl.t;
-      (** children-list memo, keyed by PID; cleared on rebuild *)
+      (** children-list memo, keyed by PID; cleared on every catch-up
+          and rebuild *)
 }
 
 val get : Status_word.t -> comp:int -> entry
-(** The current, validated entry for this (status word, tree) pair. The
-    returned value is only guaranteed fresh until the next status-word
-    mutation; hot paths should use it immediately, not store it. *)
+(** The current, validated entry for this (status word, tree) pair: caught
+    up or rebuilt to the status word's epoch. The returned value is only
+    guaranteed fresh until the next status-word mutation; hot paths should
+    use it immediately, not store it. *)
 
-val next_pids : entry -> int array
-(** The entry's route table: [(next_pids e).(p)] is [Pid.to_int] of
-    ROUTE-NEXT(p) in this tree, or [-1] when [p] ends the route. Built on
-    first demand per epoch by a descending-VID dynamic program (each
-    node's first alive ancestor extends its parent's answer), O(space).
-    Same freshness contract as {!get}. *)
+val broken_catch_up : bool ref
+(** Test-only fault injection, re-exported as
+    [Topology.Testing.broken_catch_up]: when set, a catch-up skips the
+    oldest delta of its window. Never set this outside tests. *)
+

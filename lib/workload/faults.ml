@@ -48,14 +48,28 @@ let generate ~rng ~live ~duration ?(active_until = 0.6)
     ?(crash_fraction = 0.05) ?(restart_fraction = 0.5) ?mean_downtime
     ?(bursts = 1) ?(burst_loss = 0.5) ?mean_burst ?(partitions = 0)
     ?(partition_fraction = 0.25) ?mean_partition () =
-  if duration <= 0.0 then invalid_arg "Faults.generate: duration";
-  if active_until <= 0.05 || active_until > 0.75 then
-    invalid_arg "Faults.generate: active_until";
+  let fail msg = invalid_arg ("Faults.generate: " ^ msg) in
+  let positive name x = if not (x > 0.0) then fail (name ^ " must be > 0") in
+  let fraction name p =
+    if not (0.0 <= p && p <= 1.0) then fail (name ^ " must be in [0, 1]")
+  in
+  let count name k = if k < 0 then fail (name ^ " must be >= 0") in
+  positive "duration" duration;
+  if not (0.05 < active_until && active_until <= 0.75) then
+    fail "active_until must be in (0.05, 0.75]";
+  fraction "crash_fraction" crash_fraction;
+  fraction "restart_fraction" restart_fraction;
+  fraction "partition_fraction" partition_fraction;
+  count "bursts" bursts;
+  count "partitions" partitions;
   let mean_downtime = Option.value mean_downtime ~default:(duration /. 8.0) in
   let mean_burst = Option.value mean_burst ~default:(duration /. 10.0) in
   let mean_partition =
     Option.value mean_partition ~default:(duration /. 10.0)
   in
+  positive "mean_downtime" mean_downtime;
+  positive "mean_burst" mean_burst;
+  positive "mean_partition" mean_partition;
   let settle = 0.75 *. duration in
   let start_in () =
     let lo = 0.05 *. duration and hi = active_until *. duration in

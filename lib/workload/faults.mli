@@ -71,4 +71,8 @@ val generate :
     [duration / 10]); [partitions = 0] cuts of
     [partition_fraction = 0.25] of the nodes (direction drawn uniformly
     from both/inbound/outbound) lasting ~[mean_partition] (default
-    [duration / 10]). *)
+    [duration / 10]).
+    @raise Invalid_argument naming the argument unless [duration] and
+    every mean are [> 0], [active_until] is in [(0.05, 0.75]], every
+    fraction is in [\[0, 1\]] and the counts are [>= 0]; NaN is
+    rejected everywhere. *)

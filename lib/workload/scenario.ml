@@ -6,7 +6,7 @@ let of_phases phases =
   if phases = [] then invalid_arg "Scenario.of_phases: empty";
   List.iter
     (fun p ->
-      if p.duration <= 0.0 then
+      if not (p.duration > 0.0) then
         invalid_arg "Scenario.of_phases: non-positive duration")
     phases;
   { phases; total = List.fold_left (fun acc p -> acc +. p.duration) 0.0 phases }

@@ -8,7 +8,8 @@ type phase = { demand : Demand.t; duration : float }
 type t
 
 val of_phases : phase list -> t
-(** @raise Invalid_argument on an empty list or non-positive duration. *)
+(** @raise Invalid_argument on an empty list or a phase duration that is
+    not [> 0] (NaN included). *)
 
 val phases : t -> phase list
 

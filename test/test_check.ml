@@ -213,6 +213,36 @@ let test_mutation_found_and_shrunk () =
       Sys.remove path;
       Sys.rmdir dir
 
+(* The cache-coherence oracle must also catch a topology cache whose
+   delta catch-up drifts from membership: with the catch-up skipping the
+   oldest delta of each window, exploration must find a violation of
+   that oracle and shrink it, and the flag must be off again after. *)
+let test_catch_up_mutation_found () =
+  let flag = Topology.Testing.broken_catch_up in
+  flag := true;
+  let result =
+    Fun.protect
+      ~finally:(fun () -> flag := false)
+      (fun () ->
+        Checker.explore ~log:ignore ~seed:42 ~m:8 ~iterations:20 ())
+  in
+  Alcotest.(check bool) "flag reset" false !flag;
+  match result with
+  | Checker.Clean _ -> Alcotest.fail "broken catch-up not detected"
+  | Checker.Found f ->
+      Alcotest.(check string)
+        "cache-coherence fired" "cache-coherence"
+        f.Checker.violation.Checker.oracle;
+      Alcotest.(check string)
+        "same oracle after shrink" f.Checker.violation.Checker.oracle
+        f.Checker.shrunk_violation.Checker.oracle;
+      Alcotest.(check bool)
+        "shrunk to <= 12 steps" true
+        (List.length f.Checker.shrunk.Schedule.steps <= 12);
+      Alcotest.(check bool)
+        "clean without the flag" true
+        (Result.is_ok (Checker.run f.Checker.shrunk))
+
 let test_explore_output_deterministic () =
   let capture () =
     let buf = Buffer.create 1024 in
@@ -266,6 +296,8 @@ let () =
             test_mutation_flag_restored;
           Alcotest.test_case "mutation found and shrunk" `Slow
             test_mutation_found_and_shrunk;
+          Alcotest.test_case "catch-up mutation found" `Slow
+            test_catch_up_mutation_found;
           Alcotest.test_case "explore deterministic" `Slow
             test_explore_output_deterministic;
           Alcotest.test_case "derive_seed" `Quick test_derive_seed;

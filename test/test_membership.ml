@@ -73,6 +73,28 @@ let test_kill_fraction () =
       Alcotest.(check bool) "victim dead" true (Status_word.is_dead s v))
     victims
 
+(* Out-of-range and NaN fractions are rejected by name, before any node
+   dies; the closed range's ends are accepted. *)
+let test_kill_fraction_validated () =
+  List.iter
+    (fun (fraction, ok) ->
+      let s = Status_word.create params ~initially_live:true in
+      let kill () = Status_word.kill_fraction s (Rng.create ~seed:3) ~fraction in
+      let label = Printf.sprintf "fraction %g" fraction in
+      if ok then ignore (kill ())
+      else begin
+        Alcotest.check_raises label
+          (Invalid_argument
+             "Status_word.kill_fraction: fraction must be in [0, 1]")
+          (fun () -> ignore (kill ()));
+        Alcotest.(check int) (label ^ ": nobody killed") 32
+          (Status_word.live_count s)
+      end)
+    [
+      (Float.nan, false); (-0.5, false); (1.5, false); (Float.infinity, false);
+      (0.0, true); (1.0, true);
+    ]
+
 let test_equal () =
   let a = Status_word.of_live_list params (Test_support.pids [ 1; 2 ]) in
   let b = Status_word.of_live_list params (Test_support.pids [ 2; 1 ]) in
@@ -196,6 +218,8 @@ let () =
           Alcotest.test_case "random_live" `Quick test_random_live;
           Alcotest.test_case "random_dead" `Quick test_random_dead;
           Alcotest.test_case "kill_fraction" `Quick test_kill_fraction;
+          Alcotest.test_case "kill_fraction validated" `Quick
+            test_kill_fraction_validated;
           Alcotest.test_case "equality" `Quick test_equal;
           Alcotest.test_case "epoch semantics" `Quick test_epoch;
           Alcotest.test_case "uid uniqueness" `Quick test_uid_distinct;

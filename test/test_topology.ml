@@ -4,6 +4,7 @@ module Ptree = Lesslog_ptree.Ptree
 module Vtree = Lesslog_vtree.Vtree
 module Topology = Lesslog_topology.Topology
 module Subtrees = Lesslog_topology.Subtrees
+module Rng = Lesslog_prng.Rng
 
 let params4 = Params.create ~m:4 ()
 let pid = Pid.unsafe_of_int
@@ -419,10 +420,9 @@ let prop_cached_matches_naive =
    query at quiescence after each mutation, this interleaves single
    queries *between* kill/revive/join mutations. Each query touches the
    cache in a different partial state — a children memo built this epoch,
-   a route table not yet built, a VID view about to be invalidated — so a
-   revalidation path that skips part of the rebuild (stale max-live VID,
-   surviving memo entries, a route table from the previous epoch) shows
-   up as a single-query divergence from the oracle. *)
+   a VID view a few deltas behind — so a revalidation path that skips
+   part of the catch-up (stale max-live VID, surviving memo entries)
+   shows up as a single-query divergence from the oracle. *)
 let prop_cached_mid_epoch =
   Test_support.qcheck_case ~name:"cached topology = naive oracle mid-epoch"
     QCheck2.Gen.(
@@ -489,6 +489,115 @@ let test_cache_isolation () =
   Alcotest.(check bool) "copy still sees P(6) dead" true
     (Status_word.is_dead snapshot (pid 6))
 
+(* Delta catch-up, deterministically: full query sweeps separated by
+   windows of exactly 0, 1, 63, 64, 65 and 200 effective mutations, so an
+   entry catches up from the ring (up to 64 deltas behind) or rebuilds
+   (further behind). A window first flips a marker PID that nothing else
+   in it touches, so a catch-up that loses its oldest delta leaves the
+   marker's bit stale; then it re-flips PID 7 every fourth step, kills
+   tree A's current max-live node and revives a node above it. Tree B is
+   swept every second window, so its catch-ups span two windows (64 of
+   them land exactly on the ring size), and a copy taken mid-sequence
+   runs its own windows against its own ring. [prop_cached_mid_epoch]
+   rarely leaves more than 64 epochs between queries, so it seldom
+   reaches the overflow rebuild. *)
+let test_catch_up_windows () =
+  let params = Params.create ~m:6 () in
+  let mask = Params.mask params in
+  let tree_a = Ptree.make params ~root:(pid 0)
+  and tree_b = Ptree.make params ~root:(pid 45) in
+  let rng = Rng.create ~seed:23 in
+  (* Reads only the status word and the naive scans, never the cache, so
+     the entries see the whole window at their next query. *)
+  let marker = pid 50 in
+  let mutate status n =
+    let toggle p =
+      if Status_word.is_live status p then Status_word.set_dead status p
+      else Status_word.set_live status p
+    in
+    let flip p = if not (Pid.equal p marker) then toggle p in
+    let stop = Status_word.epoch status + n in
+    if n > 0 then toggle marker;
+    let step = ref 0 in
+    while Status_word.epoch status < stop do
+      (match !step mod 4 with
+      | 0 -> flip (pid 7)
+      | 1 -> (
+          match Topology.Naive.max_live tree_a status with
+          | Some g when not (Pid.equal g marker) -> Status_word.set_dead status g
+          | Some _ | None -> ())
+      | 2 ->
+          let top =
+            match Topology.Naive.max_live tree_a status with
+            | Some g -> Vid.to_int (Ptree.vid_of_pid tree_a g)
+            | None -> -1
+          in
+          if top < mask then
+            flip
+              (Ptree.pid_of_vid tree_a
+                 (Vid.unsafe_of_int (top + 1 + Rng.int rng (mask - top))))
+      | _ -> flip (pid (Rng.int rng (mask + 1))));
+      incr step
+    done
+  in
+  let agree label tree status =
+    Alcotest.(check bool) label true (all_queries_agree params tree status)
+  in
+  let status = Status_word.create params ~initially_live:true in
+  agree "A initially" tree_a status;
+  agree "B initially" tree_b status;
+  let copy = ref None in
+  List.iteri
+    (fun i n ->
+      mutate status n;
+      let label = Printf.sprintf "window %d (%d mutations)" i n in
+      agree ("A, " ^ label) tree_a status;
+      if i mod 2 = 1 then agree ("B, " ^ label) tree_b status;
+      if i = 4 then begin
+        let c = Status_word.copy status in
+        agree "A on the copy" tree_a c;
+        copy := Some c
+      end;
+      Option.iter
+        (fun c ->
+          mutate c n;
+          agree ("A on the copy, " ^ label) tree_a c;
+          agree ("B on the copy, " ^ label) tree_b c)
+        !copy)
+    [ 0; 1; 63; 64; 65; 200; 30; 34; 3; 61; 1 ]
+
+(* The property tests stop at m = 8; this checks the climb on wider
+   VIDs, m = 14 and m = 20. Sampled PIDs on a 40%-dead word, for a tree
+   whose root is live and one whose root is dead (the migration hop). *)
+let test_route_wide_m () =
+  List.iter
+    (fun m ->
+      let params = Params.create ~m () in
+      let space = Params.space params in
+      let status = Status_word.create params ~initially_live:true in
+      let rng = Rng.create ~seed:m in
+      ignore (Status_word.kill_fraction status rng ~fraction:0.4);
+      let live_root = Option.get (Status_word.random_live status rng)
+      and dead_root = Option.get (Status_word.random_dead status rng) in
+      List.iter
+        (fun root ->
+          let tree = Ptree.make params ~root in
+          let check query naive cached p =
+            Alcotest.(check (option int))
+              (Printf.sprintf "m=%d root=%d %s %d" m (Pid.to_int root) query
+                 (Pid.to_int p))
+              (Option.map Pid.to_int (naive tree status p))
+              (Option.map Pid.to_int (cached tree status p))
+          in
+          for _ = 1 to 300 do
+            let p = pid (Rng.int rng space) in
+            check "first_alive_ancestor" Topology.Naive.first_alive_ancestor
+              Topology.first_alive_ancestor p;
+            check "route_next" Topology.Naive.route_next Topology.route_next p
+          done)
+        [ live_root; dead_root ])
+    [ 14; 20 ]
+
 let () =
   Alcotest.run "topology"
     [
@@ -543,5 +652,9 @@ let () =
           prop_cached_mid_epoch;
           Alcotest.test_case "cache isolation across trees/copies" `Quick
             test_cache_isolation;
+          Alcotest.test_case "catch-up windows vs naive" `Quick
+            test_catch_up_windows;
+          Alcotest.test_case "route climb at m = 14, 20 vs naive" `Quick
+            test_route_wide_m;
         ] );
     ]

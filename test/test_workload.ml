@@ -173,6 +173,59 @@ let test_scenario_rejects_bad_phases () =
     (Invalid_argument "Scenario.of_phases: non-positive duration") (fun () ->
       ignore (Scenario.of_phases [ { Scenario.demand = d; duration = 0.0 } ]))
 
+module Faults = Lesslog_workload.Faults
+
+(* Fault-plan and scenario inputs are checked at entry and each message
+   names the argument: NaN, out-of-range fractions and negative counts
+   used to pass silently or fail deep inside the sampler. *)
+let test_bad_fault_and_scenario_inputs () =
+  let live =
+    Status_word.live_pids (Status_word.create params ~initially_live:true)
+  in
+  let gen ?(duration = 10.0) ?active_until ?crash_fraction ?restart_fraction
+      ?bursts ?mean_burst ?partitions ?partition_fraction () () =
+    ignore
+      (Faults.generate ~rng:(Rng.create ~seed:1) ~live ~duration ?active_until
+         ?crash_fraction ?restart_fraction ?bursts ?mean_burst ?partitions
+         ?partition_fraction ())
+  in
+  let faults msg = "Faults.generate: " ^ msg in
+  let demand =
+    Demand.uniform (Status_word.create params ~initially_live:true) ~total:1.0
+  in
+  let phase duration () =
+    ignore (Scenario.of_phases [ { Scenario.demand; duration } ])
+  in
+  List.iter
+    (fun (label, msg, f) ->
+      Alcotest.check_raises label (Invalid_argument msg) f)
+    [
+      ("duration nan", faults "duration must be > 0", gen ~duration:nan ());
+      ( "active_until nan", faults "active_until must be in (0.05, 0.75]",
+        gen ~active_until:nan () );
+      ( "crash_fraction nan", faults "crash_fraction must be in [0, 1]",
+        gen ~crash_fraction:nan () );
+      ( "crash_fraction -0.5", faults "crash_fraction must be in [0, 1]",
+        gen ~crash_fraction:(-0.5) () );
+      ( "crash_fraction 1.5", faults "crash_fraction must be in [0, 1]",
+        gen ~crash_fraction:1.5 () );
+      ( "restart_fraction 2.0", faults "restart_fraction must be in [0, 1]",
+        gen ~restart_fraction:2.0 () );
+      ( "partition_fraction nan", faults "partition_fraction must be in [0, 1]",
+        gen ~partitions:1 ~partition_fraction:nan () );
+      ( "partition_fraction 3.0", faults "partition_fraction must be in [0, 1]",
+        gen ~partitions:1 ~partition_fraction:3.0 () );
+      ("mean_burst 0", faults "mean_burst must be > 0", gen ~mean_burst:0.0 ());
+      ("bursts -1", faults "bursts must be >= 0", gen ~bursts:(-1) ());
+      ("partitions -1", faults "partitions must be >= 0", gen ~partitions:(-1) ());
+      ( "phase duration nan", "Scenario.of_phases: non-positive duration",
+        phase nan );
+    ];
+  (* The ends of every closed range are still accepted. *)
+  gen ~crash_fraction:0.0 ~restart_fraction:1.0 ~partitions:1
+    ~partition_fraction:1.0 ~active_until:0.75 () ();
+  gen ~crash_fraction:1.0 ~restart_fraction:0.0 ~bursts:0 () ()
+
 let test_flash_crowd_scenario () =
   let status = Status_word.create params ~initially_live:true in
   let rng = Rng.create ~seed:9 in
@@ -357,6 +410,8 @@ let () =
         [
           Alcotest.test_case "phase lookup" `Quick test_scenario_phases;
           Alcotest.test_case "bad phases" `Quick test_scenario_rejects_bad_phases;
+          Alcotest.test_case "bad fault and scenario inputs" `Quick
+            test_bad_fault_and_scenario_inputs;
           Alcotest.test_case "flash crowd" `Quick test_flash_crowd_scenario;
         ] );
       ( "catalog",
