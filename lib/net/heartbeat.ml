@@ -19,7 +19,9 @@ type t = {
   engine : Engine.t;
   config : config;
   peers : peer array;
-  index : (int, peer) Hashtbl.t;  (* PID int -> peer *)
+  index : int array;
+      (* PID int -> position in [peers], [-1] when not monitored; sized
+         to the largest monitored PID *)
   ping : seq:int -> Pid.t -> unit;
   on_change : Pid.t -> verdict -> unit;
   mutable next_seq : int;
@@ -31,22 +33,22 @@ type t = {
 
 let round t =
   t.rounds <- t.rounds + 1;
-  Array.iter
-    (fun p ->
-      if (not p.answered) && p.last_seq >= 0 then begin
-        p.misses <- p.misses + 1;
-        if p.misses >= t.config.suspect_after && not p.suspected then begin
-          p.suspected <- true;
-          t.suspicions <- t.suspicions + 1;
-          t.on_change p.pid `Suspect
-        end
-      end;
-      let seq = t.next_seq in
-      t.next_seq <- t.next_seq + 1;
-      p.last_seq <- seq;
-      p.answered <- false;
-      t.ping ~seq p.pid)
-    t.peers
+  for i = 0 to Array.length t.peers - 1 do
+    let p = t.peers.(i) in
+    if (not p.answered) && p.last_seq >= 0 then begin
+      p.misses <- p.misses + 1;
+      if p.misses >= t.config.suspect_after && not p.suspected then begin
+        p.suspected <- true;
+        t.suspicions <- t.suspicions + 1;
+        t.on_change p.pid `Suspect
+      end
+    end;
+    let seq = t.next_seq in
+    t.next_seq <- t.next_seq + 1;
+    p.last_seq <- seq;
+    p.answered <- false;
+    t.ping ~seq p.pid
+  done
 
 (* One round now, then one per period while [now <= until]: each round
    posts the next as an event of the detector's tick handler, carrying
@@ -68,8 +70,12 @@ let create ~engine ?(config = default_config) ~peers ~ping ~on_change () =
         { pid; misses = 0; suspected = false; last_seq = -1; answered = true })
       peers
   in
-  let index = Hashtbl.create (Array.length peers) in
-  Array.iter (fun p -> Hashtbl.replace index (Pid.to_int p.pid) p) peers;
+  let index =
+    Array.make
+      (Array.fold_left (fun acc p -> max acc (Pid.to_int p.pid + 1)) 0 peers)
+      (-1)
+  in
+  Array.iteri (fun i p -> index.(Pid.to_int p.pid) <- i) peers;
   let t =
     {
       engine;
@@ -88,26 +94,31 @@ let create ~engine ?(config = default_config) ~peers ~ping ~on_change () =
   t.tick_h <- Engine.register_handler engine (fun _ _ until -> start t ~until);
   t
 
+(* Position of [pid] in [t.peers], [-1] when it is not monitored. *)
+let[@inline] find t pid =
+  let i = Pid.to_int pid in
+  if i >= 0 && i < Array.length t.index then Array.unsafe_get t.index i else -1
+
 let pong t ~peer ~seq =
-  match Hashtbl.find_opt t.index (Pid.to_int peer) with
-  | None -> ()
-  | Some p ->
-      (* Accept any sequence number we actually sent to this peer: a pong
-         that raced the next round is still evidence of life. *)
-      if seq <= p.last_seq then begin
-        if seq = p.last_seq then p.answered <- true;
-        p.misses <- 0;
-        if p.suspected then begin
-          p.suspected <- false;
-          t.recoveries <- t.recoveries + 1;
-          t.on_change p.pid `Trust
-        end
+  let k = find t peer in
+  if k >= 0 then begin
+    let p = t.peers.(k) in
+    (* Accept any sequence number we actually sent to this peer: a pong
+       that raced the next round is still evidence of life. *)
+    if seq <= p.last_seq then begin
+      if seq = p.last_seq then p.answered <- true;
+      p.misses <- 0;
+      if p.suspected then begin
+        p.suspected <- false;
+        t.recoveries <- t.recoveries + 1;
+        t.on_change p.pid `Trust
       end
+    end
+  end
 
 let suspected t pid =
-  match Hashtbl.find_opt t.index (Pid.to_int pid) with
-  | None -> false
-  | Some p -> p.suspected
+  let k = find t pid in
+  k >= 0 && t.peers.(k).suspected
 
 let suspected_count t =
   Array.fold_left (fun acc p -> if p.suspected then acc + 1 else acc) 0 t.peers

@@ -13,7 +13,11 @@
 
     The detector is deliberately fallible in the ways a real one is: under
     message loss it raises false suspicions that later recover, and a
-    crash is only detected [suspect_after * period] seconds late. *)
+    crash is only detected [suspect_after * period] seconds late.
+
+    Peers are found through an int array from PID to peer, sized to the
+    largest monitored PID, so {!pong} and {!suspected} allocate nothing;
+    a round is a loop over the peers. *)
 
 open Lesslog_id
 
@@ -47,11 +51,14 @@ val start : t -> until:float -> unit
     that {!create} registered with the engine. *)
 
 val pong : t -> peer:Pid.t -> seq:int -> unit
-(** Evidence of life. Unknown peers and forged sequence numbers are
-    ignored; stale sequence numbers still count. *)
+(** Evidence of life. Unmonitored peers (any PID not in [peers],
+    including one above the largest monitored PID or a negative one) and
+    forged sequence numbers are ignored; stale sequence numbers still
+    count. *)
 
 val suspected : t -> Pid.t -> bool
-(** Current verdict for a monitored peer ([false] for unmonitored ones). *)
+(** Current verdict for a monitored peer ([false] for unmonitored ones,
+    whatever their PID). *)
 
 val suspected_count : t -> int
 

@@ -91,3 +91,19 @@ let qcheck_rand ~name =
 let qcheck_case ?(count = 300) ~name gen law =
   QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ~name)
     (QCheck2.Test.make ~count ~name gen law)
+
+(* Allocation gates --------------------------------------------------- *)
+
+(* Minor words per call of [cycle] over a third round of [n] calls; the
+   first two rounds warm whatever capacity the cycle grows. *)
+let words_per_cycle ~n cycle =
+  let round () =
+    for _ = 1 to n do
+      cycle ()
+    done
+  in
+  round ();
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  (Gc.minor_words () -. w0) /. float_of_int n
