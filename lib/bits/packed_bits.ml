@@ -142,6 +142,17 @@ let iter_clear t f =
     if zeros <> 0 then iter_word (w * bits_per_word) zeros f
   done
 
+let count_inter a b =
+  if a.len <> b.len then invalid_arg "Packed_bits.count_inter: length mismatch";
+  let n = ref 0 in
+  for w = 0 to Array.length a.words - 1 do
+    n :=
+      !n
+      + Bitops.popcount
+          (Array.unsafe_get a.words w land Array.unsafe_get b.words w)
+  done;
+  !n
+
 let iter_inter a b f =
   if a.len <> b.len then invalid_arg "Packed_bits.iter_inter: length mismatch";
   for w = 0 to Array.length a.words - 1 do

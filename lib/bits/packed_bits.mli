@@ -68,6 +68,11 @@ val fold_set : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 val iter_clear : t -> (int -> unit) -> unit
 (** Ascending order over clear indices below [length]. *)
 
+val count_inter : t -> t -> int
+(** [count_inter a b] is the number of members of [a AND b], by word
+    popcount, with no allocation. The two sets must have the same length.
+    @raise Invalid_argument when the lengths differ. *)
+
 val iter_inter : t -> t -> (int -> unit) -> unit
 (** [iter_inter a b f] calls [f] on every member of [a AND b], ascending.
     The two sets must have the same length. *)

@@ -140,4 +140,8 @@ let count_copies t ~key pred =
 let replica_count t ~key =
   count_copies t ~key (fun o -> o = File_store.Replicated)
 
-let total_copies t ~key = count_copies t ~key (fun _ -> true)
+(* The holder bitset is exact (the store observers set a bit on every
+   add and clear it on every remove), so the live copies are the live
+   holders: a popcount, with no per-holder store lookup. *)
+let total_copies t ~key =
+  Packed_bits.count_inter (Status_word.live_bits t.status) (holder_bits t key)

@@ -84,4 +84,6 @@ val replica_count : t -> key:string -> int
 (** Number of live replicated (non-inserted) copies. *)
 
 val total_copies : t -> key:string -> int
-(** Live copies of any origin. *)
+(** Live copies of any origin: the popcount of the live set AND the
+    key's holder bitset, O(space / 62) word operations with no
+    allocation. *)

@@ -146,7 +146,7 @@ let obs_resolved st ~id ~origin ~server ~hops ~issued_at =
         ~dur:(now st -. issued_at)
         ~server ~hops ~attempt:0
 
-let serve st ~server ~id ~origin ~issued_at ~hops =
+let[@inline] serve st ~server ~id ~origin ~issued_at ~hops =
   let i = Pid.to_int server in
   Protocol.record_serve st.p ~server;
   st.served <- st.served + 1;
@@ -198,7 +198,10 @@ let[@inline] get_step st ~me ~id ~origin ~hops ~issued_at =
         if not (Protocol.forward st.p ~me ~id ~origin ~hops ~issued_at) then
           fault st ~id ~origin ~hops ~issued_at
 
-let handle st ~me ~src b x =
+(* Inlined into the overlay's receive closure, so the message's [x],
+   read there from the engine, stays unboxed down to the histogram and
+   the next send. *)
+let[@inline] handle st ~me ~src b x =
   match Wire.kind b with
   | Wire.Get ->
       get_step st ~me ~id:(Wire.id b)
@@ -233,7 +236,7 @@ let issue_request st ~origin =
    next inter-arrival gap — a self-rescheduling packed event, no closure
    chain. A node that died since stops its chain (and a later rejoin does
    not restart it, matching the documented semantics). *)
-let on_arrival st origin_i phase _x =
+let on_arrival st origin_i phase =
   let origin = Pid.unsafe_of_int origin_i in
   if Status_word.is_live (Cluster.status st.p.cluster) origin then begin
     issue_request st ~origin;
@@ -297,7 +300,7 @@ let start_eviction st ~duration =
           Engine.post_at st.p.engine ~time:t ~h:!h ~a:0 ~b:0 ~x:0.0
       in
       h :=
-        Engine.register_handler st.p.engine (fun _ _ _ ->
+        Engine.register st.p.engine (fun _ _ ->
             evict st ~min_rate;
             arm ());
       arm ()
@@ -390,7 +393,7 @@ let start_policy st ~duration =
           Engine.post_at st.p.engine ~time:ticks.(i) ~h:!h ~a:i ~b:0 ~x:0.0
       in
       h :=
-        Engine.register_handler st.p.engine (fun i _ _ ->
+        Engine.register st.p.engine (fun i _ ->
             Control_plane.tick pl ~demote:(demote st) ~promote:(promote st)
               ~enforce:(fun () -> policy_enforce st pl.policy);
             Option.iter
@@ -443,7 +446,7 @@ let churn st p change =
 let apply_churn st events =
   let events = Array.of_list events in
   let h =
-    Engine.register_handler st.p.engine (fun i _ _ ->
+    Engine.register st.p.engine (fun i _ ->
         let status = Cluster.status st.p.cluster in
         match events.(i).action with
         | Join p -> if Status_word.is_dead status p then churn st p `Join
@@ -518,9 +521,9 @@ let run_internal ~config ~churn ~sink ~obs ~substrate ~policy ~cold_tier ~rng
     }
   in
   (match st.cold with Some c -> sample_bytes st ~t:0.0 c | None -> ());
-  st.h_arrival <- Engine.register_handler engine (on_arrival st);
+  st.h_arrival <- Engine.register engine (on_arrival st);
   Overlay.set_packed_recv overlay
-    (Some (fun ~src ~dst b x -> handle st ~me:dst ~src b x));
+    (Some (fun ~src ~dst b -> handle st ~me:dst ~src b (Engine.x engine)));
   Status_word.iter_live (Cluster.status cluster) (fun p ->
       Overlay.attach overlay p);
   Timeseries.record st.replica_timeline ~time:0.0

@@ -141,7 +141,7 @@ let detector st = Option.get st.detector
 
 (* The reply for [id] reached its origin: count it served unless the
    tracker already settled the request (duplicate reply, or exhausted). *)
-let completed st ~id ~server ~hops ~issued_at =
+let[@inline] completed st ~id ~server ~hops ~issued_at =
   if Rpc.complete (rpc st) ~id then begin
     st.served <- st.served + 1;
     let latency = now st -. issued_at in
@@ -154,7 +154,7 @@ let completed st ~id ~server ~hops ~issued_at =
 
 (* First delivery of a request ID does the work; duplicates only re-send
    the reply, so retransmission is idempotent at the server. *)
-let serve st ~server ~id ~origin ~issued_at ~hops =
+let[@inline] serve st ~server ~id ~origin ~issued_at ~hops =
   if Rpc.Dedup.first st.dedup ~id then begin
     Protocol.record_serve st.p ~server;
     Protocol.emit_request st.p ~origin:(Pid.to_int origin)
@@ -183,7 +183,9 @@ let transmit st ~id ~attempt:_ origin =
     get_step st ~me:origin ~id ~origin ~hops:0
       ~issued_at:(Rpc.issued_at (rpc st) ~id)
 
-let handle st ~me ~src b x =
+(* Inlined into the overlay's receive closure, like {!Des_sim}'s, so the
+   message's [x] stays unboxed. *)
+let[@inline] handle st ~me ~src b x =
   match Wire.kind b with
   | Wire.Get ->
       get_step st ~me ~id:(Wire.id b)
@@ -279,7 +281,7 @@ let restart st p =
    partition's index in the plan. *)
 let schedule_plan st (plan : Faults.plan) =
   let engine = st.p.engine in
-  let on f = Engine.register_handler engine (fun a _ _ -> f a) in
+  let on f = Engine.register engine (fun a _ -> f a) in
   let at time h a = Engine.post_at engine ~time ~h ~a ~b:0 ~x:0.0 in
   let h_crash = on (fun node -> crash st (Pid.unsafe_of_int node)) in
   let h_restart = on (fun node -> restart st (Pid.unsafe_of_int node)) in
@@ -356,7 +358,8 @@ let start_sampling st ~quiet_from ~duration =
       Engine.post_at st.p.engine ~time ~h:!h ~a:0 ~b:0 ~x:time
   in
   h :=
-    Engine.register_handler st.p.engine (fun _ _ time ->
+    Engine.register st.p.engine (fun _ _ ->
+        let time = Engine.x st.p.engine in
         let a = agreement st in
         Timeseries.record st.agreement_timeline ~time a;
         if
@@ -380,7 +383,8 @@ let start_arrivals st ~demand ~until =
       Engine.post_at st.p.engine ~time:t ~h:!h ~a:origin ~b:0 ~x:rate
   in
   h :=
-    Engine.register_handler st.p.engine (fun origin_i _ rate ->
+    Engine.register st.p.engine (fun origin_i _ ->
+        let rate = Engine.x st.p.engine in
         let origin = Pid.unsafe_of_int origin_i in
         if truth_live st origin then begin
           (* Ids are packed unwrapped into a GET's id field. *)
@@ -506,7 +510,7 @@ let run ?(config = default_config) ?(plan = Faults.empty) ?sink ?obs
          ~on_change:(fun p verdict -> on_verdict st p verdict)
          ());
   Overlay.set_packed_recv overlay
-    (Some (fun ~src ~dst b x -> handle st ~me:dst ~src b x));
+    (Some (fun ~src ~dst b -> handle st ~me:dst ~src b (Engine.x engine)));
   Array.iter (fun p -> Overlay.attach st.p.overlay p) monitored;
   schedule_plan st plan;
   Heartbeat.start (detector st) ~until:duration;

@@ -159,7 +159,7 @@ let total_copies (st : state) =
    {e sending} shard's stream; a cross-subtree delivery goes through the
    sharded engine's mailboxes (its latency is >= the distribution
    minimum, i.e. the lookahead, by construction). *)
-let send_msg st (sh : shard) ~dst ~b ~x =
+let[@inline] send_msg st (sh : shard) ~dst ~b ~x =
   sh.messages <- sh.messages + 1;
   if not (st.loss > 0.0 && Rng.bernoulli sh.rng ~p:st.loss) then begin
     let delay = Latency.sample st.config.latency sh.rng in
@@ -190,7 +190,7 @@ let maybe_replicate st (sh : shard) ~overloaded =
         Protocol.Trigger.arm sh.trigger sv ~now;
         send_msg st sh ~dst:dest ~b:(Wire.push ~version:0) ~x:0.0
 
-let serve st (sh : shard) ~server ~id ~origin ~issued_at ~hops =
+let[@inline] serve st (sh : shard) ~server ~id ~origin ~issued_at ~hops =
   let sv = svid_of st server in
   let now = Engine.now sh.eng in
   Protocol.Trigger.record sh.trigger sv ~now;
@@ -217,13 +217,63 @@ let fault (sh : shard) ~id ~origin ~hops ~issued_at =
   obs_resolved sh ~id ~origin:(Pid.to_int origin) ~server:(-1) ~hops
     ~issued_at ~at:(Engine.now sh.eng)
 
-(* Route one GET standing at [me]: serve, forward within the subtree, or
-   — when the subtree dead-ends — migrate to the sibling subtree by
-   rewriting the VID's identifier bits (Section 4). Migration lands on
-   the rewritten slot when it is alive, else the nearest live stand-in
-   of the sibling subtree; each hop burns the packed hop budget, so a
-   request circling through dead subtrees faults instead of looping. *)
-let rec route_get st (sh : shard) ~me ~id ~origin ~hops ~issued_at =
+(* A GET that dead-ends in its subtree migrates to the sibling subtree
+   by rewriting the VID's identifier bits (Section 4). It lands on the
+   rewritten slot when that is alive, else on the nearest live stand-in
+   of the sibling subtree. Returns the landing PID, or [-1] when there
+   is none (or no sibling). *)
+let migrate st (sh : shard) ~me =
+  let n = Array.length st.shards in
+  if n = 1 then -1
+  else begin
+    let to_subtree = (sh.sid + 1) mod n in
+    let landing =
+      Ptree.pid_of_vid st.tree
+        (Subtrees.migrate_vid st.params (Ptree.vid_of_pid st.tree me)
+           ~to_subtree)
+    in
+    let landing =
+      if Status_word.is_live st.status landing then Some landing
+      else
+        match
+          Subtrees.first_alive_ancestor_in_subtree st.tree st.status landing
+        with
+        | Some _ as a -> a
+        | None ->
+            Subtrees.insertion_target_in_subtree st.tree st.status
+              ~subtree_id:to_subtree
+    in
+    match landing with
+    | None -> -1
+    | Some next ->
+        sh.migrations <- sh.migrations + 1;
+        Pid.to_int next
+  end
+
+(* Forward one GET from [me] within its subtree, or migrate it when the
+   subtree dead-ends. Each hop burns the packed hop budget, so a request
+   circling through dead subtrees faults instead of looping. *)
+let[@inline] route_get_replicated st (sh : shard) ~me ~id ~origin ~hops
+    ~issued_at =
+  if hops >= Wire.hops_max then fault sh ~id ~origin ~hops ~issued_at
+  else begin
+    let next =
+      match
+        Subtrees.route_next_in_subtree st.tree st.status (Pid.to_int me)
+      with
+      | -1 -> migrate st sh ~me
+      | q -> q
+    in
+    if next < 0 then fault sh ~id ~origin ~hops ~issued_at
+    else
+      send_msg st sh ~dst:(Pid.unsafe_of_int next)
+        ~b:(Wire.get ~id ~origin:(Pid.to_int origin) ~hops:(hops + 1))
+        ~x:issued_at
+  end
+
+(* Route one GET standing at [me]: serve, serve from fragments, or
+   forward ({!route_get_replicated}). *)
+let[@inline] route_get st (sh : shard) ~me ~id ~origin ~hops ~issued_at =
   if holds st me then serve st sh ~server:me ~id ~origin ~issued_at ~hops
   else begin
     match st.plane with
@@ -240,49 +290,7 @@ let rec route_get st (sh : shard) ~me ~id ~origin ~hops ~issued_at =
     | _ -> route_get_replicated st sh ~me ~id ~origin ~hops ~issued_at
   end
 
-and route_get_replicated st (sh : shard) ~me ~id ~origin ~hops ~issued_at =
-  begin
-    let forward next =
-      send_msg st sh ~dst:next
-        ~b:(Wire.get ~id ~origin:(Pid.to_int origin) ~hops:(hops + 1))
-        ~x:issued_at
-    in
-    if hops >= Wire.hops_max then fault sh ~id ~origin ~hops ~issued_at
-    else begin
-      match Subtrees.route_next_in_subtree st.tree st.status me with
-      | Some next -> forward next
-      | None ->
-          let n = Array.length st.shards in
-          if n = 1 then fault sh ~id ~origin ~hops ~issued_at
-          else begin
-            let to_subtree = (sh.sid + 1) mod n in
-            let landing =
-              Ptree.pid_of_vid st.tree
-                (Subtrees.migrate_vid st.params (Ptree.vid_of_pid st.tree me)
-                   ~to_subtree)
-            in
-            let landing =
-              if Status_word.is_live st.status landing then Some landing
-              else
-                match
-                  Subtrees.first_alive_ancestor_in_subtree st.tree st.status
-                    landing
-                with
-                | Some _ as a -> a
-                | None ->
-                    Subtrees.insertion_target_in_subtree st.tree st.status
-                      ~subtree_id:to_subtree
-            in
-            match landing with
-            | None -> fault sh ~id ~origin ~hops ~issued_at
-            | Some next ->
-                sh.migrations <- sh.migrations + 1;
-                forward next
-          end
-    end
-  end
-
-and issue_request st (sh : shard) ~origin =
+let issue_request st (sh : shard) ~origin =
   let id = ((sh.requests * Array.length st.shards) + sh.sid) land Wire.id_mask in
   sh.requests <- sh.requests + 1;
   (* Policy access log: tally on the origin's own shard — arrivals run
@@ -299,7 +307,9 @@ and issue_request st (sh : shard) ~origin =
   route_get st sh ~me:origin ~id ~origin ~hops:0
     ~issued_at:(Engine.now sh.eng)
 
-let handle_msg st (sh : shard) a b x =
+(* Inlined into the closure registered for it, so the message's [x],
+   read there from the engine, is not boxed for the call. *)
+let[@inline] handle_msg st (sh : shard) a b x =
   sh.digest <- mix (mix (mix_time sh.digest (Engine.now sh.eng)) a) b;
   let me = Pid.unsafe_of_int a in
   if Status_word.is_live st.status me then begin
@@ -324,7 +334,7 @@ let handle_msg st (sh : shard) a b x =
 (* One Poisson arrival: issue the request, then draw the next gap — the
    same self-rescheduling chain as {!Des_sim.on_arrival}, per shard. A
    chain stops when its node dies and a rejoin does not restart it. *)
-let on_arrival st (sh : shard) a _b _x =
+let on_arrival st (sh : shard) a _b =
   sh.digest <- mix (mix_time sh.digest (Engine.now sh.eng)) a;
   let origin = Pid.unsafe_of_int a in
   if Status_word.is_live st.status origin then begin
@@ -763,8 +773,10 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
   in
   Array.iter
     (fun (sh : shard) ->
-      sh.h_msg <- Engine.register_handler sh.eng (handle_msg st sh);
-      sh.h_arrival <- Engine.register_handler sh.eng (on_arrival st sh))
+      sh.h_msg <-
+        Engine.register sh.eng (fun a b ->
+            handle_msg st sh a b (Engine.x sh.eng));
+      sh.h_arrival <- Engine.register sh.eng (on_arrival st sh))
     shards;
   (* ADVANCEDINSERTFILE: one copy per subtree (Section 4). *)
   List.iter

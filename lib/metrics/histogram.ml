@@ -70,7 +70,9 @@ let[@inline] record t x =
     t.counts.(i - t.base) <- t.counts.(i - t.base) + 1
   end
 
-let add t x = record t x
+(* Inlined at its callers too, so a sample computed there (a latency) is
+   not boxed for the call. *)
+let[@inline] add t x = record t x
 let add_int t x = record t (float_of_int x)
 let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.m.sum /. float_of_int t.n

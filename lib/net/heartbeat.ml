@@ -91,7 +91,8 @@ let create ~engine ?(config = default_config) ~peers ~ping ~on_change () =
       tick_h = -1;
     }
   in
-  t.tick_h <- Engine.register_handler engine (fun _ _ until -> start t ~until);
+  t.tick_h <-
+    Engine.register engine (fun _ _ -> start t ~until:(Engine.x engine));
   t
 
 (* Position of [pid] in [t.peers], [-1] when it is not monitored. *)

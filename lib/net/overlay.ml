@@ -14,7 +14,7 @@ type t = {
   (* one engine handler for every delivery, src/dst bit-packed into the
      event's [a] word, node liveness as a byte per slot *)
   mutable deliver_h : int;
-  mutable packed_recv : (src:Pid.t -> dst:Pid.t -> int -> float -> unit) option;
+  mutable packed_recv : (src:Pid.t -> dst:Pid.t -> int -> unit) option;
   attached : Bytes.t;
 }
 
@@ -46,13 +46,13 @@ let create ~engine ~rng ?(latency = Latency.default) ?(loss = 0.0) params =
     }
   in
   t.deliver_h <-
-    Engine.register_handler engine (fun a b x ->
+    Engine.register engine (fun a b ->
         let dst = a land dst_mask and src = a lsr dst_bits in
         if Bytes.unsafe_get t.attached dst = '\001' then begin
           match t.packed_recv with
           | Some recv ->
               t.delivered <- t.delivered + 1;
-              recv ~src:(Pid.unsafe_of_int src) ~dst:(Pid.unsafe_of_int dst) b x
+              recv ~src:(Pid.unsafe_of_int src) ~dst:(Pid.unsafe_of_int dst) b
           | None -> t.dropped <- t.dropped + 1
         end
         else t.dropped <- t.dropped + 1);
@@ -74,7 +74,9 @@ let set_packed_recv t f = t.packed_recv <- f
 let attach t p = Bytes.set t.attached (Pid.to_int p) '\001'
 let detach t p = Bytes.set t.attached (Pid.to_int p) '\000'
 
-let send_packed t ~src ~dst ~b ~x =
+(* Inlined at its call sites, so [x] and the sampled delay reach the
+   engine's queue unboxed. *)
+let[@inline] send_packed t ~src ~dst ~b ~x =
   t.sent <- t.sent + 1;
   if not (link_up t ~src ~dst) then t.dropped <- t.dropped + 1
   else if t.loss > 0.0 && Rng.bernoulli t.rng ~p:t.loss then

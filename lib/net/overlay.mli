@@ -1,9 +1,10 @@
 (** Message-passing overlay on top of the discrete-event engine. A message
     is an [(int, float)] payload carried inside a packed engine event
     (src/dst share one word), delivered after a sampled per-hop latency
-    to a single per-overlay receive function — node-level demux is the
-    receiver's job. Loss injection and link filters apply at send time;
-    {!attach}/{!detach} mark which nodes are up to receive. *)
+    to a single per-overlay receive function, which reads the float from
+    the engine — node-level demux is the receiver's job. Loss injection
+    and link filters apply at send time; {!attach}/{!detach} mark which
+    nodes are up to receive. *)
 
 open Lesslog_id
 
@@ -39,9 +40,11 @@ val set_filter : t -> (src:Pid.t -> dst:Pid.t -> bool) option -> unit
     including asymmetric ones — are expressed here. *)
 
 val set_packed_recv :
-  t -> (src:Pid.t -> dst:Pid.t -> int -> float -> unit) option -> unit
-(** The simulator's demux: receives every delivery as [(src, dst, b, x)].
-    With none installed, deliveries count as dropped. *)
+  t -> (src:Pid.t -> dst:Pid.t -> int -> unit) option -> unit
+(** The simulator's demux: receives every delivery as [(src, dst, b)]
+    and reads the message's [x] with {!Lesslog_sim.Engine.x} on the
+    overlay's engine, so no float crosses the call. With none installed,
+    deliveries count as dropped. *)
 
 val attach : t -> Pid.t -> unit
 (** Mark a node live for deliveries. *)
@@ -52,7 +55,9 @@ val detach : t -> Pid.t -> unit
 
 val send_packed : t -> src:Pid.t -> dst:Pid.t -> b:int -> x:float -> unit
 (** Schedule a delivery after one latency sample; no per-message
-    closure. [b] and [x] are opaque payload words. *)
+    closure. [b] and [x] are opaque payload words. Inlined into its
+    callers in release builds, it allocates nothing once the engine's
+    queue is warm. *)
 
 val messages_sent : t -> int
 val messages_delivered : t -> int

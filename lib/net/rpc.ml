@@ -143,7 +143,7 @@ let retransmit t id attempt s =
   t.transmit ~id ~attempt:(attempt + 1) meta;
   arm t id (attempt + 1)
 
-let on_timer t id word _ =
+let on_timer t id word =
   let attempt = word lsr 1 in
   let s = slot t id in
   if s >= 0 && t.attempt.(s) = attempt then
@@ -175,7 +175,7 @@ let create ~engine ~rng ?(config = default_config) ?on_event ?registry
       timer_h = -1;
     }
   in
-  t.timer_h <- Engine.register_handler engine (on_timer t);
+  t.timer_h <- Engine.register engine (on_timer t);
   t
 
 let issue t meta =

@@ -1,9 +1,10 @@
-type handler = int -> int -> float -> unit
+type handler = int -> int -> unit
 
-(* The clock alone in an all-float record, which OCaml stores flat: a
+(* The engine's floats in an all-float record, which OCaml stores flat: a
    float field of the mixed record [t] would be a pointer to a box, and
-   every clock advance would allocate one. *)
-type clock = { mutable now : float }
+   every write would allocate one. [x] is the payload of the event being
+   dispatched ({!x}). *)
+type clock = { mutable now : float; mutable x : float }
 
 type t = {
   q : Ladder_queue.t;
@@ -14,12 +15,12 @@ type t = {
   mutable nhandlers : int;
 }
 
-let noop_handler (_ : int) (_ : int) (_ : float) = ()
+let noop_handler (_ : int) (_ : int) = ()
 
 let create () =
   {
     q = Ladder_queue.create ();
-    clock = { now = 0.0 };
+    clock = { now = 0.0; x = 0.0 };
     next_seq = 0;
     executed = 0;
     handlers = Array.make 8 noop_handler;
@@ -27,8 +28,9 @@ let create () =
   }
 
 let now t = t.clock.now
+let x t = t.clock.x
 
-let register_handler t f =
+let register t f =
   if t.nhandlers = Array.length t.handlers then begin
     let grown = Array.make (2 * t.nhandlers) noop_handler in
     Array.blit t.handlers 0 grown 0 t.nhandlers;
@@ -38,6 +40,8 @@ let register_handler t f =
   t.handlers.(id) <- f;
   t.nhandlers <- id + 1;
   id
+
+let register_handler t f = register t (fun a b -> f a b t.clock.x)
 
 let[@inline] enqueue t ~time ~h ~a ~b ~x =
   Ladder_queue.push t.q ~time ~seq:t.next_seq ~h ~a ~b ~x;
@@ -81,15 +85,17 @@ let post_batch t ~len ~time ~h ~a ~b ~x =
 
 let pending t = Ladder_queue.length t.q
 
-(* Read the cursor before dispatch: the handler may push reentrantly. *)
+(* Read the cursor before dispatch: the handler may push reentrantly.
+   The payload's float goes to the flat clock record, not through the
+   closure call, which would box it. *)
 let dispatch_cursor t =
   let h = Ladder_queue.handler t.q in
   let a = Ladder_queue.arg_a t.q in
   let b = Ladder_queue.arg_b t.q in
-  let x = Ladder_queue.arg_x t.q in
+  t.clock.x <- Ladder_queue.arg_x t.q;
   t.clock.now <- Ladder_queue.time t.q;
   t.executed <- t.executed + 1;
-  t.handlers.(h) a b x
+  t.handlers.(h) a b
 
 let step t =
   if Ladder_queue.pop t.q then begin
@@ -105,7 +111,12 @@ let step_below t ~bound =
   end
   else false
 
-let drain_below t ~bound = while step_below t ~bound do () done
+(* Inlined into a caller that computed [bound], the loop would box it
+   again for every out-of-line [step_below]: [opaque_identity] boxes it
+   once (see {!run}). *)
+let drain_below t ~bound =
+  let bound = Sys.opaque_identity bound in
+  while step_below t ~bound do () done
 
 let next_time t =
   if Ladder_queue.is_empty t.q then None else Some (Ladder_queue.min_time t.q)
@@ -126,8 +137,11 @@ let run ?until ?(max_events = max_int) t =
       done
   | Some limit ->
       (* [Float.succ limit] turns the strict [pop_until] bound into the
-         inclusive stop-at-[limit] contract of this function. *)
-      let bound = Float.succ limit in
+         inclusive stop-at-[limit] contract of this function. Held
+         unboxed, the bound would be boxed afresh for every out-of-line
+         [step_below] call, one allocation per event; [opaque_identity]
+         keeps the one box built here. *)
+      let bound = Sys.opaque_identity (Float.succ limit) in
       let budget = ref max_events in
       while !budget > 0 && step_below t ~bound do
         decr budget

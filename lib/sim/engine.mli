@@ -3,15 +3,17 @@
     fire in scheduling order (a monotone sequence number breaks ties),
     which keeps runs deterministic.
 
-    Every event is packed: a handler id from {!register_handler} plus a
-    payload of two ints and a float [(a, b, x)], stored as plain scalars
-    and dispatched through the handler table, so scheduling allocates
-    nothing per event (see {!post} for the one boxed float dispatch
-    hands the handler). Timers, message deliveries and fault plans alike
-    register a handler once at setup and carry what varies per event —
-    a node, a request id and attempt, an index into a setup-time array,
-    a time — in the payload. There is no cancellation: consumers ignore
-    stale timers with generation counters or liveness checks. *)
+    Every event is packed: a handler id from {!register} plus a payload
+    of two ints and a float [(a, b, x)], stored as plain scalars and
+    dispatched through the handler table. The handler receives [a] and
+    [b]; it reads [x] with {!x}, from the engine's flat float record, so
+    no float crosses the closure call. Scheduling and dispatch allocate
+    nothing per event (see {!post}). Timers, message deliveries and fault
+    plans alike register a handler once at setup and carry what varies
+    per event — a node, a request id and attempt, an index into a
+    setup-time array, a time — in the payload. There is no cancellation:
+    consumers ignore stale timers with generation counters or liveness
+    checks. *)
 
 type t
 
@@ -20,12 +22,24 @@ val create : unit -> t
 val now : t -> float
 (** Current simulated time, seconds. Starts at 0. *)
 
+val x : t -> float
+(** The [x] payload of the event being dispatched, for its handler to
+    read. Inlined where it is called (release builds), it is read
+    unboxed. Between dispatches it holds the last event's [x]. *)
+
 (** {2 Scheduling} *)
 
-val register_handler : t -> (int -> int -> float -> unit) -> int
+val register : t -> (int -> int -> unit) -> int
 (** Add a dispatch-table entry; the returned id is passed to {!post}.
-    The handler receives the event payload [(a, b, x)]. Ids are engine-
-    specific and never reused. *)
+    The handler receives the event payload's [a] and [b] and reads its
+    [x] with {!x}. Ids are engine-specific and never reused. *)
+
+val register_handler : t -> (int -> int -> float -> unit) -> int
+(** {!register} for a handler that takes [x] as an argument: a one-line
+    adapter that reads {!x} and boxes it at every dispatch. It is kept
+    only for the benchmark's event-core probe, whose source calls it;
+    every handler in the library, the tests and the examples uses
+    {!register}. *)
 
 val post : t -> delay:float -> h:int -> a:int -> b:int -> x:float -> unit
 (** Enqueue a packed event [delay] seconds from now for handler [h].
@@ -33,11 +47,13 @@ val post : t -> delay:float -> h:int -> a:int -> b:int -> x:float -> unit
 
     What an event allocates, once queue capacity is warm: [post] and
     {!post_at} are inlined into their callers in release builds and then
-    allocate nothing — the time reaches the queue unboxed. Dispatch
-    allocates exactly one boxed float, the [x] handed to the handler
-    closure (2 words). Under [-opaque] (dev builds) nothing is inlined
-    across modules, so the floats are boxed at each call on the way to
-    the queue. *)
+    allocate nothing — the time and [x] reach the queue unboxed — and
+    neither does dispatch, under {!run} (with or without [until]),
+    {!step} or {!drain_below}. Under [-opaque] (dev builds) nothing is
+    inlined across modules, so the floats are boxed at each call on the
+    way to the queue and back. Queue capacity grows with the standing
+    backlog; {!Ladder_queue} says what a refill after a full drain
+    costs. *)
 
 val post_at : t -> time:float -> h:int -> a:int -> b:int -> x:float -> unit
 (** Same at an absolute time.

@@ -25,7 +25,9 @@
    [pop_until] allocate nothing in any build, and neither does [push]
    where it is inlined (release builds; under [-opaque] its caller boxes
    [time] and [x]). Capacity growth — the arrays doubling, the rung pool
-   gaining a rung — is the only allocation. *)
+   gaining a rung — is the only allocation; bucket vecs keep their
+   capacity across drains and rung reuse, so it happens once per bucket
+   and size. *)
 
 type vec = {
   mutable t : float array;

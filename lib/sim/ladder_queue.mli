@@ -16,8 +16,14 @@
     [pop_until] allocate nothing. [push] allocates nothing where it is
     inlined (release builds); as an out-of-line call ([-opaque] dev
     builds) its caller boxes [time] and [x]. Only capacity growth
-    allocates. The float accessors [time], [arg_x] and [min_time] return
-    a boxed float unless inlined. *)
+    allocates, and capacity is kept: every bucket of every pooled rung
+    grows once to the largest population it has held. That includes
+    refills after a full drain — a burst that lands in a bucket not yet
+    that large grows it, the same burst later costs nothing — so rounds
+    of equal-time posts with a drain between them allocate nothing per
+    post once the buckets they reach are warm. The float accessors
+    [time], [arg_x] and [min_time] return a boxed float unless
+    inlined. *)
 
 type t
 

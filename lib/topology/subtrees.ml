@@ -3,6 +3,7 @@ module Bitops = Lesslog_bits.Bitops
 module Status_word = Lesslog_membership.Status_word
 module Ptree = Lesslog_ptree.Ptree
 module Vtree = Lesslog_vtree.Vtree
+module Packed_bits = Lesslog_bits.Packed_bits
 
 let reduced_params params =
   Params.create ~m:(Params.m params - Params.b params) ()
@@ -64,20 +65,30 @@ let children_in_subtree tree p =
     (Vid.unsafe_of_int (svid_of_pid tree p))
   |> List.map (fun sv -> pid_of_svid tree ~subtree_id:sid (Vid.to_int sv))
 
+(* The VID bits a climb inside a subtree may set: the subtree VID's,
+   [b, m). *)
+let svid_mask params = Params.mask params land lnot ((1 lsl Params.b params) - 1)
+
+(* FINDLIVENODE's downward scan inside subtree [sid]: the PID of the live
+   member with the largest subtree VID <= [sv], or [-1]. *)
+let rec scan_down live comp ~b ~sid sv =
+  if sv < 0 then -1
+  else
+    let p = ((sv lsl b) lor sid) lxor comp in
+    if Packed_bits.get live p then p else scan_down live comp ~b ~sid (sv - 1)
+
+let pid_option = function -1 -> None | p -> Some (Pid.unsafe_of_int p)
+
 let find_live_node_in_subtree tree status ~subtree_id ~start =
   if
     subtree_id_of_pid tree start = subtree_id
     && Status_word.is_live status start
   then Some start
-  else begin
-    let rec scan sv =
-      if sv < 0 then None
-      else
-        let p = pid_of_svid tree ~subtree_id sv in
-        if Status_word.is_live status p then Some p else scan (sv - 1)
-    in
-    scan (svid_of_pid tree start - 1)
-  end
+  else
+    pid_option
+      (scan_down (Status_word.live_bits status) (Ptree.comp tree)
+         ~b:(Params.b (Ptree.params tree)) ~sid:subtree_id
+         (svid_of_pid tree start - 1))
 
 let insertion_target_in_subtree tree status ~subtree_id =
   find_live_node_in_subtree tree status ~subtree_id
@@ -89,13 +100,13 @@ let insertion_targets tree status =
   |> List.filter_map (fun sid ->
          insertion_target_in_subtree tree status ~subtree_id:sid)
 
+(* Topology's P2 climb restricted to the subtree VID's bits. *)
 let first_alive_ancestor_in_subtree tree status p =
-  let rec climb p =
-    match parent_in_subtree tree p with
-    | None -> None
-    | Some q -> if Status_word.is_live status q then Some q else climb q
-  in
-  climb p
+  let comp = Ptree.comp tree in
+  pid_option
+    (Topology.climb (Status_word.live_bits status)
+       (svid_mask (Ptree.params tree))
+       comp (Pid.to_int p lxor comp))
 
 let children_list_in_subtree tree status p =
   let rec expand acc p =
@@ -109,13 +120,10 @@ let children_list_in_subtree tree status p =
 
 let max_live_in_subtree tree status ~subtree_id =
   let params = Ptree.params tree in
-  let rec scan sv =
-    if sv < 0 then None
-    else
-      let p = pid_of_svid tree ~subtree_id sv in
-      if Status_word.is_live status p then Some p else scan (sv - 1)
-  in
-  scan (Params.mask (reduced_params params))
+  pid_option
+    (scan_down (Status_word.live_bits status) (Ptree.comp tree)
+       ~b:(Params.b params) ~sid:subtree_id
+       (Params.subtree_space params - 1))
 
 let has_live_with_greater_svid tree status p =
   let sid = subtree_id_of_pid tree p in
@@ -140,23 +148,27 @@ let live_offspring_count_in_subtree tree status p =
     0
     (members tree ~subtree_id:sid)
 
-let route_next_in_subtree tree status p =
-  match first_alive_ancestor_in_subtree tree status p with
-  | Some _ as a -> a
-  | None ->
-      let sid = subtree_id_of_pid tree p in
-      let sroot = subtree_root tree ~subtree_id:sid in
-      if Status_word.is_live status sroot then None
-      else begin
-        match insertion_target_in_subtree tree status ~subtree_id:sid with
-        | Some g when not (Pid.equal g p) -> Some g
-        | Some _ | None -> None
-      end
+(* The advanced GETFILE's hop inside [pi]'s subtree: the in-subtree P2
+   climb; at the subtree root, or when every ancestor is dead and so is
+   the root, the insertion scan's target unless [pi] is that node. *)
+let route_next_in_subtree tree status pi =
+  let params = Ptree.params tree and comp = Ptree.comp tree in
+  let mask = svid_mask params and live = Status_word.live_bits status in
+  let v = pi lxor comp in
+  let q = Topology.climb live mask comp v in
+  if q >= 0 || Packed_bits.get live ((v lor mask) lxor comp) then q
+  else
+    let b = Params.b params in
+    let g =
+      scan_down live comp ~b ~sid:(v land lnot mask) ((mask lsr b) - 1)
+    in
+    if g = pi then -1 else g
 
 let route_path_in_subtree tree status ~origin =
-  let rec go acc p =
-    match route_next_in_subtree tree status p with
-    | None -> List.rev (p :: acc)
-    | Some q -> go (p :: acc) q
+  let rec go acc pi =
+    let acc = Pid.unsafe_of_int pi :: acc in
+    match route_next_in_subtree tree status pi with
+    | -1 -> List.rev acc
+    | q -> go acc q
   in
-  go [] origin
+  go [] (Pid.to_int origin)

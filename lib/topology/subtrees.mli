@@ -38,7 +38,10 @@ val members : Ptree.t -> subtree_id:int -> Pid.t list
 (** All PID slots of a subtree, by descending subtree VID. *)
 
 val parent_in_subtree : Ptree.t -> Pid.t -> Pid.t option
-(** Property 2 applied to the subtree VID; [None] on the subtree root. *)
+(** Property 2 applied to the subtree VID through {!Lesslog_vtree.Vtree}
+    with {!reduced_params}; [None] on the subtree root. Routing does not
+    use it: {!first_alive_ancestor_in_subtree} climbs the VID bits
+    directly. *)
 
 val children_in_subtree : Ptree.t -> Pid.t -> Pid.t list
 (** Property 1 on the subtree VID, descending offspring order. *)
@@ -59,6 +62,8 @@ val insertion_targets : Ptree.t -> Status_word.t -> Pid.t list
 
 val first_alive_ancestor_in_subtree :
   Ptree.t -> Status_word.t -> Pid.t -> Pid.t option
+(** The first live strict ancestor inside the node's subtree, by
+    {!Topology.climb} over the subtree VID's bits. *)
 
 val children_list_in_subtree :
   Ptree.t -> Status_word.t -> Pid.t -> Pid.t list
@@ -74,13 +79,18 @@ val live_offspring_count_in_subtree : Ptree.t -> Status_word.t -> Pid.t -> int
 (** Live strict descendants of a node within its own subtree — the
     numerator of the fault-tolerant proportional choice. *)
 
-val route_next_in_subtree : Ptree.t -> Status_word.t -> Pid.t -> Pid.t option
-(** One hop of the advanced GETFILE inside the node's subtree: its first
-    live ancestor there or, when the subtree root is dead, the insertion
-    scan's target (modified FINDLIVENODE) unless that is the node itself.
-    [None] when the request must leave the subtree. *)
+val route_next_in_subtree : Ptree.t -> Status_word.t -> int -> int
+(** [route_next_in_subtree tree status (Pid.to_int p)] is one hop of the
+    advanced GETFILE inside [p]'s subtree, as a PID int: its first live
+    ancestor there or, when the subtree root is dead, the insertion
+    scan's target (modified FINDLIVENODE) unless that is [p] itself.
+    [-1] when the request must leave the subtree. The climb is
+    {!Topology.climb} over the VID bits [\[b, m)], so a hop is at most
+    [m - b] bit tests and allocates nothing; the dead-root fallback is
+    the downward scan of {!find_live_node_in_subtree}. No bounds check:
+    the caller guarantees a valid PID of the tree. *)
 
 val route_path_in_subtree :
   Ptree.t -> Status_word.t -> origin:Pid.t -> Pid.t list
 (** Resolution path of the advanced GETFILE confined to the origin's
-    subtree (origin inclusive). *)
+    subtree (origin inclusive), following {!route_next_in_subtree}. *)

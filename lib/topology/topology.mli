@@ -74,6 +74,15 @@ val live_offspring_count : Ptree.t -> Status_word.t -> Pid.t -> int
     live members of that class: O(min(2^n, live) ) bit tests instead of a
     fold over every live node with an ancestry climb each. *)
 
+val climb : Lesslog_bits.Packed_bits.t -> int -> int -> int -> int
+(** [climb live mask comp v] is the PID of the first live strict
+    ancestor of VID [v] under Property 2, or [-1]: it sets the highest
+    zero bit of [v] among the bits of [mask], and repeats until the
+    ancestor's PID ([vid lxor comp]) is set in [live]. With [mask] the
+    tree's full mask it is the climb of {!route_next_int}; with the bits
+    [\[b, m)] only, it is the climb inside the node's 2^b-subtree
+    ({!Subtrees.route_next_in_subtree}). Allocates nothing. *)
+
 val route_next_int : Ptree.t -> Status_word.t -> int -> int
 (** [route_next_int tree status (Pid.to_int p)] is {!route_next} as an
     int, [-1] at the end of the route. It climbs P2 over the status

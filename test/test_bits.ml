@@ -196,6 +196,30 @@ let test_packed_inter () =
   Packed_bits.iter_inter a b (fun i -> acc := i :: !acc);
   Alcotest.(check (list int)) "intersection" [ 63; 150; 199 ] (List.rev !acc)
 
+(* [count_inter] is the length of what [iter_inter] visits, on random
+   pairs of sets spanning several words, full words and tails included. *)
+let prop_count_inter =
+  Test_support.qcheck_case ~name:"count_inter = |iter_inter|"
+    QCheck2.Gen.(
+      int_range 1 400 >>= fun len ->
+      int_range 0 4 >>= fun da ->
+      int_range 0 4 >>= fun db ->
+      int >>= fun seed -> return (len, da, db, seed))
+    (fun (len, da, db, seed) ->
+      let rng = Lesslog_prng.Rng.create ~seed in
+      let fill density =
+        let t = Packed_bits.create len in
+        for i = 0 to len - 1 do
+          if Lesslog_prng.Rng.float rng 4.0 < float_of_int density then
+            Packed_bits.set t i
+        done;
+        t
+      in
+      let a = fill da and b = fill db in
+      let n = ref 0 in
+      Packed_bits.iter_inter a b (fun _ -> incr n);
+      Packed_bits.count_inter a b = !n && Packed_bits.count_inter b a = !n)
+
 (* Model-based property: a packed set behaves like a bool array. *)
 let prop_packed_model =
   Test_support.qcheck_case ~name:"packed_bits matches bool-array model"
@@ -287,6 +311,7 @@ let () =
           Alcotest.test_case "index arithmetic" `Quick
             test_packed_index_arithmetic;
           Alcotest.test_case "intersection" `Quick test_packed_inter;
+          prop_count_inter;
           prop_packed_model;
         ] );
     ]

@@ -521,9 +521,65 @@ let prop_ft_insert_distinct_subtrees =
       List.length (List.sort_uniq compare sids) = List.length targets
       && List.length targets <= Params.subtree_count params)
 
+(* --- Copy count ----------------------------------------------------------- *)
+
+(* [total_copies] is a popcount over live AND holders; the holder list is
+   a walk of the same sets. They agree through inserts, overload
+   replication, pushed copies, evictions, repaired churn and unrepaired
+   crashes, for three keys at once. *)
+let prop_total_copies_matches_holders =
+  Test_support.qcheck_case ~count:100 ~name:"total_copies = |holders|"
+    QCheck2.Gen.(
+      int_range 0 1 >>= fun b ->
+      int >>= fun seed ->
+      list_size (int_range 1 80) (pair (int_range 0 7) (int_range 0 1_000_000))
+      >>= fun ops -> return (b, seed, ops))
+    (fun (b, seed, ops) ->
+      let params = Params.create ~m:6 ~b () in
+      let cluster = Cluster.create params in
+      let status = Cluster.status cluster in
+      let rng = Rng.create ~seed in
+      let keys = [| "copies/a"; "copies/b"; "copies/c" |] in
+      let any_pid r = pid (r land Params.mask params) in
+      let agree () =
+        Array.for_all
+          (fun key ->
+            Cluster.total_copies cluster ~key
+            = List.length (Cluster.holders cluster ~key))
+          keys
+      in
+      List.for_all
+        (fun (op, r) ->
+          let key = keys.(r mod Array.length keys) and p = any_pid (r / 3) in
+          (match op with
+          | 0 -> ignore (Ops.insert cluster ~key)
+          | 1 -> (
+              match Cluster.holders cluster ~key with
+              | [] -> ()
+              | hs ->
+                  ignore
+                    (Ops.replicate ~rng cluster ~overloaded:(Rng.pick_list rng hs)
+                       ~key))
+          | 2 ->
+              File_store.add (Cluster.store cluster p) ~key
+                ~origin:File_store.Replicated ~version:0 ~now:0.0
+          | 3 ->
+              ignore
+                (File_store.evict_cold_replicas
+                   ~survivors:(fun key -> Cluster.total_copies cluster ~key)
+                   ~min_survivors:1 (Cluster.store cluster p) ~now:1.0
+                   ~min_rate:infinity)
+          | 4 -> if Status_word.is_dead status p then ignore (Lesslog.Self_org.join cluster p)
+          | 5 -> if Status_word.is_live status p then ignore (Lesslog.Self_org.leave cluster p)
+          | 6 -> if Status_word.is_live status p then ignore (Lesslog.Self_org.fail cluster p)
+          | _ -> Status_word.set_dead status p);
+          agree ())
+        ops)
+
 let () =
   Alcotest.run "core_ops"
     [
+      ( "copy count", [ prop_total_copies_matches_holders ] );
       ( "insert",
         [
           Alcotest.test_case "all live" `Quick test_insert_all_live;

@@ -12,6 +12,7 @@ module Histogram = Lesslog_metrics.Histogram
 module Latency = Lesslog_net.Latency
 module Rng = Lesslog_prng.Rng
 module Trace = Lesslog_trace.Trace
+module Engine = Lesslog_sim.Engine
 
 let key = "des/test-object"
 
@@ -540,6 +541,46 @@ let test_replica_timeline_monotone () =
   done;
   Alcotest.(check bool) "copies never decrease during a run" true !ok
 
+(* --- Allocation gate ----------------------------------------------------- *)
+
+(* Minor words and events of one Des_sim run at m = 8 under uniform
+   demand: the root replicates early, then the copies settle and every
+   later request is a steady GET climb, a serve and a reply. The event
+   queue's buckets reach their capacity within about 20 s. *)
+let steady_run ~duration =
+  let cluster = make_cluster ~m:8 () in
+  let rng = Rng.create ~seed:3 in
+  let demand = Demand.uniform (Cluster.status cluster) ~total:1000.0 in
+  let w0 = Gc.minor_words () in
+  let r = Des_sim.run ~rng ~cluster ~key ~demand ~duration () in
+  (Gc.minor_words () -. w0, r)
+
+(* A steady request cycle allocates no more than the engine calls it
+   makes. The cycle is the marginal between a 40 s and an 80 s run of
+   the same seed, per engine event: the first 40 s are identical, so
+   set-up, the early replication and the queue's capacity growth
+   cancel. The reference is the bare 2-argument engine chain per event.
+   Where cross-module inlining is on (release builds) the chain
+   allocates nothing, and so must the cycle. Under the dev profile's [-opaque] every float
+   crossing a module boundary is boxed: the chain pays that for its
+   engine calls, and the cycle also for its calls into the overlay, the
+   latency model, the histograms and the access counters, which the
+   allowance covers: 6.6 words per event measured at OCaml 5.1, against
+   0.0 in a release build. *)
+let test_steady_cycle_allocates_no_more_than_engine () =
+  let w40, r40 = steady_run ~duration:40.0 in
+  let w80, r80 = steady_run ~duration:80.0 in
+  Alcotest.(check int) "no replication in the window"
+    r40.Des_sim.replicas_created r80.Des_sim.replicas_created;
+  let events = r80.Des_sim.events - r40.Des_sim.events in
+  let cycle = (w80 -. w40) /. float_of_int events in
+  let engine = Test_support.chain_words_per_event (Engine.run ~max_events:14_000) in
+  let allowance = if engine = 0.0 then 0.1 else 7.0 in
+  if cycle -. engine > allowance then
+    Alcotest.failf
+      "steady cycle: %.3f words/event, engine calls alone: %.3f (allowance %.1f)"
+      cycle engine allowance
+
 let () =
   Alcotest.run "des"
     [
@@ -555,6 +596,11 @@ let () =
             test_replica_timeline_monotone;
           Alcotest.test_case "golden trace reproduced" `Quick
             test_golden_trace_reproduced;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "steady cycle: no more than the engine calls"
+            `Quick test_steady_cycle_allocates_no_more_than_engine;
         ] );
       ( "integration",
         [

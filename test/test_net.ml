@@ -84,7 +84,7 @@ let logging_recv overlay =
   let log = ref [] in
   Overlay.set_packed_recv overlay
     (Some
-       (fun ~src ~dst b _ ->
+       (fun ~src ~dst b ->
          log := (Pid.to_int src, Pid.to_int dst, b) :: !log));
   fun () -> List.rev !log
 
@@ -93,9 +93,9 @@ let test_overlay_delivery () =
   let received = ref [] in
   Overlay.set_packed_recv overlay
     (Some
-       (fun ~src ~dst b x ->
+       (fun ~src ~dst b ->
          received :=
-           (Pid.to_int src, Pid.to_int dst, b, x, Engine.now engine)
+           (Pid.to_int src, Pid.to_int dst, b, Engine.x engine, Engine.now engine)
            :: !received));
   Overlay.attach overlay (pid 3);
   Overlay.send_packed overlay ~src:(pid 1) ~dst:(pid 3) ~b:42 ~x:0.25;
@@ -184,7 +184,7 @@ let test_overlay_in_flight_ordering () =
   List.iter
     (fun o ->
       Overlay.set_packed_recv o
-        (Some (fun ~src:_ ~dst:_ b _ -> log := b :: !log));
+        (Some (fun ~src:_ ~dst:_ b -> log := b :: !log));
       Overlay.attach o (pid 1))
     [ overlay_slow; overlay_fast ];
   Overlay.send_packed overlay_slow ~src:(pid 0) ~dst:(pid 1) ~b:2 ~x:0.0;

@@ -34,7 +34,8 @@ let run_sharded ?fuse ~shards ~domains sched =
   for s = 0 to shards - 1 do
     let eng = Sharded.engine se s in
     let h = ref (-1) in
-    let handler a b x =
+    let handler a b =
+      let x = Engine.x eng in
       log.(s) <- (Engine.now eng, a, b, x) :: log.(s);
       if b > 0 then Engine.post eng ~delay:0.1 ~h:!h ~a ~b:(b - 1) ~x;
       if b > 0 && b mod 3 = 0 && shards > 1 then
@@ -43,7 +44,7 @@ let run_sharded ?fuse ~shards ~domains sched =
           ~b:(max 0 (b - 1))
           ~x:(x +. 1.0)
     in
-    h := Engine.register_handler eng handler;
+    h := Engine.register eng handler;
     handlers.(s) <- !h
   done;
   List.iter
@@ -63,11 +64,12 @@ let test_one_shard_matches_engine () =
   let eng = Engine.create () in
   let log = ref [] in
   let h = ref (-1) in
-  let handler a b x =
+  let handler a b =
+    let x = Engine.x eng in
     log := (Engine.now eng, a, b, x) :: !log;
     if b > 0 then Engine.post eng ~delay:0.1 ~h:!h ~a ~b:(b - 1) ~x
   in
-  h := Engine.register_handler eng handler;
+  h := Engine.register eng handler;
   List.iter
     (fun (_, t, a, b) -> Engine.post_at eng ~time:t ~h:!h ~a ~b ~x:0.0)
     sched;
@@ -119,7 +121,7 @@ let test_fusion_collapses_quiet_epochs () =
 
 let test_send_below_lookahead_rejected () =
   let se = Sharded.create ~shards:2 ~lookahead:0.5 () in
-  let h = Engine.register_handler (Sharded.engine se 1) (fun _ _ _ -> ()) in
+  let h = Engine.register (Sharded.engine se 1) (fun _ _ -> ()) in
   Alcotest.check_raises "below lookahead"
     (Invalid_argument "Sharded_engine.send: cross-shard delay below lookahead")
     (fun () -> Sharded.send se ~src:0 ~dst:1 ~delay:0.25 ~h ~a:0 ~b:0 ~x:0.0)
@@ -133,7 +135,7 @@ let test_no_same_epoch_delivery () =
   let violations = ref 0 and delivered = ref 0 in
   for s = 0 to shards - 1 do
     let eng = Sharded.engine se s in
-    let handler a b _x =
+    let handler a b =
       if a >= 0 then begin
         (* Cross-shard delivery: [a] is the issuing epoch. *)
         incr delivered;
@@ -146,7 +148,7 @@ let test_no_same_epoch_delivery () =
         Engine.post eng ~delay:0.05 ~h:handlers.(s) ~a:(-1) ~b:(b - 1) ~x:0.0
       end
     in
-    handlers.(s) <- Engine.register_handler eng handler
+    handlers.(s) <- Engine.register eng handler
   done;
   for s = 0 to shards - 1 do
     Engine.post_at (Sharded.engine se s) ~time:(0.1 *. float_of_int (s + 1))
@@ -160,10 +162,10 @@ let test_globals_fire_in_order () =
   let se = Sharded.create ~shards:2 ~lookahead:1.0 () in
   let fired = ref [] in
   let h =
-    Engine.register_handler (Sharded.engine se 0) (fun a _ _ ->
+    Engine.register (Sharded.engine se 0) (fun a _ ->
         fired := `Event a :: !fired)
   in
-  ignore (Engine.register_handler (Sharded.engine se 1) (fun _ _ _ -> ()));
+  ignore (Engine.register (Sharded.engine se 1) (fun _ _ -> ()));
   List.iter
     (fun t -> Engine.post_at (Sharded.engine se 0) ~time:t ~h ~a:(int_of_float t) ~b:0 ~x:0.0)
     [ 1.0; 3.0; 5.0 ];

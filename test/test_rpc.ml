@@ -74,7 +74,7 @@ let make_rpc ?config () =
 let completer engine rpc =
   let results = ref [] in
   let h =
-    Engine.register_handler engine (fun id _ _ ->
+    Engine.register engine (fun id _ ->
         results := Rpc.complete rpc ~id :: !results)
   in
   ( (fun ~delay id -> Engine.post engine ~delay ~h ~a:id ~b:0 ~x:0.0),
@@ -437,7 +437,7 @@ let make_detector ?config ~peers () =
   let detector_ref = ref None in
   (* A pong event carries the peer in [a] and the ping's seq in [b]. *)
   let pong_h =
-    Engine.register_handler engine (fun peer seq _ ->
+    Engine.register engine (fun peer seq ->
         Heartbeat.pong (Option.get !detector_ref)
           ~peer:(Pid.unsafe_of_int peer) ~seq)
   in
@@ -484,7 +484,7 @@ let test_detector_recovers () =
   Hashtbl.replace down 1 ();
   (* Down for 4 s (long enough to be suspected), then back. *)
   let revive =
-    Engine.register_handler engine (fun p _ _ -> Hashtbl.remove down p)
+    Engine.register engine (fun p _ -> Hashtbl.remove down p)
   in
   Engine.post engine ~delay:4.0 ~h:revive ~a:1 ~b:0 ~x:0.0;
   Heartbeat.start detector ~until:10.0;
@@ -570,7 +570,7 @@ let test_rpc_cycle_allocates_nothing () =
         ignore (Engine.step engine))
   in
   let bare = Engine.create () in
-  let h = Engine.register_handler bare (fun _ _ _ -> ()) in
+  let h = Engine.register bare (fun _ _ -> ()) in
   let post () =
     if Engine.now bare < 0.0 then assert false;
     Engine.post bare ~delay:timeout ~h ~a:0 ~b:0 ~x:0.0

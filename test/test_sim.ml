@@ -227,7 +227,7 @@ let prop_ladder_pop_until_epochs =
 let test_engine_step_below_and_advance () =
   let e = Engine.create () in
   let seen = ref [] in
-  let h = Engine.register_handler e (fun a _ _ -> seen := a :: !seen) in
+  let h = Engine.register e (fun a _ -> seen := a :: !seen) in
   List.iter
     (fun (t, a) -> Engine.post_at e ~time:t ~h ~a ~b:0 ~x:0.0)
     [ (1.0, 1); (2.0, 2); (3.0, 3) ];
@@ -373,7 +373,7 @@ let prop_ladder_rung_edge =
 let logging_engine () =
   let e = Engine.create () in
   let log = ref [] in
-  let h = Engine.register_handler e (fun a _ _ -> log := a :: !log) in
+  let h = Engine.register e (fun a _ -> log := a :: !log) in
   (e, h, fun () -> List.rev !log)
 
 let test_engine_time_ordering () =
@@ -398,7 +398,7 @@ let test_engine_nested_scheduling () =
   let log = ref [] in
   let h = ref (-1) in
   h :=
-    Engine.register_handler e (fun a _ _ ->
+    Engine.register e (fun a _ ->
         log := a :: !log;
         if a = 0 then Engine.post e ~delay:0.5 ~h:!h ~a:1 ~b:0 ~x:0.0);
   Engine.post e ~delay:1.0 ~h:!h ~a:0 ~b:0 ~x:0.0;
@@ -426,7 +426,7 @@ let test_engine_max_events () =
   let e = Engine.create () in
   let h = ref (-1) in
   h :=
-    Engine.register_handler e (fun _ _ _ ->
+    Engine.register e (fun _ _ ->
         Engine.post e ~delay:1.0 ~h:!h ~a:0 ~b:0 ~x:0.0);
   Engine.post e ~delay:1.0 ~h:!h ~a:0 ~b:0 ~x:0.0;
   Engine.run ~max_events:100 e;
@@ -498,10 +498,14 @@ let test_engine_post_rejects_past () =
   Alcotest.(check (float 1e-9)) "clock" 5.0 (Engine.now e)
 
 let test_engine_packed_dispatch () =
-  (* Each event reaches its own handler with its payload intact. *)
+  (* Each event reaches its own handler with its payload intact; [other]
+     goes through the [register_handler] adapter, which hands [x] over
+     as an argument. *)
   let e = Engine.create () in
   let log = ref [] in
-  let h = Engine.register_handler e (fun a b x -> log := (a, b, x) :: !log) in
+  let h =
+    Engine.register e (fun a b -> log := (a, b, Engine.x e) :: !log)
+  in
   let other =
     Engine.register_handler e (fun a b x -> log := (-a, b, x) :: !log)
   in
@@ -521,7 +525,7 @@ let test_engine_packed_reentrant () =
   let fired = ref 0 in
   let h = ref (-1) in
   h :=
-    Engine.register_handler e (fun a _ _ ->
+    Engine.register e (fun a _ ->
         incr fired;
         if a > 0 then Engine.post e ~delay:1.0 ~h:!h ~a:(a - 1) ~b:0 ~x:0.0);
   Engine.post e ~delay:1.0 ~h:!h ~a:9 ~b:0 ~x:0.0;
@@ -544,8 +548,8 @@ let prop_post_batch_equals_posts =
         let e = Engine.create () in
         let log = ref [] in
         let h =
-          Engine.register_handler e (fun a b x ->
-              log := (Engine.now e, a, b, x) :: !log)
+          Engine.register e (fun a b ->
+              log := (Engine.now e, a, b, Engine.x e) :: !log)
         in
         feed e h;
         Engine.run e;
@@ -578,7 +582,7 @@ let prop_post_batch_equals_posts =
 
 let test_post_batch_validates () =
   let e = Engine.create () in
-  let h = Engine.register_handler e (fun _ _ _ -> ()) in
+  let h = Engine.register e (fun _ _ -> ()) in
   let arr n v = Array.make n v in
   Alcotest.check_raises "len over array"
     (Invalid_argument "Engine.post_batch: len exceeds a field array")
@@ -597,7 +601,7 @@ let test_next_time_inf () =
   let e = Engine.create () in
   Alcotest.(check (float 0.0)) "empty = infinity" Float.infinity
     (Engine.next_time_inf e);
-  let h = Engine.register_handler e (fun _ _ _ -> ()) in
+  let h = Engine.register e (fun _ _ -> ()) in
   Engine.post_at e ~time:2.5 ~h ~a:0 ~b:0 ~x:0.0;
   Alcotest.(check (float 0.0)) "head time" 2.5 (Engine.next_time_inf e)
 
@@ -608,7 +612,7 @@ let prop_engine_executes_in_time_order =
       let e = Engine.create () in
       let times = ref [] in
       let h =
-        Engine.register_handler e (fun _ _ _ -> times := Engine.now e :: !times)
+        Engine.register e (fun _ _ -> times := Engine.now e :: !times)
       in
       List.iter (fun d -> Engine.post e ~delay:d ~h ~a:0 ~b:0 ~x:0.0) delays;
       Engine.run e;
@@ -617,6 +621,73 @@ let prop_engine_executes_in_time_order =
         | _ -> true
       in
       nondecreasing (List.rev !times))
+
+(* --- Event-core allocation gates ---------------------------------------- *)
+
+(* The engine's three drains dispatch the same chain at the same cost per
+   event. Relative, so it holds under the dev profile's [-opaque] (where
+   every float crossing a module is boxed, in all three alike) and in
+   release builds (where all three allocate nothing). A drain that
+   re-boxes its bound per step costs 2 words per event more; the
+   tolerance covers the per-drain boxes (the [until] option, the bound),
+   amortised over ~14,000 events. *)
+let test_engine_drains_allocate_alike () =
+  let chain_words_per_event = Test_support.chain_words_per_event in
+  let horizon = 1000.0 in
+  let by_count = chain_words_per_event (Engine.run ~max_events:14_000) in
+  let until =
+    chain_words_per_event (fun e -> Engine.run ~until:(Engine.now e +. horizon) e)
+  in
+  let drain =
+    chain_words_per_event (fun e ->
+        Engine.drain_below e ~bound:(Engine.now e +. horizon))
+  in
+  let tolerance = 0.01 in
+  if until > by_count +. tolerance then
+    Alcotest.failf "run ~until: %.3f words/event, run ~max_events: %.3f" until
+      by_count;
+  if drain > by_count +. tolerance then
+    Alcotest.failf "drain_below: %.3f words/event, run ~max_events: %.3f" drain
+      by_count
+
+(* Minor words per round of [k] posts at one instant followed by a drain
+   to the next instant, over 100 rounds after 300 warm-up rounds (enough
+   for every bucket of a pooled rung to reach its capacity). With
+   [backlog], one far event stays queued throughout. *)
+let refill_words_per_round ~backlog k =
+  let e = Engine.create () in
+  let h = Engine.register e (fun _ _ -> ()) in
+  if backlog then Engine.post e ~delay:1e9 ~h ~a:0 ~b:0 ~x:0.0;
+  let round () =
+    for i = 1 to k do
+      Engine.post e ~delay:0.5 ~h ~a:i ~b:0 ~x:0.0
+    done;
+    Engine.run ~until:(Engine.now e +. 1.0) e
+  in
+  for _ = 1 to 300 do
+    round ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    round ()
+  done;
+  (Gc.minor_words () -. w0) /. 100.0
+
+(* Refilling a drained queue costs no more per round than the same posts
+   into a queue with a standing backlog, whatever the burst size: the
+   only allocation is capacity growth, which warm-up absorbs. The
+   bound is per round, not per post; under [-opaque] both sides also pay
+   the boxes of each out-of-line post, which cancel. *)
+let test_engine_refill_after_drain () =
+  List.iter
+    (fun k ->
+      let drained = refill_words_per_round ~backlog:false k in
+      let standing = refill_words_per_round ~backlog:true k in
+      if drained -. standing > 16.0 then
+        Alcotest.failf
+          "k = %d: %.1f words/round after a full drain, %.1f with a backlog" k
+          drained standing)
+    [ 10; 100; 1000 ]
 
 let () =
   Alcotest.run "sim"
@@ -665,6 +736,13 @@ let () =
             test_post_batch_validates;
           Alcotest.test_case "next_time_inf sentinel" `Quick
             test_next_time_inf;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "drains allocate alike per event" `Quick
+            test_engine_drains_allocate_alike;
+          Alcotest.test_case "refill after a drain: bounded per round" `Quick
+            test_engine_refill_after_drain;
         ] );
       ( "properties",
         [

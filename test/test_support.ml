@@ -107,3 +107,25 @@ let words_per_cycle ~n cycle =
   let w0 = Gc.minor_words () in
   round ();
   (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Minor words per event of 64 self-rescheduling 2-argument handler
+   chains, over a third round of [drive] after two warm-up rounds. Each
+   event reads its payload's [x] and posts its successor with it: the
+   engine calls a simulator event makes, and nothing else. *)
+let chain_words_per_event drive =
+  let module Engine = Lesslog_sim.Engine in
+  let e = Engine.create () in
+  let h = ref (-1) in
+  h :=
+    Engine.register e (fun a b ->
+        Engine.post e
+          ~delay:(1.0 +. float_of_int (b land 7))
+          ~h:!h ~a ~b:(b + 1) ~x:(Engine.x e));
+  for i = 0 to 63 do
+    Engine.post e ~delay:(float_of_int i /. 64.0) ~h:!h ~a:i ~b:i ~x:0.0
+  done;
+  drive e;
+  drive e;
+  let w0 = Gc.minor_words () and n0 = Engine.events_executed e in
+  drive e;
+  (Gc.minor_words () -. w0) /. float_of_int (Engine.events_executed e - n0)

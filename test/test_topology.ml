@@ -598,6 +598,113 @@ let test_route_wide_m () =
         [ live_root; dead_root ])
     [ 14; 20 ]
 
+(* The option-based subtree climb routing used before the integer one:
+   Property 2 on the subtree VID through [Vtree] and the reduced
+   parameters, a [Some] per level, then FINDLIVENODE's downward scan
+   when the subtree root is dead. The differential oracle for
+   [Subtrees.route_next_in_subtree] and its option wrappers. *)
+module Subtree_oracle = struct
+  let first_alive_ancestor tree status p =
+    let rec climb p =
+      match Subtrees.parent_in_subtree tree p with
+      | None -> None
+      | Some q -> if Status_word.is_live status q then Some q else climb q
+    in
+    climb p
+
+  let insertion_target tree status ~subtree_id =
+    let params = Ptree.params tree in
+    let rec scan sv =
+      if sv < 0 then None
+      else
+        let p =
+          Ptree.pid_of_vid tree
+            (Subtrees.compose_vid params ~subtree_vid:sv ~subtree_id)
+        in
+        if Status_word.is_live status p then Some p else scan (sv - 1)
+    in
+    scan (Params.subtree_space params - 1)
+
+  let route_next tree status p =
+    match first_alive_ancestor tree status p with
+    | Some _ as a -> a
+    | None -> (
+        let sid = Subtrees.subtree_id_of_pid tree p in
+        if Status_word.is_live status (Subtrees.subtree_root tree ~subtree_id:sid)
+        then None
+        else
+          match insertion_target tree status ~subtree_id:sid with
+          | Some g when not (Pid.equal g p) -> Some g
+          | Some _ | None -> None)
+
+  let route_path tree status ~origin =
+    let rec go acc p =
+      match route_next tree status p with
+      | None -> List.rev (p :: acc)
+      | Some q -> go (p :: acc) q
+    in
+    go [] origin
+end
+
+(* m <= 12, b in {1, 2, 3}, a random live density from none to all, and
+   on top: every subtree root killed, or one subtree killed whole. *)
+let gen_subtree_climb_setup =
+  QCheck2.Gen.(
+    int_range 1 3 >>= fun b ->
+    int_range (b + 1) 12 >>= fun m ->
+    int_range 0 4 >>= fun density ->
+    bool >>= fun kill_roots ->
+    bool >>= fun kill_one ->
+    int >>= fun seed ->
+    let params = Params.create ~m ~b () in
+    let rng = Rng.create ~seed in
+    let tree = Ptree.make params ~root:(pid (Rng.int rng (Params.space params))) in
+    let status = Status_word.create params ~initially_live:false in
+    for i = 0 to Params.mask params do
+      if Rng.float rng 4.0 < float_of_int density then
+        Status_word.set_live status (pid i)
+    done;
+    for sid = 0 to Params.subtree_count params - 1 do
+      if kill_roots then
+        Status_word.set_dead status (Subtrees.subtree_root tree ~subtree_id:sid)
+    done;
+    if kill_one then
+      List.iter (Status_word.set_dead status)
+        (Subtrees.members tree
+           ~subtree_id:(Rng.int rng (Params.subtree_count params)));
+    return (params, status, tree))
+
+let prop_subtree_climb_matches_oracle =
+  Test_support.qcheck_case ~count:150
+    ~name:"FT integer climb = option-based climb (every PID)"
+    gen_subtree_climb_setup (fun (params, status, tree) ->
+      let ok = ref true in
+      for i = 0 to Params.mask params do
+        let p = pid i in
+        let expected =
+          match Subtree_oracle.route_next tree status p with
+          | None -> -1
+          | Some q -> Pid.to_int q
+        in
+        if
+          Subtrees.route_next_in_subtree tree status i <> expected
+          || Subtrees.first_alive_ancestor_in_subtree tree status p
+             <> Subtree_oracle.first_alive_ancestor tree status p
+          || i land 7 = 0
+             && Subtrees.route_path_in_subtree tree status ~origin:p
+                <> Subtree_oracle.route_path tree status ~origin:p
+        then ok := false
+      done;
+      for sid = 0 to Params.subtree_count params - 1 do
+        if
+          Subtrees.insertion_target_in_subtree tree status ~subtree_id:sid
+          <> Subtree_oracle.insertion_target tree status ~subtree_id:sid
+          || Subtrees.max_live_in_subtree tree status ~subtree_id:sid
+             <> Subtree_oracle.insertion_target tree status ~subtree_id:sid
+        then ok := false
+      done;
+      !ok)
+
 let () =
   Alcotest.run "topology"
     [
@@ -646,6 +753,7 @@ let () =
           prop_subtree_insertion_target_is_max_live;
           prop_live_offspring_bounded;
         ] );
+      ( "differential (subtree climb)", [ prop_subtree_climb_matches_oracle ] );
       ( "differential (cached vs naive)",
         [
           prop_cached_matches_naive;
