@@ -119,6 +119,11 @@ let unregister_key t key = Hashtbl.remove t.registry key
 let registered_keys t =
   Hashtbl.fold (fun k () acc -> k :: acc) t.registry [] |> List.sort compare
 
+let exists_registered_key t f =
+  match Hashtbl.iter (fun k () -> if f k then raise_notrace Exit) t.registry with
+  | () -> false
+  | exception Exit -> true
+
 let register_coded t key ~k ~r = Hashtbl.replace t.coded key (k, r)
 
 let unregister_coded t key = Hashtbl.remove t.coded key

@@ -66,6 +66,10 @@ val unregister_key : t -> string -> unit
 
 val registered_keys : t -> string list
 
+val exists_registered_key : t -> (string -> bool) -> bool
+(** Whether [f] holds for some registered key, in no particular order,
+    stopping at the first; builds no key list. *)
+
 val register_coded : t -> string -> k:int -> r:int -> unit
 (** Mark a base key as held in erasure-coded form with code parameters
     [(k, r)] (done by {!Ops.demote_to_coded}). While registered, the

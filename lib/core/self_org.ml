@@ -17,6 +17,13 @@ type fail_stats = {
   orphaned : string list;
 }
 
+(* What a membership change returns when no file moves: shared, so the
+   common event (a node that holds nothing and takes over nothing)
+   allocates no stats. *)
+let no_join = { took_over = [] }
+let no_leave = { reinserted = []; dropped_replicas = [] }
+let no_fail = { lost = []; recovered = []; orphaned = [] }
+
 let fault_tolerant cluster = Params.b (Cluster.params cluster) > 0
 
 let expected_targets cluster ~key =
@@ -44,16 +51,29 @@ let inserted_holder_for cluster ~key ~target =
          = Some File_store.Inserted)
     (Cluster.holders cluster ~key)
 
-let join ?(now = 0.0) cluster k =
+(* Whether the live node [k] is an insertion target of [key], without
+   building {!expected_targets}: with b = 0 the target is the max-live
+   VID, so [k] is it iff no live node has a larger VID; with b > 0 only
+   [k]'s own subtree's target can be [k]. *)
+let is_target cluster ~key k =
+  let tree = Cluster.tree_of_key cluster key in
   let status = Cluster.status cluster in
-  if Status_word.is_live status k then invalid_arg "Self_org.join: already live";
-  Status_word.set_live status k;
-  (* Copy back every file whose insertion target the joiner has become
-     (Section 5.1). The previous holder keeps a demoted replica. *)
+  if fault_tolerant cluster then
+    match
+      Subtrees.insertion_target_in_subtree tree status
+        ~subtree_id:(Subtrees.subtree_id_of_pid tree k)
+    with
+    | Some p -> Pid.equal p k
+    | None -> false
+  else not (Topology.has_live_with_greater_vid tree status k)
+
+(* Copy back every file whose insertion target the joiner [k] has
+   become (Section 5.1). The previous holder keeps a demoted replica. *)
+let take_over cluster ~now k =
   let took_over =
     List.filter_map
       (fun key ->
-        if List.exists (Pid.equal k) (expected_targets cluster ~key) then begin
+        if is_target cluster ~key k then begin
           match inserted_holder_for cluster ~key ~target:k with
           | Some donor when not (Pid.equal donor k) ->
               let version =
@@ -69,10 +89,23 @@ let join ?(now = 0.0) cluster k =
         else None)
       (Cluster.registered_keys cluster)
   in
-  Log.info (fun f ->
-      f "join P(%d): took over %d file(s)" (Pid.to_int k)
-        (List.length took_over));
-  { took_over }
+  if took_over = [] then no_join
+  else begin
+    Log.info (fun f ->
+        f "join P(%d): took over %d file(s)" (Pid.to_int k)
+          (List.length took_over));
+    { took_over }
+  end
+
+(* The common joiner is nobody's insertion target: the existence check
+   builds no key or target list, and only a target runs {!take_over}. *)
+let join ?(now = 0.0) cluster k =
+  let status = Cluster.status cluster in
+  if Status_word.is_live status k then invalid_arg "Self_org.join: already live";
+  Status_word.set_live status k;
+  if Cluster.exists_registered_key cluster (fun key -> is_target cluster ~key k)
+  then take_over cluster ~now k
+  else no_join
 
 let reinsert_one cluster ~now ~key ~version ~departing =
   let tree = Cluster.tree_of_key cluster key in
@@ -90,10 +123,9 @@ let reinsert_one cluster ~now ~key ~version ~departing =
         ~origin:File_store.Inserted ~version ~now;
       Some p
 
-let leave ?(now = 0.0) cluster k =
-  let status = Cluster.status cluster in
-  if Status_word.is_dead status k then invalid_arg "Self_org.leave: already dead";
-  let store_k = Cluster.store cluster k in
+(* Drop the replicas and fragments of the departing [k], mark it dead
+   and re-insert its inserted files elsewhere. *)
+let hand_off cluster ~now k store_k =
   let dropped_replicas = File_store.drop_replicas store_k in
   (* Erasure-coded fragments are not re-inserted under their fragment
      key — ψ(fragment key) has nothing to do with where the code wants
@@ -107,7 +139,7 @@ let leave ?(now = 0.0) cluster k =
         (key, Option.value ~default:0 (File_store.version store_k ~key)))
       (File_store.inserted_keys store_k)
   in
-  Status_word.set_dead status k;
+  Status_word.set_dead (Cluster.status cluster) k;
   let reinserted =
     List.filter_map
       (fun (key, version) ->
@@ -117,16 +149,28 @@ let leave ?(now = 0.0) cluster k =
         | None -> None)
       inserted
   in
-  Log.info (fun f ->
-      f "leave P(%d): re-inserted %d file(s), dropped %d replica(s)"
-        (Pid.to_int k) (List.length reinserted)
-        (List.length dropped_replicas));
-  { reinserted; dropped_replicas }
+  if reinserted = [] && dropped_replicas = [] then no_leave
+  else begin
+    Log.info (fun f ->
+        f "leave P(%d): re-inserted %d file(s), dropped %d replica(s)"
+          (Pid.to_int k) (List.length reinserted)
+          (List.length dropped_replicas));
+    { reinserted; dropped_replicas }
+  end
 
-let fail ?(now = 0.0) cluster k =
+let leave ?(now = 0.0) cluster k =
   let status = Cluster.status cluster in
-  if Status_word.is_dead status k then invalid_arg "Self_org.fail: already dead";
+  if Status_word.is_dead status k then invalid_arg "Self_org.leave: already dead";
   let store_k = Cluster.store cluster k in
+  if File_store.size store_k = 0 then begin
+    Status_word.set_dead status k;
+    no_leave
+  end
+  else hand_off cluster ~now k store_k
+
+(* The crash of [k]: its entire store is lost, then Section 5.3
+   recovery runs for each inserted file it held. *)
+let crash cluster ~now k store_k =
   (* Lost fragments are the cold tier's problem ([Ops.repair_coded]),
      not Section 5.3 recovery — keep them out of the stats. *)
   let held_inserted =
@@ -137,9 +181,8 @@ let fail ?(now = 0.0) cluster k =
         | _ -> true)
       (File_store.inserted_keys store_k)
   in
-  (* The crash loses the entire local store. *)
   List.iter (fun key -> File_store.remove store_k ~key) (File_store.keys store_k);
-  Status_word.set_dead status k;
+  Status_word.set_dead (Cluster.status cluster) k;
   let lost = ref [] and recovered = ref [] and orphaned = ref [] in
   List.iter
     (fun key ->
@@ -170,14 +213,28 @@ let fail ?(now = 0.0) cluster k =
           end
           else orphaned := key :: !orphaned)
     held_inserted;
-  Log.info (fun f ->
-      f "fail P(%d): lost %d, recovered %d, orphaned %d" (Pid.to_int k)
-        (List.length !lost) (List.length !recovered) (List.length !orphaned));
-  {
-    lost = List.rev !lost;
-    recovered = List.rev !recovered;
-    orphaned = List.rev !orphaned;
-  }
+  if held_inserted = [] then no_fail
+  else begin
+    Log.info (fun f ->
+        f "fail P(%d): lost %d, recovered %d, orphaned %d" (Pid.to_int k)
+          (List.length !lost) (List.length !recovered)
+          (List.length !orphaned));
+    {
+      lost = List.rev !lost;
+      recovered = List.rev !recovered;
+      orphaned = List.rev !orphaned;
+    }
+  end
+
+let fail ?(now = 0.0) cluster k =
+  let status = Cluster.status cluster in
+  if Status_word.is_dead status k then invalid_arg "Self_org.fail: already dead";
+  let store_k = Cluster.store cluster k in
+  if File_store.size store_k = 0 then begin
+    Status_word.set_dead status k;
+    no_fail
+  end
+  else crash cluster ~now k store_k
 
 let integrity_violations cluster =
   List.concat_map

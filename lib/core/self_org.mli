@@ -35,6 +35,13 @@ type fail_stats = {
           somewhere (served in degraded mode). *)
 }
 
+(** A change that moves no file returns a shared record of empty lists,
+    and allocates no key or target list on the way: {!join} first checks,
+    key by key and without building lists, whether the joiner became any
+    key's insertion target; {!leave} and {!fail} on a node whose store is
+    empty only flip its status. Events that move files log one
+    [Logs.info] line; the others log nothing. *)
+
 val join : ?now:float -> Cluster.t -> Pid.t -> join_stats
 (** Register the node live and copy back every file whose insertion target
     it now is. @raise Invalid_argument when the node is already live. *)

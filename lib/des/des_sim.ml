@@ -101,7 +101,6 @@ type state = {
 }
 
 let now st = Protocol.now st.p
-let emit st event = Protocol.emit st.p event
 
 let record_copies st =
   Timeseries.record st.replica_timeline ~time:(now st)
@@ -260,28 +259,34 @@ let start_arrivals st ~phase ~from_time =
             ~a:(Pid.to_int origin) ~b:phase ~x:0.0
       end)
 
-(* The counter-based mechanism of Section 2.2: each node periodically
-   drops replicated copies whose locally-observed access rate fell below
-   the threshold — a purely local decision, still logless. *)
+(* The counter-based mechanism of Section 2.2, for the simulated key:
+   each live holder drops its replicated copy once the copy's
+   locally-observed access rate fell below the threshold — a purely
+   local decision, still logless. The tick walks the key's live holders
+   in ascending PID order, so it costs the copies it looks at, not the
+   population. Removing a copy clears only the current holder's bit,
+   which [iter_inter] has already read.
+
+   The survivor floor: when every live holder is a below-rate replica
+   (the inserted copy's node is down), unguarded eviction would drop
+   the last live copy cluster-wide. The live copy count is re-read
+   immediately before each removal, so the sweep stops at one copy. *)
 let evict st ~min_rate =
+  let cluster = st.p.cluster and key = st.p.key and now = now st in
   let removed = ref 0 in
-  Status_word.iter_live (Cluster.status st.p.cluster) (fun p ->
-      let dropped =
-        (* The survivor floor: when every live holder is a below-rate
-           replica (the inserted copy's node is down), unguarded local
-           eviction would drop the last live copy cluster-wide. *)
-        File_store.evict_cold_replicas
-          ~survivors:(fun key -> Cluster.total_copies st.p.cluster ~key)
-          ~min_survivors:1
-          (Cluster.store st.p.cluster p)
-          ~now:(now st) ~min_rate
-      in
-      let mine = List.length (List.filter (String.equal st.p.key) dropped) in
-      if mine > 0 then
-        emit st
-          (Trace.Event.Evict
-             { at = now st; node = Pid.to_int p; key = st.p.key });
-      removed := !removed + mine);
+  Packed_bits.iter_inter
+    (Status_word.live_bits (Cluster.status cluster))
+    (Cluster.holder_bitset cluster ~key)
+    (fun i ->
+      let store = Cluster.store cluster (Pid.unsafe_of_int i) in
+      if
+        File_store.is_cold_replica store ~key ~now ~min_rate
+        && Cluster.total_copies cluster ~key > 1
+      then begin
+        File_store.remove store ~key;
+        Protocol.emit_evict st.p ~node:i;
+        incr removed
+      end);
   if !removed > 0 then begin
     st.replicas_evicted <- st.replicas_evicted + !removed;
     record_copies st
@@ -333,9 +338,12 @@ let policy_enforce st p =
             ~origin:File_store.Replicated ~version ~now:(now st);
           st.replicas_created <- st.replicas_created + 1;
           st.last_replication <- Some (now st);
-          emit st
-            (Trace.Event.Replicate
-               { at = now st; src; dst = Pid.to_int q; key });
+          (match st.p.sink with
+          | None -> ()
+          | Some f ->
+              f
+                (Trace.Event.Replicate
+                   { at = now st; src; dst = Pid.to_int q; key }));
           decr deficit
         end)
   end
@@ -350,7 +358,7 @@ let policy_enforce st p =
         then begin
           File_store.remove (Cluster.store st.p.cluster q) ~key;
           st.replicas_evicted <- st.replicas_evicted + 1;
-          emit st (Trace.Event.Evict { at = now st; node = Pid.to_int q; key });
+          Protocol.emit_evict st.p ~node:(Pid.to_int q);
           decr surplus
         end)
       (List.rev (Cluster.holders st.p.cluster ~key))
@@ -425,7 +433,7 @@ let finalize_obs st (obs : Obs.t) =
    control-traffic model — the status word is broadcast to every live
    node (Section 5), and each relocated file costs one transfer. *)
 let churn st p change =
-  emit st (Trace.Event.Membership { at = now st; node = Pid.to_int p; change });
+  Protocol.emit_membership st.p ~node:(Pid.to_int p) ~change;
   let relocated =
     Protocol.repair st.p p ~change
       ~ledger:(match st.plane with Some pl -> pl.ledger | None -> None)

@@ -30,10 +30,25 @@ type config = {
   latency : Lesslog_net.Latency.t;
   loss : float;  (** Per-message drop probability. *)
   eviction : eviction option;
-      (** When set, run the paper's counter-based replica removal: each
-          node periodically drops replicated copies whose decayed access
-          counter estimates fewer than [min_rate] accesses/s — a purely
-          local, logless decision. *)
+      (** When set, run the paper's counter-based replica removal: every
+          [period], each live holder of the simulated key drops its
+          replicated copy when the copy's decayed access counter
+          estimates fewer than [min_rate] accesses/s — a purely local,
+          logless decision ({!Lesslog_storage.File_store.is_cold_replica}).
+          A tick walks the key's live holders in ascending PID order, so
+          it costs the copies it looks at, not the live population.
+
+          The survivor floor: the key's live copy count is re-read
+          immediately before each removal, and a copy is dropped only
+          while more than one is live. When every live holder is a cold
+          replica (the inserted copy's node is down), the tick stops at
+          the last copy. Inserted and erasure-coded copies are never
+          dropped.
+
+          Eviction is per simulated key: copies of other keys placed in
+          the cluster are never evicted, counted or traced. (Before,
+          each tick also silently dropped their cold replicas, without
+          counting or tracing them.) *)
 }
 
 val default_config : config

@@ -122,7 +122,6 @@ type state = {
 }
 
 let now st = Protocol.now st.p
-let emit st event = Protocol.emit st.p event
 
 (* A request served at its origin: close its span and count it. Faults
    are closed from the Exhausted rpc event; latency and hops flow into
@@ -238,7 +237,9 @@ let on_verdict st p verdict =
   let status = Cluster.status st.p.cluster in
   match verdict with
   | `Suspect ->
-      emit st (Trace.Event.Suspect { at = now st; node = Pid.to_int p });
+      (match st.p.sink with
+      | None -> ()
+      | Some f -> f (Trace.Event.Suspect { at = now st; node = Pid.to_int p }));
       if Status_word.is_live status p then begin
         st.migrations <- st.migrations + 1;
         if truth_live st p then begin
@@ -251,7 +252,9 @@ let on_verdict st p verdict =
         else repair st p `Fail
       end
   | `Trust ->
-      emit st (Trace.Event.Trust { at = now st; node = Pid.to_int p });
+      (match st.p.sink with
+      | None -> ()
+      | Some f -> f (Trace.Event.Trust { at = now st; node = Pid.to_int p }));
       if Status_word.is_dead status p then repair st p `Join
 
 (* --- Fault injection ------------------------------------------------------ *)
@@ -261,9 +264,7 @@ let crash st p =
     st.truth.(Pid.to_int p) <- false;
     Overlay.detach st.p.overlay p;
     st.crashes <- st.crashes + 1;
-    emit st
-      (Trace.Event.Membership
-         { at = now st; node = Pid.to_int p; change = `Fail })
+    Protocol.emit_membership st.p ~node:(Pid.to_int p) ~change:`Fail
   end
 
 let restart st p =
@@ -271,9 +272,7 @@ let restart st p =
     st.truth.(Pid.to_int p) <- true;
     Overlay.attach st.p.overlay p;
     st.restarts <- st.restarts + 1;
-    emit st
-      (Trace.Event.Membership
-         { at = now st; node = Pid.to_int p; change = `Join })
+    Protocol.emit_membership st.p ~node:(Pid.to_int p) ~change:`Join
   end
 
 (* The plan is posted at setup, one handler per kind of disturbance;

@@ -56,7 +56,6 @@ let create ~rng ~cluster ~key ~engine ~overlay ~trigger ~substrate ~sink ~obs
       Option.fold ~none:0 ~some:(fun s -> Obs.Span.intern s "replicate") spans }
 
 let[@inline] now t = Lesslog_sim.Engine.now t.engine
-let emit t event = match t.sink with None -> () | Some f -> f event
 
 (* Trace records are built inside the sink match: with no sink attached
    the request path allocates none. *)
@@ -68,6 +67,18 @@ let[@inline] emit_request t ~origin ~server ~hops =
         (Trace.Event.Request
            { at = now t; origin;
              server = (if server < 0 then None else Some server); hops })
+
+(* Membership and eviction records too: a churn event or an eviction
+   tick with no sink builds no record and boxes no [at]. *)
+let emit_membership t ~node ~change =
+  match t.sink with
+  | None -> ()
+  | Some f -> f (Trace.Event.Membership { at = now t; node; change })
+
+let emit_evict t ~node =
+  match t.sink with
+  | None -> ()
+  | Some f -> f (Trace.Event.Evict { at = now t; node; key = t.key })
 
 (* The next hop's PID as an int, [-1] at the end of the route. *)
 let[@inline] route_step t me =

@@ -58,11 +58,19 @@ val create :
   t
 
 val now : t -> float
-val emit : t -> Lesslog_trace.Trace.Event.t -> unit
 
 val emit_request : t -> origin:int -> server:int -> hops:int -> unit
 (** The [Request] trace event of a resolved request ([server < 0] = a
     fault). The record is built only when a sink is attached. *)
+
+val emit_membership :
+  t -> node:int -> change:[ `Join | `Leave | `Fail ] -> unit
+(** The [Membership] trace event of a join, leave or failure, built
+    only when a sink is attached. *)
+
+val emit_evict : t -> node:int -> unit
+(** The [Evict] trace event of a replica of the key dropped at [node],
+    built only when a sink is attached. *)
 
 val forward :
   t -> me:Pid.t -> id:int -> origin:Pid.t -> hops:int -> issued_at:float -> bool

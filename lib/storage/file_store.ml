@@ -99,30 +99,13 @@ let drop_replicas t =
   List.iter (fun key -> remove t ~key) dropped;
   dropped
 
-let evict_cold_replicas ?(survivors = fun _ -> max_int) ?(min_survivors = 0) t
-    ~now ~min_rate =
-  let cold =
-    Hashtbl.fold
-      (fun k e acc ->
-        if
-          e.origin = Replicated && e.tier = Replicated_full
-          && Access_counter.rate e.counter ~now < min_rate
-        then k :: acc
-        else acc)
-      t.entries []
-    |> List.sort compare
-  in
-  (* Re-check the survivor floor immediately before each removal: the
-     index behind [survivors] updates as this loop (and eviction on
-     other nodes this tick) removes copies, and the last-copy bug was
-     exactly that every holder checked a stale count. *)
-  List.filter
-    (fun key ->
-      if survivors key > min_survivors then begin
-        remove t ~key;
-        true
-      end
-      else false)
-    cold
+(* Inlined, like [record_access], so an eviction tick boxes neither
+   [now] nor [min_rate]; [Hashtbl.find] builds no option. *)
+let[@inline] is_cold_replica t ~key ~now ~min_rate =
+  match Hashtbl.find t.entries key with
+  | { origin = Replicated; tier = Replicated_full; counter; _ } ->
+      Access_counter.rate counter ~now < min_rate
+  | { origin = Inserted; _ } | { tier = Coded _; _ } -> false
+  | exception Not_found -> false
 
 let iter t f = Hashtbl.iter (fun _ e -> f e) t.entries

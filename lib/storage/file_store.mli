@@ -37,8 +37,7 @@ val create : unit -> t
 val set_observer : t -> (string -> bool -> unit) -> unit
 (** [set_observer t f] registers the single change observer: [f key true]
     fires after every {!add} and [f key false] after every removal that
-    actually dropped a copy ({!remove}, {!drop_replicas},
-    {!evict_cold_replicas}). Notifications are idempotent with respect to
+    actually dropped a copy ({!remove}, {!drop_replicas}). Notifications are idempotent with respect to
     holding — an [add] of an already-held key still fires [f key true] —
     so observers maintaining an index must treat them as "now holds" /
     "now does not hold" statements, not as deltas. {!Cluster} uses this to
@@ -89,26 +88,20 @@ val drop_replicas : t -> string list
 (** Remove every replicated copy (a voluntarily leaving node); returns the
     dropped keys. *)
 
-val evict_cold_replicas :
-  ?survivors:(string -> int) ->
-  ?min_survivors:int ->
-  t ->
-  now:float ->
-  min_rate:float ->
-  string list
-(** The counter-based mechanism: remove replicated (never inserted,
-    never coded) copies whose estimated access rate fell below
-    [min_rate]; returns the evicted keys.
+val is_cold_replica : t -> key:string -> now:float -> min_rate:float -> bool
+(** The counter-based mechanism's per-copy test: the store holds a
+    replicated (never inserted, never coded) copy of [key] whose
+    estimated access rate at [now] fell below [min_rate]. Reading the
+    rate decays the copy's counter to [now]. Allocates nothing.
 
-    When every live holder of a key is a below-rate replica — the
-    inserted copy's node is down — unguarded eviction can drop the
-    last live copy cluster-wide. [survivors] reports the current
-    cluster-wide live copy count for a key and [min_survivors] is the
-    floor it must stay above: a copy is only removed while
-    [survivors key > min_survivors], re-checked before each removal so
-    concurrent evictions on other nodes (reflected through the
-    observer-maintained index backing [survivors]) are seen. Defaults
-    ([survivors = fun _ -> max_int], [min_survivors = 0]) preserve the
-    historical local-only behaviour. *)
+    Removing the copy is the caller's decision, because one store
+    cannot see the survivor floor: when every live holder of a key is a
+    below-rate replica (the inserted copy's node is down), evicting on
+    this test alone drops the last live copy cluster-wide.
+    [Des_sim]'s eviction tick walks the key's live holders, tests each
+    with this predicate, and re-reads the key's live copy count
+    immediately before each removal, keeping the last copy. (This
+    replaces [evict_cold_replicas], which swept a whole store behind a
+    survivors callback.) *)
 
 val iter : t -> (entry -> unit) -> unit

@@ -564,11 +564,17 @@ let prop_total_copies_matches_holders =
               File_store.add (Cluster.store cluster p) ~key
                 ~origin:File_store.Replicated ~version:0 ~now:0.0
           | 3 ->
-              ignore
-                (File_store.evict_cold_replicas
-                   ~survivors:(fun key -> Cluster.total_copies cluster ~key)
-                   ~min_survivors:1 (Cluster.store cluster p) ~now:1.0
-                   ~min_rate:infinity)
+              (* Every replica at [p] is cold; the survivor floor keeps
+                 each key's last live copy. *)
+              let store = Cluster.store cluster p in
+              Array.iter
+                (fun key ->
+                  if
+                    File_store.is_cold_replica store ~key ~now:1.0
+                      ~min_rate:infinity
+                    && Cluster.total_copies cluster ~key > 1
+                  then File_store.remove store ~key)
+                keys
           | 4 -> if Status_word.is_dead status p then ignore (Lesslog.Self_org.join cluster p)
           | 5 -> if Status_word.is_live status p then ignore (Lesslog.Self_org.leave cluster p)
           | 6 -> if Status_word.is_live status p then ignore (Lesslog.Self_org.fail cluster p)

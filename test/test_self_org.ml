@@ -284,6 +284,43 @@ let prop_ft_single_crashes_never_lose =
       !lost = []
       && List.for_all (fun key -> Cluster.holders cluster ~key <> []) keys)
 
+(* --- Allocation gates --------------------------------------------------- *)
+
+(* A membership change on a node that holds nothing and becomes no
+   insertion target moves no file, so it allocates no lists, stats or
+   log closures: what is left is the join's existence check over the
+   key registry and the boxed [?now]s. Both cycles read 14 words under
+   the dev and the release profile, against 173 (leave + join) and 147
+   (fail + join) when every event built its key and target lists. *)
+let bystander_cycle_words depart =
+  let cluster = Cluster.create (Params.create ~m:8 ()) in
+  let key = "self-org/alloc" in
+  ignore (Ops.insert cluster ~key);
+  let target = Cluster.target_of_key cluster key in
+  (* Any node but the target: with the target live, no joiner outranks
+     it, and no copy sits anywhere else. *)
+  let k = pid ((Pid.to_int target + 1) land 255) in
+  Test_support.words_per_cycle ~n:1000 (fun () ->
+      depart cluster k;
+      let s = Self_org.join ~now:1.0 cluster k in
+      assert (s.Self_org.took_over = []))
+
+let check_cycle name words =
+  if words > 40.0 then
+    Alcotest.failf "%s: %.1f words per cycle (at most 40)" name words
+
+let test_leave_join_allocation () =
+  check_cycle "leave + join"
+    (bystander_cycle_words (fun cluster k ->
+         let s = Self_org.leave ~now:1.0 cluster k in
+         assert (s.Self_org.reinserted = [])))
+
+let test_fail_join_allocation () =
+  check_cycle "fail + join"
+    (bystander_cycle_words (fun cluster k ->
+         let s = Self_org.fail ~now:1.0 cluster k in
+         assert (s.Self_org.lost = [])))
+
 let () =
   Alcotest.run "self_org"
     [
@@ -319,5 +356,12 @@ let () =
           prop_churn_preserves_integrity;
           prop_churn_preserves_availability;
           prop_ft_single_crashes_never_lose;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "bystander leave + join: at most 40 words" `Quick
+            test_leave_join_allocation;
+          Alcotest.test_case "bystander fail + join: at most 40 words" `Quick
+            test_fail_join_allocation;
         ] );
     ]

@@ -101,19 +101,37 @@ let test_demote () =
   (* Demoting a missing key is a no-op. *)
   File_store.demote_to_replica s ~key:"missing"
 
-let test_evict_cold_replicas () =
+let test_cold_replica () =
   let s = File_store.create () in
   File_store.add s ~key:"hot" ~origin:File_store.Replicated ~version:0 ~now:0.0;
   File_store.add s ~key:"cold" ~origin:File_store.Replicated ~version:0 ~now:0.0;
   File_store.add s ~key:"ins" ~origin:File_store.Inserted ~version:0 ~now:0.0;
+  File_store.add s ~key:"frag" ~origin:File_store.Replicated
+    ~tier:(File_store.Coded { index = 0; k = 4; r = 2 })
+    ~version:0 ~now:0.0;
   (* Heat up "hot" only. *)
   for t = 0 to 200 do
     File_store.record_access s ~key:"hot" ~now:(float_of_int t *. 0.1)
   done;
-  let evicted = File_store.evict_cold_replicas s ~now:20.0 ~min_rate:1.0 in
-  Alcotest.(check (list string)) "cold evicted" [ "cold" ] evicted;
-  Alcotest.(check bool) "hot kept" true (File_store.holds s ~key:"hot");
-  Alcotest.(check bool) "inserted immune" true (File_store.holds s ~key:"ins")
+  let cold key = File_store.is_cold_replica s ~key ~now:20.0 ~min_rate:1.0 in
+  Alcotest.(check bool) "cold evicted" true (cold "cold");
+  Alcotest.(check bool) "hot kept" false (cold "hot");
+  Alcotest.(check bool) "inserted immune" false (cold "ins");
+  Alcotest.(check bool) "coded immune" false (cold "frag");
+  Alcotest.(check bool) "absent key" false (cold "missing");
+  (* The test reads, never removes. *)
+  Alcotest.(check int) "store untouched" 4 (File_store.size s);
+  (* The bar is strict: a copy at exactly [min_rate] stays. *)
+  let rate =
+    match File_store.find s ~key:"hot" with
+    | Some e -> Access_counter.rate e.counter ~now:20.0
+    | None -> Alcotest.fail "hot copy missing"
+  in
+  Alcotest.(check bool) "at the bar kept" false
+    (File_store.is_cold_replica s ~key:"hot" ~now:20.0 ~min_rate:rate);
+  Alcotest.(check bool) "above the bar cold" true
+    (File_store.is_cold_replica s ~key:"hot" ~now:20.0
+       ~min_rate:(Float.succ rate))
 
 let test_tiers () =
   let s = File_store.create () in
@@ -135,50 +153,6 @@ let test_tiers () =
   File_store.add s ~key:"whole#frag0" ~origin:File_store.Inserted ~version:1
     ~now:1.0;
   Alcotest.(check (list string)) "promoted" [] (File_store.coded_keys s)
-
-let test_evict_min_survivors () =
-  (* Regression: a cold replica that is the last live copy
-     cluster-wide must survive eviction when a [min_survivors] floor
-     is given, and the [survivors] count is re-read before each
-     removal so earlier evictions in the same sweep are seen. *)
-  let s = File_store.create () in
-  File_store.add s ~key:"lonely" ~origin:File_store.Replicated ~version:0
-    ~now:0.0;
-  File_store.add s ~key:"backed" ~origin:File_store.Replicated ~version:0
-    ~now:0.0;
-  let copies = Hashtbl.create 4 in
-  Hashtbl.replace copies "lonely" 1;
-  Hashtbl.replace copies "backed" 3;
-  let survivors key = Option.value (Hashtbl.find_opt copies key) ~default:0 in
-  let evicted =
-    File_store.evict_cold_replicas ~survivors ~min_survivors:1 s ~now:20.0
-      ~min_rate:1.0
-  in
-  Alcotest.(check (list string)) "only the backed copy goes" [ "backed" ]
-    evicted;
-  Alcotest.(check bool) "last copy kept" true (File_store.holds s ~key:"lonely");
-  (* The count is re-read before each removal: a survivors function
-     that ticks down as the observer index reflects evictions
-     elsewhere stops the sweep at the floor. *)
-  let live = ref 2 in
-  let s2 = File_store.create () in
-  File_store.add s2 ~key:"x1" ~origin:File_store.Replicated ~version:0 ~now:0.0;
-  File_store.add s2 ~key:"x2" ~origin:File_store.Replicated ~version:0 ~now:0.0;
-  let evicted2 =
-    File_store.evict_cold_replicas
-      ~survivors:(fun _ ->
-        let v = !live in
-        decr live;
-        v)
-      ~min_survivors:1 s2 ~now:20.0 ~min_rate:1.0
-  in
-  Alcotest.(check int) "sweep stops at the floor" 1 (List.length evicted2);
-  (* The historical default (no floor) still drops a last copy. *)
-  let s3 = File_store.create () in
-  File_store.add s3 ~key:"lonely" ~origin:File_store.Replicated ~version:0
-    ~now:0.0;
-  Alcotest.(check (list string)) "defaults unchanged" [ "lonely" ]
-    (File_store.evict_cold_replicas s3 ~now:20.0 ~min_rate:1.0)
 
 let test_set_version () =
   let s = File_store.create () in
@@ -243,11 +217,8 @@ let () =
           Alcotest.test_case "key partitions" `Quick test_key_partitions;
           Alcotest.test_case "drop replicas" `Quick test_drop_replicas;
           Alcotest.test_case "demote" `Quick test_demote;
-          Alcotest.test_case "counter-based eviction" `Quick
-            test_evict_cold_replicas;
+          Alcotest.test_case "counter-based eviction" `Quick test_cold_replica;
           Alcotest.test_case "tiers" `Quick test_tiers;
-          Alcotest.test_case "eviction survivor floor" `Quick
-            test_evict_min_survivors;
           Alcotest.test_case "set version" `Quick test_set_version;
           Alcotest.test_case "remove" `Quick test_remove;
         ] );
