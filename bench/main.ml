@@ -2,7 +2,7 @@
 
    Part 1 — bechamel micro-benchmarks of the primitives the paper's claims
    rest on (bitwise tree navigation, logless placement, lookup routing).
-   The `naive/` entries run the uncached reference implementations
+   The `naive/` entries run the per-node reference scans
    (Topology.Naive) on identical inputs, so each JSON snapshot carries its
    own before/after pair.
 
@@ -106,25 +106,28 @@ let micro_tests () =
     Test.make ~name:"tree/depth"
       (Staged.stage (fun () -> Ptree.depth tree (next_pid ())));
     Test.make ~name:"tree/children_list(30% dead)"
-      (Staged.stage (fun () -> Topology.children_list tree holed (next_pid ())));
+      (Staged.stage (fun () ->
+           Topology.children_list ~b:0 tree holed (next_pid ())));
     Test.make ~name:"naive/children_list(30% dead)"
       (Staged.stage (fun () ->
            Topology.Naive.children_list tree holed (next_pid ())));
     Test.make ~name:"tree/find_live_node(30% dead)"
       (Staged.stage (fun () ->
-           Topology.find_live_node tree block_holed ~start:(next_pid ())));
+           Topology.find_live_node ~b:0 tree block_holed ~start:(next_pid ())));
     Test.make ~name:"naive/find_live_node(30% dead)"
       (Staged.stage (fun () ->
            Topology.Naive.find_live_node tree block_holed ~start:(next_pid ())));
     Test.make ~name:"tree/find_live_node(30% random dead)"
       (Staged.stage (fun () ->
-           Topology.find_live_node tree holed ~start:(next_pid ())));
+           Topology.find_live_node ~b:0 tree holed ~start:(next_pid ())));
     Test.make ~name:"lookup/route_path(all live)"
       (Staged.stage (fun () -> Topology.route_path tree all_live ~origin:mid));
     Test.make ~name:"lookup/route_path(30% dead)"
       (Staged.stage (fun () ->
            let origin =
-             match Topology.find_live_node tree holed ~start:(next_pid ()) with
+             match
+               Topology.find_live_node ~b:0 tree holed ~start:(next_pid ())
+             with
              | Some p -> p
              | None -> mid
            in
@@ -132,7 +135,9 @@ let micro_tests () =
     Test.make ~name:"naive/route_path(30% dead)"
       (Staged.stage (fun () ->
            let origin =
-             match Topology.find_live_node tree holed ~start:(next_pid ()) with
+             match
+               Topology.find_live_node ~b:0 tree holed ~start:(next_pid ())
+             with
              | Some p -> p
              | None -> mid
            in

@@ -1,8 +1,8 @@
 (** Fixed-length bitsets packed into OCaml [int] arrays, 62 usable bits per
     word.
 
-    This is the storage layer shared by the membership status word and the
-    topology cache's per-tree VID sets. All hot queries are word-level:
+    This is the storage layer of the membership status word and the
+    cluster's per-key holder index. All hot queries are word-level:
     iteration skips zero words, counting is SWAR popcount, and the
     selects ([first_set_at_or_below], [first_set_at_or_above], [nth_set])
     scan words, not bits, so they cost O(length/62) in the worst case.

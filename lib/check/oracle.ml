@@ -67,8 +67,8 @@ let check_epoch t =
 (* --- Heavy oracles (membership changes + end of run) -------------------- *)
 
 (* Deterministic PID sample: a stride over the space plus every dead
-   node (dead sets are small here, and they are exactly where the cached
-   and naive scans can disagree). With a [tree] and b > 0, the stride
+   node (dead sets are small here, and they are exactly where the
+   bit-level and naive scans can disagree). With a [tree] and b > 0, the stride
    runs per subtree instead of over the flat PID space — a flat
    space/16 stride can land every sample in one subtree once 2^b
    divides it, leaving the per-subtree scans (insertion targets,
@@ -107,54 +107,54 @@ let sample_pids ?tree status =
 
 let pid_opt = function None -> "-" | Some p -> string_of_int (Pid.to_int p)
 
-let check_coherence t tree status samples =
+(* Every whole-tree query of [Topology] (b = 0) against the naive
+   per-node scans of [Topology.Naive] on the sampled PIDs. *)
+let check_topology t tree status samples =
   let fail query start expected got =
-    violation ~oracle:"cache-coherence" ~at:t.now
-      (Printf.sprintf "%s(start=%d) cached=%s naive=%s (root=%d)" query
+    violation ~oracle:"topology-naive" ~at:t.now
+      (Printf.sprintf "%s(start=%d) topology=%s naive=%s (root=%d)" query
          (Pid.to_int start) got expected
          (Pid.to_int (Ptree.root tree)))
   in
-  let check_pid_opt query start naive cached =
-    if naive <> cached then fail query start (pid_opt naive) (pid_opt cached)
+  let check_pid_opt query start naive got =
+    if naive <> got then fail query start (pid_opt naive) (pid_opt got)
   in
-  check_pid_opt "max_live" (Ptree.root tree)
-    (Topology.Naive.max_live tree status)
-    (Topology.max_live tree status);
+  let pids l =
+    String.concat "," (List.map (fun p -> string_of_int (Pid.to_int p)) l)
+  in
   check_pid_opt "insertion_target" (Ptree.root tree)
     (Topology.Naive.insertion_target tree status)
-    (Topology.insertion_target tree status);
+    (Topology.insertion_target ~b:0 tree status ~subtree_id:0);
   List.iteri
     (fun i p ->
       check_pid_opt "find_live_node" p
         (Topology.Naive.find_live_node tree status ~start:p)
-        (Topology.find_live_node tree status ~start:p);
+        (Topology.find_live_node ~b:0 tree status ~start:p);
       check_pid_opt "first_alive_ancestor" p
         (Topology.Naive.first_alive_ancestor tree status p)
-        (Topology.first_alive_ancestor tree status p);
+        (Topology.first_alive_ancestor ~b:0 tree status p);
       check_pid_opt "route_next" p
         (Topology.Naive.route_next tree status p)
         (Topology.route_next tree status p);
       let naive_children = Topology.Naive.children_list tree status p in
-      let cached_children = Topology.children_list tree status p in
-      if not (List.equal Pid.equal naive_children cached_children) then
-        fail "children_list" p
-          (String.concat "," (List.map (fun p -> string_of_int (Pid.to_int p)) naive_children))
-          (String.concat "," (List.map (fun p -> string_of_int (Pid.to_int p)) cached_children));
-      if
+      let children = Topology.children_list ~b:0 tree status p in
+      if not (List.equal Pid.equal naive_children children) then
+        fail "children_list" p (pids naive_children) (pids children);
+      let naive_greater =
         Topology.Naive.has_live_with_greater_vid tree status p
-        <> Topology.has_live_with_greater_vid tree status p
+      in
+      if naive_greater <> Topology.has_live_with_greater_vid ~b:0 tree status p
       then
-        fail "has_live_with_greater_vid" p
-          (string_of_bool (Topology.Naive.has_live_with_greater_vid tree status p))
-          (string_of_bool (Topology.has_live_with_greater_vid tree status p));
+        fail "has_live_with_greater_vid" p (string_of_bool naive_greater)
+          (string_of_bool (not naive_greater));
       (* The offspring fold over every live node is the one genuinely
          expensive naive query; two samples per check keep trials fast. *)
       if i < 2 then begin
         let naive = Topology.Naive.live_offspring_count tree status p in
-        let cached = Topology.live_offspring_count tree status p in
-        if naive <> cached then
+        let got = Topology.live_offspring_count ~b:0 tree status p in
+        if naive <> got then
           fail "live_offspring_count" p (string_of_int naive)
-            (string_of_int cached)
+            (string_of_int got)
       end)
     samples
 
@@ -288,7 +288,7 @@ let heavy_check t =
     (fun key ->
       let tree = Cluster.tree_of_key t.cluster key in
       let samples = sample_pids ~tree status in
-      check_coherence t tree status samples;
+      check_topology t tree status samples;
       check_tree_properties t tree status samples)
     (Cluster.registered_keys t.cluster);
   match t.sim with

@@ -2,11 +2,12 @@
 
     An oracle value watches one cluster through one trial: {!on_event} is
     the simulator sink — it runs the cheap epoch-monotonicity check on
-    every trace event and the heavy state oracles (cache coherence, tree
-    properties P1–P4, replica availability) at every membership or
-    detector-verdict event, which is exactly when the status word can have
-    moved; {!at_end} re-runs everything on the final state and, for Des
-    runs, checks span/trace consistency against the run's tallies. The
+    every trace event and the heavy state oracles (topology against the
+    naive scans, tree properties P1–P4, replica availability) at every
+    membership or detector-verdict event, which is exactly when the
+    status word can have moved; {!at_end} re-runs everything on the
+    final state and, for Des runs, checks span/trace consistency against
+    the run's tallies. The
     oracle contract: checks either return unit or raise {!Violation} —
     they never mutate the cluster, so a passing check is free of side
     effects and a trial is bit-reproducible from its schedule.
@@ -22,7 +23,7 @@ module Trace = Lesslog_trace.Trace
 
 exception Violation of { oracle : string; at : float; detail : string }
 (** [oracle] is the stable oracle name recorded in repro files
-    ("cache-coherence", "tree-properties", "replica-availability",
+    ("topology-naive", "tree-properties", "replica-availability",
     "epoch-monotonic", "epoch-stale", "span-consistency"). *)
 
 type t

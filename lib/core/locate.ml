@@ -8,12 +8,7 @@ module File_store = Lesslog_storage.File_store
 let expected_targets cluster ~key =
   let tree = Cluster.tree_of_key cluster key in
   let status = Cluster.status cluster in
-  if Params.b (Cluster.params cluster) > 0 then
-    Subtrees.insertion_targets tree status
-  else
-    match Topology.insertion_target tree status with
-    | None -> []
-    | Some p -> [ p ]
+  Topology.insertion_targets ~b:(Params.b (Cluster.params cluster)) tree status
 
 let classify cluster ~at ~key =
   if List.exists (Pid.equal at) (expected_targets cluster ~key) then
@@ -51,8 +46,10 @@ let join_candidates cluster ~joining:k =
        through; at the previous max-VID live node when [k] just became the
        tree's max-VID live node (Section 5.1). *)
     let sources =
-      if Pid.equal k root || Topology.has_live_with_greater_vid tree status k
-      then Topology.children_list tree status k
+      if
+        Pid.equal k root
+        || Topology.has_live_with_greater_vid ~b:0 tree status k
+      then Topology.children_list ~b:0 tree status k
       else
         match previous_max_live tree status ~below:k with
         | Some p -> [ p ]

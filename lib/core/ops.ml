@@ -16,18 +16,16 @@ type get_result = {
 
 type update_result = { version : int; updated : int; messages : int }
 
-let fault_tolerant cluster = Params.b (Cluster.params cluster) > 0
+(* The subtree exponent every dead-aware query of this cluster runs
+   with: b = 0 is the whole tree, the one-subtree case. *)
+let scope cluster = Params.b (Cluster.params cluster)
 
 let insert ?(now = 0.0) cluster ~key =
   Cluster.register_key cluster key;
-  let tree = Cluster.tree_of_key cluster key in
-  let status = Cluster.status cluster in
   let targets =
-    if fault_tolerant cluster then Subtrees.insertion_targets tree status
-    else
-      match Topology.insertion_target tree status with
-      | None -> []
-      | Some p -> [ p ]
+    Topology.insertion_targets ~b:(scope cluster)
+      (Cluster.tree_of_key cluster key)
+      (Cluster.status cluster)
   in
   List.iter
     (fun p ->
@@ -39,20 +37,6 @@ let insert ?(now = 0.0) cluster ~key =
         (String.concat ";"
            (List.map (fun p -> string_of_int (Pid.to_int p)) targets)));
   targets
-
-(* Serve a request along a forwarding path: the first node holding a copy
-   answers. Returns the (possibly truncated) visited path. *)
-let serve_along cluster ~now ~key path =
-  let rec find visited hops = function
-    | [] -> None
-    | p :: rest ->
-        if Cluster.holds cluster p ~key then begin
-          File_store.record_access (Cluster.store cluster p) ~key ~now;
-          Some (p, hops, List.rev (p :: visited))
-        end
-        else find (p :: visited) (hops + 1) rest
-  in
-  find [] 0 path
 
 (* --- Erasure-coded cold tier ---
 
@@ -96,77 +80,60 @@ let holds_fragment cluster p ~key =
       in
       scan 0
 
-(* Walk hop by hop instead of materializing the full route first: the
-   common request is answered within a hop or two, so computing the rest
-   of the route (and its list) would be wasted work. Each hop is one
-   on-the-fly ROUTE-NEXT climb over the status word. *)
-let rec walk_single cluster held tree status ~now ~key visited hops p =
+(* The request walk, hop by hop: the common request is answered within a
+   hop or two, so no route is computed ahead. Each hop is one ROUTE-NEXT
+   climb over the status word inside the current subtree; where a subtree
+   dead-ends (Section 4), the request migrates to the next subtree in
+   turn, landing on the origin's mirror there — the origin's subtree VID
+   with that subtree's identifier — or, when the mirror is dead, on the
+   subtree's insertion target. A subtree with no live member is skipped;
+   a migration counts as one hop. With b = 0 the only subtree is the whole
+   tree, so the walk ends at the first dead end. *)
+let rec walk cluster held tree status ~now ~key ~origin visited hops migrations
+    k p =
   if Lesslog_bits.Packed_bits.get held (Pid.to_int p) then begin
     File_store.record_access (Cluster.store cluster p) ~key ~now;
     { server = Some p; hops; path = List.rev (p :: visited);
-      subtree_migrations = 0 }
+      subtree_migrations = migrations }
   end
   else
-    match Topology.route_next_int tree status (Pid.to_int p) with
+    let b = Params.b (Ptree.params tree) in
+    match Topology.next_hop ~b tree status (Pid.to_int p) with
     | -1 ->
-        { server = None; hops; path = List.rev (p :: visited);
-          subtree_migrations = 0 }
+        migrate cluster held tree status ~now ~key ~origin (p :: visited) hops
+          migrations (k + 1)
     | q ->
-        walk_single cluster held tree status ~now ~key (p :: visited)
-          (hops + 1) (Pid.unsafe_of_int q)
+        walk cluster held tree status ~now ~key ~origin (p :: visited)
+          (hops + 1) migrations k (Pid.unsafe_of_int q)
 
-let get_single_tree cluster ~now ~origin ~key =
-  walk_single cluster
-    (Cluster.holder_bitset cluster ~key)
-    (Cluster.tree_of_key cluster key)
-    (Cluster.status cluster) ~now ~key [] 0 origin
-
-let get_fault_tolerant cluster ~now ~origin ~key =
-  let tree = Cluster.tree_of_key cluster key in
-  let status = Cluster.status cluster in
-  let params = Cluster.params cluster in
+and migrate cluster held tree status ~now ~key ~origin visited hops migrations
+    k =
+  let params = Ptree.params tree in
   let nsub = Params.subtree_count params in
-  let sid0 = Subtrees.subtree_id_of_pid tree origin in
-  let rec attempt k acc_path acc_hops migrations =
-    if k >= nsub then
-      { server = None; hops = acc_hops; path = List.rev acc_path;
-        subtree_migrations = migrations }
-    else begin
-      let sid = (sid0 + k) mod nsub in
-      let start =
-        if k = 0 then Some origin
-        else begin
-          (* Migrate the request: rewrite the subtree identifier, keeping
-             the subtree VID; fall back to where the file is stored when
-             the corresponding node is dead. *)
-          let v = Ptree.vid_of_pid tree origin in
-          let mirrored =
-            Ptree.pid_of_vid tree (Subtrees.migrate_vid params v ~to_subtree:sid)
-          in
-          if Status_word.is_live status mirrored then Some mirrored
-          else Subtrees.insertion_target_in_subtree tree status ~subtree_id:sid
-        end
-      in
-      match start with
-      | None -> attempt (k + 1) acc_path acc_hops migrations
-      | Some start -> begin
-          let migrations = if k = 0 then migrations else migrations + 1 in
-          let acc_hops = if List.is_empty acc_path then acc_hops else acc_hops + 1 in
-          let path = Subtrees.route_path_in_subtree tree status ~origin:start in
-          match serve_along cluster ~now ~key path with
-          | Some (p, hops, visited) ->
-              { server = Some p; hops = acc_hops + hops;
-                path = List.rev_append acc_path visited;
-                subtree_migrations = migrations }
-          | None ->
-              attempt (k + 1)
-                (List.rev_append path acc_path)
-                (acc_hops + List.length path - 1)
-                migrations
-        end
-    end
-  in
-  attempt 0 [] 0 0
+  if k >= nsub then
+    { server = None; hops; path = List.rev visited;
+      subtree_migrations = migrations }
+  else begin
+    let sid = (Subtrees.subtree_id_of_pid tree origin + k) mod nsub in
+    let mirror =
+      Ptree.pid_of_vid tree
+        (Subtrees.migrate_vid params (Ptree.vid_of_pid tree origin)
+           ~to_subtree:sid)
+    in
+    let start =
+      if Status_word.is_live status mirror then Some mirror
+      else
+        Topology.insertion_target ~b:(Params.b params) tree status
+          ~subtree_id:sid
+    in
+    match start with
+    | None ->
+        migrate cluster held tree status ~now ~key ~origin visited hops
+          migrations (k + 1)
+    | Some s ->
+        walk cluster held tree status ~now ~key ~origin visited (hops + 1)
+          (migrations + 1) k s
+  end
 
 (* Attribution of a finished lookup. The handles are re-fetched per call
    (a hashtable hit each): [get] with a registry is the inspection path,
@@ -203,8 +170,10 @@ let get ?(now = 0.0) ?registry cluster ~origin ~key =
   if Status_word.is_dead (Cluster.status cluster) origin then
     invalid_arg "Ops.get: dead origin";
   let r =
-    if fault_tolerant cluster then get_fault_tolerant cluster ~now ~origin ~key
-    else get_single_tree cluster ~now ~origin ~key
+    walk cluster
+      (Cluster.holder_bitset cluster ~key)
+      (Cluster.tree_of_key cluster key)
+      (Cluster.status cluster) ~now ~key ~origin [] 0 0 0 origin
   in
   let r = coded_fallback cluster ~now ~key r in
   Option.iter (fun reg -> record_get reg r) registry;
@@ -214,67 +183,61 @@ let rec without holds = function
   | [] -> []
   | p :: rest -> if holds p then without holds rest else p :: without holds rest
 
-let children_list ~subtree tree status p =
-  if subtree then Subtrees.children_list_in_subtree tree status p
-  else Topology.children_list tree status p
+(* The root of the overloaded node's scope: the tree's root when b = 0,
+   its binomial subtree's root (Section 4) otherwise. *)
+let scope_root tree p =
+  Subtrees.subtree_root tree ~subtree_id:(Subtrees.subtree_id_of_pid tree p)
 
-(* The two candidate children lists of REPLICATEFILE, holders excluded:
-   the overloaded node's, plus the root's when attribution is ambiguous
-   (the overloaded node is the max-VID live node under a dead root,
-   Section 3). With [subtree], the tree is the overloaded node's binomial
-   subtree (Section 4). *)
-let candidates ~holds ~subtree tree status ~overloaded =
-  let own = without holds (children_list ~subtree tree status overloaded) in
-  let root =
-    if subtree then
-      Subtrees.subtree_root tree
-        ~subtree_id:(Subtrees.subtree_id_of_pid tree overloaded)
-    else Ptree.root tree
-  in
-  if
-    Pid.equal overloaded root
-    || (if subtree then Subtrees.has_live_with_greater_svid tree status overloaded
-        else Topology.has_live_with_greater_vid tree status overloaded)
-  then (own, [])
-  else (own, without holds (children_list ~subtree tree status root))
-
-(* Proportional choice (Section 3): attribute the overload to the
-   overloaded node's offspring vs. the rest of the population in
-   proportion to their sizes. *)
-let choose ~rng ~holds ~subtree tree status ~overloaded =
-  match candidates ~holds ~subtree tree status ~overloaded with
-  | [], [] -> None
-  | c :: _, [] | [], c :: _ -> Some c
-  | own_first :: _, root_first :: _ ->
-      let offspring =
-        if subtree then
-          Subtrees.live_offspring_count_in_subtree tree status overloaded
-        else Topology.live_offspring_count tree status overloaded
-      in
-      let population =
-        if subtree then
-          List.length
-            (List.filter (Status_word.is_live status)
-               (Subtrees.members tree
-                  ~subtree_id:(Subtrees.subtree_id_of_pid tree overloaded)))
-        else Status_word.live_count status
-      in
-      let rest = max 0 (population - 1 - offspring) in
-      let total = offspring + rest in
-      let p =
-        if total = 0 then 0.0 else float_of_int offspring /. float_of_int total
-      in
-      if Rng.bernoulli rng ~p then Some own_first else Some root_first
-
-let choose_in_subtree ~rng ~holds tree status ~overloaded =
-  choose ~rng ~holds ~subtree:true tree status ~overloaded
+(* Whether REPLICATEFILE's attribution is ambiguous (Section 3): the
+   overloaded node is not the root of its tree but the max-VID live node
+   under a dead root, so the root's children list competes with its own. *)
+let ambiguous ~b tree status ~overloaded =
+  not
+    (Pid.equal overloaded (scope_root tree overloaded)
+    || Topology.has_live_with_greater_vid ~b tree status overloaded)
 
 let replication_candidates cluster ~overloaded ~key =
-  candidates
-    ~holds:(fun p -> Cluster.holds cluster p ~key)
-    ~subtree:(fault_tolerant cluster)
-    (Cluster.tree_of_key cluster key)
-    (Cluster.status cluster) ~overloaded
+  let b = scope cluster and tree = Cluster.tree_of_key cluster key in
+  let status = Cluster.status cluster in
+  let holds p = Cluster.holds cluster p ~key in
+  let own = without holds (Topology.children_list ~b tree status overloaded) in
+  if ambiguous ~b tree status ~overloaded then
+    ( own,
+      without holds
+        (Topology.children_list ~b tree status (scope_root tree overloaded))
+    )
+  else (own, [])
+
+(* REPLICATEFILE's target: the first non-holder of the overloaded node's
+   children list and, when attribution is ambiguous, of the root's, each
+   found by one list-free fold over the live children frontier. Between
+   two candidates the proportional choice (Section 3) attributes the
+   overload to the overloaded node's offspring vs. the rest of its
+   subtree's live population in proportion to their sizes. *)
+let choose ~rng ~holds ~b tree status ~overloaded =
+  let own = Topology.first_child ~b tree status ~skip:holds overloaded in
+  let root =
+    if ambiguous ~b tree status ~overloaded then
+      Topology.first_child ~b tree status ~skip:holds
+        (scope_root tree overloaded)
+    else -1
+  in
+  if own < 0 && root < 0 then None
+  else if root < 0 then Some (Pid.unsafe_of_int own)
+  else if own < 0 then Some (Pid.unsafe_of_int root)
+  else begin
+    let offspring = Topology.live_offspring_count ~b tree status overloaded in
+    let population =
+      Topology.live_population ~b tree status
+        ~subtree_id:(Subtrees.subtree_id_of_pid tree overloaded)
+    in
+    let rest = max 0 (population - 1 - offspring) in
+    let total = offspring + rest in
+    let p =
+      if total = 0 then 0.0 else float_of_int offspring /. float_of_int total
+    in
+    Some (Pid.unsafe_of_int (if Rng.bernoulli rng ~p then own else root))
+  end
 
 let current_version cluster ~key ~overloaded =
   match File_store.version (Cluster.store cluster overloaded) ~key with
@@ -290,7 +253,7 @@ let current_version cluster ~key ~overloaded =
 let choose_replica_target ~rng cluster ~overloaded ~key =
   choose ~rng
     ~holds:(fun p -> Cluster.holds cluster p ~key)
-    ~subtree:(fault_tolerant cluster)
+    ~b:(scope cluster)
     (Cluster.tree_of_key cluster key)
     (Cluster.status cluster) ~overloaded
 
@@ -350,39 +313,27 @@ let broadcast cluster ~key ~on_holder ~children_list_of entries =
     entries;
   (!updated, !messages)
 
-(* Run the top-down broadcast from the proper entry points: the target
-   root (or its children list when it is dead), per subtree when the
-   fault-tolerant model is on. *)
+(* Run the top-down broadcast from the proper entry points: each
+   subtree's root (the tree's root when b = 0), or its children list when
+   it is dead. *)
 let broadcast_all cluster ~tree ~status ~key ~on_holder =
-  if fault_tolerant cluster then begin
-    let params = Cluster.params cluster in
-    let totals = ref (0, 0) in
-    for sid = 0 to Params.subtree_count params - 1 do
-      let sroot = Subtrees.subtree_root tree ~subtree_id:sid in
-      let entries =
-        if Status_word.is_live status sroot then [ sroot ]
-        else Subtrees.children_list_in_subtree tree status sroot
-      in
-      let u, m =
-        broadcast cluster ~key ~on_holder
-          ~children_list_of:(Subtrees.children_list_in_subtree tree status)
-          entries
-      in
-      let tu, tm = !totals in
-      totals := (tu + u, tm + m)
-    done;
-    !totals
-  end
-  else begin
-    let r = Ptree.root tree in
+  let b = scope cluster in
+  let updated = ref 0 and messages = ref 0 in
+  for subtree_id = 0 to (1 lsl b) - 1 do
+    let root = Subtrees.subtree_root tree ~subtree_id in
     let entries =
-      if Status_word.is_live status r then [ r ]
-      else Topology.children_list tree status r
+      if Status_word.is_live status root then [ root ]
+      else Topology.children_list ~b tree status root
     in
-    broadcast cluster ~key ~on_holder
-      ~children_list_of:(Topology.children_list tree status)
-      entries
-  end
+    let u, m =
+      broadcast cluster ~key ~on_holder
+        ~children_list_of:(Topology.children_list ~b tree status)
+        entries
+    in
+    updated := !updated + u;
+    messages := !messages + m
+  done;
+  (!updated, !messages)
 
 let update ?now cluster ~key =
   ignore now;
@@ -443,24 +394,17 @@ let choose_replica_target_via ~rng sub cluster ~overloaded ~key =
 let fragment_candidates cluster ~key ~index =
   let tree = Cluster.tree_of_key cluster key in
   let status = Cluster.status cluster in
-  let params = Cluster.params cluster in
+  let b = scope cluster in
+  let sid = index mod (1 lsl b) in
+  let target = Topology.insertion_target ~b tree status ~subtree_id:sid in
   let scoped =
-    if fault_tolerant cluster then begin
-      let nsub = Params.subtree_count params in
-      let sid = index mod nsub in
-      let target =
-        Subtrees.insertion_target_in_subtree tree status ~subtree_id:sid
-      in
+    if b > 0 then
       let rest =
         List.filter (Status_word.is_live status)
           (Subtrees.members tree ~subtree_id:sid)
       in
-      (match target with Some p -> p :: rest | None -> rest)
-    end
-    else
-      match Topology.insertion_target tree status with
-      | Some p -> [ p ]
-      | None -> []
+      match target with Some p -> p :: rest | None -> rest
+    else Option.to_list target
   in
   (* Global fallback: every live slot, ascending PID. *)
   let global =
@@ -574,13 +518,7 @@ let promote_from_coded ?(now = 0.0) ?substrate cluster ~key ~copies =
           match substrate with
           | Some sub -> (
               match sub.Substrate.owner ~key with Some p -> [ p ] | None -> [])
-          | None ->
-              if fault_tolerant cluster then
-                Subtrees.insertion_targets tree status
-              else (
-                match Topology.insertion_target tree status with
-                | Some p -> [ p ]
-                | None -> [])
+          | None -> Topology.insertion_targets ~b:(scope cluster) tree status
         in
         if targets = [] then None
         else begin

@@ -63,18 +63,26 @@ val choose_replica_target :
 (** The placement decision of REPLICATEFILE without creating the copy:
     first non-holding node of the children list, with the Section 3
     proportional choice between the overloaded node's and the root's
-    children lists when attribution is ambiguous. [None] when every
-    candidate already holds the file. *)
+    children lists when attribution is ambiguous — {!choose} with the
+    cluster's [b] and holder set. [None] when every candidate already
+    holds the file. *)
 
-val choose_in_subtree :
+val choose :
   rng:Lesslog_prng.Rng.t ->
   holds:(Pid.t -> bool) ->
+  b:int ->
   Lesslog_ptree.Ptree.t ->
   Lesslog_membership.Status_word.t ->
   overloaded:Pid.t ->
   Pid.t option
-(** {!choose_replica_target}'s [b > 0] branch over the overloaded node's
-    subtree, with the caller's holder test. *)
+(** {!choose_replica_target} over the overloaded node's subtree of the
+    [2^b] (the whole tree when [b = 0]), with the caller's holder test:
+    the highest-VID live non-holder of each candidate children list,
+    found by a fold over the live children frontier
+    ({!Lesslog_topology.Topology.first_child}) that builds no list. The
+    rng is drawn only when both lists have a candidate. Beyond its
+    result, a decision allocates only when both lists compete, where the
+    live-offspring count may walk the live set. *)
 
 val replicate :
   ?now:float ->

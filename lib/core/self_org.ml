@@ -24,48 +24,36 @@ let no_join = { took_over = [] }
 let no_leave = { reinserted = []; dropped_replicas = [] }
 let no_fail = { lost = []; recovered = []; orphaned = [] }
 
-let fault_tolerant cluster = Params.b (Cluster.params cluster) > 0
+(* The subtree exponent of the cluster's dead-aware queries: b = 0 is the
+   whole tree, the one-subtree case. *)
+let scope cluster = Params.b (Cluster.params cluster)
 
 let expected_targets cluster ~key =
-  let tree = Cluster.tree_of_key cluster key in
-  let status = Cluster.status cluster in
-  if fault_tolerant cluster then Subtrees.insertion_targets tree status
-  else
-    match Topology.insertion_target tree status with
-    | None -> []
-    | Some p -> [ p ]
+  Topology.insertion_targets ~b:(scope cluster)
+    (Cluster.tree_of_key cluster key)
+    (Cluster.status cluster)
 
 (* The live holder of the inserted copy relevant to target [t] of [key]:
-   with b = 0 any live inserted holder; with b > 0 the inserted holder in
-   the same subtree as [t]. *)
+   the inserted holder in the same subtree as [t] (with b = 0, any). *)
 let inserted_holder_for cluster ~key ~target =
   let tree = Cluster.tree_of_key cluster key in
-  let same_scope p =
-    (not (fault_tolerant cluster))
-    || Subtrees.subtree_id_of_pid tree p = Subtrees.subtree_id_of_pid tree target
-  in
+  let sid = Subtrees.subtree_id_of_pid tree target in
   List.find_opt
     (fun p ->
-      same_scope p
+      Subtrees.subtree_id_of_pid tree p = sid
       && File_store.origin (Cluster.store cluster p) ~key
          = Some File_store.Inserted)
     (Cluster.holders cluster ~key)
 
 (* Whether the live node [k] is an insertion target of [key], without
-   building {!expected_targets}: with b = 0 the target is the max-live
-   VID, so [k] is it iff no live node has a larger VID; with b > 0 only
-   [k]'s own subtree's target can be [k]. *)
+   building {!expected_targets}: its subtree's target is the largest live
+   VID there, so [k] is it iff no live node of its subtree has a larger
+   VID. *)
 let is_target cluster ~key k =
-  let tree = Cluster.tree_of_key cluster key in
-  let status = Cluster.status cluster in
-  if fault_tolerant cluster then
-    match
-      Subtrees.insertion_target_in_subtree tree status
-        ~subtree_id:(Subtrees.subtree_id_of_pid tree k)
-    with
-    | Some p -> Pid.equal p k
-    | None -> false
-  else not (Topology.has_live_with_greater_vid tree status k)
+  not
+    (Topology.has_live_with_greater_vid ~b:(scope cluster)
+       (Cluster.tree_of_key cluster key)
+       (Cluster.status cluster) k)
 
 (* Copy back every file whose insertion target the joiner [k] has
    become (Section 5.1). The previous holder keeps a demoted replica. *)
@@ -109,14 +97,10 @@ let join ?(now = 0.0) cluster k =
 
 let reinsert_one cluster ~now ~key ~version ~departing =
   let tree = Cluster.tree_of_key cluster key in
-  let status = Cluster.status cluster in
-  let target =
-    if fault_tolerant cluster then
-      let sid = Subtrees.subtree_id_of_pid tree departing in
-      Subtrees.insertion_target_in_subtree tree status ~subtree_id:sid
-    else Topology.insertion_target tree status
-  in
-  match target with
+  match
+    Topology.insertion_target ~b:(scope cluster) tree (Cluster.status cluster)
+      ~subtree_id:(Subtrees.subtree_id_of_pid tree departing)
+  with
   | None -> None
   | Some p ->
       File_store.add (Cluster.store cluster p) ~key
@@ -189,7 +173,7 @@ let crash cluster ~now k store_k =
       match Cluster.holders cluster ~key with
       | [] -> lost := key :: !lost
       | survivors ->
-          if fault_tolerant cluster then begin
+          if scope cluster > 0 then begin
             (* Recover from a sibling subtree's inserted copy
                (Section 5.3). *)
             let donor =

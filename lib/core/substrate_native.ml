@@ -7,10 +7,11 @@ let of_cluster cluster =
     Topology.route_next (Cluster.tree_of_key cluster key) status p
   in
   let owner ~key =
-    Topology.insertion_target (Cluster.tree_of_key cluster key) status
+    Topology.insertion_target ~b:0 (Cluster.tree_of_key cluster key) status
+      ~subtree_id:0
   in
   let neighbors ~key p =
-    Topology.children_list (Cluster.tree_of_key cluster key) status p
+    Topology.children_list ~b:0 (Cluster.tree_of_key cluster key) status p
   in
   let replica_target ~rng ~holds:_ ~overloaded ~key =
     Ops.choose_replica_target ~rng cluster ~overloaded ~key

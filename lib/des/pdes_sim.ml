@@ -30,6 +30,7 @@ module Latency = Lesslog_net.Latency
 module Overlay = Lesslog_net.Overlay
 module Status_word = Lesslog_membership.Status_word
 module Subtrees = Lesslog_topology.Subtrees
+module Topology = Lesslog_topology.Topology
 module Ptree = Lesslog_ptree.Ptree
 module Demand = Lesslog_workload.Demand
 module Histogram = Lesslog_metrics.Histogram
@@ -182,8 +183,8 @@ let maybe_replicate st (sh : shard) ~overloaded =
   let now = Engine.now sh.eng in
   if Protocol.Trigger.due sh.trigger sv ~now then
     match
-      Lesslog.Ops.choose_in_subtree ~rng:sh.rng ~holds:(holds st) st.tree
-        st.status ~overloaded
+      Lesslog.Ops.choose ~rng:sh.rng ~holds:(holds st) ~b:(Params.b st.params)
+        st.tree st.status ~overloaded
     with
     | None -> ()
     | Some dest ->
@@ -232,15 +233,14 @@ let migrate st (sh : shard) ~me =
         (Subtrees.migrate_vid st.params (Ptree.vid_of_pid st.tree me)
            ~to_subtree)
     in
+    let b = Params.b st.params in
     let landing =
       if Status_word.is_live st.status landing then Some landing
       else
-        match
-          Subtrees.first_alive_ancestor_in_subtree st.tree st.status landing
-        with
+        match Topology.first_alive_ancestor ~b st.tree st.status landing with
         | Some _ as a -> a
         | None ->
-            Subtrees.insertion_target_in_subtree st.tree st.status
+            Topology.insertion_target ~b st.tree st.status
               ~subtree_id:to_subtree
     in
     match landing with
@@ -259,7 +259,8 @@ let[@inline] route_get_replicated st (sh : shard) ~me ~id ~origin ~hops
   else begin
     let next =
       match
-        Subtrees.route_next_in_subtree st.tree st.status (Pid.to_int me)
+        Topology.next_hop ~b:(Params.b st.params) st.tree st.status
+          (Pid.to_int me)
       with
       | -1 -> migrate st sh ~me
       | q -> q
@@ -361,7 +362,8 @@ let highest_holder (sh : shard) =
 
 let reinsert (st : state) ~subtree_id =
   match
-    Subtrees.insertion_target_in_subtree st.tree st.status ~subtree_id
+    Topology.insertion_target ~b:(Params.b st.params) st.tree st.status
+      ~subtree_id
   with
   | None -> 0
   | Some t ->
@@ -403,7 +405,7 @@ let place_fragment_in st (sh : shard) =
   in
   let target =
     match
-      Subtrees.insertion_target_in_subtree st.tree st.status
+      Topology.insertion_target ~b:(Params.b st.params) st.tree st.status
         ~subtree_id:sh.sid
     with
     | Some t when free t -> Some t
@@ -447,7 +449,10 @@ let churn_join (st : state) p =
   Status_word.set_live st.status p;
   let s = sid_of st p in
   let sh = st.shards.(s) in
-  match Subtrees.insertion_target_in_subtree st.tree st.status ~subtree_id:s with
+  match
+    Topology.insertion_target ~b:(Params.b st.params) st.tree st.status
+      ~subtree_id:s
+  with
   | Some t when Pid.equal t p && not (Packed_bits.get sh.holders (svid_of st p))
     -> (
       match highest_holder sh with
@@ -781,7 +786,7 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
   (* ADVANCEDINSERTFILE: one copy per subtree (Section 4). *)
   List.iter
     (fun p -> Packed_bits.set shards.(sid_of st p).holders (svid_of st p))
-    (Subtrees.insertion_targets tree status);
+    (Topology.insertion_targets ~b:(Params.b params) tree status);
   (match cold st with Some l -> sample_bytes st ~t:0.0 l | None -> ());
   start_arrivals st;
   (* All lists are time-sorted; concat + stable sort is a stable merge,

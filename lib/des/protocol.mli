@@ -4,7 +4,7 @@
 
     {!Des_sim} and {!Fault_sim} keep one {!t} each and call these steps
     from their handlers; {!Pdes_sim} shares the overload test
-    ({!Trigger}) and {!Lesslog.Ops.choose_in_subtree}. The per-request
+    ({!Trigger}) and {!Lesslog.Ops.choose}. The per-request
     steps take no closures, build no tuples or records, and are inlined
     into their callers ([-inline 100]): out of line, the request path
     allocates. *)

@@ -30,7 +30,7 @@ let place_log_based ~cluster ~flow ~demand ~key ~overloaded =
   let candidates =
     List.filter
       (fun p -> not (holders p))
-      (Topology.children_list tree status overloaded)
+      (Topology.children_list ~b:0 tree status overloaded)
   in
   match candidates with
   | [] -> None

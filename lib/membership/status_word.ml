@@ -7,19 +7,7 @@ type t = {
   bits : Packed_bits.t;
   mutable live : int;
   mutable epoch : int;
-  uid : int;
-  (* The PID flipped by the mutation that moved the epoch to [e], at
-     slot [e land (ring_size - 1)]: the last [ring_size] deltas, read by
-     the topology cache to catch an entry up instead of rebuilding it. *)
-  ring : int array;
 }
-
-let ring_size = 64
-
-(* Unique per status word, never reused: the key derived caches (the
-   topology cache) index by. Atomic because experiments fan out across
-   domains (Lesslog_parallel.Par). *)
-let next_uid = Atomic.make 0
 
 let create params ~initially_live =
   let space = Params.space params in
@@ -30,19 +18,11 @@ let create params ~initially_live =
        else Packed_bits.create space);
     live = (if initially_live then space else 0);
     epoch = 0;
-    uid = Atomic.fetch_and_add next_uid 1;
-    ring = Array.make ring_size 0;
   }
 
 let params t = t.params
 let epoch t = t.epoch
-let uid t = t.uid
 let live_bits t = t.bits
-let flipped t e = Array.unsafe_get t.ring (e land (ring_size - 1))
-
-let record t p =
-  t.epoch <- t.epoch + 1;
-  Array.unsafe_set t.ring (t.epoch land (ring_size - 1)) p
 
 let is_live t p = Packed_bits.get t.bits (Pid.to_int p)
 let is_dead t p = not (is_live t p)
@@ -51,14 +31,14 @@ let set_live t p =
   if not (is_live t p) then begin
     Packed_bits.set t.bits (Pid.to_int p);
     t.live <- t.live + 1;
-    record t (Pid.to_int p)
+    t.epoch <- t.epoch + 1
   end
 
 let set_dead t p =
   if is_live t p then begin
     Packed_bits.clear t.bits (Pid.to_int p);
     t.live <- t.live - 1;
-    record t (Pid.to_int p)
+    t.epoch <- t.epoch + 1
   end
 
 let of_live_list params pids =
@@ -72,8 +52,6 @@ let copy t =
     bits = Packed_bits.copy t.bits;
     live = t.live;
     epoch = 0;
-    uid = Atomic.fetch_and_add next_uid 1;
-    ring = Array.make ring_size 0;
   }
 
 let live_count t = t.live

@@ -4,17 +4,15 @@
     cluster.
 
     The bits live in a packed [int]-array bitset
-    ({!Lesslog_bits.Packed_bits}), so membership tests are one word load,
-    iteration skips dead regions 62 slots at a time, and the topology
-    layer can answer "highest live PID below x" with a single popcount /
-    floor-log2 word scan.
+    ({!Lesslog_bits.Packed_bits}), so membership tests are one word load
+    and iteration skips dead regions 62 slots at a time. The topology
+    layer navigates by reading {!live_bits} directly: every dead-aware
+    query is a climb or scan over these bits, so nothing derived from
+    the status word has to be kept current.
 
-    Each mutation that actually changes a bit bumps a monotonic {!epoch}
-    and records the flipped PID in a fixed ring of the last {!ring_size}
-    deltas. Derived structures (the topology cache) record the epoch they
-    were built at; when it moves they replay the ring's deltas, or rebuild
-    once they have fallen more than {!ring_size} epochs behind — the
-    epoch-invalidation contract documented in ARCHITECTURE.md. *)
+    Each mutation that actually changes a bit bumps a monotonic {!epoch},
+    which the checker's epoch oracles and the substrates' epoch-cached
+    overlays use to tell whether membership moved. *)
 
 open Lesslog_id
 
@@ -27,8 +25,8 @@ val of_live_list : Params.t -> Pid.t list -> t
 (** Only the listed PIDs are live. *)
 
 val copy : t -> t
-(** Fresh status word with the same membership; it has its own {!uid},
-    its epoch restarts at 0 and its delta ring starts empty. *)
+(** Fresh status word with the same membership; its epoch restarts
+    at 0. *)
 
 val params : t -> Params.t
 
@@ -37,22 +35,6 @@ val epoch : t -> int
     that changes a bit (idempotent no-ops do not bump it). A derived
     structure is valid exactly while the epoch it was built at is
     current. *)
-
-val ring_size : int
-(** Number of membership deltas the ring keeps: 64. *)
-
-val flipped : t -> int -> int
-(** [flipped t e] is [Pid.to_int] of the PID whose flip moved the epoch
-    from [e - 1] to [e]. Meaningful only for
-    [epoch t - ring_size < e <= epoch t] and [e >= 1]; older slots have
-    been overwritten. The delta says which bit moved, not which way: a
-    reader re-reads the PID's current liveness, so replaying a window
-    in any order, with repeats, lands on the current membership. *)
-
-val uid : t -> int
-(** Process-unique identity of this status word, distinct across {!copy}.
-    Cache keys combine [uid] with the query context so two words never
-    share derived state. *)
 
 val live_bits : t -> Lesslog_bits.Packed_bits.t
 (** The underlying bitset (bit [i] = PID [i] live). Read-only by

@@ -19,8 +19,7 @@ val root : t -> Pid.t
 
 val comp : t -> int
 (** The XOR constant [comp(root)] mapping PID↔VID. Two trees with the same
-    parameters and the same [comp] are the same tree — the topology cache
-    keys derived state on it. *)
+    parameters and the same [comp] are the same tree. *)
 
 val vid_of_pid : t -> Pid.t -> Vid.t
 val pid_of_vid : t -> Vid.t -> Pid.t

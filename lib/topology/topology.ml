@@ -1,14 +1,13 @@
 open Lesslog_id
 module Status_word = Lesslog_membership.Status_word
 module Ptree = Lesslog_ptree.Ptree
-module Vtree = Lesslog_vtree.Vtree
 module Bitops = Lesslog_bits.Bitops
 module Packed_bits = Lesslog_bits.Packed_bits
 
 (* The reference implementations: the seed's per-node scans, kept verbatim
-   as the differential-test oracle for the cached word-level versions
-   below. test/test_topology.ml asserts bit-identical answers under
-   randomized kill/revive sequences. *)
+   as the differential-test oracle for the bit-level versions below.
+   test/test_topology.ml asserts bit-identical answers under randomized
+   kill/revive sequences. *)
 module Naive = struct
   let find_live_node tree status ~start =
     if Status_word.is_live status start then Some start
@@ -89,48 +88,70 @@ module Naive = struct
     go [] origin
 end
 
-(* --- Cached word-level implementations --------------------------------- *)
+(* --- Bit-level implementations over the status word ------------------- *)
 
 (* Test-only fault injection: the deterministic checker (lib/check) proves
-   it can catch real bugs by flipping this flag and demanding a shrunk
+   it can catch real bugs by flipping these flags and demanding a shrunk
    counterexample. Never set outside tests. *)
 module Testing = struct
   let broken_find_live_node = ref false
-  let broken_catch_up = Topology_cache.broken_catch_up
+  let broken_frontier = ref false
 end
 
-let entry tree status = Topology_cache.get status ~comp:(Ptree.comp tree)
+(* Every query works on VIDs inside one scope: the bits [b, m) it may set,
+   clear or scan, while the low b bits (the subtree identifier, Section 4)
+   stay fixed. b = 0 is the whole tree. *)
+let scope_mask tree ~b =
+  Params.mask (Ptree.params tree) land lnot ((1 lsl b) - 1)
 
-let find_live_node tree status ~start =
+let pid_of_vid_opt comp = function
+  | -1 -> None
+  | v -> Some (Pid.unsafe_of_int (v lxor comp))
+
+(* FINDLIVENODE's downward scan: the largest live VID in (floor, v] that
+   keeps v's low bits (stepping by [step] = 2^b), or [-1]. *)
+let rec scan_down live comp step floor v =
+  if v <= floor then -1
+  else if Packed_bits.get live (v lxor comp) then v
+  else scan_down live comp step floor (v - step)
+
+(* The deliberately wrong direction of [Testing.broken_find_live_node]. *)
+let rec scan_up live comp step top v =
+  if v > top then -1
+  else if Packed_bits.get live (v lxor comp) then v
+  else scan_up live comp step top (v + step)
+
+let find_live_node ~b tree status ~start =
   if Status_word.is_live status start then Some start
   else
-    let v = Vid.to_int (Ptree.vid_of_pid tree start) in
-    let e = entry tree status in
-    if !Testing.broken_find_live_node then
-      (* Deliberately wrong: scans *upward* in VID space, violating the
-         paper's FINDLIVENODE contract (first live node strictly below). *)
-      let mask = Params.mask (Ptree.params tree) in
-      match
-        if v >= mask then -1
-        else Packed_bits.first_set_at_or_above e.Topology_cache.vids (v + 1)
-      with
-      | -1 -> None
-      | u -> Some (Ptree.pid_of_vid tree (Vid.unsafe_of_int u))
-    else if v = 0 then None
-    else
-      match Packed_bits.first_set_at_or_below e.Topology_cache.vids (v - 1) with
-      | -1 -> None
-      | u -> Some (Ptree.pid_of_vid tree (Vid.unsafe_of_int u))
+    let comp = Ptree.comp tree and live = Status_word.live_bits status in
+    let step = 1 lsl b and v = Pid.to_int start lxor comp in
+    pid_of_vid_opt comp
+      (if !Testing.broken_find_live_node then
+         (* Deliberately wrong: scans *upward* in VID space, violating the
+            paper's FINDLIVENODE contract (first live node strictly
+            below). *)
+         scan_up live comp step (v lor scope_mask tree ~b) (v + step)
+       else scan_down live comp step (-1) (v - step))
 
-let max_live tree status =
-  let e = entry tree status in
-  match e.Topology_cache.max_live_vid with
-  | -1 -> None
-  | v -> Some (Ptree.pid_of_vid tree (Vid.unsafe_of_int v))
+(* FINDLIVENODE from the subtree root, whose subtree VID is all ones. *)
+let insertion_target ~b tree status ~subtree_id =
+  let comp = Ptree.comp tree in
+  pid_of_vid_opt comp
+    (scan_down (Status_word.live_bits status) comp (1 lsl b) (-1)
+       (scope_mask tree ~b lor subtree_id))
 
-(* FINDLIVENODE(r, r) starts at the root, whose VID is the maximum, so the
-   answer is just the maximum live VID. *)
-let insertion_target = max_live
+let insertion_targets ~b tree status =
+  List.filter_map
+    (fun subtree_id -> insertion_target ~b tree status ~subtree_id)
+    (List.init (1 lsl b) Fun.id)
+
+let has_live_with_greater_vid ~b tree status p =
+  let comp = Ptree.comp tree in
+  let v = Pid.to_int p lxor comp in
+  scan_down (Status_word.live_bits status) comp (1 lsl b) v
+    (v lor scope_mask tree ~b)
+  >= 0
 
 (* The first live strict ancestor of VID [v], as a PID, or [-1]: climb
    in VID space, where the parent sets the highest zero bit (P2), testing
@@ -145,89 +166,138 @@ let rec climb bits mask comp v =
     let p = v lxor comp in
     if Packed_bits.get bits p then p else climb bits mask comp v
 
-let first_alive_ancestor tree status p =
+let first_alive_ancestor ~b tree status p =
   let comp = Ptree.comp tree in
   match
-    climb (Status_word.live_bits status) (Params.mask (Ptree.params tree))
-      comp (Pid.to_int p lxor comp)
+    climb (Status_word.live_bits status) (scope_mask tree ~b) comp
+      (Pid.to_int p lxor comp)
   with
   | -1 -> None
   | q -> Some (Pid.unsafe_of_int q)
 
-let has_live_with_greater_vid tree status p =
-  let e = entry tree status in
-  e.Topology_cache.max_live_vid > Vid.to_int (Ptree.vid_of_pid tree p)
+(* How many leading one bits VID [v] has inside the scope [mask] (P3):
+   its children clear one of them each, and its subtree is the residue
+   class of its remaining low bits. *)
+let[@inline] scope_leading_ones m mask v =
+  let zeros = lnot v land mask in
+  if zeros = 0 then Bitops.popcount mask else m - 1 - Bitops.floor_log2 zeros
 
-let children_list tree status p =
-  let e = entry tree status in
-  let pi = Pid.to_int p in
-  match Hashtbl.find_opt e.Topology_cache.children pi with
-  | Some l -> l
-  | None ->
-      let m = Params.m (Ptree.params tree) in
-      let vids = e.Topology_cache.vids in
-      (* Same recursion as Naive.children_list, but in VID space over the
-         cached bitset: a child of v clears one of its n leading one bits
-         (bit m-n+i); dead children are transparently expanded. *)
-      let rec expand acc v =
-        let n = Bitops.leading_ones ~width:m v in
-        let acc = ref acc in
-        for i = 0 to n - 1 do
-          let c = v land lnot (1 lsl (m - n + i)) in
-          if Packed_bits.get vids c then acc := c :: !acc
-          else acc := expand !acc c
-        done;
-        !acc
-      in
-      let vs = expand [] (Vid.to_int (Ptree.vid_of_pid tree p)) in
-      let vs = List.sort (fun a b -> compare b a) vs in
-      let l = List.map (fun v -> Ptree.pid_of_vid tree (Vid.unsafe_of_int v)) vs in
-      Hashtbl.add e.Topology_cache.children pi l;
-      l
+(* The live children frontier of VID [v]: each child in turn, from the
+   largest VID down, a live child counted and a dead one expanded in its
+   place. [children_list] collects it, [first_child] folds it. *)
+let rec frontier_list live comp m mask acc v =
+  let n = scope_leading_ones m mask v in
+  let acc = ref acc in
+  for i = 0 to n - 1 do
+    let c = v land lnot (1 lsl (m - n + i)) in
+    if Packed_bits.get live (c lxor comp) then acc := c :: !acc
+    else if not !Testing.broken_frontier then
+      acc := frontier_list live comp m mask !acc c
+  done;
+  !acc
 
-let live_offspring_count tree status p =
-  let params = Ptree.params tree in
-  let m = Params.m params in
-  let v = Vid.to_int (Ptree.vid_of_pid tree p) in
-  let n = Bitops.leading_ones ~width:m v in
+let children_list ~b tree status p =
+  let comp = Ptree.comp tree in
+  frontier_list (Status_word.live_bits status) comp
+    (Params.m (Ptree.params tree))
+    (scope_mask tree ~b) []
+    (Pid.to_int p lxor comp)
+  |> List.sort (fun a b -> compare b a)
+  |> List.map (fun v -> Pid.unsafe_of_int (v lxor comp))
+
+(* The largest frontier VID above [best] whose node fails [skip]. Every
+   descendant of a child has a smaller VID than the child, so a child at
+   or below [best] is not entered. *)
+let rec frontier_best live comp m mask skip best v =
+  let n = scope_leading_ones m mask v in
+  let best = ref best in
+  for i = 0 to n - 1 do
+    let c = v land lnot (1 lsl (m - n + i)) in
+    if c > !best then
+      let p = c lxor comp in
+      if Packed_bits.get live p then begin
+        if not (skip (Pid.unsafe_of_int p)) then best := c
+      end
+      else if not !Testing.broken_frontier then
+        best := frontier_best live comp m mask skip !best c
+  done;
+  !best
+
+let first_child ~b tree status ~skip p =
+  let comp = Ptree.comp tree in
+  match
+    frontier_best (Status_word.live_bits status) comp
+      (Params.m (Ptree.params tree))
+      (scope_mask tree ~b) skip (-1)
+      (Pid.to_int p lxor comp)
+  with
+  | -1 -> -1
+  | v -> v lxor comp
+
+let live_offspring_count ~b tree status p =
+  let m = Params.m (Ptree.params tree) and comp = Ptree.comp tree in
+  let live = Status_word.live_bits status in
+  let v = Pid.to_int p lxor comp in
+  let n = scope_leading_ones m (scope_mask tree ~b) v in
   if n = 0 then 0
   else begin
-    let e = entry tree status in
-    let vids = e.Topology_cache.vids in
     (* The subtree of v is exactly the residue class of v modulo
        2^(m-n): descendants clear subsets of the n leading one bits and
        keep the low m-n bits. Count live members by whichever enumeration
        is smaller — the 2^n strided candidates or the live set. *)
-    let size = 1 lsl n in
-    let low = v land ((1 lsl (m - n)) - 1) in
+    let shift = m - n in
+    let low = v land ((1 lsl shift) - 1) in
     let count = ref 0 in
-    if size <= Status_word.live_count status then
-      for j = 0 to size - 1 do
-        if Packed_bits.get vids ((j lsl (m - n)) lor low) then incr count
+    if 1 lsl n <= Status_word.live_count status then
+      for j = 0 to (1 lsl n) - 1 do
+        if Packed_bits.get live (((j lsl shift) lor low) lxor comp) then
+          incr count
       done
     else begin
-      let period_mask = (1 lsl (m - n)) - 1 in
-      Packed_bits.iter_set vids (fun u ->
-          if u land period_mask = low then incr count)
+      let period_mask = (1 lsl shift) - 1 in
+      Packed_bits.iter_set live (fun q ->
+          if (q lxor comp) land period_mask = low then incr count)
     end;
-    if Packed_bits.get vids v then !count - 1 else !count
+    if Packed_bits.get live (v lxor comp) then !count - 1 else !count
   end
 
-(* ROUTE-NEXT of PID [pi]: its first live ancestor; at the root, or when
-   every ancestor is dead and so is the root, FINDLIVENODE's maximum live
-   VID unless [pi] is that node. Only the last case reads the cache. *)
-let route_next_int tree status pi =
-  let mask = Params.mask (Ptree.params tree) and comp = Ptree.comp tree in
-  let bits = Status_word.live_bits status in
-  let q = climb bits mask comp (pi lxor comp) in
-  if q >= 0 || Packed_bits.get bits (mask lxor comp) then q
+let live_population ~b tree status ~subtree_id =
+  if b = 0 then Status_word.live_count status
+  else begin
+    let comp = Ptree.comp tree and live = Status_word.live_bits status in
+    let count = ref 0 in
+    for sv = 0 to scope_mask tree ~b lsr b do
+      if Packed_bits.get live (((sv lsl b) lor subtree_id) lxor comp) then
+        incr count
+    done;
+    !count
+  end
+
+(* ROUTE-NEXT of PID [pi] inside the scope [mask]: its first live
+   ancestor there; at the scope's root, or when every ancestor is dead
+   and so is the root, FINDLIVENODE's largest live VID of the scope
+   unless [pi] is that node. *)
+let[@inline] hop live mask comp pi =
+  let v = pi lxor comp in
+  let q = climb live mask comp v in
+  let top = v lor mask in
+  if q >= 0 || Packed_bits.get live (top lxor comp) then q
   else
-    let g = (entry tree status).Topology_cache.max_live_vid in
-    if g < 0 || g = pi lxor comp then -1 else g lxor comp
+    match scan_down live comp (mask land -mask) (-1) top with
+    | -1 -> -1
+    | g -> if g = v then -1 else g lxor comp
 
-type router = Topology_cache.entry
+let next_hop ~b tree status pi =
+  hop (Status_word.live_bits status) (scope_mask tree ~b) (Ptree.comp tree) pi
 
-let router = entry
+let route_next_int tree status pi =
+  hop (Status_word.live_bits status)
+    (Params.mask (Ptree.params tree))
+    (Ptree.comp tree) pi
+
+type router = unit
+
+let router (_ : Ptree.t) (_ : Status_word.t) = ()
 
 let route_next tree status p =
   match route_next_int tree status (Pid.to_int p) with

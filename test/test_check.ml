@@ -30,14 +30,16 @@ let test_events_roundtrip () =
   List.iteri
     (fun i sim ->
       let sch = Schedule.generate ~seed:(100 + i) ~m:8 ~sim in
-      let events = Schedule.to_events ~expect:"cache-coherence" ~mutation:true sch in
+      let events =
+        Schedule.to_events ~expect:"topology-naive" ~mutation:true sch
+      in
       match Schedule.of_events events with
       | Error msg -> Alcotest.fail msg
       | Ok d ->
           Alcotest.(check bool) "schedule" true (schedule_equal sch d.schedule);
           Alcotest.(check bool) "mutation" true d.mutation;
           Alcotest.(check (option string))
-            "expect" (Some "cache-coherence") d.expect)
+            "expect" (Some "topology-naive") d.expect)
     [ Schedule.Des; Schedule.Faults ]
 
 let test_file_roundtrip () =
@@ -213,12 +215,12 @@ let test_mutation_found_and_shrunk () =
       Sys.remove path;
       Sys.rmdir dir
 
-(* The cache-coherence oracle must also catch a topology cache whose
-   delta catch-up drifts from membership: with the catch-up skipping the
-   oldest delta of each window, exploration must find a violation of
-   that oracle and shrink it, and the flag must be off again after. *)
-let test_catch_up_mutation_found () =
-  let flag = Topology.Testing.broken_catch_up in
+(* The topology-naive oracle must also catch a fault in the shared
+   frontier walk: with dead children dropped instead of expanded,
+   exploration must find a violation of that oracle and shrink it, and
+   the flag must be off again after. *)
+let test_frontier_mutation_found () =
+  let flag = Topology.Testing.broken_frontier in
   flag := true;
   let result =
     Fun.protect
@@ -228,10 +230,10 @@ let test_catch_up_mutation_found () =
   in
   Alcotest.(check bool) "flag reset" false !flag;
   match result with
-  | Checker.Clean _ -> Alcotest.fail "broken catch-up not detected"
+  | Checker.Clean _ -> Alcotest.fail "broken frontier walk not detected"
   | Checker.Found f ->
       Alcotest.(check string)
-        "cache-coherence fired" "cache-coherence"
+        "topology-naive fired" "topology-naive"
         f.Checker.violation.Checker.oracle;
       Alcotest.(check string)
         "same oracle after shrink" f.Checker.violation.Checker.oracle
@@ -296,8 +298,8 @@ let () =
             test_mutation_flag_restored;
           Alcotest.test_case "mutation found and shrunk" `Slow
             test_mutation_found_and_shrunk;
-          Alcotest.test_case "catch-up mutation found" `Slow
-            test_catch_up_mutation_found;
+          Alcotest.test_case "frontier mutation found" `Slow
+            test_frontier_mutation_found;
           Alcotest.test_case "explore deterministic" `Slow
             test_explore_output_deterministic;
           Alcotest.test_case "derive_seed" `Quick test_derive_seed;

@@ -186,7 +186,7 @@ let test_replicate_non_root_uses_own_children () =
   ignore (Ops.replicate ~rng cluster ~overloaded:(pid 4) ~key);
   let tree = Cluster.tree_of_key cluster key in
   let expected =
-    Topology.children_list tree (Cluster.status cluster) (pid 5)
+    Topology.children_list ~b:0 tree (Cluster.status cluster) (pid 5)
   in
   match Ops.replicate ~rng cluster ~overloaded:(pid 5) ~key with
   | None -> Alcotest.fail "expected placement"
@@ -582,6 +582,125 @@ let prop_total_copies_matches_holders =
           agree ())
         ops)
 
+(* --- Replica decision: list-free choice and allocation ------------------ *)
+
+module Subtrees = Lesslog_topology.Subtrees
+
+(* REPLICATEFILE's decision rebuilt from the two candidate lists of
+   [Ops.replication_candidates], with the proportional choice's counts
+   taken from member lists: the reference the list-free [Ops.choose]
+   must agree with, draw for draw. *)
+let reference_choice ~rng cluster ~overloaded ~key =
+  match Ops.replication_candidates cluster ~overloaded ~key with
+  | [], [] -> None
+  | c :: _, [] | [], c :: _ -> Some c
+  | own :: _, root :: _ ->
+      let tree = Cluster.tree_of_key cluster key in
+      let status = Cluster.status cluster in
+      let b = Params.b (Cluster.params cluster) in
+      let offspring = Topology.live_offspring_count ~b tree status overloaded in
+      let population =
+        List.length
+          (List.filter (Status_word.is_live status)
+             (Subtrees.members tree
+                ~subtree_id:(Subtrees.subtree_id_of_pid tree overloaded)))
+      in
+      let rest = max 0 (population - 1 - offspring) in
+      let total = offspring + rest in
+      let p =
+        if total = 0 then 0.0 else float_of_int offspring /. float_of_int total
+      in
+      if Rng.bernoulli rng ~p then Some own else Some root
+
+let prop_choice_matches_candidate_lists =
+  Test_support.qcheck_case ~count:300
+    ~name:"list-free replica choice = first of candidate lists"
+    QCheck2.Gen.(
+      int_range 0 3 >>= fun b ->
+      int_range (b + 2) 8 >>= fun m ->
+      int_range 0 4 >>= fun density ->
+      int_range 0 4 >>= fun holding ->
+      bool >>= fun kill_root ->
+      int >>= fun seed -> return (m, b, density, holding, kill_root, seed))
+    (fun (m, b, density, holding, kill_root, seed) ->
+      let params = Params.create ~m ~b () in
+      let rng = Rng.create ~seed in
+      let cluster = Cluster.create params in
+      let status = Cluster.status cluster in
+      let key = "choice/object" in
+      for i = 0 to Params.mask params do
+        if Rng.float rng 4.0 >= float_of_int density then
+          Status_word.set_dead status (pid i)
+      done;
+      let tree = Cluster.tree_of_key cluster key in
+      if kill_root then
+        for subtree_id = 0 to Params.subtree_count params - 1 do
+          Status_word.set_dead status (Subtrees.subtree_root tree ~subtree_id)
+        done;
+      ignore (Ops.insert cluster ~key);
+      Status_word.iter_live status (fun p ->
+          if Rng.float rng 4.0 < float_of_int holding then
+            File_store.add (Cluster.store cluster p) ~key
+              ~origin:File_store.Replicated ~version:0 ~now:0.0);
+      let ok = ref true in
+      Status_word.iter_live status (fun overloaded ->
+          let draw = Rng.int rng 1_000_000 in
+          let got =
+            Ops.choose_replica_target ~rng:(Rng.create ~seed:draw) cluster
+              ~overloaded ~key
+          in
+          let expected =
+            reference_choice ~rng:(Rng.create ~seed:draw) cluster ~overloaded
+              ~key
+          in
+          if got <> expected then ok := false);
+      !ok)
+
+(* A replica decision right after a membership change allocates nothing
+   but the [holds] closure [Ops.choose_replica_target] builds and the
+   [Some] it returns: the children frontier is folded, not listed. Each
+   cycle kills a child of the target and decides at the target (whose
+   frontier then expands the dead child), revives it and decides again,
+   at m = 12 with one extra copy in the target's children list. *)
+let decision_words ~b =
+  let params = Params.create ~m:12 ~b () in
+  let cluster = Cluster.create params in
+  let key = "choice/alloc" in
+  let status = Cluster.status cluster in
+  let tree = Cluster.tree_of_key cluster key in
+  let overloaded = Subtrees.subtree_root tree ~subtree_id:0 in
+  ignore (Ops.insert cluster ~key);
+  let child = List.hd (Topology.children_list ~b tree status overloaded) in
+  File_store.add (Cluster.store cluster child) ~key
+    ~origin:File_store.Replicated ~version:0 ~now:0.0;
+  let rng = Rng.create ~seed:5 in
+  let closure =
+    Test_support.words_per_cycle ~n:1000 (fun () ->
+        let holds p = Cluster.holds cluster p ~key in
+        let (_ : Pid.t -> bool) = Sys.opaque_identity holds in
+        let (_ : Pid.t option) = Sys.opaque_identity (Some child) in
+        ())
+  in
+  let decision =
+    Test_support.words_per_cycle ~n:1000 (fun () ->
+        Status_word.set_dead status child;
+        ignore (Ops.choose_replica_target ~rng cluster ~overloaded ~key);
+        Status_word.set_live status child;
+        ignore (Ops.choose_replica_target ~rng cluster ~overloaded ~key))
+  in
+  (decision /. 2.0, closure)
+
+let test_decision_allocation () =
+  List.iter
+    (fun b ->
+      let decision, closure = decision_words ~b in
+      if decision > closure then
+        Alcotest.failf
+          "b = %d: %.1f words per decision, more than the %.1f words of its \
+           holds closure and result"
+          b decision closure)
+    [ 0; 2 ]
+
 let () =
   Alcotest.run "core_ops"
     [
@@ -613,6 +732,9 @@ let () =
             test_replicate_non_root_uses_own_children;
           Alcotest.test_case "proportional choice" `Quick
             test_replicate_proportional_choice_cases;
+          prop_choice_matches_candidate_lists;
+          Alcotest.test_case "decision after membership change: no list"
+            `Quick test_decision_allocation;
         ] );
       ( "update",
         [

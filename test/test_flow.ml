@@ -195,7 +195,7 @@ let test_balance_is_fair_under_even_demand () =
   in
   Alcotest.(check bool) "balanced" true outcome.Balance.balanced;
   let loads = Balance.loads ~cluster ~key ~demand in
-  let fairness = Lesslog_metrics.Fairness.jain_nonzero loads.Flow.serve in
+  let fairness = Test_support.Fairness.jain_nonzero loads.Flow.serve in
   Alcotest.(check bool)
     (Printf.sprintf "fair (jain %.3f)" fairness)
     true (fairness > 0.9)

@@ -5,6 +5,7 @@
 module E = Lesslog_harness.Experiments
 module A = Lesslog_harness.Ablations
 module Series = Lesslog_report.Series
+module Fnv = Lesslog_hash.Fnv
 
 let config =
   {
@@ -256,6 +257,37 @@ let test_churn_availability_high () =
         (o.A.availability > 0.95))
     outcomes
 
+(* --- Figures 5-8, pinned exactly ---------------------------------------- *)
+
+(* The figure runs are deterministic per seed, so every table is pinned
+   bit for bit: one FNV digest over each series' label and the IEEE bits
+   of every (x, y). A change to the request walk or the replica decision
+   that moves any point of any figure fails here. *)
+let figure_digest series =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun s ->
+      Buffer.add_string buf (Series.label s);
+      Array.iter2
+        (fun x y ->
+          Printf.bprintf buf " %Lx,%Lx" (Int64.bits_of_float x)
+            (Int64.bits_of_float y))
+        (Series.xs s) (Series.ys s);
+      Buffer.add_char buf '\n')
+    series;
+  Fnv.hash63 (Buffer.contents buf)
+
+let test_figures_pinned () =
+  List.iter
+    (fun (name, series, pinned) ->
+      Alcotest.(check int) name pinned (figure_digest series))
+    [
+      ("fig5", Lazy.force fig5, 3904875755128103745);
+      ("fig6", E.fig6 ~config (), 2740023741438980578);
+      ("fig7", E.fig7 ~config (), 3904026650635058404);
+      ("fig8", E.fig8 ~config (), 3342684743843438801);
+    ]
+
 let () =
   Alcotest.run "harness"
     [
@@ -268,6 +300,8 @@ let () =
           Alcotest.test_case "fig7 ordering" `Slow test_fig7_ordering;
           Alcotest.test_case "fig8 same regime" `Slow test_fig8_same_regime;
         ] );
+      ( "figure pins",
+        [ Alcotest.test_case "figures 5-8 exact" `Slow test_figures_pinned ] );
       ( "ablations",
         [
           Alcotest.test_case "hops O(log N)" `Slow test_hops_logarithmic;

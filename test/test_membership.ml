@@ -105,7 +105,7 @@ let test_equal () =
 let test_epoch () =
   let s = Status_word.create params ~initially_live:true in
   let e0 = Status_word.epoch s in
-  (* No-op mutations must not bump the epoch (caches stay valid). *)
+  (* No-op mutations must not bump the epoch. *)
   Status_word.set_live s (pid 4);
   Alcotest.(check int) "no-op set_live" e0 (Status_word.epoch s);
   Status_word.set_dead s (pid 4);
@@ -117,14 +117,6 @@ let test_epoch () =
   Status_word.set_live s (pid 4);
   Alcotest.(check bool) "effective set_live bumps" true
     (Status_word.epoch s > e1)
-
-let test_uid_distinct () =
-  let a = Status_word.create params ~initially_live:true in
-  let b = Status_word.create params ~initially_live:true in
-  let c = Status_word.copy a in
-  Alcotest.(check bool) "fresh uid" true (Status_word.uid a <> Status_word.uid b);
-  Alcotest.(check bool) "copy gets own uid" true
-    (Status_word.uid c <> Status_word.uid a)
 
 let test_selects () =
   let s = Status_word.of_live_list params (Test_support.pids [ 3; 8; 20 ]) in
@@ -222,7 +214,6 @@ let () =
             test_kill_fraction_validated;
           Alcotest.test_case "equality" `Quick test_equal;
           Alcotest.test_case "epoch semantics" `Quick test_epoch;
-          Alcotest.test_case "uid uniqueness" `Quick test_uid_distinct;
           Alcotest.test_case "word-level selects" `Quick test_selects;
           Alcotest.test_case "degenerate-density sampling" `Quick
             test_random_degenerate;

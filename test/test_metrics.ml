@@ -1,70 +1,7 @@
-module Stats = Lesslog_metrics.Stats
 module Histogram = Lesslog_metrics.Histogram
 module Timeseries = Lesslog_metrics.Timeseries
 
 let feq = Alcotest.(check (float 1e-9))
-
-(* --- Stats ------------------------------------------------------------ *)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  Alcotest.(check int) "count" 0 (Stats.count s);
-  feq "mean" 0.0 (Stats.mean s);
-  feq "variance" 0.0 (Stats.variance s)
-
-let test_stats_basic () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check int) "count" 8 (Stats.count s);
-  feq "mean" 5.0 (Stats.mean s);
-  feq "variance" 4.0 (Stats.variance s);
-  feq "stddev" 2.0 (Stats.stddev s);
-  feq "min" 2.0 (Stats.min_value s);
-  feq "max" 9.0 (Stats.max_value s);
-  feq "total" 40.0 (Stats.total s)
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
-  let xs = [ 1.0; 2.0; 3.0 ] and ys = [ 10.0; 20.0; 30.0; 40.0 ] in
-  List.iter (Stats.add a) xs;
-  List.iter (Stats.add b) ys;
-  List.iter (Stats.add whole) (xs @ ys);
-  let merged = Stats.merge a b in
-  Alcotest.(check int) "count" (Stats.count whole) (Stats.count merged);
-  Alcotest.(check (float 1e-6)) "mean" (Stats.mean whole) (Stats.mean merged);
-  Alcotest.(check (float 1e-6)) "variance" (Stats.variance whole)
-    (Stats.variance merged);
-  feq "min" (Stats.min_value whole) (Stats.min_value merged);
-  feq "max" (Stats.max_value whole) (Stats.max_value merged)
-
-let test_stats_merge_empty () =
-  let a = Stats.create () and b = Stats.create () in
-  Stats.add b 3.0;
-  feq "empty-left" 3.0 (Stats.mean (Stats.merge a b));
-  feq "empty-right" 3.0 (Stats.mean (Stats.merge b a))
-
-let prop_stats_mean_matches_naive =
-  Test_support.qcheck_case ~name:"welford mean = naive mean"
-    QCheck2.Gen.(list_size (int_range 1 100) (float_bound_inclusive 1000.0))
-    (fun xs ->
-      let s = Stats.create () in
-      List.iter (Stats.add s) xs;
-      let naive = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-      Float.abs (Stats.mean s -. naive) < 1e-6)
-
-let prop_stats_merge_associative_count =
-  Test_support.qcheck_case ~name:"merge preserves counts/totals"
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 0 50) (float_bound_inclusive 100.0))
-        (list_size (int_range 0 50) (float_bound_inclusive 100.0)))
-    (fun (xs, ys) ->
-      let a = Stats.create () and b = Stats.create () in
-      List.iter (Stats.add a) xs;
-      List.iter (Stats.add b) ys;
-      let m = Stats.merge a b in
-      Stats.count m = List.length xs + List.length ys
-      && Float.abs (Stats.total m -. (Stats.total a +. Stats.total b)) < 1e-6)
 
 (* --- Histogram --------------------------------------------------------- *)
 
@@ -282,7 +219,7 @@ let test_timeseries_points_chronological () =
 
 (* --- Fairness ------------------------------------------------------------ *)
 
-module Fairness = Lesslog_metrics.Fairness
+module Fairness = Test_support.Fairness
 
 let test_jain_even () =
   feq "even is 1" 1.0 (Fairness.jain [| 5.0; 5.0; 5.0; 5.0 |]);
@@ -328,13 +265,6 @@ let prop_jain_scale_invariant =
 let () =
   Alcotest.run "metrics"
     [
-      ( "stats",
-        [
-          Alcotest.test_case "empty" `Quick test_stats_empty;
-          Alcotest.test_case "basic moments" `Quick test_stats_basic;
-          Alcotest.test_case "merge" `Quick test_stats_merge;
-          Alcotest.test_case "merge with empty" `Quick test_stats_merge_empty;
-        ] );
       ( "histogram",
         [
           Alcotest.test_case "exact quantiles" `Quick
@@ -367,8 +297,6 @@ let () =
         ] );
       ( "properties",
         [
-          prop_stats_mean_matches_naive;
-          prop_stats_merge_associative_count;
           prop_histogram_quantile_monotone;
           prop_histogram_sketch_tracks_exact;
           prop_jain_bounds;

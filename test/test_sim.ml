@@ -1,4 +1,3 @@
-module Heap = Lesslog_sim.Heap
 module Ladder = Lesslog_sim.Ladder_queue
 module Engine = Lesslog_sim.Engine
 

@@ -129,3 +129,32 @@ let chain_words_per_event drive =
   let w0 = Gc.minor_words () and n0 = Engine.events_executed e in
   drive e;
   (Gc.minor_words () -. w0) /. float_of_int (Engine.events_executed e - n0)
+
+(* Load-distribution fairness, the check [test_flow] puts on balanced
+   loads beyond the paper's no-overload threshold. Jain's index is
+   [(sum x)^2 / (n * sum x^2)], in [1/n, 1], 1 when perfectly even and
+   by convention on an empty or all-zero input; [jain_nonzero] and
+   [peak_to_mean] look only at the strictly positive entries, the nodes
+   actually serving. *)
+module Fairness = struct
+  let jain_of_list = function
+    | [] -> 1.0
+    | xs ->
+        let n = float_of_int (List.length xs) in
+        let s = List.fold_left ( +. ) 0.0 xs in
+        let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
+        if s2 = 0.0 then 1.0 else s *. s /. (n *. s2)
+
+  let jain a = jain_of_list (Array.to_list a)
+  let positives a = List.filter (fun x -> x > 0.0) (Array.to_list a)
+  let jain_nonzero a = jain_of_list (positives a)
+
+  let peak_to_mean a =
+    match positives a with
+    | [] -> 1.0
+    | xs ->
+        let n = float_of_int (List.length xs) in
+        let mean = List.fold_left ( +. ) 0.0 xs /. n in
+        let peak = List.fold_left Float.max 0.0 xs in
+        peak /. mean
+end

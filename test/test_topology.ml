@@ -22,7 +22,7 @@ let test_figure3_children_list () =
   (* Paper: the children list of P(4) is (P(6), P(7), P(1), P(12), P(13),
      P(8)), sorted by VID. *)
   Alcotest.(check (list int)) "children list of P(4)" [ 6; 7; 1; 12; 13; 8 ]
-    (List.map Pid.to_int (Topology.children_list tree status (pid 4)))
+    (List.map Pid.to_int (Topology.children_list ~b:0 tree status (pid 4)))
 
 let test_figure3_findlivenode () =
   (* Paper (Section 3 / 5.1): with P(4) and P(5) dead, files targeting
@@ -32,28 +32,33 @@ let test_figure3_findlivenode () =
   Status_word.set_dead status (pid 5);
   let tree = Ptree.make params4 ~root:(pid 4) in
   Alcotest.(check (option int)) "insertion target" (Some 6)
-    (Option.map Pid.to_int (Topology.insertion_target tree status))
+    (Option.map Pid.to_int
+       (Topology.insertion_target ~b:0 tree status ~subtree_id:0))
 
 let test_findlivenode_live_start () =
   let status, tree = figure3 () in
   Alcotest.(check (option int)) "live start returned" (Some 8)
-    (Option.map Pid.to_int (Topology.find_live_node tree status ~start:(pid 8)))
+    (Option.map Pid.to_int
+       (Topology.find_live_node ~b:0 tree status ~start:(pid 8)))
 
 let test_findlivenode_all_dead () =
   let status = Status_word.create params4 ~initially_live:false in
   let tree = Ptree.make params4 ~root:(pid 4) in
   Alcotest.(check (option int)) "no live node" None
-    (Option.map Pid.to_int (Topology.insertion_target tree status))
+    (Option.map Pid.to_int
+       (Topology.insertion_target ~b:0 tree status ~subtree_id:0))
 
 let test_first_alive_ancestor () =
   let status, tree = figure3 () in
   (* P(13) has VID 0110; parent VID 1110 = P(5), dead; grandparent VID
      1111 = P(4), live. *)
   Alcotest.(check (option int)) "skips dead parent" (Some 4)
-    (Option.map Pid.to_int (Topology.first_alive_ancestor tree status (pid 13)));
+    (Option.map Pid.to_int
+       (Topology.first_alive_ancestor ~b:0 tree status (pid 13)));
   (* Live root has no ancestor. *)
   Alcotest.(check (option int)) "root" None
-    (Option.map Pid.to_int (Topology.first_alive_ancestor tree status (pid 4)))
+    (Option.map Pid.to_int
+       (Topology.first_alive_ancestor ~b:0 tree status (pid 4)))
 
 let test_max_live () =
   let status = Status_word.create params4 ~initially_live:true in
@@ -61,11 +66,12 @@ let test_max_live () =
   Status_word.set_dead status (pid 5);
   let tree = Ptree.make params4 ~root:(pid 4) in
   Alcotest.(check (option int)) "max live = P(6)" (Some 6)
-    (Option.map Pid.to_int (Topology.max_live tree status));
+    (Option.map Pid.to_int
+       (Topology.insertion_target ~b:0 tree status ~subtree_id:0));
   Alcotest.(check bool) "P(6) has no greater live VID" false
-    (Topology.has_live_with_greater_vid tree status (pid 6));
+    (Topology.has_live_with_greater_vid ~b:0 tree status (pid 6));
   Alcotest.(check bool) "P(8) has greater live VID" true
-    (Topology.has_live_with_greater_vid tree status (pid 8))
+    (Topology.has_live_with_greater_vid ~b:0 tree status (pid 8))
 
 let test_route_path_complete_tree () =
   let status = Status_word.create params4 ~initially_live:true in
@@ -87,10 +93,11 @@ let test_live_offspring_count () =
   let status, tree = figure3 () in
   (* P(4) is the root: all other 13 live nodes are its offspring. *)
   Alcotest.(check int) "root offspring" 13
-    (Topology.live_offspring_count tree status (pid 4));
+    (Topology.live_offspring_count ~b:0 tree status (pid 4));
   (* P(8) (VID 0011) has one child 0001=P(10)... VID 0011 children:
      leading ones of 0011 is 0, so P(8) is a leaf in this tree. *)
-  Alcotest.(check int) "leaf" 0 (Topology.live_offspring_count tree status (pid 8))
+  Alcotest.(check int) "leaf" 0
+    (Topology.live_offspring_count ~b:0 tree status (pid 8))
 
 (* --- Fault-tolerant subtrees (Figure 4: m = 4, b = 2) ---------------- *)
 
@@ -150,7 +157,7 @@ let test_subtree_navigation_stays_inside () =
 let test_insertion_targets_ft () =
   let status = Status_word.create params_ft ~initially_live:true in
   let tree = Ptree.make params_ft ~root:(pid 4) in
-  let targets = Subtrees.insertion_targets tree status in
+  let targets = Topology.insertion_targets ~b:2 tree status in
   Alcotest.(check int) "2^b targets" 4 (List.length targets);
   (* All targets distinct and in distinct subtrees. *)
   let sids = List.map (Subtrees.subtree_id_of_pid tree) targets in
@@ -181,7 +188,7 @@ let prop_find_live_node_matches_brute =
       Test_support.gen_pid params >>= fun start ->
       return (status, tree, start))
     (fun (status, tree, start) ->
-      Topology.find_live_node tree status ~start
+      Topology.find_live_node ~b:0 tree status ~start
       = brute_find_live tree status ~start)
 
 (* Brute-force reference for the dead-aware children list: the live
@@ -209,7 +216,8 @@ let prop_children_list_matches_brute =
       Test_support.gen_tree_setup >>= fun (params, status, tree) ->
       Test_support.gen_pid params >>= fun p -> return (status, tree, p))
     (fun (status, tree, p) ->
-      Topology.children_list tree status p = brute_children_list tree status p)
+      Topology.children_list ~b:0 tree status p
+      = brute_children_list tree status p)
 
 let prop_children_list_all_live =
   Test_support.qcheck_case ~name:"children_list members are live"
@@ -218,7 +226,7 @@ let prop_children_list_all_live =
       Test_support.gen_pid params >>= fun p -> return (status, tree, p))
     (fun (status, tree, p) ->
       List.for_all (Status_word.is_live status)
-        (Topology.children_list tree status p))
+        (Topology.children_list ~b:0 tree status p))
 
 let prop_route_terminates_at_holder_location =
   Test_support.qcheck_case ~name:"route ends at live root or migration target"
@@ -235,7 +243,9 @@ let prop_route_terminates_at_holder_location =
       | last :: _ ->
           let root = Ptree.root tree in
           if Status_word.is_live status root then Pid.equal last root
-          else Topology.insertion_target tree status = Some last)
+          else
+            Topology.insertion_target ~b:0 tree status ~subtree_id:0
+            = Some last)
 
 let prop_route_all_live =
   Test_support.qcheck_case ~name:"route visits only live nodes"
@@ -259,6 +269,18 @@ let prop_route_length_bounded =
       || List.length (Topology.route_path tree status ~origin)
          <= Params.m params + 2)
 
+(* The in-subtree resolution path from [origin], origin inclusive:
+   [Topology.next_hop] followed to the end of the route. *)
+let subtree_route_path tree status ~origin =
+  let b = Params.b (Ptree.params tree) in
+  let rec go acc pi =
+    let acc = pid pi :: acc in
+    match Topology.next_hop ~b tree status pi with
+    | -1 -> List.rev acc
+    | q -> go acc q
+  in
+  go [] (Pid.to_int origin)
+
 let prop_subtree_route_stays_in_subtree =
   Test_support.qcheck_case ~name:"FT subtree route stays in origin's subtree"
     QCheck2.Gen.(
@@ -273,337 +295,63 @@ let prop_subtree_route_stays_in_subtree =
       let sid = Subtrees.subtree_id_of_pid tree origin in
       List.for_all
         (fun p -> Subtrees.subtree_id_of_pid tree p = sid)
-        (Subtrees.route_path_in_subtree tree status ~origin))
+        (subtree_route_path tree status ~origin))
 
-(* Brute-force references for the fault-tolerant subtree layer. *)
-
-let gen_ft_setup =
-  QCheck2.Gen.(
-    Test_support.gen_params_ft >>= fun params ->
-    Test_support.gen_status params >>= fun status ->
-    Test_support.gen_pid params >>= fun root ->
-    Test_support.gen_pid params >>= fun p ->
-    return (params, status, Ptree.make params ~root, p))
-
-let prop_subtree_find_live_matches_brute =
-  Test_support.qcheck_case ~name:"FT find_live_node = brute force"
-    gen_ft_setup (fun (params, status, tree, start) ->
-      let sid = Subtrees.subtree_id_of_pid tree start in
-      let svid p =
-        Subtrees.subtree_vid_of_vid params (Ptree.vid_of_pid tree p)
-      in
-      let brute =
-        (* Max-subtree-VID live member at or below start's subtree VID. *)
-        List.filter
-          (fun p -> Status_word.is_live status p && svid p <= svid start)
-          (Subtrees.members tree ~subtree_id:sid)
-        |> List.sort (fun a b -> compare (svid b) (svid a))
-        |> function
-        | [] -> None
-        | p :: _ -> Some p
-      in
-      Subtrees.find_live_node_in_subtree tree status ~subtree_id:sid ~start
-      = brute)
-
-let prop_subtree_children_list_matches_brute =
-  Test_support.qcheck_case ~name:"FT children_list = brute force"
-    gen_ft_setup (fun (params, status, tree, p) ->
-      let reduced = Subtrees.reduced_params params in
-      let sid = Subtrees.subtree_id_of_pid tree p in
-      let svid q =
-        Subtrees.subtree_vid_of_vid params (Ptree.vid_of_pid tree q)
-      in
-      (* Live members of p's subtree that are strict descendants of p in
-         the reduced tree, whose intermediate ancestors are all dead. *)
-      let is_reduced_ancestor a d =
-        Lesslog_vtree.Vtree.is_ancestor reduced
-          ~ancestor:(Vid.unsafe_of_int (svid a))
-          (Vid.unsafe_of_int (svid d))
-      in
-      let parent_in q = Subtrees.parent_in_subtree tree q in
-      let rec intermediates_dead q =
-        match parent_in q with
-        | None -> false
-        | Some parent ->
-            if Pid.equal parent p then true
-            else Status_word.is_dead status parent && intermediates_dead parent
-      in
-      let brute =
-        List.filter
-          (fun q ->
-            (not (Pid.equal q p))
-            && Status_word.is_live status q
-            && is_reduced_ancestor p q && intermediates_dead q)
-          (Subtrees.members tree ~subtree_id:sid)
-        |> List.sort (fun a b -> compare (svid b) (svid a))
-      in
-      Subtrees.children_list_in_subtree tree status p = brute)
-
-let prop_subtree_insertion_target_is_max_live =
-  Test_support.qcheck_case ~name:"FT insertion target = max live svid"
-    gen_ft_setup (fun (params, status, tree, p) ->
-      let sid = Subtrees.subtree_id_of_pid tree p in
-      let svid q =
-        Subtrees.subtree_vid_of_vid params (Ptree.vid_of_pid tree q)
-      in
-      let brute =
-        List.filter (Status_word.is_live status)
-          (Subtrees.members tree ~subtree_id:sid)
-        |> List.sort (fun a b -> compare (svid b) (svid a))
-        |> function
-        | [] -> None
-        | q :: _ -> Some q
-      in
-      Subtrees.insertion_target_in_subtree tree status ~subtree_id:sid = brute)
-
-let prop_live_offspring_bounded =
-  Test_support.qcheck_case ~name:"live offspring <= offspring"
-    QCheck2.Gen.(
-      Test_support.gen_tree_setup >>= fun (params, status, tree) ->
-      Test_support.gen_pid params >>= fun p -> return (status, tree, p))
-    (fun (status, tree, p) ->
-      let live = Topology.live_offspring_count tree status p in
-      live >= 0 && live <= Ptree.offspring_count tree p)
-
-(* --- Differential tests: cached layer vs. the naive oracle ----------- *)
-
-(* Every cached query must return bit-identical answers to the naive
-   reference implementations in [Topology.Naive], across a randomized
-   kill/revive sequence. Checking after every mutation exercises the
-   epoch-invalidation machinery: each effective [set_live]/[set_dead]
-   must force a cache rebuild, and a stale answer shows up as a
-   divergence from the oracle here. *)
-let all_queries_agree params tree status =
-  let module T = Topology in
-  let module N = Topology.Naive in
-  let space = Params.space params in
-  T.max_live tree status = N.max_live tree status
-  && T.insertion_target tree status = N.insertion_target tree status
-  && List.for_all
-       (fun i ->
-         let p = pid i in
-         T.find_live_node tree status ~start:p
-         = N.find_live_node tree status ~start:p
-         && T.children_list tree status p = N.children_list tree status p
-         && T.first_alive_ancestor tree status p
-            = N.first_alive_ancestor tree status p
-         && T.has_live_with_greater_vid tree status p
-            = N.has_live_with_greater_vid tree status p
-         && T.live_offspring_count tree status p
-            = N.live_offspring_count tree status p
-         && T.route_next tree status p = N.route_next tree status p
-         && T.route_path tree status ~origin:p
-            = N.route_path tree status ~origin:p)
-       (List.init space Fun.id)
-
-let prop_cached_matches_naive =
-  Test_support.qcheck_case ~name:"cached topology = naive oracle under churn"
-    QCheck2.Gen.(
-      Test_support.gen_params >>= fun params ->
-      Test_support.gen_pid params >>= fun root ->
-      bool >>= fun initially_live ->
-      list_size (int_range 1 30)
-        (pair bool (int_range 0 (Params.space params - 1)))
-      >>= fun churn -> return (params, root, initially_live, churn))
-    (fun (params, root, initially_live, churn) ->
-      let status = Status_word.create params ~initially_live in
-      let tree = Ptree.make params ~root in
-      all_queries_agree params tree status
-      && List.for_all
-           (fun (revive, i) ->
-             if revive then Status_word.set_live status (pid i)
-             else Status_word.set_dead status (pid i);
-             all_queries_agree params tree status)
-           churn)
-
-(* Mid-epoch differential: where [prop_cached_matches_naive] sweeps every
-   query at quiescence after each mutation, this interleaves single
-   queries *between* kill/revive/join mutations. Each query touches the
-   cache in a different partial state — a children memo built this epoch,
-   a VID view a few deltas behind — so a revalidation path that skips
-   part of the catch-up (stale max-live VID, surviving memo entries)
-   shows up as a single-query divergence from the oracle. *)
-let prop_cached_mid_epoch =
-  Test_support.qcheck_case ~name:"cached topology = naive oracle mid-epoch"
-    QCheck2.Gen.(
-      Test_support.gen_params >>= fun params ->
-      Test_support.gen_pid params >>= fun root ->
-      list_size (int_range 1 120)
-        (pair (int_range 0 9) (int_range 0 (Params.space params - 1)))
-      >>= fun ops -> return (params, root, ops))
-    (fun (params, root, ops) ->
-      let module T = Topology in
-      let module N = Topology.Naive in
-      let status = Status_word.create params ~initially_live:true in
-      let tree = Ptree.make params ~root in
-      List.for_all
-        (fun (op, i) ->
-          let p = pid i in
-          match op with
-          | 0 -> (* kill (join/leave semantics are the same bit flips) *)
-              Status_word.set_dead status p;
-              true
-          | 1 ->
-              Status_word.set_live status p;
-              true
-          | 2 ->
-              T.find_live_node tree status ~start:p
-              = N.find_live_node tree status ~start:p
-          | 3 -> T.children_list tree status p = N.children_list tree status p
-          | 4 ->
-              T.first_alive_ancestor tree status p
-              = N.first_alive_ancestor tree status p
-          | 5 ->
-              T.has_live_with_greater_vid tree status p
-              = N.has_live_with_greater_vid tree status p
-          | 6 ->
-              T.live_offspring_count tree status p
-              = N.live_offspring_count tree status p
-          | 7 -> T.route_next tree status p = N.route_next tree status p
-          | 8 ->
-              T.route_path tree status ~origin:p
-              = N.route_path tree status ~origin:p
-          | _ -> T.max_live tree status = N.max_live tree status)
-        ops)
-
-(* Two trees sharing one status word must not poison each other's cache
-   entries, and a copied status word must not alias the original's. *)
-let test_cache_isolation () =
-  let status, tree4 = figure3 () in
-  let tree9 = Ptree.make params4 ~root:(pid 9) in
-  let check_both () =
-    List.iter
-      (fun tree ->
-        Alcotest.(check bool) "matches naive" true
-          (all_queries_agree params4 tree status))
-      [ tree4; tree9 ]
-  in
-  check_both ();
-  Status_word.set_dead status (pid 6);
-  check_both ();
-  let snapshot = Status_word.copy status in
-  Status_word.set_live status (pid 6);
-  check_both ();
-  Alcotest.(check bool) "copy unaffected" true
-    (all_queries_agree params4 tree4 snapshot);
-  Alcotest.(check bool) "copy still sees P(6) dead" true
-    (Status_word.is_dead snapshot (pid 6))
-
-(* Delta catch-up, deterministically: full query sweeps separated by
-   windows of exactly 0, 1, 63, 64, 65 and 200 effective mutations, so an
-   entry catches up from the ring (up to 64 deltas behind) or rebuilds
-   (further behind). A window first flips a marker PID that nothing else
-   in it touches, so a catch-up that loses its oldest delta leaves the
-   marker's bit stale; then it re-flips PID 7 every fourth step, kills
-   tree A's current max-live node and revives a node above it. Tree B is
-   swept every second window, so its catch-ups span two windows (64 of
-   them land exactly on the ring size), and a copy taken mid-sequence
-   runs its own windows against its own ring. [prop_cached_mid_epoch]
-   rarely leaves more than 64 epochs between queries, so it seldom
-   reaches the overflow rebuild. *)
-let test_catch_up_windows () =
-  let params = Params.create ~m:6 () in
-  let mask = Params.mask params in
-  let tree_a = Ptree.make params ~root:(pid 0)
-  and tree_b = Ptree.make params ~root:(pid 45) in
-  let rng = Rng.create ~seed:23 in
-  (* Reads only the status word and the naive scans, never the cache, so
-     the entries see the whole window at their next query. *)
-  let marker = pid 50 in
-  let mutate status n =
-    let toggle p =
-      if Status_word.is_live status p then Status_word.set_dead status p
-      else Status_word.set_live status p
-    in
-    let flip p = if not (Pid.equal p marker) then toggle p in
-    let stop = Status_word.epoch status + n in
-    if n > 0 then toggle marker;
-    let step = ref 0 in
-    while Status_word.epoch status < stop do
-      (match !step mod 4 with
-      | 0 -> flip (pid 7)
-      | 1 -> (
-          match Topology.Naive.max_live tree_a status with
-          | Some g when not (Pid.equal g marker) -> Status_word.set_dead status g
-          | Some _ | None -> ())
-      | 2 ->
-          let top =
-            match Topology.Naive.max_live tree_a status with
-            | Some g -> Vid.to_int (Ptree.vid_of_pid tree_a g)
-            | None -> -1
-          in
-          if top < mask then
-            flip
-              (Ptree.pid_of_vid tree_a
-                 (Vid.unsafe_of_int (top + 1 + Rng.int rng (mask - top))))
-      | _ -> flip (pid (Rng.int rng (mask + 1))));
-      incr step
-    done
-  in
-  let agree label tree status =
-    Alcotest.(check bool) label true (all_queries_agree params tree status)
-  in
-  let status = Status_word.create params ~initially_live:true in
-  agree "A initially" tree_a status;
-  agree "B initially" tree_b status;
-  let copy = ref None in
-  List.iteri
-    (fun i n ->
-      mutate status n;
-      let label = Printf.sprintf "window %d (%d mutations)" i n in
-      agree ("A, " ^ label) tree_a status;
-      if i mod 2 = 1 then agree ("B, " ^ label) tree_b status;
-      if i = 4 then begin
-        let c = Status_word.copy status in
-        agree "A on the copy" tree_a c;
-        copy := Some c
-      end;
-      Option.iter
-        (fun c ->
-          mutate c n;
-          agree ("A on the copy, " ^ label) tree_a c;
-          agree ("B on the copy, " ^ label) tree_b c)
-        !copy)
-    [ 0; 1; 63; 64; 65; 200; 30; 34; 3; 61; 1 ]
-
-(* The property tests stop at m = 8; this checks the climb on wider
-   VIDs, m = 14 and m = 20. Sampled PIDs on a 40%-dead word, for a tree
-   whose root is live and one whose root is dead (the migration hop). *)
-let test_route_wide_m () =
-  List.iter
-    (fun m ->
-      let params = Params.create ~m () in
-      let space = Params.space params in
-      let status = Status_word.create params ~initially_live:true in
-      let rng = Rng.create ~seed:m in
-      ignore (Status_word.kill_fraction status rng ~fraction:0.4);
-      let live_root = Option.get (Status_word.random_live status rng)
-      and dead_root = Option.get (Status_word.random_dead status rng) in
-      List.iter
-        (fun root ->
-          let tree = Ptree.make params ~root in
-          let check query naive cached p =
-            Alcotest.(check (option int))
-              (Printf.sprintf "m=%d root=%d %s %d" m (Pid.to_int root) query
-                 (Pid.to_int p))
-              (Option.map Pid.to_int (naive tree status p))
-              (Option.map Pid.to_int (cached tree status p))
-          in
-          for _ = 1 to 300 do
-            let p = pid (Rng.int rng space) in
-            check "first_alive_ancestor" Topology.Naive.first_alive_ancestor
-              Topology.first_alive_ancestor p;
-            check "route_next" Topology.Naive.route_next Topology.route_next p
-          done)
-        [ live_root; dead_root ])
-    [ 14; 20 ]
-
-(* The option-based subtree climb routing used before the integer one:
-   Property 2 on the subtree VID through [Vtree] and the reduced
-   parameters, a [Some] per level, then FINDLIVENODE's downward scan
-   when the subtree root is dead. The differential oracle for
-   [Subtrees.route_next_in_subtree] and its option wrappers. *)
+(* Per-subtree reference implementations over member lists: Property 2
+   on the subtree VID through [Vtree] and the reduced parameters, a
+   [Some] per level, FINDLIVENODE's downward scan when the subtree root
+   is dead, and the other queries as filters over the subtree's members.
+   The differential oracle for every [Topology] query with [~b]; at
+   b = 0 the only subtree is the whole tree. *)
 module Subtree_oracle = struct
+  let svid tree p =
+    Subtrees.subtree_vid_of_vid (Ptree.params tree) (Ptree.vid_of_pid tree p)
+
+  (* Live members of [p]'s subtree, by descending subtree VID. *)
+  let live_members tree status p =
+    List.filter (Status_word.is_live status)
+      (Subtrees.members tree ~subtree_id:(Subtrees.subtree_id_of_pid tree p))
+
+  let find_live_node tree status ~start =
+    List.find_opt
+      (fun q -> svid tree q <= svid tree start)
+      (live_members tree status start)
+
+  let has_live_with_greater_vid tree status p =
+    List.exists
+      (fun q -> svid tree q > svid tree p)
+      (live_members tree status p)
+
+  let is_strict_descendant tree ~ancestor q =
+    (not (Pid.equal q ancestor))
+    && Vtree.is_ancestor
+         (Subtrees.reduced_params (Ptree.params tree))
+         ~ancestor:(Vid.unsafe_of_int (svid tree ancestor))
+         (Vid.unsafe_of_int (svid tree q))
+
+  let live_offspring_count tree status p =
+    List.length
+      (List.filter (is_strict_descendant tree ~ancestor:p)
+         (live_members tree status p))
+
+  (* Live strict descendants whose intermediate ancestors are all dead. *)
+  let children_list tree status p =
+    let rec intermediates_dead q =
+      match Subtrees.parent_in_subtree tree q with
+      | None -> false
+      | Some parent ->
+          Pid.equal parent p
+          || (Status_word.is_dead status parent && intermediates_dead parent)
+    in
+    List.filter
+      (fun q -> is_strict_descendant tree ~ancestor:p q && intermediates_dead q)
+      (live_members tree status p)
+
+  let live_population tree status ~subtree_id =
+    List.length
+      (List.filter (Status_word.is_live status)
+         (Subtrees.members tree ~subtree_id))
+
   let first_alive_ancestor tree status p =
     let rec climb p =
       match Subtrees.parent_in_subtree tree p with
@@ -646,12 +394,183 @@ module Subtree_oracle = struct
     go [] origin
 end
 
-(* m <= 12, b in {1, 2, 3}, a random live density from none to all, and
-   on top: every subtree root killed, or one subtree killed whole. *)
-let gen_subtree_climb_setup =
+(* The fault-tolerant subtree layer against the per-subtree oracle. *)
+
+let gen_ft_setup =
   QCheck2.Gen.(
-    int_range 1 3 >>= fun b ->
-    int_range (b + 1) 12 >>= fun m ->
+    Test_support.gen_params_ft >>= fun params ->
+    Test_support.gen_status params >>= fun status ->
+    Test_support.gen_pid params >>= fun root ->
+    Test_support.gen_pid params >>= fun p ->
+    return (params, status, Ptree.make params ~root, p))
+
+let prop_subtree_find_live_matches_brute =
+  Test_support.qcheck_case ~name:"FT find_live_node = brute force"
+    gen_ft_setup (fun (params, status, tree, start) ->
+      Topology.find_live_node ~b:(Params.b params) tree status ~start
+      = Subtree_oracle.find_live_node tree status ~start)
+
+let prop_subtree_children_list_matches_brute =
+  Test_support.qcheck_case ~name:"FT children_list = brute force"
+    gen_ft_setup (fun (params, status, tree, p) ->
+      Topology.children_list ~b:(Params.b params) tree status p
+      = Subtree_oracle.children_list tree status p)
+
+let prop_subtree_insertion_target_is_max_live =
+  Test_support.qcheck_case ~name:"FT insertion target = max live svid"
+    gen_ft_setup (fun (params, status, tree, p) ->
+      let subtree_id = Subtrees.subtree_id_of_pid tree p in
+      Topology.insertion_target ~b:(Params.b params) tree status ~subtree_id
+      = Subtree_oracle.insertion_target tree status ~subtree_id)
+
+let prop_live_offspring_bounded =
+  Test_support.qcheck_case ~name:"live offspring <= offspring"
+    QCheck2.Gen.(
+      Test_support.gen_tree_setup >>= fun (params, status, tree) ->
+      Test_support.gen_pid params >>= fun p -> return (status, tree, p))
+    (fun (status, tree, p) ->
+      let live = Topology.live_offspring_count ~b:0 tree status p in
+      live >= 0 && live <= Ptree.offspring_count tree p)
+
+(* --- Differential tests: bit-level layer vs. the naive oracle -------- *)
+
+(* Every whole-tree query must return bit-identical answers to the naive
+   reference implementations in [Topology.Naive], across a randomized
+   kill/revive sequence, checked after every mutation. *)
+let all_queries_agree params tree status =
+  let module T = Topology in
+  let module N = Topology.Naive in
+  let space = Params.space params in
+  T.insertion_target ~b:0 tree status ~subtree_id:0 = N.max_live tree status
+  && T.insertion_target ~b:0 tree status ~subtree_id:0
+     = N.insertion_target tree status
+  && List.for_all
+       (fun i ->
+         let p = pid i in
+         T.find_live_node ~b:0 tree status ~start:p
+         = N.find_live_node tree status ~start:p
+         && T.children_list ~b:0 tree status p = N.children_list tree status p
+         && T.first_alive_ancestor ~b:0 tree status p
+            = N.first_alive_ancestor tree status p
+         && T.has_live_with_greater_vid ~b:0 tree status p
+            = N.has_live_with_greater_vid tree status p
+         && T.live_offspring_count ~b:0 tree status p
+            = N.live_offspring_count tree status p
+         && T.route_next tree status p = N.route_next tree status p
+         && T.route_path tree status ~origin:p
+            = N.route_path tree status ~origin:p)
+       (List.init space Fun.id)
+
+let prop_cached_matches_naive =
+  Test_support.qcheck_case ~name:"cached topology = naive oracle under churn"
+    QCheck2.Gen.(
+      Test_support.gen_params >>= fun params ->
+      Test_support.gen_pid params >>= fun root ->
+      bool >>= fun initially_live ->
+      list_size (int_range 1 30)
+        (pair bool (int_range 0 (Params.space params - 1)))
+      >>= fun churn -> return (params, root, initially_live, churn))
+    (fun (params, root, initially_live, churn) ->
+      let status = Status_word.create params ~initially_live in
+      let tree = Ptree.make params ~root in
+      all_queries_agree params tree status
+      && List.for_all
+           (fun (revive, i) ->
+             if revive then Status_word.set_live status (pid i)
+             else Status_word.set_dead status (pid i);
+             all_queries_agree params tree status)
+           churn)
+
+(* Where [prop_cached_matches_naive] sweeps every query at quiescence
+   after each mutation, this interleaves single queries between
+   kill/revive mutations, so each query sees a different membership. *)
+let prop_cached_mid_epoch =
+  Test_support.qcheck_case ~name:"cached topology = naive oracle mid-epoch"
+    QCheck2.Gen.(
+      Test_support.gen_params >>= fun params ->
+      Test_support.gen_pid params >>= fun root ->
+      list_size (int_range 1 120)
+        (pair (int_range 0 9) (int_range 0 (Params.space params - 1)))
+      >>= fun ops -> return (params, root, ops))
+    (fun (params, root, ops) ->
+      let module T = Topology in
+      let module N = Topology.Naive in
+      let status = Status_word.create params ~initially_live:true in
+      let tree = Ptree.make params ~root in
+      List.for_all
+        (fun (op, i) ->
+          let p = pid i in
+          match op with
+          | 0 -> (* kill (join/leave semantics are the same bit flips) *)
+              Status_word.set_dead status p;
+              true
+          | 1 ->
+              Status_word.set_live status p;
+              true
+          | 2 ->
+              T.find_live_node ~b:0 tree status ~start:p
+              = N.find_live_node tree status ~start:p
+          | 3 ->
+              T.children_list ~b:0 tree status p
+              = N.children_list tree status p
+          | 4 ->
+              T.first_alive_ancestor ~b:0 tree status p
+              = N.first_alive_ancestor tree status p
+          | 5 ->
+              T.has_live_with_greater_vid ~b:0 tree status p
+              = N.has_live_with_greater_vid tree status p
+          | 6 ->
+              T.live_offspring_count ~b:0 tree status p
+              = N.live_offspring_count tree status p
+          | 7 -> T.route_next tree status p = N.route_next tree status p
+          | 8 ->
+              T.route_path tree status ~origin:p
+              = N.route_path tree status ~origin:p
+          | _ ->
+              T.insertion_target ~b:0 tree status ~subtree_id:0
+              = N.max_live tree status)
+        ops)
+
+(* The property tests stop at m = 8; this checks the climb on wider
+   VIDs, m = 14 and m = 20. Sampled PIDs on a 40%-dead word, for a tree
+   whose root is live and one whose root is dead (the migration hop). *)
+let test_route_wide_m () =
+  List.iter
+    (fun m ->
+      let params = Params.create ~m () in
+      let space = Params.space params in
+      let status = Status_word.create params ~initially_live:true in
+      let rng = Rng.create ~seed:m in
+      ignore (Status_word.kill_fraction status rng ~fraction:0.4);
+      let live_root = Option.get (Status_word.random_live status rng)
+      and dead_root = Option.get (Status_word.random_dead status rng) in
+      List.iter
+        (fun root ->
+          let tree = Ptree.make params ~root in
+          let check query naive cached p =
+            Alcotest.(check (option int))
+              (Printf.sprintf "m=%d root=%d %s %d" m (Pid.to_int root) query
+                 (Pid.to_int p))
+              (Option.map Pid.to_int (naive tree status p))
+              (Option.map Pid.to_int (cached tree status p))
+          in
+          for _ = 1 to 300 do
+            let p = pid (Rng.int rng space) in
+            check "first_alive_ancestor" Topology.Naive.first_alive_ancestor
+              (Topology.first_alive_ancestor ~b:0) p;
+            check "route_next" Topology.Naive.route_next Topology.route_next p
+          done)
+        [ live_root; dead_root ])
+    [ 14; 20 ]
+
+
+(* m <= [max_m], b in {0, 1, 2, 3}, a random live density from none to
+   all, and on top: every subtree root killed, or one subtree killed
+   whole (at b = 0, the whole tree). *)
+let gen_subtree_setup ~max_m =
+  QCheck2.Gen.(
+    int_range 0 3 >>= fun b ->
+    int_range (b + 1) max_m >>= fun m ->
     int_range 0 4 >>= fun density ->
     bool >>= fun kill_roots ->
     bool >>= fun kill_one ->
@@ -677,8 +596,9 @@ let gen_subtree_climb_setup =
 let prop_subtree_climb_matches_oracle =
   Test_support.qcheck_case ~count:150
     ~name:"FT integer climb = option-based climb (every PID)"
-    gen_subtree_climb_setup (fun (params, status, tree) ->
+    (gen_subtree_setup ~max_m:12) (fun (params, status, tree) ->
       let ok = ref true in
+      let b = Params.b params in
       for i = 0 to Params.mask params do
         let p = pid i in
         let expected =
@@ -687,22 +607,94 @@ let prop_subtree_climb_matches_oracle =
           | Some q -> Pid.to_int q
         in
         if
-          Subtrees.route_next_in_subtree tree status i <> expected
-          || Subtrees.first_alive_ancestor_in_subtree tree status p
+          Topology.next_hop ~b tree status i <> expected
+          || Topology.first_alive_ancestor ~b tree status p
              <> Subtree_oracle.first_alive_ancestor tree status p
           || i land 7 = 0
-             && Subtrees.route_path_in_subtree tree status ~origin:p
+             && subtree_route_path tree status ~origin:p
                 <> Subtree_oracle.route_path tree status ~origin:p
         then ok := false
       done;
       for sid = 0 to Params.subtree_count params - 1 do
         if
-          Subtrees.insertion_target_in_subtree tree status ~subtree_id:sid
+          Topology.insertion_target ~b tree status ~subtree_id:sid
           <> Subtree_oracle.insertion_target tree status ~subtree_id:sid
-          || Subtrees.max_live_in_subtree tree status ~subtree_id:sid
-             <> Subtree_oracle.insertion_target tree status ~subtree_id:sid
         then ok := false
       done;
+      !ok)
+
+(* Every shared query at b in {0, 1, 2, 3}, on every PID, against the
+   per-subtree oracle and, at b = 0, against [Topology.Naive] too. The
+   list-free [first_child] is checked against the first non-holder of the
+   oracle's children list for a random holder set. *)
+let prop_shared_queries_match_oracles =
+  Test_support.qcheck_case ~count:120
+    ~name:"every query at b = 0..3 = per-subtree oracle and naive"
+    QCheck2.Gen.(
+      gen_subtree_setup ~max_m:9 >>= fun (params, status, tree) ->
+      int >>= fun seed -> return (params, status, tree, seed))
+    (fun (params, status, tree, seed) ->
+      let module O = Subtree_oracle in
+      let module N = Topology.Naive in
+      let b = Params.b params in
+      let rng = Rng.create ~seed in
+      let held = Array.init (Params.space params) (fun _ -> Rng.bool rng) in
+      let skip p = held.(Pid.to_int p) in
+      let ok = ref true in
+      let agree cond = if not cond then ok := false in
+      for i = 0 to Params.mask params do
+        let p = pid i in
+        let children = O.children_list tree status p in
+        agree
+          (Topology.find_live_node ~b tree status ~start:p
+          = O.find_live_node tree status ~start:p);
+        agree (Topology.children_list ~b tree status p = children);
+        agree
+          (Topology.first_child ~b tree status ~skip p
+          = match List.find_opt (fun q -> not (skip q)) children with
+            | Some q -> Pid.to_int q
+            | None -> -1);
+        agree
+          (Topology.has_live_with_greater_vid ~b tree status p
+          = O.has_live_with_greater_vid tree status p);
+        agree
+          (Topology.live_offspring_count ~b tree status p
+          = O.live_offspring_count tree status p);
+        if b = 0 then begin
+          agree
+            (Topology.find_live_node ~b tree status ~start:p
+            = N.find_live_node tree status ~start:p);
+          agree (children = N.children_list tree status p);
+          agree
+            (Topology.first_alive_ancestor ~b tree status p
+            = N.first_alive_ancestor tree status p);
+          agree
+            (Topology.has_live_with_greater_vid ~b tree status p
+            = N.has_live_with_greater_vid tree status p);
+          agree
+            (Topology.live_offspring_count ~b tree status p
+            = N.live_offspring_count tree status p);
+          agree
+            (Topology.next_hop ~b tree status i
+            = Topology.route_next_int tree status i);
+          agree
+            (Topology.route_next tree status p = N.route_next tree status p)
+        end
+      done;
+      for sid = 0 to Params.subtree_count params - 1 do
+        agree
+          (Topology.live_population ~b tree status ~subtree_id:sid
+          = O.live_population tree status ~subtree_id:sid)
+      done;
+      agree
+        (Topology.insertion_targets ~b tree status
+        = List.filter_map
+            (fun subtree_id -> O.insertion_target tree status ~subtree_id)
+            (List.init (Params.subtree_count params) Fun.id));
+      if b = 0 then
+        agree
+          (Topology.insertion_target ~b tree status ~subtree_id:0
+          = N.insertion_target tree status);
       !ok)
 
 let () =
@@ -754,14 +746,12 @@ let () =
           prop_live_offspring_bounded;
         ] );
       ( "differential (subtree climb)", [ prop_subtree_climb_matches_oracle ] );
+      ( "differential (shared queries)",
+        [ prop_shared_queries_match_oracles ] );
       ( "differential (cached vs naive)",
         [
           prop_cached_matches_naive;
           prop_cached_mid_epoch;
-          Alcotest.test_case "cache isolation across trees/copies" `Quick
-            test_cache_isolation;
-          Alcotest.test_case "catch-up windows vs naive" `Quick
-            test_catch_up_windows;
           Alcotest.test_case "route climb at m = 14, 20 vs naive" `Quick
             test_route_wide_m;
         ] );
