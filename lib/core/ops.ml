@@ -81,59 +81,37 @@ let holds_fragment cluster p ~key =
       scan 0
 
 (* The request walk, hop by hop: the common request is answered within a
-   hop or two, so no route is computed ahead. Each hop is one ROUTE-NEXT
-   climb over the status word inside the current subtree; where a subtree
-   dead-ends (Section 4), the request migrates to the next subtree in
-   turn, landing on the origin's mirror there — the origin's subtree VID
-   with that subtree's identifier — or, when the mirror is dead, on the
-   subtree's insertion target. A subtree with no live member is skipped;
-   a migration counts as one hop. With b = 0 the only subtree is the whole
-   tree, so the walk ends at the first dead end. *)
+   hop or two, so no route is computed ahead. Each hop is one
+   {!Topology.route} step — the climb inside the current subtree and, at
+   its dead end, the Section 4 migration to the next subtree, which
+   counts as one hop. *)
 let rec walk cluster held tree status ~now ~key ~origin visited hops migrations
-    k p =
+    p =
   if Lesslog_bits.Packed_bits.get held (Pid.to_int p) then begin
     File_store.record_access (Cluster.store cluster p) ~key ~now;
     { server = Some p; hops; path = List.rev (p :: visited);
       subtree_migrations = migrations }
   end
   else
-    let b = Params.b (Ptree.params tree) in
-    match Topology.next_hop ~b tree status (Pid.to_int p) with
+    match
+      Topology.route
+        ~b:(Params.b (Ptree.params tree))
+        tree status ~origin:(Pid.to_int origin) (Pid.to_int p)
+    with
     | -1 ->
-        migrate cluster held tree status ~now ~key ~origin (p :: visited) hops
-          migrations (k + 1)
+        { server = None; hops; path = List.rev (p :: visited);
+          subtree_migrations = migrations }
     | q ->
+        let q = Pid.unsafe_of_int q in
+        let migrations =
+          if
+            Subtrees.subtree_id_of_pid tree q
+            = Subtrees.subtree_id_of_pid tree p
+          then migrations
+          else migrations + 1
+        in
         walk cluster held tree status ~now ~key ~origin (p :: visited)
-          (hops + 1) migrations k (Pid.unsafe_of_int q)
-
-and migrate cluster held tree status ~now ~key ~origin visited hops migrations
-    k =
-  let params = Ptree.params tree in
-  let nsub = Params.subtree_count params in
-  if k >= nsub then
-    { server = None; hops; path = List.rev visited;
-      subtree_migrations = migrations }
-  else begin
-    let sid = (Subtrees.subtree_id_of_pid tree origin + k) mod nsub in
-    let mirror =
-      Ptree.pid_of_vid tree
-        (Subtrees.migrate_vid params (Ptree.vid_of_pid tree origin)
-           ~to_subtree:sid)
-    in
-    let start =
-      if Status_word.is_live status mirror then Some mirror
-      else
-        Topology.insertion_target ~b:(Params.b params) tree status
-          ~subtree_id:sid
-    in
-    match start with
-    | None ->
-        migrate cluster held tree status ~now ~key ~origin visited hops
-          migrations (k + 1)
-    | Some s ->
-        walk cluster held tree status ~now ~key ~origin visited (hops + 1)
-          (migrations + 1) k s
-  end
+          (hops + 1) migrations q
 
 (* Attribution of a finished lookup. The handles are re-fetched per call
    (a hashtable hit each): [get] with a registry is the inspection path,
@@ -173,7 +151,7 @@ let get ?(now = 0.0) ?registry cluster ~origin ~key =
     walk cluster
       (Cluster.holder_bitset cluster ~key)
       (Cluster.tree_of_key cluster key)
-      (Cluster.status cluster) ~now ~key ~origin [] 0 0 0 origin
+      (Cluster.status cluster) ~now ~key ~origin [] 0 0 origin
   in
   let r = coded_fallback cluster ~now ~key r in
   Option.iter (fun reg -> record_get reg r) registry;

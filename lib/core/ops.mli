@@ -14,8 +14,8 @@ type get_result = {
   hops : int;  (** Forwarding hops, not counting the client's first contact. *)
   path : Pid.t list;  (** Nodes visited, origin first, server (if any) last. *)
   subtree_migrations : int;
-      (** Fault-tolerant model only: how many times the request switched
-          subtree before being served. *)
+      (** Fault-tolerant model only: how many times the path crosses a
+          subtree boundary (each migration is also one hop). *)
 }
 
 type update_result = {
@@ -38,11 +38,13 @@ val get :
   key:string ->
   get_result
 (** GETFILE from a live [origin]: serve locally when a copy is present,
-    otherwise forward along first-alive-ancestors in the target's lookup
-    tree, with the Section 3 migration to the most-offspring live node when
-    the target is dead, and (for [b > 0]) the Section 4 migration to
-    sibling subtrees when the origin's subtree faults. Records an access on
-    the serving store. With [registry], attributes the lookup to the
+    otherwise walk hop by hop by {!Lesslog_topology.Topology.route}, the
+    request step every simulator takes — first-alive-ancestors in the
+    target's lookup tree, the Section 3 jump to the most-offspring live
+    node when the target is dead, and (for [b > 0]) the Section 4
+    migration to the origin's mirror in each later subtree in turn when
+    a subtree dead-ends, each subtree entered at most once. Records an
+    access on the serving store. With [registry], attributes the lookup to the
     [core/get]* metrics (request/fault counters, hop histogram, subtree
     migrations). @raise Invalid_argument when [origin] is dead. *)
 

@@ -3,8 +3,14 @@ module Substrate = Lesslog_substrate.Substrate
 
 let of_cluster cluster =
   let status = Cluster.status cluster in
-  let next_hop ~key p =
-    Topology.route_next (Cluster.tree_of_key cluster key) status p
+  let b = Lesslog_id.Params.b (Cluster.params cluster) in
+  let next_hop ~key ~origin p =
+    match
+      Topology.route ~b (Cluster.tree_of_key cluster key) status
+        ~origin:(Lesslog_id.Pid.to_int origin) (Lesslog_id.Pid.to_int p)
+    with
+    | -1 -> None
+    | q -> Some (Lesslog_id.Pid.unsafe_of_int q)
   in
   let owner ~key =
     Topology.insertion_target ~b:0 (Cluster.tree_of_key cluster key) status

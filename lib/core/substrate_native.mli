@@ -2,9 +2,9 @@
     cluster's own binomial lookup trees.
 
     Every field delegates to the exact calls the direct code path makes —
-    [next_hop] is {!Lesslog_topology.Topology.route_next} on the key's
-    tree (the same climb over the status word as the direct path's
-    [route_next_int]), [owner] is the FINDLIVENODE insertion target,
+    [next_hop] is {!Lesslog_topology.Topology.route} on the key's tree
+    (the direct path's request step, subtree migration included), [owner]
+    is the FINDLIVENODE insertion target,
     [neighbors] is the advanced-model children list, and [replica_target]
     is {!Ops.choose_replica_target} including the Section 3 proportional
     choice and its single [rng] draw — so simulations routed through this

@@ -218,59 +218,26 @@ let fault (sh : shard) ~id ~origin ~hops ~issued_at =
   obs_resolved sh ~id ~origin:(Pid.to_int origin) ~server:(-1) ~hops
     ~issued_at ~at:(Engine.now sh.eng)
 
-(* A GET that dead-ends in its subtree migrates to the sibling subtree
-   by rewriting the VID's identifier bits (Section 4). It lands on the
-   rewritten slot when that is alive, else on the nearest live stand-in
-   of the sibling subtree. Returns the landing PID, or [-1] when there
-   is none (or no sibling). *)
-let migrate st (sh : shard) ~me =
-  let n = Array.length st.shards in
-  if n = 1 then -1
-  else begin
-    let to_subtree = (sh.sid + 1) mod n in
-    let landing =
-      Ptree.pid_of_vid st.tree
-        (Subtrees.migrate_vid st.params (Ptree.vid_of_pid st.tree me)
-           ~to_subtree)
-    in
-    let b = Params.b st.params in
-    let landing =
-      if Status_word.is_live st.status landing then Some landing
-      else
-        match Topology.first_alive_ancestor ~b st.tree st.status landing with
-        | Some _ as a -> a
-        | None ->
-            Topology.insertion_target ~b st.tree st.status
-              ~subtree_id:to_subtree
-    in
-    match landing with
-    | None -> -1
-    | Some next ->
-        sh.migrations <- sh.migrations + 1;
-        Pid.to_int next
-  end
-
-(* Forward one GET from [me] within its subtree, or migrate it when the
-   subtree dead-ends. Each hop burns the packed hop budget, so a request
-   circling through dead subtrees faults instead of looping. *)
+(* Forward one GET from [me] by the one request step,
+   {!Topology.route}: the climb within the subtree or, at its dead end,
+   the migration to the next subtree ([migrations] counts the crossings).
+   A request whose hop count has reached the packed field's maximum
+   faults instead of wrapping it. *)
 let[@inline] route_get_replicated st (sh : shard) ~me ~id ~origin ~hops
     ~issued_at =
   if hops >= Wire.hops_max then fault sh ~id ~origin ~hops ~issued_at
-  else begin
-    let next =
-      match
-        Topology.next_hop ~b:(Params.b st.params) st.tree st.status
-          (Pid.to_int me)
-      with
-      | -1 -> migrate st sh ~me
-      | q -> q
-    in
-    if next < 0 then fault sh ~id ~origin ~hops ~issued_at
-    else
-      send_msg st sh ~dst:(Pid.unsafe_of_int next)
-        ~b:(Wire.get ~id ~origin:(Pid.to_int origin) ~hops:(hops + 1))
-        ~x:issued_at
-  end
+  else
+    match
+      Topology.route ~b:(Params.b st.params) st.tree st.status
+        ~origin:(Pid.to_int origin) (Pid.to_int me)
+    with
+    | -1 -> fault sh ~id ~origin ~hops ~issued_at
+    | next ->
+        let next = Pid.unsafe_of_int next in
+        if sid_of st next <> sh.sid then sh.migrations <- sh.migrations + 1;
+        send_msg st sh ~dst:next
+          ~b:(Wire.get ~id ~origin:(Pid.to_int origin) ~hops:(hops + 1))
+          ~x:issued_at
 
 (* Route one GET standing at [me]: serve, serve from fragments, or
    forward ({!route_get_replicated}). *)

@@ -43,7 +43,9 @@ val default_config : config
 type result = {
   served : int;
   faults : int;
-  migrations : int;  (** Requests handed to a sibling subtree. *)
+  migrations : int;
+      (** Subtree crossings: GET hops that {!Lesslog_topology.Topology.route}
+          sent into another subtree (Section 4 migration). *)
   requests : int;
   latencies : Histogram.t;  (** Merged across shards in shard order. *)
   hops : Histogram.t;

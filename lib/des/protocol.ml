@@ -81,20 +81,24 @@ let emit_evict t ~node =
   | Some f -> f (Trace.Event.Evict { at = now t; node; key = t.key })
 
 (* The next hop's PID as an int, [-1] at the end of the route. *)
-let[@inline] route_step t me =
+let[@inline] route_step t ~origin me =
   match t.substrate with
   | None ->
-      Topology.route_next_int t.tree (Cluster.status t.cluster) (Pid.to_int me)
+      Topology.route
+        ~b:(Params.b (Lesslog_ptree.Ptree.params t.tree))
+        t.tree (Cluster.status t.cluster)
+        ~origin:(Pid.to_int origin) (Pid.to_int me)
   | Some sub -> (
-      match sub.Substrate.next_hop ~key:t.key me with
+      match sub.Substrate.next_hop ~key:t.key ~origin me with
       | Some next -> Pid.to_int next
       | None -> -1)
 
-(* The [hops < hops_max] guard keeps a (non-conforming) substrate route
-   from wrapping the packed hop field; native routes are bounded by the
-   tree depth (<= m) and never reach it. *)
+(* The [hops < hops_max] guard keeps a route from wrapping the packed hop
+   field: a native route at b > 0 can be longer than the field holds
+   ({!Lesslog_topology.Topology.route}'s hop budget), and a request that
+   reaches it is a fault. *)
 let[@inline] forward t ~me ~id ~origin ~hops ~issued_at =
-  let next = route_step t me in
+  let next = route_step t ~origin me in
   next >= 0 && hops < Wire.hops_max
   && begin
        Overlay.send_packed t.overlay ~src:me ~dst:(Pid.unsafe_of_int next)

@@ -74,10 +74,11 @@ val emit_evict : t -> node:int -> unit
 
 val forward :
   t -> me:Pid.t -> id:int -> origin:Pid.t -> hops:int -> issued_at:float -> bool
-(** Send the GET one hop along the route; [false] at a dead end or a
-    hop-field overflow, which the caller reports. The route step is one
-    int, [-1] at the end of the route: [Topology.route_next_int]'s
-    climb over the status word on the direct path, the substrate's
+(** Send the GET one hop along the route; [false] at a dead end or when
+    [hops] has reached [Wire.hops_max] (the route would wrap the 6-bit
+    hop field), which the caller reports as a fault. The route step is
+    one int, [-1] at the end of the route: [Topology.route] (the Section
+    4 climb with subtree migration) on the direct path, the substrate's
     [next_hop] answer otherwise. *)
 
 val record_serve : t -> server:Pid.t -> unit

@@ -4,38 +4,25 @@ module Ptree = Lesslog_ptree.Ptree
 module Topology = Lesslog_topology.Topology
 module Demand = Lesslog_workload.Demand
 
-type t = {
-  tree : Ptree.t;
-  status : Status_word.t;
-  next : int array;  (* pid -> next hop pid, or -1 at the end of the route *)
-}
+type t = { tree : Ptree.t; status : Status_word.t }
 
-let create tree status =
-  let params = Ptree.params tree in
-  let next = Array.make (Params.space params) (-1) in
-  Status_word.iter_live status (fun p ->
-      match Topology.route_next tree status p with
-      | Some q -> next.(Pid.to_int p) <- Pid.to_int q
-      | None -> ());
-  { tree; status; next }
+let create tree status = { tree; status }
 
-let tree t = t.tree
-let status t = t.status
-
-let next_hop t p =
-  match t.next.(Pid.to_int p) with
-  | -1 -> None
-  | q -> Some (Pid.unsafe_of_int q)
+(* One {!Topology.route} step of a request from [origin], as a PID int. *)
+let step t ~origin p =
+  Topology.route
+    ~b:(Params.b (Ptree.params t.tree))
+    t.tree t.status ~origin p
 
 let serving_node t ~holders ~origin =
   if Status_word.is_dead t.status origin then
     invalid_arg "Flow.serving_node: dead origin";
+  let origin = Pid.to_int origin in
   let rec walk p =
     if holders (Pid.unsafe_of_int p) then Some (Pid.unsafe_of_int p)
-    else
-      match t.next.(p) with -1 -> None | q -> walk q
+    else match step t ~origin p with -1 -> None | q -> walk q
   in
-  walk (Pid.to_int origin)
+  walk origin
 
 type loads = { serve : float array; unserved : float }
 
@@ -67,14 +54,15 @@ let inflows t ~holders ~demand ~at =
       if r > 0.0 then begin
         (* Walk the route; requests already served before [at] never get
            there. *)
+        let origin = Pid.to_int origin in
         let rec walk prev p =
           if holders (Pid.unsafe_of_int p) || p = at_int then begin
             if p = at_int then add_entry prev r
           end
           else
-            match t.next.(p) with -1 -> () | q -> walk (Some p) q
+            match step t ~origin p with -1 -> () | q -> walk (Some p) q
         in
-        walk None (Pid.to_int origin)
+        walk None origin
       end);
   let entries =
     Hashtbl.fold (fun p r l -> (Some (Pid.unsafe_of_int p), r) :: l) acc []

@@ -1,12 +1,15 @@
 (** Exact steady-state request-flow solver.
 
     Given a lookup tree, the membership, and the per-node demand for one
-    file, every request travels the Section 3 resolution path of its
-    origin and is served by the first copy it meets. This module computes
-    each node's serve rate in closed form — the quantity the paper's
-    evaluation thresholds against the per-node capacity. Routing is
-    precomputed once per (tree, membership) pair so the replication loop
-    can re-evaluate loads cheaply as copies appear. *)
+    file, every request travels its origin's route — the request step
+    every simulator and [Ops.get] take, {!Lesslog_topology.Topology.route}
+    (the Section 3 climb and, when [b > 0], the Section 4 subtree
+    migration) — and is served by the first copy it meets. This module
+    computes each node's serve rate in closed form — the quantity the
+    paper's evaluation thresholds against the per-node capacity. Routes
+    are walked hop by hop from each origin, nothing is precomputed: a
+    route is at most [m] hops at [b = 0], so one evaluation costs
+    O(N·m) route steps. *)
 
 open Lesslog_id
 module Status_word = Lesslog_membership.Status_word
@@ -15,19 +18,13 @@ module Ptree = Lesslog_ptree.Ptree
 type t
 
 val create : Ptree.t -> Status_word.t -> t
-(** Precompute the next-hop table (O(N·m)). The membership must not change
-    while this value is in use. *)
-
-val tree : t -> Ptree.t
-val status : t -> Status_word.t
-
-val next_hop : t -> Pid.t -> Pid.t option
-(** The precomputed {!Lesslog_topology.Topology.route_next}. *)
+(** The solver over a tree and a membership; routes read the status word
+    as it is when they are walked. *)
 
 val serving_node :
   t -> holders:(Pid.t -> bool) -> origin:Pid.t -> Pid.t option
 (** Which node serves a request originated at a live [origin]; [None] when
-    no copy lies on the resolution path (a fault). *)
+    no copy lies on its route (a fault). *)
 
 type loads = {
   serve : float array;  (** Requests/s served, per PID slot. *)

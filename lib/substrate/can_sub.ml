@@ -17,7 +17,7 @@ let make ?(d = 2) params status =
   let rng = Rng.create ~seed:(0x00ca_a201 lxor (space * 31) lxor d) in
   let zones = Can.create ~rng ~n:space ~d in
   let alive i = Status_word.is_live status (Pid.unsafe_of_int i) in
-  let next_hop ~key p =
+  let next_hop ~key ~origin:_ p =
     match
       Can.next_hop_toward zones ~from:(Pid.to_int p) ~target:(point_of_key d key)
         ~alive

@@ -9,7 +9,7 @@ let make params status psi =
         | [] -> None
         | live -> Some (Chord.create params ~live))
   in
-  let next_hop ~key p =
+  let next_hop ~key ~origin:_ p =
     match ring () with
     | None -> None
     | Some r -> Chord.next_hop r ~from:p ~target:(Psi.target psi key)

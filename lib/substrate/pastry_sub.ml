@@ -15,7 +15,7 @@ let make ?digit_bits params status psi =
         | [] -> None
         | live -> Some (Pastry.create ~digit_bits params ~live))
   in
-  let next_hop ~key p =
+  let next_hop ~key ~origin:_ p =
     match mesh () with
     | None -> None
     | Some t -> Pastry.next_hop t ~from:p ~target:(Psi.target psi key)

@@ -6,7 +6,7 @@ type membership_style = Self_organized | Generic
 
 type t = {
   name : string;
-  next_hop : key:string -> Pid.t -> Pid.t option;
+  next_hop : key:string -> origin:Pid.t -> Pid.t -> Pid.t option;
   owner : key:string -> Pid.t option;
   neighbors : key:string -> Pid.t -> Pid.t list;
   symmetric_neighbors : bool;
@@ -23,7 +23,7 @@ type t = {
 
 let route_path t ~key ~origin ~max_hops =
   let rec go acc hops p =
-    match t.next_hop ~key p with
+    match t.next_hop ~key ~origin p with
     | None -> (List.rev (p :: acc), true)
     | Some q ->
         if hops >= max_hops then (List.rev (p :: acc), false)

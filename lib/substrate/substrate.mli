@@ -18,9 +18,10 @@
     guarantee:
 
     - {b No hidden RNG.} Every answer is a pure function of (the key, the
-      queried node, the current membership word, and construction-time
-      parameters). Randomized construction (e.g. CAN's join points) must
-      draw from a seed derived deterministically from the parameters —
+      queried node, a request's origin, the current membership word, and
+      construction-time parameters). Randomized construction (e.g. CAN's
+      join points) must draw from a seed derived deterministically from
+      the parameters —
       never from global state, the clock, or [Random]. The only sanctioned
       randomness at query time is the [rng] explicitly threaded into
       {!field-replica_target}, and implementations must draw from it only
@@ -65,11 +66,13 @@ type membership_style =
 
 type t = {
   name : string;  (** Short identifier used in benches and traces. *)
-  next_hop : key:string -> Pid.t -> Pid.t option;
-      (** One forwarding hop of a request for [key] at the given node;
-          [None] when the node is the end of the route (the responsible
-          node — or, on substrates without {!field-guaranteed_delivery},
-          a greedy dead end). *)
+  next_hop : key:string -> origin:Pid.t -> Pid.t -> Pid.t option;
+      (** One forwarding hop of a request for [key], issued at [origin],
+          at the given node; [None] when the node is the end of the route
+          (the responsible node — or, on substrates without
+          {!field-guaranteed_delivery}, a greedy dead end). The origin
+          rides on every GET; the native adapter needs it for the
+          Section 4 subtree migration, the overlay adapters ignore it. *)
   owner : key:string -> Pid.t option;
       (** The live node currently responsible for [key] — where
           [insert_via] places the inserted copy and where routing is

@@ -21,10 +21,6 @@ let compose_vid params ~subtree_vid ~subtree_id =
 let subtree_id_of_pid tree p =
   subtree_id_of_vid (Ptree.params tree) (Ptree.vid_of_pid tree p)
 
-let migrate_vid params v ~to_subtree =
-  compose_vid params ~subtree_vid:(subtree_vid_of_vid params v)
-    ~subtree_id:to_subtree
-
 (* The largest subtree VID, all ones over m - b bits. *)
 let top_svid params = Params.mask params lsr Params.b params
 

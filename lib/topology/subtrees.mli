@@ -7,7 +7,7 @@
     VIDs, so all Section 3 operations run unchanged inside a subtree —
     the dead-aware ones are {!Topology}'s, with [~b]; a faulting request
     migrates to a sibling subtree by rewriting the identifier bits
-    ({!migrate_vid}). *)
+    ({!Topology.route}). *)
 
 open Lesslog_id
 module Ptree = Lesslog_ptree.Ptree
@@ -26,10 +26,6 @@ val compose_vid : Params.t -> subtree_vid:int -> subtree_id:int -> Vid.t
 
 val subtree_id_of_pid : Ptree.t -> Pid.t -> int
 (** The subtree a node belongs to in the given lookup tree. *)
-
-val migrate_vid : Params.t -> Vid.t -> to_subtree:int -> Vid.t
-(** Rewrite the subtree identifier, preserving the subtree VID — how a
-    faulting request hops to a sibling subtree. *)
 
 val subtree_root : Ptree.t -> subtree_id:int -> Pid.t
 (** The node whose subtree VID is all ones within the given subtree. *)

@@ -96,6 +96,7 @@ end
 module Testing = struct
   let broken_find_live_node = ref false
   let broken_frontier = ref false
+  let broken_migration = ref false
 end
 
 (* Every query works on VIDs inside one scope: the bits [b, m) it may set,
@@ -290,23 +291,52 @@ let[@inline] hop live mask comp pi =
 let next_hop ~b tree status pi =
   hop (Status_word.live_bits status) (scope_mask tree ~b) (Ptree.comp tree) pi
 
-let route_next_int tree status pi =
-  hop (Status_word.live_bits status)
-    (Params.mask (Ptree.params tree))
-    (Ptree.comp tree) pi
+(* The landing of a request from origin VID [ov] that left subtree
+   [s - 1]: the origin's mirror in [s] when live, else the dead mirror's
+   hop (its first live ancestor, else [s]'s insertion target); a subtree
+   with no live member passes the request on to [s + 1]. [-1] back at
+   the origin's subtree. *)
+let rec landing live mask comp ids ov s =
+  let s = s land ids in
+  if s = ov land ids then -1
+  else
+    let q =
+      if !Testing.broken_migration then
+        (* Deliberately wrong: always the insertion target, skipping the
+           mirror. *)
+        match scan_down live comp (ids + 1) (-1) (mask lor s) with
+        | -1 -> -1
+        | g -> g lxor comp
+      else
+        let mirror = ((ov land mask) lor s) lxor comp in
+        if Packed_bits.get live mirror then mirror
+        else hop live mask comp mirror
+    in
+    if q >= 0 then q else landing live mask comp ids ov (s + 1)
+
+let route ~b tree status ~origin pi =
+  let live = Status_word.live_bits status and comp = Ptree.comp tree in
+  let mask = scope_mask tree ~b in
+  match hop live mask comp pi with
+  | -1 ->
+      let ids = (1 lsl b) - 1 in
+      landing live mask comp ids (origin lxor comp)
+        (((pi lxor comp) land ids) + 1)
+  | q -> q
 
 type router = unit
 
 let router (_ : Ptree.t) (_ : Status_word.t) = ()
 
+(* At b = 0 there is no other subtree: {!route} is {!next_hop}. *)
 let route_next tree status p =
-  match route_next_int tree status (Pid.to_int p) with
+  match next_hop ~b:0 tree status (Pid.to_int p) with
   | -1 -> None
   | q -> Some (Pid.unsafe_of_int q)
 
 let route_path tree status ~origin =
   let rec go acc p =
-    match route_next_int tree status (Pid.to_int p) with
+    match next_hop ~b:0 tree status (Pid.to_int p) with
     | -1 -> List.rev (p :: acc)
     | q -> go (p :: acc) (Pid.unsafe_of_int q)
   in

@@ -30,10 +30,14 @@ module Ptree = Lesslog_ptree.Ptree
     {!Testing.broken_frontier} set, the children frontier walk
     ({!children_list}, {!first_child}) drops dead children instead of
     expanding them. The checker must find and shrink a counterexample to
-    either. Never set them outside tests. *)
+    either. With {!Testing.broken_migration} set, {!route} lands a
+    migrating request on the next subtree's insertion target instead of
+    the origin's mirror; the request-path differential test must fail.
+    Never set them outside tests. *)
 module Testing : sig
   val broken_find_live_node : bool ref
   val broken_frontier : bool ref
+  val broken_migration : bool ref
 end
 
 val find_live_node :
@@ -96,15 +100,6 @@ val live_population : b:int -> Ptree.t -> Status_word.t -> subtree_id:int -> int
     when [b = 0], else [2^(m-b)] bit tests. The denominator of the
     proportional choice. *)
 
-val climb : Lesslog_bits.Packed_bits.t -> int -> int -> int -> int
-(** [climb live mask comp v] is the PID of the first live strict
-    ancestor of VID [v] under Property 2, or [-1]: it sets the highest
-    zero bit of [v] among the bits of [mask], and repeats until the
-    ancestor's PID ([vid lxor comp]) is set in [live]. With the tree's
-    full mask it is the whole-tree climb of {!route_next_int}; with the
-    bits [\[b, m)] only, the climb inside the node's subtree
-    ({!next_hop}). Allocates nothing. *)
-
 val next_hop : b:int -> Ptree.t -> Status_word.t -> int -> int
 (** [next_hop ~b tree status (Pid.to_int p)] is one ROUTE-NEXT of the
     advanced GETFILE inside [p]'s subtree, as a PID int: its first live
@@ -115,9 +110,34 @@ val next_hop : b:int -> Ptree.t -> Status_word.t -> int -> int
     root, the scan; it allocates nothing. No bounds check: the caller
     guarantees a valid PID of the tree. *)
 
-val route_next_int : Ptree.t -> Status_word.t -> int -> int
-(** {!next_hop} over the whole tree ([b = 0]) whatever the tree's [b] —
-    the climb [Des_sim] and [Fault_sim] route by. *)
+val route : b:int -> Ptree.t -> Status_word.t -> origin:int -> int -> int
+(** [route ~b tree status ~origin p] is the next hop of a GET issued at
+    [origin] and standing at the live node [p], as a PID int, or [-1]
+    when the request faults — the one request step of every caller.
+    Section 4: a request that faults in its subtree "migrates between
+    subtrees by rewriting the subtree identifier". The step:
+    - {!next_hop} inside [p]'s subtree while it climbs;
+    - at the subtree's dead end, the subtrees after [p]'s own in turn,
+      [s = sid(p) + 1, sid(p) + 2, ...] (mod [2^b]), stopping with [-1]
+      when [s] would be the origin's subtree;
+    - in [s], land on the origin's mirror (its subtree VID with [s]'s
+      identifier); when the mirror is dead, on {!next_hop} of the mirror
+      (its first live ancestor, else [s]'s insertion target); when [s]
+      has no live member, go on to the next [s].
+
+    Each subtree is entered at most once, and the step reads only [p],
+    [origin] and the status word, so a hop-by-hop caller keeps no
+    per-request state. At [b = 0] it is {!next_hop} over the whole tree.
+
+    Hop budget: a route takes at most [m - b] hops in the origin's
+    subtree and at most [m - b + 1] (the landing plus the climb) in each
+    of the other [2^b - 1], so at most [2^b (m - b + 1) - 1] hops — [m]
+    at [b = 0]. The bound is reached (all nodes live, no copy, an origin
+    of subtree VID 0), and it exceeds the wire's 6-bit hop field (63)
+    when [2^b (m - b + 1) > 64]: at [b = 2] from [m = 18], at [b = 3]
+    from [m = 11]. The simulators report a request whose hop count
+    reaches [Wire.hops_max] as a fault. Allocates nothing; no bounds
+    check. *)
 
 type router
 (** Navigation keeps no per-tree state, so there is nothing to fetch or
@@ -127,7 +147,7 @@ type router
 val router : Ptree.t -> Status_word.t -> router
 
 val route_next : Ptree.t -> Status_word.t -> Pid.t -> Pid.t option
-(** {!route_next_int} as an option: one forwarding hop of the advanced
+(** {!route} at [~b:0] as an option: one forwarding hop of the advanced
     GETFILE from a live node over the whole tree — the first alive
     ancestor if any; otherwise, when the root is dead, the migration hop
     to the insertion target (unless we are already there). [None] when

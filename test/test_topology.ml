@@ -164,10 +164,22 @@ let test_insertion_targets_ft () =
   Alcotest.(check int) "distinct subtrees" 4
     (List.length (List.sort_uniq compare sids))
 
+(* A request leaving subtree 0b10 at its root (VID 0b1110) skips the
+   dead subtrees 0b11 and 0b00 and lands on its origin's mirror in 0b01:
+   the subtree VID kept, the identifier rewritten (VID 0b1101). *)
 let test_migrate_vid () =
-  let v = Vid.unsafe_of_int 0b1110 in
-  let v' = Subtrees.migrate_vid params_ft v ~to_subtree:0b01 in
-  Alcotest.(check int) "migrated" 0b1101 (Vid.to_int v')
+  let tree = Ptree.make params_ft ~root:(pid 0) in
+  let status = Status_word.create params_ft ~initially_live:true in
+  List.iter (Status_word.set_dead status)
+    (Subtrees.members tree ~subtree_id:0b11
+    @ Subtrees.members tree ~subtree_id:0b00);
+  let at v = Pid.to_int (Ptree.pid_of_vid tree (Vid.unsafe_of_int v)) in
+  Alcotest.(check int) "migrated" (at 0b1101)
+    (Topology.route ~b:2 tree status ~origin:(at 0b1110) (at 0b1110));
+  (* From 0b10 again, for a request of 0b01: the next live subtree is
+     the origin's own, so the request faults. *)
+  Alcotest.(check int) "back at the origin's subtree" (-1)
+    (Topology.route ~b:2 tree status ~origin:(at 0b1101) (at 0b1110))
 
 (* --- Properties ------------------------------------------------------ *)
 
@@ -296,103 +308,6 @@ let prop_subtree_route_stays_in_subtree =
       List.for_all
         (fun p -> Subtrees.subtree_id_of_pid tree p = sid)
         (subtree_route_path tree status ~origin))
-
-(* Per-subtree reference implementations over member lists: Property 2
-   on the subtree VID through [Vtree] and the reduced parameters, a
-   [Some] per level, FINDLIVENODE's downward scan when the subtree root
-   is dead, and the other queries as filters over the subtree's members.
-   The differential oracle for every [Topology] query with [~b]; at
-   b = 0 the only subtree is the whole tree. *)
-module Subtree_oracle = struct
-  let svid tree p =
-    Subtrees.subtree_vid_of_vid (Ptree.params tree) (Ptree.vid_of_pid tree p)
-
-  (* Live members of [p]'s subtree, by descending subtree VID. *)
-  let live_members tree status p =
-    List.filter (Status_word.is_live status)
-      (Subtrees.members tree ~subtree_id:(Subtrees.subtree_id_of_pid tree p))
-
-  let find_live_node tree status ~start =
-    List.find_opt
-      (fun q -> svid tree q <= svid tree start)
-      (live_members tree status start)
-
-  let has_live_with_greater_vid tree status p =
-    List.exists
-      (fun q -> svid tree q > svid tree p)
-      (live_members tree status p)
-
-  let is_strict_descendant tree ~ancestor q =
-    (not (Pid.equal q ancestor))
-    && Vtree.is_ancestor
-         (Subtrees.reduced_params (Ptree.params tree))
-         ~ancestor:(Vid.unsafe_of_int (svid tree ancestor))
-         (Vid.unsafe_of_int (svid tree q))
-
-  let live_offspring_count tree status p =
-    List.length
-      (List.filter (is_strict_descendant tree ~ancestor:p)
-         (live_members tree status p))
-
-  (* Live strict descendants whose intermediate ancestors are all dead. *)
-  let children_list tree status p =
-    let rec intermediates_dead q =
-      match Subtrees.parent_in_subtree tree q with
-      | None -> false
-      | Some parent ->
-          Pid.equal parent p
-          || (Status_word.is_dead status parent && intermediates_dead parent)
-    in
-    List.filter
-      (fun q -> is_strict_descendant tree ~ancestor:p q && intermediates_dead q)
-      (live_members tree status p)
-
-  let live_population tree status ~subtree_id =
-    List.length
-      (List.filter (Status_word.is_live status)
-         (Subtrees.members tree ~subtree_id))
-
-  let first_alive_ancestor tree status p =
-    let rec climb p =
-      match Subtrees.parent_in_subtree tree p with
-      | None -> None
-      | Some q -> if Status_word.is_live status q then Some q else climb q
-    in
-    climb p
-
-  let insertion_target tree status ~subtree_id =
-    let params = Ptree.params tree in
-    let rec scan sv =
-      if sv < 0 then None
-      else
-        let p =
-          Ptree.pid_of_vid tree
-            (Subtrees.compose_vid params ~subtree_vid:sv ~subtree_id)
-        in
-        if Status_word.is_live status p then Some p else scan (sv - 1)
-    in
-    scan (Params.subtree_space params - 1)
-
-  let route_next tree status p =
-    match first_alive_ancestor tree status p with
-    | Some _ as a -> a
-    | None -> (
-        let sid = Subtrees.subtree_id_of_pid tree p in
-        if Status_word.is_live status (Subtrees.subtree_root tree ~subtree_id:sid)
-        then None
-        else
-          match insertion_target tree status ~subtree_id:sid with
-          | Some g when not (Pid.equal g p) -> Some g
-          | Some _ | None -> None)
-
-  let route_path tree status ~origin =
-    let rec go acc p =
-      match route_next tree status p with
-      | None -> List.rev (p :: acc)
-      | Some q -> go (p :: acc) q
-    in
-    go [] origin
-end
 
 (* The fault-tolerant subtree layer against the per-subtree oracle. *)
 
@@ -676,7 +591,7 @@ let prop_shared_queries_match_oracles =
             = N.live_offspring_count tree status p);
           agree
             (Topology.next_hop ~b tree status i
-            = Topology.route_next_int tree status i);
+            = Topology.route ~b tree status ~origin:i i);
           agree
             (Topology.route_next tree status p = N.route_next tree status p)
         end
