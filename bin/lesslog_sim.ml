@@ -569,7 +569,7 @@ let msweep_cmd =
                        shards."))
 
 let adaptive_cmd =
-  let run m rates duration capacity seed domains files intervals =
+  let run m rates duration capacity seed files intervals =
     let m = Option.value ~default:10 m in
     let capacity = Option.value ~default:100.0 capacity in
     let rates =
@@ -579,9 +579,7 @@ let adaptive_cmd =
       "D1: adaptive replication — native logless vs dynamic-RF vs oracle";
     print_endline
       "=================================================================";
-    let points =
-      E.adaptive_sweep ~domains ~m ~duration ~capacity ~seed ~rates ()
-    in
+    let points = E.adaptive_sweep ~m ~duration ~capacity ~seed ~rates () in
     print_endline (E.render_adaptive points);
     Printf.printf
       "\nD2: hot/warm/cold timeline (%d files, shifting popularity, one \
@@ -590,10 +588,7 @@ let adaptive_cmd =
     print_endline
       "=================================================================";
     let steps = E.adaptive_timeline ~capacity ~seed ~files ~intervals () in
-    print_endline (E.render_adaptive_timeline steps);
-    print_endline
-      "(dynamic-rf digests are invariant in --domains; rerun with a \
-       different D to check)"
+    print_endline (E.render_adaptive_timeline steps)
   in
   Cmd.v
     (Cmd.info "adaptive"
@@ -612,7 +607,7 @@ let adaptive_cmd =
                        500, 1000, 2000).")
       $ Arg.(value & opt float 8.0
              & info [ "duration" ] ~docv:"S" ~doc:"Simulated seconds.")
-      $ capacity_arg $ seed_arg $ domains_arg
+      $ capacity_arg $ seed_arg
       $ Arg.(value & opt int 8
              & info [ "files" ] ~docv:"N"
                  ~doc:"Catalogue size for the timeline.")

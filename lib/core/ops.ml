@@ -84,9 +84,10 @@ let holds_fragment cluster p ~key =
    hop or two, so no route is computed ahead. Each hop is one
    {!Topology.route} step — the climb inside the current subtree and, at
    its dead end, the Section 4 migration to the next subtree, which
-   counts as one hop. *)
-let rec walk cluster held tree status ~now ~key ~origin visited hops migrations
-    p =
+   counts as one hop. A route longer than [budget] hops breaks the
+   step's bound ({!Topology.route}) and raises rather than cycling. *)
+let rec walk cluster held tree status ~budget ~now ~key ~origin visited hops
+    migrations p =
   if Lesslog_bits.Packed_bits.get held (Pid.to_int p) then begin
     File_store.record_access (Cluster.store cluster p) ~key ~now;
     { server = Some p; hops; path = List.rev (p :: visited);
@@ -102,6 +103,9 @@ let rec walk cluster held tree status ~now ~key ~origin visited hops migrations
         { server = None; hops; path = List.rev (p :: visited);
           subtree_migrations = migrations }
     | q ->
+        if hops >= budget then
+          failwith
+            (Printf.sprintf "Ops.get: route exceeds its %d-hop budget" budget);
         let q = Pid.unsafe_of_int q in
         let migrations =
           if
@@ -110,7 +114,7 @@ let rec walk cluster held tree status ~now ~key ~origin visited hops migrations
           then migrations
           else migrations + 1
         in
-        walk cluster held tree status ~now ~key ~origin (p :: visited)
+        walk cluster held tree status ~budget ~now ~key ~origin (p :: visited)
           (hops + 1) migrations q
 
 (* Attribution of a finished lookup. The handles are re-fetched per call
@@ -147,11 +151,15 @@ let coded_fallback cluster ~now ~key (r : get_result) =
 let get ?(now = 0.0) ?registry cluster ~origin ~key =
   if Status_word.is_dead (Cluster.status cluster) origin then
     invalid_arg "Ops.get: dead origin";
+  let params = Cluster.params cluster in
+  let b = Params.b params in
   let r =
     walk cluster
       (Cluster.holder_bitset cluster ~key)
       (Cluster.tree_of_key cluster key)
-      (Cluster.status cluster) ~now ~key ~origin [] 0 0 origin
+      (Cluster.status cluster)
+      ~budget:(((1 lsl b) * (Params.m params - b + 1)) - 1)
+      ~now ~key ~origin [] 0 0 origin
   in
   let r = coded_fallback cluster ~now ~key r in
   Option.iter (fun reg -> record_get reg r) registry;

@@ -46,7 +46,10 @@ val get :
     a subtree dead-ends, each subtree entered at most once. Records an
     access on the serving store. With [registry], attributes the lookup to the
     [core/get]* metrics (request/fault counters, hop histogram, subtree
-    migrations). @raise Invalid_argument when [origin] is dead. *)
+    migrations). @raise Invalid_argument when [origin] is dead.
+    @raise Failure when the walk exceeds the route's hop budget,
+    [2^b (m - b + 1) - 1] hops — a broken route step, never a
+    conforming one. *)
 
 val replication_candidates :
   Cluster.t -> overloaded:Pid.t -> key:string -> Pid.t list * Pid.t list

@@ -42,22 +42,22 @@ type ledger = {
 
 type t = { policy : Rf_policy.t; ledger : ledger option }
 
-let fail who msg = invalid_arg (who ^ ": " ^ msg)
+let fail msg = invalid_arg ("Des_sim: " ^ msg)
 
-let create ~who ~nodes policy cold_tier =
+let create ~nodes policy cold_tier =
   (match policy with
   | Some p when Rf_policy.nodes p <> nodes ->
-      fail who "policy accessor population <> cluster space"
+      fail "policy accessor population <> cluster space"
   | _ -> ());
   match (policy, cold_tier) with
   | None, None -> None
-  | None, Some _ -> fail who "cold_tier needs a policy (its Cold verdicts)"
+  | None, Some _ -> fail "cold_tier needs a policy (its Cold verdicts)"
   | Some policy, None -> Some { policy; ledger = None }
   | Some policy, Some tier ->
       if tier.code_k < 1 || tier.code_r < 0 || tier.code_k + tier.code_r > 256
-      then fail who "invalid cold_tier code parameters";
-      if tier.file_bytes <= 0 then fail who "file_bytes must be > 0";
-      if tier.demote_after < 1 then fail who "demote_after must be >= 1";
+      then fail "invalid cold_tier code parameters";
+      if tier.file_bytes <= 0 then fail "file_bytes must be > 0";
+      if tier.demote_after < 1 then fail "demote_after must be >= 1";
       let ledger =
         {
           tier;

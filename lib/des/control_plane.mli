@@ -1,15 +1,15 @@
-(** The dynamic-RF policy and the erasure-coded cold tier, decided once
-    for every simulator.
+(** The dynamic-RF policy and the erasure-coded cold tier, decided once,
+    for {!Des_sim} — the one simulator that runs them.
 
-    A simulator that runs the log-driven competitor
-    ({!Lesslog_policy.Rf_policy}) owns only placement: it tallies
-    accesses into the policy, places and removes full copies and
-    fragments, and reports the counts here. Everything else is this
-    module's: validating the configuration, the order of a policy tick
-    (close the interval, run the tier transition, enforce the replica
-    factor while the key has full copies), the Cold-streak → demote /
-    Hot → promote verdict, the tier flags, and the byte ledger with its
-    stored-byte step integral. *)
+    The simulator owns only placement: it tallies accesses into the
+    log-driven competitor ({!Lesslog_policy.Rf_policy}), places and
+    removes full copies and fragments through {!Lesslog.Ops}, and
+    reports the counts here. Everything else is this module's:
+    validating the configuration, the order of a policy tick (close the
+    interval, run the tier transition, enforce the replica factor while
+    the key has full copies), the Cold-streak → demote / Hot → promote
+    verdict, the tier flags, and the byte ledger with its stored-byte
+    step integral. *)
 
 type cold_tier = {
   code_k : int;  (** Data fragments of the Reed-Solomon code. *)
@@ -75,7 +75,6 @@ type t = private { policy : Lesslog_policy.Rf_policy.t; ledger : ledger option }
     tier is armed. *)
 
 val create :
-  who:string ->
   nodes:int ->
   Lesslog_policy.Rf_policy.t option ->
   cold_tier option ->
@@ -83,7 +82,7 @@ val create :
 (** The control plane of one run over a [nodes]-slot PID space; [None]
     when the run has no policy (the native overload trigger). The policy
     must be fresh for the run.
-    @raise Invalid_argument, with message prefix [who ^ ": "], when the
+    @raise Invalid_argument, with message prefix ["Des_sim: "], when the
     policy's accessor population is not [nodes], when a [cold_tier] comes
     without a policy, or on invalid code/size parameters. *)
 

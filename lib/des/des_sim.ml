@@ -474,8 +474,7 @@ let run_internal ~config ~churn ~sink ~obs ~substrate ~policy ~cold_tier ~rng
   Overlay.check_loss ~who:"Des_sim" config.loss;
   let params = Cluster.params cluster in
   let plane =
-    Control_plane.create ~who:"Des_sim" ~nodes:(Params.space params) policy
-      cold_tier
+    Control_plane.create ~nodes:(Params.space params) policy cold_tier
   in
   let engine = Engine.create () in
   let overlay =

@@ -8,7 +8,13 @@
     replica pushes that take time to arrive, and optional churn events.
     The integration tests check that both engines agree on replica counts;
     this engine additionally yields latency and hop distributions and
-    convergence behaviour that the fluid solver cannot express. *)
+    convergence behaviour that the fluid solver cannot express.
+
+    It is also the one simulator that runs the log-driven dynamic-RF
+    competitor and the erasure-coded cold tier, neither of them part of
+    the paper's protocol, both through {!Control_plane}. {!Pdes_sim}
+    runs the native protocol alone on the sharded engine; {!Fault_sim}
+    runs it over rpc and heartbeat membership. *)
 
 module Histogram = Lesslog_metrics.Histogram
 module Timeseries = Lesslog_metrics.Timeseries
@@ -122,7 +128,7 @@ type result = {
     With [policy], replica management switches from LessLog's native
     logless overload trigger to the log-driven weighted dynamic-RF
     competitor ({!Lesslog_policy.Rf_policy}), run by the
-    {!Control_plane} shared with {!Pdes_sim}: every issued request is
+    {!Control_plane}: every issued request is
     logged against its origin node, and at every tick of
     {!Control_plane.ticks} (multiples of the policy interval, strictly
     before the horizon) {!Control_plane.tick} closes the analysis window

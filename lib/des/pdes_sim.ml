@@ -40,7 +40,6 @@ module Faults = Lesslog_workload.Faults
 module Psi = Lesslog_hash.Psi
 module Fnv = Lesslog_hash.Fnv
 module Obs = Lesslog_obs.Obs
-module Rf_policy = Lesslog_policy.Rf_policy
 
 include Churn
 
@@ -74,10 +73,6 @@ type shard = {
   eng : Engine.t;
   rng : Rng.t;
   holders : Packed_bits.t;  (* subtree-VID indexed *)
-  frags : Packed_bits.t;
-      (* subtree-VID indexed fragment holders of the cold tier — each
-         node carries at most one (distinct) fragment, so the bit count
-         is the shard's live-fragment count; mutated only at barriers *)
   trigger : Protocol.Trigger.t;  (* subtree-VID indexed *)
   latencies : Histogram.t;
   hops_h : Histogram.t;
@@ -92,14 +87,6 @@ type shard = {
   mutable requests : int;
   mutable h_msg : int;
   mutable h_arrival : int;
-  (* Dynamic-RF policy tallies for the current analysis interval, owned
-     by the shard: request count and the accessing-origin bitset over
-     this subtree's VID slots. Subtrees partition the PID space, so
-     summing the per-shard distinct counts at the barrier is exact. *)
-  p_seen : Packed_bits.t;
-  mutable p_ac : int;
-  mutable p_dnc : int;
-  mutable c_serves : int;  (* requests served by fragment gather+decode *)
 }
 
 type state = {
@@ -116,14 +103,6 @@ type state = {
   shards : shard array;
   mutable control_messages : int;
   mutable file_transfers : int;
-  plane : Control_plane.t option;
-      (* [Some] = the log-driven dynamic-RF competitor (and, with a
-         ledger, the cold tier) runs in sequential barrier globals
-         (interval close, tier transitions, holder-bit reconciliation, no
-         RNG); shard handlers only read the ledger's [coded]/[servable]
-         flags, frozen during an epoch, so the digest stays bit-identical
-         at any domain count. [None] keeps the golden-digest default path
-         untouched. *)
 }
 
 type result = {
@@ -143,7 +122,6 @@ type result = {
   phases : int;
   cross_sends : int;
   digest : int;
-  cold : Control_plane.cold_stats option;
 }
 
 let sid_of (st : state) p = Subtrees.subtree_id_of_pid st.tree p
@@ -206,11 +184,7 @@ let[@inline] serve st (sh : shard) ~server ~id ~origin ~issued_at ~hops =
     send_msg st sh ~dst:origin
       ~b:(Wire.reply ~id ~server:(Pid.to_int server) ~hops)
       ~x:issued_at;
-  (* With the dynamic-RF policy active the barrier global owns replica
-     management; the native overload trigger stays off. *)
-  match st.plane with
-  | None -> maybe_replicate st sh ~overloaded:server
-  | Some _ -> ()
+  maybe_replicate st sh ~overloaded:server
 
 (* A request that cannot be served or routed: a reported fault. *)
 let fault (sh : shard) ~id ~origin ~hops ~issued_at =
@@ -218,14 +192,14 @@ let fault (sh : shard) ~id ~origin ~hops ~issued_at =
   obs_resolved sh ~id ~origin:(Pid.to_int origin) ~server:(-1) ~hops
     ~issued_at ~at:(Engine.now sh.eng)
 
-(* Forward one GET from [me] by the one request step,
-   {!Topology.route}: the climb within the subtree or, at its dead end,
-   the migration to the next subtree ([migrations] counts the crossings).
-   A request whose hop count has reached the packed field's maximum
-   faults instead of wrapping it. *)
-let[@inline] route_get_replicated st (sh : shard) ~me ~id ~origin ~hops
-    ~issued_at =
-  if hops >= Wire.hops_max then fault sh ~id ~origin ~hops ~issued_at
+(* Route one GET standing at [me]: serve at a holder, else forward by the
+   one request step, {!Topology.route}: the climb within the subtree or,
+   at its dead end, the migration to the next subtree ([migrations]
+   counts the crossings). A request whose hop count has reached the
+   packed field's maximum faults instead of wrapping it. *)
+let[@inline] route_get st (sh : shard) ~me ~id ~origin ~hops ~issued_at =
+  if holds st me then serve st sh ~server:me ~id ~origin ~issued_at ~hops
+  else if hops >= Wire.hops_max then fault sh ~id ~origin ~hops ~issued_at
   else
     match
       Topology.route ~b:(Params.b st.params) st.tree st.status
@@ -239,39 +213,9 @@ let[@inline] route_get_replicated st (sh : shard) ~me ~id ~origin ~hops
           ~b:(Wire.get ~id ~origin:(Pid.to_int origin) ~hops:(hops + 1))
           ~x:issued_at
 
-(* Route one GET standing at [me]: serve, serve from fragments, or
-   forward ({!route_get_replicated}). *)
-let[@inline] route_get st (sh : shard) ~me ~id ~origin ~hops ~issued_at =
-  if holds st me then serve st sh ~server:me ~id ~origin ~issued_at ~hops
-  else begin
-    match st.plane with
-    | Some { Control_plane.ledger = Some l; _ }
-      when l.coded && Packed_bits.get sh.frags (svid_of st me) ->
-        (* A fragment holder: gather [k] fragments and decode when
-           enough survive (the fan-in is byte accounting, not simulated
-           messages), a reported fault below [k] — no panic. *)
-        if l.servable then begin
-          sh.c_serves <- sh.c_serves + 1;
-          serve st sh ~server:me ~id ~origin ~issued_at ~hops
-        end
-        else fault sh ~id ~origin ~hops ~issued_at
-    | _ -> route_get_replicated st sh ~me ~id ~origin ~hops ~issued_at
-  end
-
 let issue_request st (sh : shard) ~origin =
   let id = ((sh.requests * Array.length st.shards) + sh.sid) land Wire.id_mask in
   sh.requests <- sh.requests + 1;
-  (* Policy access log: tally on the origin's own shard — arrivals run
-     on it, so this touches no cross-shard state. *)
-  (match st.plane with
-  | None -> ()
-  | Some _ ->
-      sh.p_ac <- sh.p_ac + 1;
-      let sv = svid_of st origin in
-      if not (Packed_bits.get sh.p_seen sv) then begin
-        Packed_bits.set sh.p_seen sv;
-        sh.p_dnc <- sh.p_dnc + 1
-      end);
   route_get st sh ~me:origin ~id ~origin ~hops:0
     ~issued_at:(Engine.now sh.eng)
 
@@ -342,76 +286,6 @@ let reinsert (st : state) ~subtree_id =
         1
       end
 
-(* Erasure-coded cold tier, barrier-global half. Fragments are one more
-   per-shard bitset over the subtree-VID slots; each node carries at
-   most one (distinct) fragment, so the global live-fragment count is
-   the sum of bit counts and {!Lesslog.Ops.repair_coded} reduces to
-   re-seating the missing difference — no per-index bookkeeping. *)
-
-let frag_total (st : state) =
-  Array.fold_left (fun a (sh : shard) -> a + Packed_bits.count sh.frags) 0
-    st.shards
-
-let cold (st : state) =
-  match st.plane with
-  | Some { Control_plane.ledger = Some l; _ } -> Some l
-  | Some _ | None -> None
-
-(* Stored bytes, reported at every barrier global and at [duration] —
-   copies created between barriers count from the next barrier on. *)
-let sample_bytes (st : state) ~t l =
-  Control_plane.sample l ~t ~copies:(total_copies st) ~fragments:(frag_total st)
-
-(* Seat one fragment in [sh]: the subtree's insertion target when free —
-   so in-subtree request climbs terminate on a fragment holder — else
-   the first live member without one. *)
-let place_fragment_in st (sh : shard) =
-  let free q =
-    Status_word.is_live st.status q
-    && not (Packed_bits.get sh.frags (svid_of st q))
-  in
-  let target =
-    match
-      Topology.insertion_target ~b:(Params.b st.params) st.tree st.status
-        ~subtree_id:sh.sid
-    with
-    | Some t when free t -> Some t
-    | Some _ | None ->
-        List.find_opt free (Subtrees.members st.tree ~subtree_id:sh.sid)
-  in
-  match target with
-  | None -> false
-  | Some q ->
-      Packed_bits.set sh.frags (svid_of st q);
-      true
-
-let place_fragment st ~preferred =
-  let n = Array.length st.shards in
-  let rec go i =
-    i < n && (place_fragment_in st st.shards.((preferred + i) mod n) || go (i + 1))
-  in
-  go 0
-
-(* Re-seat every fragment lost to churn while [>= k] survive; below [k]
-   the payload is unrecoverable — flag it, keep the survivors, and stop
-   serving (requests meeting a fragment holder degrade to faults). *)
-let cold_churn_repair (st : state) =
-  match cold st with
-  | Some l when l.coded ->
-      let k = l.tier.code_k in
-      let total = frag_total st in
-      if total < k then Control_plane.repaired l ~rebuilt:0 ~lost:true
-      else begin
-        let rebuilt = ref 0 in
-        for i = 0 to k + l.tier.code_r - total - 1 do
-          if place_fragment st ~preferred:(i mod Array.length st.shards) then
-            incr rebuilt
-        done;
-        Control_plane.repaired l ~rebuilt:!rebuilt ~lost:false
-      end;
-      Control_plane.fragments_live l (frag_total st)
-  | Some _ | None -> ()
-
 let churn_join (st : state) p =
   Status_word.set_live st.status p;
   let s = sid_of st p in
@@ -430,17 +304,14 @@ let churn_join (st : state) p =
           1)
   | _ -> 0
 
-(* A departure drops the node's fragment (fragments are rebuilt, never
-   handed off — same contract as {!Lesslog.Self_org}). A leaver's copy
-   relocates to the subtree's insertion target; a failed node's copy
-   died with it and is recovered from a sibling subtree while any copy
-   survives (Section 4's whole point). *)
+(* A leaver's copy relocates to the subtree's insertion target; a failed
+   node's copy died with it and is recovered from a sibling subtree while
+   any copy survives (Section 4's whole point). *)
 let churn_depart (st : state) p ~failed =
   Status_word.set_dead st.status p;
   let s = sid_of st p in
   let sh = st.shards.(s) in
   let sv = svid_of st p in
-  Packed_bits.clear sh.frags sv;
   if Packed_bits.get sh.holders sv then begin
     Packed_bits.clear sh.holders sv;
     if failed && total_copies st = 0 then 0 else reinsert st ~subtree_id:s
@@ -464,8 +335,7 @@ let churn_globals (st : state) churn =
                  | Leave p -> churn_depart st p ~failed:false
                  | Fail p -> churn_depart st p ~failed:true
                in
-               account_churn st ~relocated;
-               cold_churn_repair st
+               account_churn st ~relocated
              end ))
 
 (* A {!Faults.plan} lowered onto the same barrier-global machinery:
@@ -500,123 +370,6 @@ let burst_globals (st : state) (plan : Faults.plan) =
                 else acc)
               st.config.loss plan.Faults.bursts ))
     bounds
-
-(* Reconcile the holder bitsets with the policy's replica factor, run
-   inside a barrier global: deficits fill round-robin across shards
-   (first live non-holder member per shard per round — the spread
-   ADVANCEDINSERTFILE would pick), surpluses shed the highest holder
-   VID per shard in reverse shard order, draining multi-holder shards
-   before emptying a subtree. Entirely deterministic and RNG-free, so
-   the event stream downstream of the barrier is bit-identical at any
-   domain count. *)
-let policy_enforce (st : state) p =
-  let rf = Rf_policy.rf p ~file:0 in
-  let copies = total_copies st in
-  if copies < rf then begin
-    let deficit = ref (rf - copies) and progress = ref true in
-    while !deficit > 0 && !progress do
-      progress := false;
-      Array.iter
-        (fun (sh : shard) ->
-          if !deficit > 0 then
-            match
-              List.find_opt
-                (fun q ->
-                  Status_word.is_live st.status q
-                  && not (Packed_bits.get sh.holders (svid_of st q)))
-                (Subtrees.members st.tree ~subtree_id:sh.sid)
-            with
-            | None -> ()
-            | Some q ->
-                Packed_bits.set sh.holders (svid_of st q);
-                sh.replicas_created <- sh.replicas_created + 1;
-                decr deficit;
-                progress := true)
-        st.shards
-    done
-  end
-  else if copies > rf then begin
-    let surplus = ref (copies - rf) and progress = ref true in
-    while !surplus > 0 && !progress do
-      progress := false;
-      (* First pass per round: only shards keeping another copy. *)
-      for i = Array.length st.shards - 1 downto 0 do
-        let sh = st.shards.(i) in
-        if !surplus > 0 && Packed_bits.count sh.holders > 1 then begin
-          Packed_bits.clear sh.holders (highest_holder sh);
-          decr surplus;
-          progress := true
-        end
-      done;
-      if !surplus > 0 && not !progress then
-        for i = Array.length st.shards - 1 downto 0 do
-          let sh = st.shards.(i) in
-          if !surplus > 0 && Packed_bits.count sh.holders = 1 then begin
-            Packed_bits.clear sh.holders (highest_holder sh);
-            decr surplus;
-            progress := true
-          end
-        done
-    done
-  end
-
-(* The control plane's tier transitions, placed on the shard bitsets:
-   a demotion seats [k + r] fragments one per shard round-robin,
-   preferring insertion targets, and drops the full copies; a promotion
-   drops the fragments and hands the copy count to the RF enforcer,
-   whose fills count as [replicas_created] like any other. *)
-let demote (st : state) (tier : Control_plane.cold_tier) =
-  let n = tier.code_k + tier.code_r in
-  if Status_word.live_count st.status < n then None
-  else begin
-    let seated = ref true in
-    for idx = 0 to n - 1 do
-      if !seated then
-        seated := place_fragment st ~preferred:(idx mod Array.length st.shards)
-    done;
-    Array.iter
-      (fun (sh : shard) ->
-        (* Could not seat every fragment: abort, keep the full copies. *)
-        Packed_bits.clear_all (if !seated then sh.holders else sh.frags))
-      st.shards;
-    if !seated then Some n else None
-  end
-
-let promote (st : state) p ~copies:_ =
-  match cold st with
-  | Some l when frag_total st >= l.tier.code_k ->
-      Array.iter (fun (sh : shard) -> Packed_bits.clear_all sh.frags) st.shards;
-      policy_enforce st p;
-      if total_copies st = 0 then
-        (* RF floor safety: never promote into zero copies. *)
-        if reinsert st ~subtree_id:0 = 1 then
-          st.shards.(0).replicas_created <- st.shards.(0).replicas_created + 1;
-      Some 0
-  | Some _ | None -> None
-
-(* The policy's analysis intervals, lowered onto the barrier-global
-   machinery: at each boundary, merge every shard's access tallies into
-   the policy (shard order — deterministic), then run the control
-   plane's tick. *)
-let policy_globals (st : state) =
-  match st.plane with
-  | None -> []
-  | Some pl ->
-      let p = pl.Control_plane.policy in
-      List.map
-        (fun t ->
-          ( t,
-            fun () ->
-              Array.iter
-                (fun (sh : shard) ->
-                  Rf_policy.note p ~file:0 ~ac:sh.p_ac ~dnc:sh.p_dnc;
-                  sh.p_ac <- 0;
-                  sh.p_dnc <- 0;
-                  Packed_bits.clear_all sh.p_seen)
-                st.shards;
-              Control_plane.tick pl ~demote:(demote st) ~promote:(promote st p)
-                ~enforce:(fun () -> policy_enforce st p) ))
-        (Control_plane.ticks pl ~duration:st.duration)
 
 let start_arrivals (st : state) =
   Array.iter
@@ -658,14 +411,10 @@ let finalize_obs (st : state) (obs : Obs.t) ~latencies ~hops =
   ignore (Obs.Registry.timer_backed r "pdes/hops" hops)
 
 let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
-    ?policy ?cold_tier ?(domains = 1) ?(fuse = true) ~seed ~params ~key ~demand
+    ?(domains = 1) ?(fuse = true) ~seed ~params ~key ~demand
     ~duration () =
   if Params.m params > Wire.origin_bits then
     invalid_arg "Pdes_sim.run: m exceeds the packed origin field";
-  let plane =
-    Control_plane.create ~who:"Pdes_sim.run" ~nodes:(Params.space params)
-      policy cold_tier
-  in
   if faults.Faults.partitions <> [] then
     invalid_arg "Pdes_sim.run: partitions are not supported";
   Overlay.check_loss ~who:"Pdes_sim.run" config.loss;
@@ -720,11 +469,6 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
           requests = 0;
           h_msg = -1;
           h_arrival = -1;
-          p_seen = Packed_bits.create sspace;
-          p_ac = 0;
-          p_dnc = 0;
-          frags = Packed_bits.create sspace;
-          c_serves = 0;
         })
   in
   let st =
@@ -740,7 +484,6 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
       shards;
       control_messages = 0;
       file_transfers = 0;
-      plane;
     }
   in
   Array.iter
@@ -754,34 +497,16 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
   List.iter
     (fun p -> Packed_bits.set shards.(sid_of st p).holders (svid_of st p))
     (Topology.insertion_targets ~b:(Params.b params) tree status);
-  (match cold st with Some l -> sample_bytes st ~t:0.0 l | None -> ());
   start_arrivals st;
-  (* All lists are time-sorted; concat + stable sort is a stable merge,
+  (* Both lists are time-sorted; concat + stable sort is a stable merge,
      so at equal times churn (user first, then crash-derived) precedes
-     loss-boundary recomputes, which precede policy-interval closes — a
-     fixed, domain-count-free order. *)
+     loss-boundary recomputes — a fixed, domain-count-free order. *)
   let globals =
     List.stable_sort
       (fun (a, _) (b, _) -> Float.compare a b)
-      (churn_globals st (churn @ fault_churn faults)
-      @ burst_globals st faults @ policy_globals st)
-  in
-  (* Sample the byte step-integral at every barrier — the only points
-     where stored bytes change outside the shard-local PUSH path. *)
-  let globals =
-    match cold st with
-    | None -> globals
-    | Some l ->
-        List.map
-          (fun (t, f) ->
-            ( t,
-              fun () ->
-                f ();
-                sample_bytes st ~t l ))
-          globals
+      (churn_globals st (churn @ fault_churn faults) @ burst_globals st faults)
   in
   Sharded_engine.run ~until:duration ~globals ~domains ~fuse se;
-  (match cold st with Some l -> sample_bytes st ~t:duration l | None -> ());
   let latencies = Histogram.create () and hops = Histogram.create () in
   Array.iter
     (fun (sh : shard) ->
@@ -808,13 +533,4 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
     cross_sends = Sharded_engine.cross_sends se;
     digest =
       Array.fold_left (fun d (sh : shard) -> mix d sh.digest) 0x1505 shards;
-    cold =
-      Option.map
-        (fun l ->
-          Control_plane.stats l
-            ~copies_moved:(sum (fun sh -> sh.replicas_created))
-            ~relocated:st.file_transfers
-            ~coded_serves:(sum (fun sh -> sh.c_serves))
-            ~duration)
-        (cold st);
   }

@@ -1,6 +1,9 @@
 (** Domain-parallel event-driven simulator of the fault-tolerant model:
     one shard per binomial subtree (paper Section 4) on a
-    {!Lesslog_sim.Sharded_engine}, deterministic at any domain count.
+    {!Lesslog_sim.Sharded_engine}, deterministic at any domain count. It
+    runs the native protocol only — the overload trigger, the replica
+    push, the Section 4 request step and churn repair; the dynamic-RF
+    competitor and the erasure-coded tier run on {!Des_sim}.
 
     The Section 4 protocol is nearly subtree-local — insertion places one
     copy per subtree, lookups climb alive ancestors within the origin's
@@ -18,7 +21,8 @@
     including {!result.digest} — is bit-identical for any [domains],
     including 1. Contrast {!Des_sim}, the sequential single-tree
     simulator with the richer feature set (substrates, eviction, traces,
-    multi-phase scenarios) and the pinned golden digest. *)
+    multi-phase scenarios, the policy and the erasure-coded tier) and
+    the pinned golden digest. *)
 
 open Lesslog_id
 module Latency = Lesslog_net.Latency
@@ -62,9 +66,6 @@ type result = {
   digest : int;
       (** FNV fold over every handled event of every shard, combined in
           shard order — the domain-count-invariance witness. *)
-  cold : Control_plane.cold_stats option;
-      (** Cold-tier transitions and the byte ledger; [Some] iff the run
-          was given a [cold_tier]. *)
 }
 
 include module type of struct
@@ -76,8 +77,6 @@ val run :
   ?churn:churn_event list ->
   ?faults:Lesslog_workload.Faults.plan ->
   ?obs:Obs.t ->
-  ?policy:Lesslog_policy.Rf_policy.t ->
-  ?cold_tier:Control_plane.cold_tier ->
   ?domains:int ->
   ?fuse:bool ->
   seed:int ->
@@ -101,34 +100,7 @@ val run :
     default; [~fuse:false] forces one pool dispatch per epoch). With
     [obs], per-shard span sinks are merged into the bundle in shard
     order and [pdes/*] registry metrics are attributed at the end.
-
-    With [policy], replica management switches from the native logless
-    overload trigger to the log-driven weighted dynamic-RF competitor
-    ({!Lesslog_policy.Rf_policy}), run by the {!Control_plane} shared
-    with {!Des_sim}: each shard tallies its own requests and accessing
-    origins, and at every tick of {!Control_plane.ticks} a barrier
-    global merges the tallies in shard order and runs
-    {!Control_plane.tick}, whose enforcement reconciles the holder bits
-    to the replica factor — deficits fill round-robin across subtrees,
-    surpluses shed the highest holder VIDs. The whole path is
-    sequential and RNG-free, so the digest stays bit-identical at any
-    [domains]; the policy instance must be fresh for the run and sized
-    to the PID space. Omitting [policy] leaves the golden-digest default
-    path untouched.
-
-    With [cold_tier] (requires [policy]), the erasure-coded cold tier
-    runs shard-aware: the verdicts, flags and byte ledger are the
-    {!Control_plane}'s, and this simulator places fragments as one more
-    per-shard bitset over subtree-VID slots, seated round-robin across
-    subtrees at the insertion targets (so in-subtree climbs terminate on
-    a fragment holder). Every tier transition, placement and repair
-    happens inside sequential barrier globals — shard handlers only read
-    the frozen [coded]/[servable] flags and their own shard's fragment
-    bits, so the digest stays bit-identical at any [domains]. A lost key
-    (below [k] survivors) degrades requests to reported faults.
     @raise Invalid_argument when [m] exceeds the 24-bit packed origin
     field, the latency model fails [Latency.validate], [b > 0] with a
     latency minimum of zero, [config.loss] or a burst's loss outside
-    [[0, 1)] (NaN included), [faults] contains partitions, the policy's
-    accessor population does not match the PID space, [cold_tier] is
-    given without [policy], or on invalid code/size parameters. *)
+    [[0, 1)] (NaN included), or [faults] contains partitions. *)

@@ -335,17 +335,15 @@ type adaptive_point = {
   ad_rf_end : int;
   ad_oracle_replicas : float;
   ad_oracle_loss : float;
-  ad_digest : int;
-  ad_events : int;
-  ad_secs : float;
 }
 
-let adaptive_point ~b ~domains ~dynamic ~m ~rate ~duration ~capacity ~seed =
+let adaptive_point ~b ~dynamic ~m ~rate ~duration ~capacity ~seed =
   let params = Params.create ~b ~m () in
-  let status = Status_word.create params ~initially_live:true in
-  let demand = Demand.uniform status ~total:rate in
+  let cluster = Cluster.create params in
+  ignore (Ops.insert cluster ~key:hot_file);
+  let demand = Demand.uniform (Cluster.status cluster) ~total:rate in
   let tag = Printf.sprintf "%d|adaptive|%d|%g|%b" seed m rate dynamic in
-  let run_seed = Lesslog_hash.Fnv.hash63 tag land 0x3FFFFFFF in
+  let rng = Rng.create ~seed:(Lesslog_hash.Fnv.hash63 tag land 0x3FFFFFFF) in
   (* 0.25 s intervals, capacity-aware classification, RF capped at the
      slot count, starting from the per-subtree insertion population. *)
   let policy =
@@ -365,24 +363,23 @@ let adaptive_point ~b ~domains ~dynamic ~m ~rate ~duration ~capacity ~seed =
            ~rf0:(min (Params.subtree_count params) space)
            ~nodes:space ~files:1 ())
   in
-  let config = { Pdes_sim.default_config with capacity } in
-  let t0 = Sys.time () in
+  let config = { Des_sim.default_config with capacity } in
   let r =
-    Pdes_sim.run ~config ?policy ~domains ~seed:run_seed ~params ~key:hot_file
-      ~demand ~duration ()
+    Des_sim.run ~config ?policy ~rng ~cluster ~key:hot_file ~demand ~duration ()
   in
-  let secs = Sys.time () -. t0 in
+  let requests = r.Des_sim.served + r.Des_sim.faults in
+  let replicas_end = Cluster.total_copies cluster ~key:hot_file in
   {
     ad_label = (if dynamic then "dynamic-rf" else "lesslog");
     ad_m = m;
     ad_rate = rate;
-    ad_requests = r.Pdes_sim.requests;
-    ad_served = r.Pdes_sim.served;
-    ad_faults = r.Pdes_sim.faults;
+    ad_requests = requests;
+    ad_served = r.Des_sim.served;
+    ad_faults = r.Des_sim.faults;
     ad_loss =
-      (if r.Pdes_sim.requests = 0 then 0.0
-       else float_of_int r.Pdes_sim.faults /. float_of_int r.Pdes_sim.requests);
-    ad_replicas_end = r.Pdes_sim.replicas_end;
+      (if requests = 0 then 0.0
+       else float_of_int r.Des_sim.faults /. float_of_int requests);
+    ad_replicas_end = replicas_end;
     ad_rf_end =
       (match policy with Some p -> Rf_policy.rf p ~file:0 | None -> 0);
     ad_oracle_replicas =
@@ -391,21 +388,16 @@ let adaptive_point ~b ~domains ~dynamic ~m ~rate ~duration ~capacity ~seed =
         ~capacity;
     ad_oracle_loss =
       adaptive_oracle_loss ~total_rate:rate
-        ~replicas:(float_of_int r.Pdes_sim.replicas_end) ~capacity;
-    ad_digest = r.Pdes_sim.digest;
-    ad_events = r.Pdes_sim.events;
-    ad_secs = secs;
+        ~replicas:(float_of_int replicas_end) ~capacity;
   }
 
-let adaptive_sweep ?(b = 2) ?(domains = 1) ?(m = 10) ?(duration = 8.0)
-    ?(capacity = 100.0) ?(seed = 42) ?(rates = [ 500.0; 1000.0; 2000.0 ]) () =
+let adaptive_sweep ?(b = 2) ?(m = 10) ?(duration = 8.0) ?(capacity = 100.0)
+    ?(seed = 42) ?(rates = [ 500.0; 1000.0; 2000.0 ]) () =
   List.concat_map
     (fun rate ->
       [
-        adaptive_point ~b ~domains ~dynamic:false ~m ~rate ~duration ~capacity
-          ~seed;
-        adaptive_point ~b ~domains ~dynamic:true ~m ~rate ~duration ~capacity
-          ~seed;
+        adaptive_point ~b ~dynamic:false ~m ~rate ~duration ~capacity ~seed;
+        adaptive_point ~b ~dynamic:true ~m ~rate ~duration ~capacity ~seed;
       ])
     rates
 
@@ -758,29 +750,3 @@ let render_coldtier points =
       points
   in
   Lesslog_report.Table.render ~header rows
-
-let coldtier_pdes ?(m = 8) ?(b = 2) ?(domains = 1) ?(rate = 8.0)
-    ?(duration = 6.0) ?(seed = 7) () =
-  let params = Params.create ~b ~m () in
-  let status = Status_word.create params ~initially_live:true in
-  let demand = Demand.uniform status ~total:rate in
-  let pconfig =
-    {
-      Rf_policy.default_config with
-      Rf_policy.interval = 0.25;
-      rf_max = Params.space params;
-      capacity = Some 100.0;
-    }
-  in
-  let policy =
-    Rf_policy.create ~config:pconfig ~rf0:(Params.subtree_count params)
-      ~nodes:(Params.space params) ~files:1 ()
-  in
-  (* A trickle of demand: empty analysis intervals classify Cold (the
-     tier demotes), bursts re-heat the key — several full
-     demote/serve-coded/promote cycles per run. *)
-  let cold_tier =
-    { Control_plane.default_cold_tier with Control_plane.demote_after = 1 }
-  in
-  Pdes_sim.run ~policy ~cold_tier ~domains ~seed ~params ~key:"cold/object"
-    ~demand ~duration ()

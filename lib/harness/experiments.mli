@@ -157,7 +157,7 @@ val render_pdes_sweep : pdes_point list -> string
 (** {1 Adaptive replication under time-varying demand}
 
     The dynamic-RF competitor ({!Lesslog_policy.Rf_policy}) against
-    LessLog's native logless placement, on the sharded simulator, with a
+    LessLog's native logless placement, on {!Lesslog_des.Des_sim}, with a
     per-class mean-field oracle to validate steady states. *)
 
 type demand_class = {
@@ -185,7 +185,7 @@ type adaptive_point = {
   ad_label : string;  (** ["lesslog"] or ["dynamic-rf"]. *)
   ad_m : int;
   ad_rate : float;  (** Total offered demand, requests/s. *)
-  ad_requests : int;
+  ad_requests : int;  (** Resolved requests: [ad_served + ad_faults]. *)
   ad_served : int;
   ad_faults : int;
   ad_loss : float;  (** [faults /. requests] (0 when no requests). *)
@@ -193,14 +193,10 @@ type adaptive_point = {
   ad_rf_end : int;  (** Final replica factor (0 for the native policy). *)
   ad_oracle_replicas : float;
   ad_oracle_loss : float;  (** The fluid bound at [ad_replicas_end]. *)
-  ad_digest : int;  (** Domain-count-invariant run digest. *)
-  ad_events : int;
-  ad_secs : float;
 }
 
 val adaptive_sweep :
   ?b:int ->
-  ?domains:int ->
   ?m:int ->
   ?duration:float ->
   ?capacity:float ->
@@ -210,13 +206,13 @@ val adaptive_sweep :
   adaptive_point list
 (** The replicas-vs-request-rate curve family: for each rate (default
     500/1,000/2,000 requests/s at m = 10, 8 simulated seconds), one
-    {!Lesslog_des.Pdes_sim} run with native logless placement and one
-    with the dynamic-RF policy (0.25 s intervals, capacity-aware
-    classification, RF capped at the slot count, starting from the
-    per-subtree insertion population), in that order. Each run's seed
-    is derived from [seed], [m], the rate and the policy, so points are
-    independent and reproducible; [domains] is a speed knob that leaves
-    [ad_digest] unchanged. *)
+    {!Lesslog_des.Des_sim} run over a cluster of [2^b] subtrees with the
+    key inserted per ADVANCEDINSERTFILE, once with native logless
+    placement and once with the dynamic-RF policy (0.25 s intervals,
+    capacity-aware classification, RF capped at the slot count,
+    starting from the per-subtree insertion population), in that order.
+    Each run's seed is derived from [seed], [m], the rate and the
+    policy, so points are independent and reproducible. *)
 
 val render_adaptive : adaptive_point list -> string
 (** One table row per point, ready to print. *)
@@ -323,19 +319,3 @@ val coldtier_run :
 
 val render_coldtier : coldtier_point list -> string
 (** One table row per point, ready to print. *)
-
-val coldtier_pdes :
-  ?m:int ->
-  ?b:int ->
-  ?domains:int ->
-  ?rate:float ->
-  ?duration:float ->
-  ?seed:int ->
-  unit ->
-  Lesslog_des.Pdes_sim.result
-(** One sharded-simulator run with the cold tier armed at
-    [demote_after = 1] under trickle demand (default 8 req/s over
-    [2^m] nodes): empty policy intervals classify Cold and demote,
-    bursts promote — several full tier cycles, all inside barrier
-    globals, so {!Lesslog_des.Pdes_sim.result.digest} and the cold
-    ledger must be bit-identical at any [domains]. *)

@@ -25,9 +25,9 @@
     Everything is deterministic and allocation-light: {!record} is an
     O(1) counter bump plus a bitset test, so the per-access hot path adds
     no measurable cost to a simulator, and {!end_interval} is O(files +
-    touched-node-words). The module never draws randomness, which is what
-    lets {!Lesslog_des.Pdes_sim} run it inside sequential barrier globals
-    without perturbing per-shard RNG streams. *)
+    touched-node-words). The module never draws randomness, so
+    {!Lesslog_des.Des_sim} runs its interval ticks without perturbing the
+    run's RNG stream. *)
 
 type class_ = Hot | Warm | Cold
 

@@ -4,7 +4,6 @@ module Ops = Lesslog.Ops
 module Status_word = Lesslog_membership.Status_word
 module Demand = Lesslog_workload.Demand
 module Des_sim = Lesslog_des.Des_sim
-module Pdes_sim = Lesslog_des.Pdes_sim
 module Control_plane = Lesslog_des.Control_plane
 module Balance = Lesslog_flow.Balance
 module Policy = Lesslog_flow.Policy
@@ -661,8 +660,8 @@ let test_cold_origin_faults_traced () =
   Alcotest.(check bool) "requests faulted" true (r.Des_sim.faults > 0);
   Alcotest.(check int) "every fault traced" r.Des_sim.faults !traced_faults
 
-(* One validator behind both entry points, each keeping its own message
-   prefix. *)
+(* The control plane validates the policy and the cold tier before the
+   run starts, under the simulator's message prefix. *)
 let test_cold_tier_validation () =
   let params = Params.create ~m:6 () in
   let demand =
@@ -672,11 +671,6 @@ let test_cold_tier_validation () =
     ignore
       (Des_sim.run ?policy ?cold_tier ~rng:(Rng.create ~seed:3)
          ~cluster:(make_cluster ~m:6 ()) ~key ~demand ~duration:1.0 ())
-  in
-  let pdes policy cold_tier =
-    ignore
-      (Pdes_sim.run ?policy ?cold_tier ~seed:3 ~params ~key ~demand
-         ~duration:1.0 ())
   in
   let policy = Some (make_policy ~params ~capacity:100.0 ()) in
   let tier = Control_plane.default_cold_tier in
@@ -705,14 +699,11 @@ let test_cold_tier_validation () =
     ]
   in
   List.iter
-    (fun (prefix, attempt) ->
-      List.iter
-        (fun (label, policy, cold_tier, msg) ->
-          Alcotest.check_raises (prefix ^ ": " ^ label)
-            (Invalid_argument (prefix ^ ": " ^ msg))
-            (fun () -> attempt policy cold_tier))
-        cases)
-    [ ("Des_sim", des); ("Pdes_sim.run", pdes) ]
+    (fun (label, policy, cold_tier, msg) ->
+      Alcotest.check_raises label
+        (Invalid_argument ("Des_sim: " ^ msg))
+        (fun () -> des policy cold_tier))
+    cases
 
 (* A non-positive eviction period would post every tick at the same
    instant (0) or in the past (< 0); [run] rejects it up front. *)

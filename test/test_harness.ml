@@ -198,7 +198,7 @@ let test_des_sweep_smoke () =
 
 (* --- Adaptive replication vs the mean-field oracle --------------------- *)
 
-(* The replicas-vs-rate curve family on the sharded simulator. Each
+(* The replicas-vs-rate curve family on Des_sim at b = 2. Each
    point's end-state population must sit in its policy's band around the
    oracle max(1, R / capacity): the dynamic-RF policy sizes the replica
    set from the access log, so its band is tight; the native logless

@@ -258,76 +258,6 @@ let test_pdes_oversized_pool () =
       (run_pdes ~m:9 ~b:3 ~domains:2 ())
   done
 
-(* The dynamic-RF policy runs in sequential barrier globals and draws no
-   randomness, so the headline determinism claim must survive it: the
-   same policy-driven run is bit-identical at any domain count. Each run
-   needs a fresh policy instance — the policy itself is mutable state. *)
-let run_pdes_policy ~domains () =
-  let params = Params.create ~m:8 ~b:2 () in
-  let status = Status_word.create params ~initially_live:true in
-  let demand = Demand.uniform status ~total:900.0 in
-  let policy =
-    Lesslog_policy.Rf_policy.create
-      ~config:
-        {
-          Lesslog_policy.Rf_policy.default_config with
-          Lesslog_policy.Rf_policy.interval = 0.25;
-          rf_max = Params.space params;
-          capacity = Some 100.0;
-        }
-      ~rf0:(Params.subtree_count params)
-      ~nodes:(Params.space params) ~files:1 ()
-  in
-  Pdes.run ~churn:(pdes_churn params) ~policy ~domains ~seed:4242 ~params
-    ~key:"pdes/object" ~demand ~duration:2.5 ()
-
-let test_pdes_policy_domain_invariance () =
-  let base = run_pdes_policy ~domains:1 () in
-  Alcotest.(check bool) "policy replicated" true
-    (base.Pdes.replicas_created > 0);
-  (* The policy path is load-bearing: it must not reproduce the
-     native-trigger run. *)
-  Alcotest.(check bool) "differs from native" true
-    (base.Pdes.digest <> (run_pdes ~loss:0.0 ~domains:1 ()).Pdes.digest);
-  List.iter
-    (fun domains ->
-      check_same_result
-        (Printf.sprintf "policy, %d domains" domains)
-        base
-        (run_pdes_policy ~domains ()))
-    [ 2; 4; 8 ]
-
-let test_pdes_cold_tier_domain_invariance () =
-  (* The erasure-coded cold tier mutates only in the sequential barrier
-     globals, so the digest and the whole cold ledger must survive the
-     domain count. The workload's trickle alternates idle and busy
-     policy intervals, driving real demote/promote cycles. *)
-  let point domains =
-    Lesslog_harness.Experiments.coldtier_pdes ~m:7 ~domains ~duration:4.0 ()
-  in
-  let base = point 1 in
-  let bc =
-    match base.Pdes.cold with
-    | Some c -> c
-    | None -> Alcotest.fail "expected a cold ledger"
-  in
-  Alcotest.(check bool) "tier exercised" true
-    (bc.Lesslog_des.Control_plane.demotions >= 1
-    && bc.Lesslog_des.Control_plane.coded_serves >= 1);
-  Alcotest.(check bool) "payload intact" false
-    bc.Lesslog_des.Control_plane.lost_cold;
-  List.iter
-    (fun domains ->
-      let p = point domains in
-      check_same_result
-        (Printf.sprintf "cold tier, %d domains" domains)
-        base p;
-      Alcotest.(check bool)
-        (Printf.sprintf "cold ledger identical at %d domains" domains)
-        true
-        (p.Pdes.cold = base.Pdes.cold))
-    [ 2; 4; 8 ]
-
 let test_pdes_quiet_run_has_no_faults () =
   (* All nodes live, no loss: every subtree keeps its insertion copy, so
      routing always terminates at a holder. *)
@@ -546,10 +476,6 @@ let () =
             test_pdes_eight_shards;
           Alcotest.test_case "oversized pool: workers beyond domains idle"
             `Quick test_pdes_oversized_pool;
-          Alcotest.test_case "dynamic-RF policy bit-identical at 1/2/4/8"
-            `Quick test_pdes_policy_domain_invariance;
-          Alcotest.test_case "cold tier bit-identical at 1/2/4/8" `Quick
-            test_pdes_cold_tier_domain_invariance;
           Alcotest.test_case "quiet run: no faults" `Quick
             test_pdes_quiet_run_has_no_faults;
           Alcotest.test_case "replication under load" `Quick

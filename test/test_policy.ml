@@ -1,7 +1,8 @@
 (* The weighted dynamic replica-factor policy: PD arithmetic, dynamic
    thresholds, both classification modes, RF clamping and carry-over,
    and the shard-merge entry point. The policy must also be free of
-   randomness — Pdes_sim runs it inside sequential barrier globals. *)
+   randomness — its interval ticks must not perturb a simulator's RNG
+   stream. *)
 
 module Rf_policy = Lesslog_policy.Rf_policy
 

@@ -349,16 +349,30 @@ let test_broken_migration_caught () =
    [Wire.hops_max] hops, not wrap the field and route on. *)
 let budget_params = Params.create ~m:12 ~b:3 ()
 
+(* [Ops.get] walks the whole bound: with the one copy at the route's
+   last node, it is served there after 79 hops, inside its hop budget. *)
 let test_route_bound () =
-  let tree = Ptree.make budget_params ~root:(Pid.unsafe_of_int 77) in
-  let status = Status_word.create budget_params ~initially_live:true in
+  let cluster = Cluster.create budget_params in
+  let key = "request-path/bound" in
+  Cluster.register_key cluster key;
+  let tree = Cluster.tree_of_key cluster key in
+  let status = Cluster.status cluster in
   let origin = Pid.to_int (Ptree.pid_of_vid tree (Vid.unsafe_of_int 0)) in
-  let rec length hops p =
+  let rec last hops p =
     match Topology.route ~b:3 tree status ~origin p with
-    | -1 -> hops
-    | q -> length (hops + 1) q
+    | -1 -> (hops, p)
+    | _ when hops >= 79 -> Alcotest.fail "route exceeds its 79-hop budget"
+    | q -> last (hops + 1) q
   in
-  Alcotest.(check int) "2^b (m - b + 1) - 1 hops" 79 (length 0 origin)
+  let hops, end_ = last 0 origin in
+  Alcotest.(check int) "2^b (m - b + 1) - 1 hops" 79 hops;
+  File_store.add
+    (Cluster.store cluster (Pid.unsafe_of_int end_))
+    ~key ~origin:File_store.Replicated ~version:0 ~now:0.0;
+  let got = Ops.get cluster ~origin:(Pid.unsafe_of_int origin) ~key in
+  Alcotest.(check (option int)) "Ops.get served at the route's end"
+    (Some end_) (Option.map Pid.to_int got.Ops.server);
+  Alcotest.(check int) "Ops.get hops" 79 got.Ops.hops
 
 let test_protocol_budget () =
   let cluster = Cluster.create budget_params in

@@ -10,6 +10,7 @@ module Cluster = Lesslog.Cluster
 module Ops = Lesslog.Ops
 module Demand = Lesslog_workload.Demand
 module Status_word = Lesslog_membership.Status_word
+module Subtrees = Lesslog_topology.Subtrees
 module Des_sim = Lesslog_des.Des_sim
 module Fault_sim = Lesslog_des.Fault_sim
 module Faults = Lesslog_workload.Faults
@@ -151,37 +152,6 @@ let pdes_fields (r : Pdes_sim.result) =
     ("file transfers", i r.Pdes_sim.file_transfers);
     ("events", i r.Pdes_sim.events);
   ]
-  @
-  match r.Pdes_sim.cold with
-  | None -> [ ("cold", "none") ]
-  | Some c ->
-      [
-        ("demotions", i c.Control_plane.demotions);
-        ("promotions", i c.Control_plane.promotions);
-        ("fragment repairs", i c.Control_plane.fragment_repairs);
-        ("lost", b c.Control_plane.lost_cold);
-        ("coded at end", b c.Control_plane.coded_at_end);
-        ("coded serves", i c.Control_plane.coded_serves);
-        ("bytes end", i c.Control_plane.bytes_stored_end);
-        ("mean bytes", f c.Control_plane.mean_bytes_stored);
-        ("bytes moved", i c.Control_plane.bytes_moved);
-        ("repair bytes", i c.Control_plane.repair_bytes);
-      ]
-
-let pdes_policy () =
-  let params = Params.create ~m:8 ~b:2 () in
-  let status = Status_word.create params ~initially_live:true in
-  let churn =
-    [ { Pdes_sim.at = 0.6; action = Pdes_sim.Fail (Pid.unsafe_of_int 11) };
-      { Pdes_sim.at = 1.7; action = Pdes_sim.Join (Pid.unsafe_of_int 11) } ]
-  in
-  pdes_fields
-    (Pdes_sim.run ~churn ~policy:(policy_for params) ~seed:4242 ~params
-       ~key:"matrix/object"
-       ~demand:(Demand.uniform status ~total:900.0)
-       ~duration:2.5 ())
-
-let coldtier_pdes () = pdes_fields (Experiments.coldtier_pdes ~m:7 ~duration:4.0 ())
 
 (* --- Node-protocol runs: the native overload trigger, replica push and
    Section 5 repair through Des_sim, Fault_sim and Pdes_sim. --- *)
@@ -392,6 +362,27 @@ let pdes_native ~b () =
        ~demand:(Demand.uniform status ~total:1200.0)
        ~duration:2.0 ())
 
+(* A native run that migrates: at t = 0 one subtree is emptied and every
+   other member rejoins, which leaves it live but with no copy, so its
+   requests cross into the next subtree (the [test_request_path]
+   construction). *)
+let pdes_migrate () =
+  let params = Params.create ~m:7 ~b:2 () in
+  let key = "matrix/migrate" in
+  let tree = Cluster.tree_of_key (Cluster.create params) key in
+  let members = Subtrees.members tree ~subtree_id:1 in
+  let at action = { Pdes_sim.at = 0.0; action } in
+  let churn =
+    List.map (fun p -> at (Pdes_sim.Fail p)) members
+    @ List.filteri (fun i _ -> i mod 2 = 0)
+        (List.map (fun p -> at (Pdes_sim.Join p)) members)
+  in
+  let status = Status_word.create params ~initially_live:true in
+  pdes_fields
+    (Pdes_sim.run ~churn ~seed:31 ~params ~key
+       ~demand:(Demand.uniform status ~total:1200.0)
+       ~duration:2.0 ())
+
 let check name run expected () =
   let actual = run () in
   Alcotest.(check (list string))
@@ -506,50 +497,6 @@ let coldtier_hybrid =
     ("repair bytes", "2306876");
     ("bytes end", "5242880");
     ("lost", "false");
-  ]
-
-(* Pinned on the one Section 4 request step, [Topology.route] (checked
-   by test_request_path): a migrating GET lands on the origin's mirror
-   in the next subtree. *)
-let pdes_policy_pins =
-  [
-    ("digest", "2769718658689110445");
-    ("served", "2038");
-    ("faults", "0");
-    ("requests", "2209");
-    ("migrations", "1499");
-    ("replicas created", "7");
-    ("replicas end", "9");
-    ("messages", "12734");
-    ("control messages", "511");
-    ("file transfers", "0");
-    ("events", "14732");
-    ("cold", "none");
-  ]
-
-let coldtier_pdes_pins =
-  [
-    ("digest", "3335272055616854491");
-    ("served", "40");
-    ("faults", "0");
-    ("requests", "40");
-    ("migrations", "0");
-    ("replicas created", "2");
-    ("replicas end", "0");
-    ("messages", "103");
-    ("control messages", "0");
-    ("file transfers", "0");
-    ("events", "142");
-    ("demotions", "2");
-    ("promotions", "1");
-    ("fragment repairs", "0");
-    ("lost", "false");
-    ("coded at end", "true");
-    ("coded serves", "38");
-    ("bytes end", "1468012");
-    ("mean bytes", "0x1.9999e8p+20");
-    ("bytes moved", "6081756");
-    ("repair bytes", "0");
   ]
 
 let faults_native_b0 =
@@ -765,7 +712,6 @@ let pdes_native_b0 =
     ("control messages", "380");
     ("file transfers", "0");
     ("events", "10277");
-    ("cold", "none");
   ]
 
 let pdes_native_b2 =
@@ -781,7 +727,24 @@ let pdes_native_b2 =
     ("control messages", "380");
     ("file transfers", "0");
     ("events", "9419");
-    ("cold", "none");
+  ]
+
+(* Pinned on the one Section 4 request step, [Topology.route] (checked
+   by test_request_path): a migrating GET lands on the origin's mirror
+   in the next subtree. *)
+let pdes_migrate_b2 =
+  [
+    ("digest", "3758548450877196140");
+    ("served", "2012");
+    ("faults", "0");
+    ("requests", "2114");
+    ("migrations", "301");
+    ("replicas created", "9");
+    ("replicas end", "12");
+    ("messages", "7213");
+    ("control messages", "5240");
+    ("file transfers", "31");
+    ("events", "9211");
   ]
 
 (* [SEED_MATRIX_DUMP=1] prints every run's fields in pin syntax instead
@@ -794,8 +757,6 @@ let runs =
     ("des cold tier", des_cold, des_cold_pins);
     ("coldtier_point full", (fun () -> coldtier_arm false), coldtier_full);
     ("coldtier_point hybrid", (fun () -> coldtier_arm true), coldtier_hybrid);
-    ("pdes policy", pdes_policy, pdes_policy_pins);
-    ("coldtier_pdes", coldtier_pdes, coldtier_pdes_pins);
     ("faults native b=0", fault_run ~b:0 ~chord:false ~holder_crash:1.5, faults_native_b0);
     ("faults native b=2", fault_run ~b:2 ~chord:false ~holder_crash:0.1, faults_native_b2);
     ("faults chord", fault_run ~b:0 ~chord:true ~holder_crash:0.1, faults_chord);
@@ -805,6 +766,7 @@ let runs =
     ("des churn chord", des_run ~b:0 ~chord:true, des_churn_chord);
     ("pdes native b=0", pdes_native ~b:0, pdes_native_b0);
     ("pdes native b=2", pdes_native ~b:2, pdes_native_b2);
+    ("pdes migrate b=2", pdes_migrate, pdes_migrate_b2);
   ]
 
 let () =
