@@ -4,25 +4,40 @@ module Ptree = Lesslog_ptree.Ptree
 module Topology = Lesslog_topology.Topology
 module Demand = Lesslog_workload.Demand
 
-type t = { tree : Ptree.t; status : Status_word.t }
+type t = { tree : Ptree.t; status : Status_word.t; budget : int }
 
-let create tree status = { tree; status }
+(* [budget] is {!Topology.route}'s hop bound, 2^b (m - b + 1) - 1. *)
+let create tree status =
+  let params = Ptree.params tree in
+  let b = Params.b params in
+  { tree; status; budget = ((1 lsl b) * (Params.m params - b + 1)) - 1 }
 
-(* One {!Topology.route} step of a request from [origin], as a PID int. *)
-let step t ~origin p =
-  Topology.route
-    ~b:(Params.b (Ptree.params t.tree))
-    t.tree t.status ~origin p
+(* One {!Topology.route} step of a request from [origin] that has taken
+   [hops] hops, as a PID int. A route never takes more than [budget]
+   hops; one that would breaks the step's bound, and raises rather than
+   cycling. *)
+let step t ~origin ~hops p =
+  match
+    Topology.route
+      ~b:(Params.b (Ptree.params t.tree))
+      t.tree t.status ~origin p
+  with
+  | -1 -> -1
+  | q ->
+      if hops >= t.budget then
+        failwith
+          (Printf.sprintf "Flow: route exceeds its %d-hop budget" t.budget);
+      q
 
 let serving_node t ~holders ~origin =
   if Status_word.is_dead t.status origin then
     invalid_arg "Flow.serving_node: dead origin";
   let origin = Pid.to_int origin in
-  let rec walk p =
+  let rec walk hops p =
     if holders (Pid.unsafe_of_int p) then Some (Pid.unsafe_of_int p)
-    else match step t ~origin p with -1 -> None | q -> walk q
+    else match step t ~origin ~hops p with -1 -> None | q -> walk (hops + 1) q
   in
-  walk origin
+  walk 0 origin
 
 type loads = { serve : float array; unserved : float }
 
@@ -55,14 +70,16 @@ let inflows t ~holders ~demand ~at =
         (* Walk the route; requests already served before [at] never get
            there. *)
         let origin = Pid.to_int origin in
-        let rec walk prev p =
+        let rec walk hops prev p =
           if holders (Pid.unsafe_of_int p) || p = at_int then begin
             if p = at_int then add_entry prev r
           end
           else
-            match step t ~origin p with -1 -> () | q -> walk (Some p) q
+            match step t ~origin ~hops p with
+            | -1 -> ()
+            | q -> walk (hops + 1) (Some p) q
         in
-        walk None origin
+        walk 0 None origin
       end);
   let entries =
     Hashtbl.fold (fun p r l -> (Some (Pid.unsafe_of_int p), r) :: l) acc []

@@ -24,7 +24,10 @@ val create : Ptree.t -> Status_word.t -> t
 val serving_node :
   t -> holders:(Pid.t -> bool) -> origin:Pid.t -> Pid.t option
 (** Which node serves a request originated at a live [origin]; [None] when
-    no copy lies on its route (a fault). *)
+    no copy lies on its route (a fault).
+    @raise Failure when the route outgrows the hop budget of
+    {!Lesslog_topology.Topology.route}, 2^b (m - b + 1) - 1 hops: a
+    route rule that cycles fails instead of hanging. *)
 
 type loads = {
   serve : float array;  (** Requests/s served, per PID slot. *)
@@ -43,4 +46,5 @@ val inflows :
 (** Decompose the traffic served at [at] by where it entered: [Some p] for
     requests forwarded by [p] on the hop [p → at], [None] for requests
     originated at [at] itself. This is exactly the information a log-based
-    replication method extracts from client-access logs. *)
+    replication method extracts from client-access logs.
+    @raise Failure as {!serving_node} does, on the same hop budget. *)

@@ -15,6 +15,16 @@
      rung is exhausted the far band is scattered into a fresh rung whose
      width is fitted to the observed span.
 
+   A bucket is a chain of fixed [block]-slot blocks of one per-queue
+   slab. Draining a bucket (into the run, or split into a child rung)
+   walks its chain and hands each block back to the slab's free list
+   once read, so the slab grows only when the free list is empty: queue
+   memory follows the peak number of events held in rungs, not the
+   number that pass through them. The outermost rung is fitted to the
+   whole far span, so its buckets typically fill once and are never
+   refilled; arrays owned per bucket would be grown for every event
+   that passes and then never reused.
+
    All bands store events in parallel scalar arrays (no per-event boxes).
    Without flambda, OCaml boxes a float stored in a mixed record or
    passed to (or returned from) a function that is not inlined, so the
@@ -24,10 +34,8 @@
    take a float are [@inline]. Once capacity is warm, [pop] and
    [pop_until] allocate nothing in any build, and neither does [push]
    where it is inlined (release builds; under [-opaque] its caller boxes
-   [time] and [x]). Capacity growth — the arrays doubling, the rung pool
-   gaining a rung — is the only allocation; bucket vecs keep their
-   capacity across drains and rung reuse, so it happens once per bucket
-   and size. *)
+   [time] and [x]). Capacity growth — a vec or the slab doubling, the
+   rung pool gaining a rung — is the only allocation. *)
 
 type vec = {
   mutable t : float array;
@@ -42,23 +50,24 @@ type vec = {
 let vec_make () =
   { t = [||]; s = [||]; h = [||]; a = [||]; b = [||]; x = [||]; len = 0 }
 
+(* Replace [v]'s arrays by ones of [cap] slots holding its first [len]. *)
+let vec_resize v cap =
+  let grow_f old =
+    let n = Array.make cap 0.0 in
+    Array.blit old 0 n 0 v.len; n
+  and grow_i old =
+    let n = Array.make cap 0 in
+    Array.blit old 0 n 0 v.len; n
+  in
+  v.t <- grow_f v.t;
+  v.s <- grow_i v.s;
+  v.h <- grow_i v.h;
+  v.a <- grow_i v.a;
+  v.b <- grow_i v.b;
+  v.x <- grow_f v.x
+
 let vec_reserve v =
-  if v.len = Array.length v.t then begin
-    let cap = max 16 (2 * Array.length v.t) in
-    let grow_f old =
-      let n = Array.make cap 0.0 in
-      Array.blit old 0 n 0 v.len; n
-    and grow_i old =
-      let n = Array.make cap 0 in
-      Array.blit old 0 n 0 v.len; n
-    in
-    v.t <- grow_f v.t;
-    v.s <- grow_i v.s;
-    v.h <- grow_i v.h;
-    v.a <- grow_i v.a;
-    v.b <- grow_i v.b;
-    v.x <- grow_f v.x
-  end
+  if v.len = Array.length v.t then vec_resize v (max 16 (2 * v.len))
 
 (* The queue's float state. An all-float record is stored flat, so its
    fields are read and written unboxed; a float field of a mixed record
@@ -85,13 +94,6 @@ let[@inline] move_slot src i dst j =
   Array.unsafe_set dst.b j (Array.unsafe_get src.b i);
   Array.unsafe_set dst.x j (Array.unsafe_get src.x i)
 
-(* Append slot [i] of [src] to [dst]. *)
-let vec_append dst src i =
-  vec_reserve dst;
-  let j = dst.len in
-  move_slot src i dst j;
-  dst.len <- j + 1
-
 (* The one place a new event's fields enter the arrays. Its two floats
    come from the flat staging fields of [fl] (see {!push}). *)
 let[@inline] write_new v i fl ~seq ~h ~a ~b =
@@ -101,12 +103,6 @@ let[@inline] write_new v i fl ~seq ~h ~a ~b =
   Array.unsafe_set v.a i a;
   Array.unsafe_set v.b i b;
   Array.unsafe_set v.x i fl.new_x
-
-let[@inline] vec_push_new v fl ~seq ~h ~a ~b =
-  vec_reserve v;
-  let i = v.len in
-  write_new v i fl ~seq ~h ~a ~b;
-  v.len <- i + 1
 
 (* --- binary-heap operations over a vec, keyed by (time, seq) -----------
 
@@ -198,6 +194,12 @@ let sort_vec v =
 
 (* --- rungs -------------------------------------------------------------- *)
 
+(* Slots per slab block; a power of two, so a bucket's slot [k] sits at
+   offset [k land (block - 1)] of its chain's [k lsr block_bits]-th
+   block. *)
+let block_bits = 6
+let block = 1 lsl block_bits
+
 (* A rung's window, flat like [floats]. *)
 type window = {
   mutable start : float;
@@ -209,7 +211,9 @@ type rung = {
   w : window;
   mutable cur : int;      (* buckets below [cur] are drained *)
   mutable count : int;    (* events currently stored in this rung *)
-  buckets : vec array;
+  len : int array;        (* events in each bucket *)
+  head : int array;       (* first block of each non-empty bucket's chain *)
+  tail : int array;       (* last block, which takes the next event *)
 }
 
 let max_rungs = 24
@@ -223,6 +227,13 @@ type t = {
       (* overflow min-heap: events pushed below [open_bound] while the
          run drains (zero-delay messages, reentrant posts) *)
   far : vec;
+  slab : vec;
+      (* every rung's bucket blocks; block [k] is slots
+         [k * block, (k + 1) * block). Its [len] is its capacity. *)
+  mutable next : int array;
+      (* per block: the next block of its bucket's chain, or of the free
+         list when the block is unused *)
+  mutable free : int;  (* head of the free list, -1 when empty *)
   fl : floats;
   mutable rungs : rung array;  (* pooled; [nrungs] are active *)
   mutable nrungs : int;
@@ -243,6 +254,9 @@ let create ?(buckets = 64) ?(split_threshold = 64) () =
     run_pos = 0;
     opened = vec_make ();
     far = vec_make ();
+    slab = vec_make ();
+    next = [||];
+    free = -1;
     fl =
       { new_time = 0.0; new_x = 0.0; far_max = neg_infinity;
         open_bound = neg_infinity; c_time = 0.0; c_x = 0.0 };
@@ -258,6 +272,48 @@ let create ?(buckets = 64) ?(split_threshold = 64) () =
 let length t = t.size
 let is_empty t = t.size = 0
 
+(* Double the slab. Called only with the free list empty, so the new
+   blocks are the whole free list. *)
+let grow_slab t =
+  let nb = Array.length t.next in
+  let nb' = max 4 (2 * nb) in
+  vec_resize t.slab (nb' * block);
+  t.slab.len <- nb' * block;
+  let next = Array.make nb' (-1) in
+  Array.blit t.next 0 next 0 nb;
+  for k = nb to nb' - 2 do
+    next.(k) <- k + 1
+  done;
+  t.next <- next;
+  t.free <- nb
+
+let take_block t =
+  if t.free < 0 then grow_slab t;
+  let k = t.free in
+  t.free <- Array.unsafe_get t.next k;
+  k
+
+let[@inline] free_block t k =
+  Array.unsafe_set t.next k t.free;
+  t.free <- k
+
+(* Claim the next slot of bucket [i] of [r] and return its slab index: a
+   slot of the tail block, or the first of a fresh block when the tail
+   is full. Taking a block may grow the slab, which replaces its arrays
+   and [next]: read them only after the claim. *)
+let[@inline] bucket_slot t r i =
+  let n = Array.unsafe_get r.len i in
+  Array.unsafe_set r.len i (n + 1);
+  let off = n land (block - 1) in
+  if off <> 0 then (Array.unsafe_get r.tail i lsl block_bits) + off
+  else begin
+    let k = take_block t in
+    if n = 0 then Array.unsafe_set r.head i k
+    else Array.unsafe_set t.next (Array.unsafe_get r.tail i) k;
+    Array.unsafe_set r.tail i k;
+    k lsl block_bits
+  end
+
 let fresh_rung t =
   if t.nrungs = Array.length t.rungs then begin
     let r =
@@ -265,7 +321,9 @@ let fresh_rung t =
         w = { start = 0.0; width = 1.0; inv_width = 1.0 };
         cur = 0;
         count = 0;
-        buckets = Array.init t.nbuckets (fun _ -> vec_make ());
+        len = Array.make t.nbuckets 0;
+        head = Array.make t.nbuckets (-1);
+        tail = Array.make t.nbuckets (-1);
       }
     in
     t.rungs <- Array.append t.rungs [| r |]
@@ -283,7 +341,7 @@ let[@inline] set_window r ~start ~width =
 
 let[@inline] bucket_index r time =
   let i = int_of_float ((time -. r.w.start) *. r.w.inv_width) in
-  if i < 0 then 0 else if i >= Array.length r.buckets then Array.length r.buckets - 1 else i
+  if i < 0 then 0 else if i >= Array.length r.len then Array.length r.len - 1 else i
 
 (* Lower bound of bucket [i]; [bucket_start r nbuckets] is the rung's end. *)
 let[@inline] bucket_start r i = r.w.start +. (r.w.width *. float_of_int i)
@@ -299,14 +357,14 @@ let rec place t i ~seq ~h ~a ~b =
   end
   else
     let r = Array.unsafe_get t.rungs i in
-    if time < bucket_start r (Array.length r.buckets) then begin
+    if time < bucket_start r (Array.length r.len) then begin
       let idx = bucket_index r time in
       if idx < r.cur then
         (* float boundary disagreement with [open_bound]: the bucket
            is already drained, so the event joins the open heap. *)
         heap_push_new t.opened fl ~seq ~h ~a ~b
       else begin
-        vec_push_new (Array.unsafe_get r.buckets idx) fl ~seq ~h ~a ~b;
+        write_new t.slab (bucket_slot t r idx) fl ~seq ~h ~a ~b;
         r.count <- r.count + 1
       end
     end
@@ -326,42 +384,83 @@ let[@inline] push t ~time ~seq ~h ~a ~b ~x =
   t.fl.new_x <- x;
   push_staged t ~seq ~h ~a ~b
 
-(* Scatter [v] into rung [r] (whose window covers every item), leaving
-   [v] empty. *)
-let scatter r v =
-  for i = 0 to v.len - 1 do
-    vec_append r.buckets.(bucket_index r (Array.unsafe_get v.t i)) v i
-  done;
-  r.count <- r.count + v.len;
-  v.len <- 0
+(* Append slot [i] of [src] to its bucket of rung [r], whose window
+   covers it. [src] may be the slab itself, read before the claim and
+   again after it. *)
+let[@inline] scatter_slot t r src i =
+  let j = bucket_slot t r (bucket_index r (Array.unsafe_get src.t i)) in
+  move_slot src i t.slab j
 
-(* Move every event of bucket vec [v] into the (exhausted) run and sort
-   it; subsequent pops advance a cursor instead of sifting a heap. *)
-let dump_into_run t v =
-  let run = t.run in
+(* Move every event of bucket [i] of [r], in push order, into the run
+   ([into] < 0) or scattered over rung [into], whose window covers the
+   bucket. Each block goes back to the free list once read, so a split
+   can reuse it for its child's buckets. *)
+let drain_bucket t r i ~into =
+  let n = Array.unsafe_get r.len i in
+  let k = ref (Array.unsafe_get r.head i) and base = ref 0 in
+  while !base < n do
+    let first = !k lsl block_bits in
+    let m = min block (n - !base) in
+    if into < 0 then
+      for j = 0 to m - 1 do
+        move_slot t.slab (first + j) t.run (!base + j)
+      done
+    else begin
+      let child = Array.unsafe_get t.rungs into in
+      for j = first to first + m - 1 do
+        scatter_slot t child t.slab j
+      done
+    end;
+    let after = Array.unsafe_get t.next !k in
+    free_block t !k;
+    k := after;
+    base := !base + m
+  done;
+  Array.unsafe_set r.len i 0
+
+(* Move every event of bucket [i] of [r] into the (exhausted) run and
+   sort it; subsequent pops advance a cursor instead of sifting a heap. *)
+let dump_into_run t r i =
+  let run = t.run and n = Array.unsafe_get r.len i in
   run.len <- 0;
   t.run_pos <- 0;
-  for i = 0 to v.len - 1 do
-    vec_append run v i
-  done;
-  v.len <- 0;
+  (* one slot past the bucket: the sort's spare *)
+  if Array.length run.t <= n then vec_resize run (max 16 (2 * n));
+  drain_bucket t r i ~into:(-1);
+  run.len <- n;
   sort_vec run
 
-(* Whether [v] holds two distinct times (a split would separate them). *)
-let vec_spread v =
-  let t0 = v.t.(0) in
-  let i = ref 1 in
-  while !i < v.len && v.t.(!i) = t0 do incr i done;
-  !i < v.len
+(* Whether bucket [i] of [r] holds two distinct times (a split would
+   separate them). *)
+let bucket_spread t r i =
+  let n = Array.unsafe_get r.len i in
+  let k = ref (Array.unsafe_get r.head i) in
+  let t0 = Array.unsafe_get t.slab.t (!k lsl block_bits) in
+  let j = ref 1 and spread = ref false in
+  while (not !spread) && !j < n do
+    let off = !j land (block - 1) in
+    if off = 0 then k := Array.unsafe_get t.next !k;
+    spread := Array.unsafe_get t.slab.t ((!k lsl block_bits) + off) <> t0;
+    incr j
+  done;
+  !spread
 
 (* Build a fresh bottom rung from the whole far band. *)
 let refill_from_far t =
-  let start = t.far.t.(0) in
+  let far = t.far in
+  (* [size] > 0 with every other band empty: the events must be here. A
+     lost event would otherwise refill from stale slots forever. *)
+  if far.len = 0 then failwith "Ladder_queue: an event was lost";
+  let start = far.t.(0) in
   let span = t.fl.far_max -. start in
   let r = fresh_rung t in
   set_window r ~start
     ~width:(if span <= 0.0 then 1.0 else span /. float_of_int (t.nbuckets - 1));
-  scatter r t.far;
+  for i = 0 to far.len - 1 do
+    scatter_slot t r far i
+  done;
+  r.count <- far.len;
+  far.len <- 0;
   t.fl.far_max <- neg_infinity;
   t.fl.open_bound <- start
 
@@ -370,7 +469,7 @@ let rec ensure_opened t =
     if t.nrungs = 0 then refill_from_far t
     else begin
       let r = t.rungs.(t.nrungs - 1) in
-      if r.cur >= Array.length r.buckets || r.count = 0 then begin
+      if r.cur >= Array.length r.len || r.count = 0 then begin
         (* rung exhausted: resume the parent at its next bucket *)
         t.nrungs <- t.nrungs - 1;
         if t.nrungs > 0 then begin
@@ -380,28 +479,29 @@ let rec ensure_opened t =
         end
       end
       else begin
-        let v = r.buckets.(r.cur) in
-        if v.len = 0 then begin
+        let n = r.len.(r.cur) in
+        if n = 0 then begin
           r.cur <- r.cur + 1;
           t.fl.open_bound <- bucket_start r r.cur
         end
         else if
-          v.len > t.split_threshold
+          n > t.split_threshold
           && t.nrungs < max_rungs
           && r.w.width > 1e-12
-          && vec_spread v
+          && bucket_spread t r r.cur
         then begin
           (* split: a finer child rung over exactly this bucket *)
           let child = fresh_rung t in
           set_window child ~start:(bucket_start r r.cur)
             ~width:(r.w.width /. float_of_int t.nbuckets);
-          r.count <- r.count - v.len;
-          scatter child v
+          r.count <- r.count - n;
+          child.count <- n;
+          drain_bucket t r r.cur ~into:(t.nrungs - 1)
           (* open_bound unchanged: it already equals child.start *)
         end
         else begin
-          r.count <- r.count - v.len;
-          dump_into_run t v;
+          r.count <- r.count - n;
+          dump_into_run t r r.cur;
           r.cur <- r.cur + 1;
           t.fl.open_bound <- bucket_start r r.cur
         end

@@ -16,14 +16,16 @@
     [pop_until] allocate nothing. [push] allocates nothing where it is
     inlined (release builds); as an out-of-line call ([-opaque] dev
     builds) its caller boxes [time] and [x]. Only capacity growth
-    allocates, and capacity is kept: every bucket of every pooled rung
-    grows once to the largest population it has held. That includes
-    refills after a full drain — a burst that lands in a bucket not yet
-    that large grows it, the same burst later costs nothing — so rounds
-    of equal-time posts with a drain between them allocate nothing per
-    post once the buckets they reach are warm. The float accessors
-    [time], [arg_x] and [min_time] return a boxed float unless
-    inlined. *)
+    allocates. Every rung bucket is a chain of fixed 64-slot blocks
+    from one slab per queue; draining a bucket returns its blocks to
+    the slab's free list, and the slab grows (doubling) only when that
+    list is empty. Queue memory is therefore bounded by the peak number
+    of events held in rungs, plus at most one partial block per
+    non-empty bucket, plus the run, open-heap and far-heap arrays —
+    not by the number of events that pass through. Rounds of posts
+    with a drain between them allocate nothing once the slab and the
+    arrays have grown to the round's peak. The float accessors [time],
+    [arg_x] and [min_time] return a boxed float unless inlined. *)
 
 type t
 

@@ -349,8 +349,10 @@ let test_broken_migration_caught () =
    [Wire.hops_max] hops, not wrap the field and route on. *)
 let budget_params = Params.create ~m:12 ~b:3 ()
 
-(* [Ops.get] walks the whole bound: with the one copy at the route's
-   last node, it is served there after 79 hops, inside its hop budget. *)
+(* Every walk goes the whole bound inside its hop budget. With no copy,
+   [Flow.serving_node] finds none and [Flow.inflows] sees the origin's
+   demand reach the route's last node. With the one copy there,
+   [Ops.get] is served after 79 hops. *)
 let test_route_bound () =
   let cluster = Cluster.create budget_params in
   let key = "request-path/bound" in
@@ -366,6 +368,17 @@ let test_route_bound () =
   in
   let hops, end_ = last 0 origin in
   Alcotest.(check int) "2^b (m - b + 1) - 1 hops" 79 hops;
+  let flow = Flow.create tree status and no_copy _ = false in
+  Alcotest.(check (option int)) "Flow.serving_node: no copy" None
+    (Option.map Pid.to_int
+       (Flow.serving_node flow ~holders:no_copy ~origin:(Pid.unsafe_of_int origin)));
+  let rates = Array.make (Params.space budget_params) 0.0 in
+  rates.(origin) <- 5.0;
+  Alcotest.(check (float 0.0)) "Flow.inflows at the route's end" 5.0
+    (List.fold_left ( +. ) 0.0
+       (List.map snd
+          (Flow.inflows flow ~holders:no_copy ~demand:(Demand.of_rates rates)
+             ~at:(Pid.unsafe_of_int end_))));
   File_store.add
     (Cluster.store cluster (Pid.unsafe_of_int end_))
     ~key ~origin:File_store.Replicated ~version:0 ~now:0.0;

@@ -127,13 +127,30 @@ let ladder_matches_oracle ?buckets ?split_threshold times =
   ladder_drain (ladder_of_times ?buckets ?split_threshold times)
   = oracle_order times
 
+(* Words [f] allocates: its minor words plus the words it allocates
+   directly on the major heap, where every array over 256 words goes and
+   [Gc.minor_words] never sees it. Direct major words are
+   [major_words - promoted_words], read after a minor collection has
+   promoted what it will. [Gc.counters]' own result is allocated before
+   the minor count is read. *)
+let words_of f =
+  Gc.minor ();
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor = Gc.minor_words () -. minor0 in
+  Gc.minor ();
+  let _, promoted1, major1 = Gc.counters () in
+  (minor +. (major1 -. major0) -. (promoted1 -. promoted0), r)
+
 (* One round of a drain over a warm queue. The near cluster is dense
    enough to split a bucket twice and arrives shuffled, so dumped buckets
    are sorted; the outliers spread over the rest of the first rung. After
    a few pops, events at the head's own time go to the open heap and a
    far batch lands beyond the rung, to be refilled mid-drain. All times
    are dyadic, so every round with a new [base] lays out identically.
-   Returns the minor words the drain allocated and the events popped. *)
+   Returns the words the drain allocated ({!words_of}) and the events
+   popped. *)
 let ladder_round lq ~seq ~base =
   let push time =
     Ladder.push lq ~time ~seq:!seq ~h:0 ~a:0 ~b:0 ~x:time;
@@ -154,11 +171,13 @@ let ladder_round lq ~seq ~base =
     push (base +. 131072.0)
   done;
   let popped = ref 10 in
-  let w0 = Gc.minor_words () in
-  while Ladder.pop lq do
-    incr popped
-  done;
-  (Gc.minor_words () -. w0, !popped)
+  let words, () =
+    words_of (fun () ->
+        while Ladder.pop lq do
+          incr popped
+        done)
+  in
+  (words, !popped)
 
 let test_ladder_warm_pop_allocates_nothing () =
   let lq = Ladder.create () and seq = ref 0 in
@@ -166,7 +185,53 @@ let test_ladder_warm_pop_allocates_nothing () =
   ignore (ladder_round lq ~seq ~base:1048576.0);
   let words, popped = ladder_round lq ~seq ~base:2097152.0 in
   Alcotest.(check int) "every event popped" 1300 popped;
-  Alcotest.(check (float 0.0)) "minor words" 0.0 words
+  Alcotest.(check (float 0.0)) "minor + direct major words" 0.0 words
+
+(* A long-horizon hold model: [n] timers, each firing [k] times, the next
+   firing 0.5 to 1.5 after the last, and one sentinel past them all. The
+   first far refill fits one rung to the sentinel's horizon, so every
+   rescheduled timer lands in that rung, whose buckets each fill once
+   and are never refilled. The queue's memory must follow the [n] events
+   it holds, not the [n k] that pass through it. Firing times are built
+   beforehand as boxed floats: an out-of-line push ([-opaque] dev
+   builds) would box a computed time for every event. *)
+let test_ladder_hold_memory_follows_pending () =
+  let n = 16384 and k = 24 in
+  let rng = Random.State.make [| 33 |] in
+  let schedule =
+    Array.init n (fun _ ->
+        let t = ref (Random.State.float rng 1.0) in
+        List.init k (fun _ ->
+            let fire = !t in
+            t := fire +. 0.5 +. Random.State.float rng 1.0;
+            fire))
+  in
+  let words, popped =
+    words_of (fun () ->
+        let lq = Ladder.create () and seq = ref 0 in
+        let next j =
+          match schedule.(j) with
+          | [] -> ()
+          | time :: later ->
+              schedule.(j) <- later;
+              Ladder.push lq ~time ~seq:!seq ~h:0 ~a:j ~b:0 ~x:0.0;
+              incr seq
+        in
+        for j = 0 to n - 1 do
+          next j
+        done;
+        Ladder.push lq ~time:64.0 ~seq:!seq ~h:0 ~a:(-1) ~b:0 ~x:0.0;
+        let popped = ref 0 in
+        while Ladder.pop lq do
+          incr popped;
+          if Ladder.arg_a lq >= 0 then next (Ladder.arg_a lq)
+        done;
+        !popped)
+  in
+  Alcotest.(check int) "every firing popped" ((n * k) + 1) popped;
+  if words > 96.0 *. float_of_int n then
+    Alcotest.failf "%.0f words for %d pending events (bound: 96 per event)"
+      words n
 
 let test_ladder_pop_until_boundary () =
   let lq = ladder_of_times [ 1.0; 2.0; 2.0; 3.0 ] in
@@ -191,16 +256,26 @@ let test_heap_pop_if () =
   Alcotest.(check (option int)) "empty" None
     (Heap.pop_if (Heap.create ~cmp:compare) (fun _ -> true))
 
+(* Block-boundary stressors for the bucket chains (64-slot blocks). A
+   burst of up to 200 events at one time cannot split, so it is dumped
+   as a chain of up to four blocks; appended after [times], it also
+   shares its time with some of them. *)
+let with_burst times (at, n) = times @ List.init n (fun _ -> at)
+
+let burst_gen hi = QCheck2.Gen.(pair (float_bound_inclusive hi) (int_range 0 200))
+
 (* Epoch-wise draining — [while pop_until ~bound] windows chained over
    the whole queue — must visit exactly the full-drain order, with the
-   heap's [pop_if] as the mirror oracle. *)
+   heap's [pop_if] as the mirror oracle. Up to 600 events over four
+   buckets put several blocks in a bucket, which then splits. *)
 let prop_ladder_pop_until_epochs =
   Test_support.qcheck_case ~name:"epoch windows = full drain (ladder & heap)"
     QCheck2.Gen.(
-      pair
-        (list_size (int_range 0 300) (float_bound_inclusive 50.0))
-        (float_range 0.1 10.0))
-    (fun (times, width) ->
+      triple
+        (list_size (int_range 0 600) (float_bound_inclusive 50.0))
+        (burst_gen 50.0) (float_range 0.1 10.0))
+    (fun (times, burst, width) ->
+      let times = with_burst times burst in
       let lq = ladder_of_times ~buckets:4 ~split_threshold:4 times in
       let h = Heap.create ~cmp:event_cmp in
       List.iteri (fun i t -> Heap.push h (t, i)) times;
@@ -246,16 +321,29 @@ let test_engine_step_below_and_advance () =
 
 let prop_ladder_uniform =
   Test_support.qcheck_case ~name:"ladder = heap (uniform times)"
-    QCheck2.Gen.(list_size (int_range 0 400) (float_bound_inclusive 100.0))
-    ladder_matches_oracle
+    QCheck2.Gen.(
+      pair
+        (pair (int_range 2 64) (int_range 4 160))
+        (list_size (int_range 0 600) (no_shrink (float_bound_inclusive 100.0))))
+    (fun ((buckets, split_threshold), times) ->
+      (* Few buckets hold several blocks each. A threshold above a block
+         dumps a multi-block bucket whole; a low one splits it, and the
+         child's first block can find the free list empty and grow the
+         slab in the middle of the scatter. Only the list shrinks:
+         shrinking up to 600 times one by one took minutes to report a
+         failure. *)
+      ladder_matches_oracle ~buckets ~split_threshold times)
 
 let prop_ladder_duplicates =
   Test_support.qcheck_case ~name:"ladder = heap (clustered duplicate times)"
-    QCheck2.Gen.(list_size (int_range 0 400) (float_bound_inclusive 8.0))
-    (fun xs ->
+    QCheck2.Gen.(
+      pair (list_size (int_range 0 400) (float_bound_inclusive 8.0))
+        (burst_gen 8.0))
+    (fun (xs, (at, n)) ->
       (* Quarter-resolution rounding manufactures exact duplicates, the
          FIFO-tie stressor. Small rungs force splits and refills. *)
-      let times = List.map (fun x -> Float.round (x *. 4.0) /. 4.0) xs in
+      let quarter x = Float.round (x *. 4.0) /. 4.0 in
+      let times = with_burst (List.map quarter xs) (quarter at, n) in
       ladder_matches_oracle ~buckets:4 ~split_threshold:4 times)
 
 let prop_ladder_wide_range =
@@ -710,6 +798,8 @@ let () =
             test_ladder_pop_until_boundary;
           Alcotest.test_case "warm pop allocates nothing" `Quick
             test_ladder_warm_pop_allocates_nothing;
+          Alcotest.test_case "hold memory follows pending events" `Quick
+            test_ladder_hold_memory_follows_pending;
         ] );
       ( "engine",
         [
