@@ -19,6 +19,11 @@
    (Obs_bench): the m = 10 Des_sim workload plain vs instrumented,
    enforcing the < 5% budget and appending BENCH_obs.json.
 
+   Part 4 — `main.exe sparse` probes the dead-aware navigation queries
+   in a sparse m = 20 identifier space (Sparse_bench): ns and status-word
+   bit tests per call at 50%, 10% and 1% live, uniform and clustered,
+   appending BENCH_sparse.json.
+
    Set LESSLOG_BENCH_QUICK=1 to run the figures at reduced scale and
    LESSLOG_BENCH_MICRO_ONLY=1 to skip them entirely. *)
 
@@ -317,6 +322,7 @@ let run_figures () =
 
 let () =
   if Array.exists (( = ) "obs") Sys.argv then Obs_bench.run ()
+  else if Array.exists (( = ) "sparse") Sys.argv then Sparse_bench.run ()
   else begin
     run_micro ();
     if Sys.getenv_opt "LESSLOG_BENCH_MICRO_ONLY" <> Some "1" then run_figures ()

@@ -4,7 +4,7 @@ let mask ~width = (1 lsl width) - 1
 
 let complement ~width v = lnot v land mask ~width
 
-let popcount x =
+let[@inline] popcount x =
   (* SWAR popcount over the 63 value bits of an OCaml int. *)
   let m1 = 0x5555_5555_5555_5555 in
   let m2 = 0x3333_3333_3333_3333 in
@@ -14,7 +14,7 @@ let popcount x =
   let x = (x + (x lsr 4)) land m4 in
   (x * 0x0101_0101_0101_0101) lsr 56
 
-let floor_log2 x =
+let[@inline] floor_log2 x =
   if x <= 0 then invalid_arg "Bitops.floor_log2";
   let r = ref 0 and x = ref x in
   if !x lsr 32 <> 0 then begin x := !x lsr 32; r := !r + 32 end;

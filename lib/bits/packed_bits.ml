@@ -4,8 +4,8 @@ let bits_per_word = 62
    bit-test hot path would cost a hardware divide. Magic-number division:
    for 0 <= i < 2^30, floor (i / 62) = (i * 2_216_757_315) lsr 37.
    All indices here are PID/VID slots, far below 2^30. *)
-let word_of_index i = (i * 2_216_757_315) lsr 37
-let bit_of_index i = i - (word_of_index i * bits_per_word)
+let[@inline] word_of_index i = (i * 2_216_757_315) lsr 37
+let[@inline] bit_of_index i = i - (word_of_index i * bits_per_word)
 
 type t = { len : int; words : int array }
 
@@ -31,7 +31,7 @@ let copy t = { len = t.len; words = Array.copy t.words }
 
 let clear_all t = Array.fill t.words 0 (Array.length t.words) 0
 
-let get t i = t.words.(word_of_index i) land (1 lsl bit_of_index i) <> 0
+let[@inline] get t i = t.words.(word_of_index i) land (1 lsl bit_of_index i) <> 0
 
 let set t i =
   let w = word_of_index i in

@@ -9,6 +9,8 @@ type t = {
   params : Params.t;
   psi : Psi.t;
   status : Status_word.t;
+  (* [File_store.empty] until the slot's first file: a slot that never
+     stores anything costs this one pointer. *)
   stores : File_store.t array;
   registry : (string, unit) Hashtbl.t;
   (* base key -> (k, r) for keys currently held as erasure-coded
@@ -42,27 +44,18 @@ let holder_bits t key =
           bits)
 
 let make params status =
-  let t =
-    {
-      params;
-      psi = Psi.create ~m:(Params.m params);
-      status;
-      stores = Array.init (Params.space params) (fun _ -> File_store.create ());
-      registry = Hashtbl.create 16;
-      coded = Hashtbl.create 16;
-      trees = Hashtbl.create 16;
-      last_tree = None;
-      holder_index = Hashtbl.create 16;
-      last_holders = None;
-    }
-  in
-  Array.iteri
-    (fun i store ->
-      File_store.set_observer store (fun key held ->
-          let bits = holder_bits t key in
-          if held then Packed_bits.set bits i else Packed_bits.clear bits i))
-    t.stores;
-  t
+  {
+    params;
+    psi = Psi.create ~m:(Params.m params);
+    status;
+    stores = Array.make (Params.space params) File_store.empty;
+    registry = Hashtbl.create 16;
+    coded = Hashtbl.create 16;
+    trees = Hashtbl.create 16;
+    last_tree = None;
+    holder_index = Hashtbl.create 16;
+    last_holders = None;
+  }
 
 let create ?live params =
   let status =
@@ -82,6 +75,23 @@ let status t = t.status
 let psi t = t.psi
 let live_count t = Status_word.live_count t.status
 let store t p = t.stores.(Pid.to_int p)
+
+(* The slot's own store, created with its holder-index observer on the
+   first file. *)
+let own_store t i =
+  let store = t.stores.(i) in
+  if store != File_store.empty then store
+  else begin
+    let store = File_store.create () in
+    File_store.set_observer store (fun key held ->
+        let bits = holder_bits t key in
+        if held then Packed_bits.set bits i else Packed_bits.clear bits i);
+    t.stores.(i) <- store;
+    store
+  end
+
+let add ?tier t p ~key ~origin ~version ~now =
+  File_store.add ?tier (own_store t (Pid.to_int p)) ~key ~origin ~version ~now
 
 let tree_of t p = Ptree.make t.params ~root:p
 

@@ -1,6 +1,12 @@
 (** Global state of a simulated LessLog system: the identifier-space
     parameters, ψ, the membership status word, and one {!File_store} per
-    PID slot.
+    PID slot that has held a file.
+
+    A slot's store is created by its first {!add}; until then {!store}
+    returns the shared, frozen {!File_store.empty}. Reads, removals,
+    demotions and version bumps never create a store, so a join, leave
+    or fail of a slot with no files allocates none, and a cluster over
+    a large, sparsely used identifier space costs a pointer per slot.
 
     The cluster also keeps a registry of every key ever inserted. A real
     deployment has no such global table — the self-organized mechanism of
@@ -33,7 +39,24 @@ val live_count : t -> int
 
 val store : t -> Pid.t -> File_store.t
 (** Local storage of a node (live or dead — dead nodes keep stale state
-    until {!Self_org.fail} clears it). *)
+    until {!Self_org.fail} clears it): {!File_store.empty} when the slot
+    has never held a file. Allocates nothing. Use it to read and remove;
+    add through {!add}, since {!File_store.add} raises on the shared
+    empty store. *)
+
+val add :
+  ?tier:File_store.tier ->
+  t ->
+  Pid.t ->
+  key:string ->
+  origin:File_store.origin ->
+  version:int ->
+  now:float ->
+  unit
+(** {!File_store.add} on the slot's store, creating that store (and its
+    holder-index observer) first if the slot has never held a file. The
+    only path that creates a store. A store, once created, stays for the
+    cluster's lifetime even when emptied. *)
 
 val target_of_key : t -> string -> Pid.t
 (** [P(ψ(f))]: the target node slot of a key. *)

@@ -29,7 +29,7 @@ let insert ?(now = 0.0) cluster ~key =
   in
   List.iter
     (fun p ->
-      File_store.add (Cluster.store cluster p) ~key ~origin:File_store.Inserted
+      Cluster.add cluster p ~key ~origin:File_store.Inserted
         ~version:0 ~now)
     targets;
   Log.debug (fun f ->
@@ -260,7 +260,7 @@ let replicate ?(now = 0.0) ?registry ~rng cluster ~overloaded ~key =
       | Some reg ->
           Obs.Registry.incr (Obs.Registry.counter reg "core/replicate_placed"));
       let version = current_version cluster ~key ~overloaded in
-      File_store.add (Cluster.store cluster dest) ~key
+      Cluster.add cluster dest ~key
         ~origin:File_store.Replicated ~version ~now;
       Log.debug (fun f ->
           f "replicate %S: P(%d) -> P(%d) (v%d)" key (Pid.to_int overloaded)
@@ -359,7 +359,7 @@ let insert_via ?(now = 0.0) sub cluster ~key =
   match sub.Substrate.owner ~key with
   | None -> []
   | Some p ->
-      File_store.add (Cluster.store cluster p) ~key ~origin:File_store.Inserted
+      Cluster.add cluster p ~key ~origin:File_store.Inserted
         ~version:0 ~now;
       Log.debug (fun f ->
           f "insert[%s] %S -> P(%d)" sub.Substrate.name key (Pid.to_int p));
@@ -474,9 +474,9 @@ let demote_to_coded ?(now = 0.0) ?substrate cluster ~key ~k ~r =
     else begin
       List.iter
         (fun (i, p) ->
-          File_store.add
+          Cluster.add
             ~tier:(File_store.Coded { index = i; k; r })
-            (Cluster.store cluster p) ~key:(frag_key key i)
+            cluster p ~key:(frag_key key i)
             ~origin:File_store.Inserted ~version ~now)
         targets;
       let (_ : int) = remove_everywhere cluster ~key in
@@ -516,7 +516,7 @@ let promote_from_coded ?(now = 0.0) ?substrate cluster ~key ~copies =
           Cluster.unregister_coded cluster key;
           List.iter
             (fun p ->
-              File_store.add (Cluster.store cluster p) ~key
+              Cluster.add cluster p ~key
                 ~origin:File_store.Inserted ~version ~now)
             targets;
           let taken = Hashtbl.create copies in
@@ -531,7 +531,7 @@ let promote_from_coded ?(now = 0.0) ?substrate cluster ~key ~copies =
                  if not (Hashtbl.mem taken i) then begin
                    Hashtbl.replace taken i ();
                    let p = Pid.unsafe_of_int i in
-                   File_store.add (Cluster.store cluster p) ~key
+                   Cluster.add cluster p ~key
                      ~origin:File_store.Replicated ~version ~now;
                    placed := p :: !placed
                  end)
@@ -571,9 +571,9 @@ let repair_coded ?(now = 0.0) ?substrate cluster ~key =
               match pick_target ?substrate cluster ~key ~index:i ~taken with
               | None -> false
               | Some p ->
-                  File_store.add
+                  Cluster.add
                     ~tier:(File_store.Coded { index = i; k; r })
-                    (Cluster.store cluster p) ~key:(frag_key key i)
+                    cluster p ~key:(frag_key key i)
                     ~origin:File_store.Inserted ~version ~now;
                   true)
             missing
@@ -600,7 +600,7 @@ let on_membership_via ?(now = 0.0) ?on_coded_repair sub cluster ~event =
       | Some o ->
           if not (Cluster.holds cluster o ~key) then begin
             let version = max_holder_version cluster ~key in
-            File_store.add (Cluster.store cluster o) ~key
+            Cluster.add cluster o ~key
               ~origin:File_store.Inserted ~version ~now;
             incr relocated
           end
@@ -640,7 +640,7 @@ let on_membership_via ?(now = 0.0) ?on_coded_repair sub cluster ~event =
             match sub.Substrate.owner ~key with
             | None -> ()
             | Some o ->
-                File_store.add (Cluster.store cluster o) ~key
+                Cluster.add cluster o ~key
                   ~origin:File_store.Inserted ~version ~now;
                 incr relocated)
         saved

@@ -68,7 +68,7 @@ let take_over cluster ~now k =
                 Option.value ~default:0
                   (File_store.version (Cluster.store cluster donor) ~key)
               in
-              File_store.add (Cluster.store cluster k) ~key
+              Cluster.add cluster k ~key
                 ~origin:File_store.Inserted ~version ~now;
               File_store.demote_to_replica (Cluster.store cluster donor) ~key;
               Some (key, donor)
@@ -103,7 +103,7 @@ let reinsert_one cluster ~now ~key ~version ~departing =
   with
   | None -> None
   | Some p ->
-      File_store.add (Cluster.store cluster p) ~key
+      Cluster.add cluster p ~key
         ~origin:File_store.Inserted ~version ~now;
       Some p
 

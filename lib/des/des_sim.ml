@@ -334,7 +334,7 @@ let policy_enforce st p =
     let deficit = ref (rf - before) in
     Status_word.iter_live (Cluster.status st.p.cluster) (fun q ->
         if !deficit > 0 && not (Cluster.holds st.p.cluster q ~key) then begin
-          File_store.add (Cluster.store st.p.cluster q) ~key
+          Cluster.add st.p.cluster q ~key
             ~origin:File_store.Replicated ~version ~now:(now st);
           st.replicas_created <- st.replicas_created + 1;
           st.last_replication <- Some (now st);

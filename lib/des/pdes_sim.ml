@@ -376,18 +376,21 @@ let start_arrivals (st : state) =
     (fun (sh : shard) ->
       (* Descending subtree VID — a fixed order so the first-gap draws
          from the shard stream are position-independent. *)
-      List.iter
-        (fun p ->
-          if Status_word.is_live st.status p then begin
-            let rate = Demand.rate st.demand p in
-            if rate > 0.0 then begin
-              let t = Rng.exponential sh.rng ~rate in
-              if t < st.duration then
-                Engine.post_at sh.eng ~time:t ~h:sh.h_arrival
-                  ~a:(Pid.to_int p) ~b:0 ~x:0.0
-            end
-          end)
-        (Subtrees.members st.tree ~subtree_id:sh.sid))
+      for sv = Packed_bits.length sh.holders - 1 downto 0 do
+        let p =
+          Ptree.pid_of_vid st.tree
+            (Subtrees.compose_vid st.params ~subtree_vid:sv ~subtree_id:sh.sid)
+        in
+        if Status_word.is_live st.status p then begin
+          let rate = Demand.rate st.demand p in
+          if rate > 0.0 then begin
+            let t = Rng.exponential sh.rng ~rate in
+            if t < st.duration then
+              Engine.post_at sh.eng ~time:t ~h:sh.h_arrival
+                ~a:(Pid.to_int p) ~b:0 ~x:0.0
+          end
+        end
+      done)
     st.shards
 
 let finalize_obs (st : state) (obs : Obs.t) ~latencies ~hops =

@@ -14,22 +14,27 @@ module Trigger = struct
   type t = {
     capacity : float;
     cooldown : float;
-    estimators : Access_counter.t array;
-    cooldown_until : float array;
+    estimators : Access_counter.Slots.t;
+    cooldown_until : Float.Array.t;
   }
 
   let create ~capacity ~tau ~cooldown n =
-    let estimator _ = Access_counter.create ~tau ~now:0.0 () in
-    { capacity; cooldown; estimators = Array.init n estimator;
-      cooldown_until = Array.make n 0.0 }
+    {
+      capacity;
+      cooldown;
+      estimators = Access_counter.Slots.create ~tau ~now:0.0 n;
+      cooldown_until = Float.Array.make n 0.0;
+    }
 
-  let[@inline] record t i ~now = Access_counter.record t.estimators.(i) ~now
+  let[@inline] record t i ~now = Access_counter.Slots.record t.estimators i ~now
+  let[@inline] rate t i ~now = Access_counter.Slots.rate t.estimators i ~now
+  let[@inline] overloaded t i ~now = rate t i ~now > t.capacity
 
-  let[@inline] overloaded t i ~now =
-    Access_counter.rate t.estimators.(i) ~now > t.capacity
+  let[@inline] due t i ~now =
+    overloaded t i ~now && now >= Float.Array.get t.cooldown_until i
 
-  let[@inline] due t i ~now = overloaded t i ~now && now >= t.cooldown_until.(i)
-  let[@inline] arm t i ~now = t.cooldown_until.(i) <- now +. t.cooldown
+  let[@inline] arm t i ~now =
+    Float.Array.set t.cooldown_until i (now +. t.cooldown)
 end
 
 type t = {
@@ -139,7 +144,7 @@ let maybe_replicate t ~overloaded =
 let apply_push t ~me ~src ~version =
   (not (Cluster.holds t.cluster me ~key:t.key))
   && begin
-       File_store.add (Cluster.store t.cluster me) ~key:t.key
+       Cluster.add t.cluster me ~key:t.key
          ~origin:File_store.Replicated ~version ~now:(now t);
        (match t.sink with
        | None -> ()

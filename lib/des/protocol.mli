@@ -12,12 +12,22 @@
 open Lesslog_id
 
 (** Per-slot access-rate estimators and replication cooldowns, indexed by
-    PID (by subtree VID in [Pdes_sim]). *)
+    PID (by subtree VID in [Pdes_sim]). The estimators are one
+    {!Lesslog_storage.Access_counter.Slots} and the cooldowns one float
+    array: no record per slot, and the same floats as a per-slot
+    {!Lesslog_storage.Access_counter}. *)
 module Trigger : sig
   type t
 
   val create : capacity:float -> tau:float -> cooldown:float -> int -> t
+  (** [n] slots, each with count 0 stamped at time 0.
+      @raise Invalid_argument when [tau <= 0]. *)
+
   val record : t -> int -> now:float -> unit
+
+  val rate : t -> int -> now:float -> float
+  (** The slot's estimated serve rate at [now]
+      ({!Lesslog_storage.Access_counter.rate}); decays the slot to [now]. *)
 
   val overloaded : t -> int -> now:float -> bool
   (** The slot's estimated serve rate exceeds capacity. *)

@@ -54,7 +54,7 @@ let run ?max_steps ~rng ~cluster ~key ~demand ~capacity ~policy () =
                   Option.value ~default:0
                     (File_store.version (Cluster.store cluster overloaded) ~key)
                 in
-                File_store.add (Cluster.store cluster dest) ~key
+                Cluster.add cluster dest ~key
                   ~origin:File_store.Replicated ~version ~now:0.0;
                 incr replicas
             | None -> try_nodes rest)
@@ -121,7 +121,7 @@ let evict_cold ?(capacity = infinity) ~cluster ~key ~demand ~min_rate () =
         if max_load > capacity || after.Flow.unserved > 0.0 then begin
           (* Rolling this copy back keeps the system balanced; never try
              it again. *)
-          File_store.add store ~key ~origin:File_store.Replicated ~version
+          Cluster.add cluster p ~key ~origin:File_store.Replicated ~version
             ~now:0.0;
           Packed_bits.set blocked (Pid.to_int p)
         end

@@ -112,7 +112,7 @@ let run ?max_steps ~rng ~cluster ~catalog ~capacity ~policy () =
                           Option.value ~default:0
                             (File_store.version (Cluster.store cluster node) ~key)
                         in
-                        File_store.add (Cluster.store cluster dest) ~key
+                        Cluster.add cluster dest ~key
                           ~origin:File_store.Replicated ~version ~now:0.0;
                         Hashtbl.replace created key
                           (1 + Option.value ~default:0 (Hashtbl.find_opt created key));

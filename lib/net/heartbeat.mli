@@ -15,9 +15,12 @@
     message loss it raises false suspicions that later recover, and a
     crash is only detected [suspect_after * period] seconds late.
 
-    Peers are found through an int array from PID to peer, sized to the
-    largest monitored PID, so {!pong} and {!suspected} allocate nothing;
-    a round is a loop over the peers. *)
+    Peer state is flat: one array per field (PID, misses, verdict,
+    outstanding sequence number, answered), indexed by the peer's
+    position, with no record per peer. Peers are found through an int
+    array from PID to position, sized to the largest monitored PID, so
+    {!pong} and {!suspected} allocate nothing; a round is a loop over the
+    positions. *)
 
 open Lesslog_id
 

@@ -33,13 +33,18 @@ type 'meta event =
   | Retransmit of { id : int; attempt : int; meta : 'meta }
   | Exhausted of { id : int; attempts : int; meta : 'meta }
 
-(* Live requests sit in parallel slot arrays indexed by [id land mask].
-   Ids are issued in sequence, so every live id lies within the last
-   [mask + 1] issued and no two share a slot; when the slot of the next
-   id still holds a live request the ring doubles. A free slot holds id
-   [-1]. The engine has no timer cancellation: a timer fires
-   unconditionally and is stale unless its request still owns the slot
-   on the attempt the timer was armed for. *)
+(* Live requests sit in parallel slot arrays, an open-addressed table
+   keyed by request id: a request lives at its home slot [id land mask]
+   or, when that was taken, in the first free slot after it, with no
+   free slot between home and slot (linear probing; a removal shifts
+   later entries back to keep that so). A free slot holds id [-1]. Ids
+   are issued in sequence, so nearly every request sits at home. The
+   table doubles only when the next id's home is taken and at least
+   half the slots are live, so it stays within four times the peak
+   in-flight count (64 slots at least), however far apart the live ids
+   are. The engine has no timer cancellation: a timer fires
+   unconditionally and is stale unless its request is still live on the
+   attempt the timer was armed for. *)
 type 'meta t = {
   engine : Engine.t;
   rng : Rng.t;
@@ -65,16 +70,46 @@ let initial_slots = 64
 
 let count t f = match t.metrics with None -> () | Some m -> Obs.Registry.incr (f m)
 
-(* The slot of live request [id], or [-1]. *)
+let rec probe slot_id mask id s left =
+  let v = Array.unsafe_get slot_id s in
+  if v = id then s
+  else if v < 0 || left = 0 then -1
+  else probe slot_id mask id ((s + 1) land mask) (left - 1)
+
+(* The slot of live request [id], or [-1]: from its home up to the first
+   free slot, at most once round the table. *)
 let[@inline] slot t id =
-  let s = id land t.mask in
-  if id >= 0 && Array.unsafe_get t.slot_id s = id then s else -1
+  if id < 0 then -1 else probe t.slot_id t.mask id (id land t.mask) t.mask
 
-let free t id =
-  t.slot_id.(id land t.mask) <- -1;
-  t.in_flight <- t.in_flight - 1
+(* The first free slot from [id]'s home on; the table must have one. *)
+let rec free_slot slot_id mask s =
+  if Array.unsafe_get slot_id s < 0 then s
+  else free_slot slot_id mask ((s + 1) land mask)
 
-(* Double the ring, rehoming each live request at [id land mask']. *)
+let move t ~src ~dst =
+  t.slot_id.(dst) <- t.slot_id.(src);
+  t.attempt.(dst) <- t.attempt.(src);
+  Float.Array.set t.issued_at dst (Float.Array.get t.issued_at src);
+  t.meta.(dst) <- t.meta.(src);
+  t.slot_id.(src) <- -1
+
+(* Empty slot [s], then walk the run after it: an entry whose home does
+   not lie in (hole, j] moves back into the hole, which moves to [j]. *)
+let free t s =
+  let mask = t.mask in
+  t.slot_id.(s) <- -1;
+  t.in_flight <- t.in_flight - 1;
+  let hole = ref s and j = ref ((s + 1) land mask) in
+  while t.slot_id.(!j) >= 0 do
+    let home = (t.slot_id.(!j) - !hole) land mask in
+    if home = 0 || home > (!j - !hole) land mask then begin
+      move t ~src:!j ~dst:!hole;
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done
+
+(* Double the table, placing each live request afresh from its home. *)
 let grow t =
   let cap = t.mask + 1 in
   let mask' = (2 * cap) - 1 in
@@ -84,7 +119,7 @@ let grow t =
   for s = 0 to cap - 1 do
     let id = t.slot_id.(s) in
     if id >= 0 then begin
-      let s' = id land mask' in
+      let s' = free_slot slot_id mask' (id land mask') in
       slot_id.(s') <- id;
       attempt.(s') <- t.attempt.(s);
       Float.Array.set issued_at s' (Float.Array.get t.issued_at s);
@@ -120,7 +155,7 @@ let timed_out t id attempt s =
   let s = slot t id in
   if s >= 0 && t.attempt.(s) = attempt then
     if attempt + 1 >= Retry.attempts t.config.policy then begin
-      free t id;
+      free t s;
       t.exhausted <- t.exhausted + 1;
       count t (fun m -> m.m_exhausted);
       match t.on_event with
@@ -181,8 +216,8 @@ let create ~engine ~rng ?(config = default_config) ?on_event ?registry
 let issue t meta =
   let id = t.next_id in
   if Array.length t.meta = 0 then t.meta <- Array.make (t.mask + 1) meta;
-  if t.slot_id.(id land t.mask) >= 0 then grow t;
-  let s = id land t.mask in
+  if t.slot_id.(id land t.mask) >= 0 && 2 * t.in_flight > t.mask then grow t;
+  let s = free_slot t.slot_id t.mask (id land t.mask) in
   t.slot_id.(s) <- id;
   t.attempt.(s) <- 0;
   Float.Array.set t.issued_at s (Engine.now t.engine);
@@ -198,14 +233,14 @@ let complete t ~id =
   let s = slot t id in
   s >= 0
   && begin
-       free t id;
-       t.completed <- t.completed + 1;
        (match t.metrics with
        | None -> ()
        | Some m ->
            Obs.Registry.incr m.m_completed;
            Obs.Registry.observe m.m_latency
              (Engine.now t.engine -. Float.Array.get t.issued_at s));
+       free t s;
+       t.completed <- t.completed + 1;
        true
      end
 

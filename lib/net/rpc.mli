@@ -15,13 +15,17 @@
     which is handed back to [transmit] and to every event; {!issued_at}
     reads a live request's issue time.
 
-    Live requests sit in slot arrays (id, attempt, issue time, metadata)
-    indexed by [id land mask]. Ids are issued in sequence, so the slots
-    form a ring: it starts at 64 slots and doubles, rehoming every live
-    request, when the slot of the next id is still live — so any number
-    of requests may be in flight and complete in any order. Completion
-    and exhaustion only free the slot (a finished request's metadata
-    stays referenced until its slot is reused). A timer whose request no
+    Live requests sit in slot arrays (id, attempt, issue time, metadata),
+    an open-addressed table keyed by id: home slot [id land mask], else
+    the first free slot after it. Ids are issued in sequence, so nearly
+    every request sits at home. The table starts at 64 slots and
+    doubles, rehoming every live request, only when the next id's home
+    is taken and at least half the slots are live — so any number of
+    requests may be in flight and complete in any order, and the table
+    stays within four times the peak in-flight count however long one
+    request lives. Completion and exhaustion only free the slot (a
+    finished request's metadata stays referenced until its slot is
+    reused). A timer whose request no
     longer owns its slot, or whose attempt is not the one in flight, is
     stale and ignored. With no [on_event] and no [registry], issuing,
     timing out, retransmitting and completing allocate nothing in the
@@ -89,9 +93,10 @@ val in_flight : 'meta t -> int
 (** Requests neither completed nor exhausted yet. *)
 
 val slots : 'meta t -> int
-(** Current size of the slot ring: 64 at first, doubled by each
-    {!issue} that finds its slot still held by a live request (the one
-    issued [slots] ids earlier). Never shrinks. *)
+(** Current size of the slot table: 64 at first, doubled by each
+    {!issue} that finds its id's home slot taken while at least half the
+    slots are live, so at most [max 64 (4 * peak in_flight)]. Never
+    shrinks. *)
 
 (** Lifetime counters. [issued t = completed t + exhausted t + in_flight t]. *)
 

@@ -25,12 +25,20 @@ type t = {
 
 let create () = { entries = Hashtbl.create 16; on_change = None }
 
-let set_observer t f = t.on_change <- Some f
+(* Shared by every slot that holds no file: reads find no entry and
+   removals find nothing to drop, so only [add] and [set_observer], the
+   two writes that would reach every slot sharing it, refuse it. *)
+let empty = { entries = Hashtbl.create 1; on_change = None }
+
+let set_observer t f =
+  if t == empty then invalid_arg "File_store.set_observer: shared empty store";
+  t.on_change <- Some f
 
 let notify t key held =
   match t.on_change with None -> () | Some f -> f key held
 
 let add ?(tier = Replicated_full) t ~key ~origin ~version ~now =
+  if t == empty then invalid_arg "File_store.add: shared empty store";
   (match Hashtbl.find_opt t.entries key with
   | None ->
       Hashtbl.replace t.entries key

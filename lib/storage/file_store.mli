@@ -34,6 +34,13 @@ type t
 
 val create : unit -> t
 
+val empty : t
+(** One shared, frozen store that holds nothing. {!Cluster} hands it out
+    for every slot that has never held a file, so a slot costs one
+    pointer until its first file arrives. Every read of it answers
+    "absent" and every removal is a no-op; {!add} and {!set_observer}
+    raise [Invalid_argument] on it. *)
+
 val set_observer : t -> (string -> bool -> unit) -> unit
 (** [set_observer t f] registers the single change observer: [f key true]
     fires after every {!add} and [f key false] after every removal that
@@ -41,7 +48,8 @@ val set_observer : t -> (string -> bool -> unit) -> unit
     holding — an [add] of an already-held key still fires [f key true] —
     so observers maintaining an index must treat them as "now holds" /
     "now does not hold" statements, not as deltas. {!Cluster} uses this to
-    keep a per-key holder bitset exact without scanning stores. *)
+    keep a per-key holder bitset exact without scanning stores.
+    @raise Invalid_argument on {!empty}. *)
 
 val add :
   ?tier:tier ->
@@ -54,7 +62,9 @@ val add :
 (** Store a copy ([tier] defaults to [Replicated_full]). Re-adding an
     existing key keeps the entry but upgrades its origin to [Inserted]
     if either is inserted, raises the stored version to [version] if
-    newer, and takes the new call's [tier]. *)
+    newer, and takes the new call's [tier].
+    @raise Invalid_argument on {!empty}: a cluster slot's first file goes
+    through [Lesslog.Cluster.add], which creates the slot's store. *)
 
 val remove : t -> key:string -> unit
 val holds : t -> key:string -> bool

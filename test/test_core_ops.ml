@@ -70,7 +70,7 @@ let test_get_local_copy_short_circuits () =
   let key = key_targeting cluster (pid 4) in
   ignore (Ops.insert cluster ~key);
   (* Plant a replica at P(8); a request at P(8) is served locally. *)
-  File_store.add (Cluster.store cluster (pid 8)) ~key
+  Cluster.add cluster (pid 8) ~key
     ~origin:File_store.Replicated ~version:0 ~now:0.0;
   let r = Ops.get cluster ~origin:(pid 8) ~key in
   Alcotest.(check (option int)) "local" (Some 8)
@@ -83,7 +83,7 @@ let test_get_intercepted_on_path () =
   let key = key_targeting cluster (pid 4) in
   ignore (Ops.insert cluster ~key);
   (* P(8) routes via P(0); a replica at P(0) intercepts. *)
-  File_store.add (Cluster.store cluster (pid 0)) ~key
+  Cluster.add cluster (pid 0) ~key
     ~origin:File_store.Replicated ~version:0 ~now:0.0;
   let r = Ops.get cluster ~origin:(pid 8) ~key in
   Alcotest.(check (option int)) "intercepted" (Some 0)
@@ -561,7 +561,7 @@ let prop_total_copies_matches_holders =
                     (Ops.replicate ~rng cluster ~overloaded:(Rng.pick_list rng hs)
                        ~key))
           | 2 ->
-              File_store.add (Cluster.store cluster p) ~key
+              Cluster.add cluster p ~key
                 ~origin:File_store.Replicated ~version:0 ~now:0.0
           | 3 ->
               (* Every replica at [p] is cold; the survivor floor keeps
@@ -640,7 +640,7 @@ let prop_choice_matches_candidate_lists =
       ignore (Ops.insert cluster ~key);
       Status_word.iter_live status (fun p ->
           if Rng.float rng 4.0 < float_of_int holding then
-            File_store.add (Cluster.store cluster p) ~key
+            Cluster.add cluster p ~key
               ~origin:File_store.Replicated ~version:0 ~now:0.0);
       let ok = ref true in
       Status_word.iter_live status (fun overloaded ->
@@ -671,7 +671,7 @@ let decision_words ~b =
   let overloaded = Subtrees.subtree_root tree ~subtree_id:0 in
   ignore (Ops.insert cluster ~key);
   let child = List.hd (Topology.children_list ~b tree status overloaded) in
-  File_store.add (Cluster.store cluster child) ~key
+  Cluster.add cluster child ~key
     ~origin:File_store.Replicated ~version:0 ~now:0.0;
   let rng = Rng.create ~seed:5 in
   let closure =
@@ -701,6 +701,27 @@ let test_decision_allocation () =
           b decision closure)
     [ 0; 2 ]
 
+(* A slot costs a pointer until its first file: a fresh m = 20 cluster
+   with one inserted file holds about 8.7 MB live (the store array and
+   the status and holder bitsets), against 285 MB when every slot had its
+   own empty store. *)
+let test_sparse_cluster_memory () =
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let cluster = Cluster.create (Params.create ~m:20 ()) in
+  let targets = Ops.insert cluster ~key:"sparse/one" in
+  Gc.full_major ();
+  let live_mb =
+    float_of_int (((Gc.stat ()).Gc.live_words - before) * (Sys.word_size / 8))
+    /. 1e6
+  in
+  Alcotest.(check int) "one copy" 1 (List.length targets);
+  Alcotest.(check int) "the copy is readable" 1
+    (Cluster.total_copies cluster ~key:"sparse/one");
+  if live_mb >= 16.0 then
+    Alcotest.failf "m = 20 cluster holds %.1f MB live (under 16 MB)" live_mb;
+  ignore (Sys.opaque_identity cluster)
+
 let () =
   Alcotest.run "core_ops"
     [
@@ -710,6 +731,8 @@ let () =
           Alcotest.test_case "all live" `Quick test_insert_all_live;
           Alcotest.test_case "dead target" `Quick test_insert_dead_target;
           Alcotest.test_case "empty system" `Quick test_insert_empty_system;
+          Alcotest.test_case "m = 20 cluster under 16 MB live" `Quick
+            test_sparse_cluster_memory;
         ] );
       ( "get",
         [

@@ -195,8 +195,8 @@ let test_eviction_survivor_floor () =
   in
   List.iter
     (fun p ->
-      File_store.add
-        (Cluster.store cluster (Pid.unsafe_of_int p))
+      Cluster.add cluster
+        (Pid.unsafe_of_int p)
         ~key ~origin:File_store.Replicated ~version:0 ~now:0.0)
     replicas;
   let evicts = ref [] in
@@ -285,8 +285,8 @@ let replay_with_oracle ~m ~period ~min_rate ~duration events =
           | None -> ())
       | Replicate { at; dst; _ } ->
           ticks_until at;
-          File_store.add
-            (Cluster.store cluster (Pid.unsafe_of_int dst))
+          Cluster.add cluster
+            (Pid.unsafe_of_int dst)
             ~key ~origin:File_store.Replicated ~version:0 ~now:at;
           timeline := (at, copies ()) :: !timeline
       | Membership { at; node; change } -> (
@@ -778,8 +778,8 @@ let test_steady_cycle_allocates_no_more_than_engine () =
 let tick_run ~period =
   let cluster = make_cluster ~m:12 () in
   for i = 1 to 64 do
-    File_store.add
-      (Cluster.store cluster (Pid.unsafe_of_int (i * 61)))
+    Cluster.add cluster
+      (Pid.unsafe_of_int (i * 61))
       ~key ~origin:File_store.Replicated ~version:0 ~now:0.0
   done;
   let config =
@@ -812,6 +812,39 @@ let test_eviction_tick_allocation () =
   if per_tick > 512.0 then
     Alcotest.failf "eviction tick: %.1f words (at most 512)" per_tick
 
+(* The flat trigger keeps each slot's count and stamp in float arrays;
+   over any record/query sequence its rate must equal a per-slot
+   [Access_counter]'s bit for bit, and its overload verdict with it. *)
+let prop_flat_trigger_matches_counter =
+  let slots = 4 and tau = 1.5 and capacity = 2.0 in
+  Test_support.qcheck_case ~name:"flat trigger = Access_counter, bit for bit"
+    QCheck2.Gen.(
+      list_size (int_range 1 200)
+        (triple (int_bound (slots - 1)) bool (float_bound_inclusive 0.7)))
+    (fun ops ->
+      let trigger =
+        Lesslog_des.Protocol.Trigger.create ~capacity ~tau ~cooldown:1.0 slots
+      in
+      let counters =
+        Array.init slots (fun _ -> Access_counter.create ~tau ~now:0.0 ())
+      in
+      let now = ref 0.0 in
+      List.for_all
+        (fun (i, is_record, dt) ->
+          now := !now +. dt;
+          if is_record then begin
+            Lesslog_des.Protocol.Trigger.record trigger i ~now:!now;
+            Access_counter.record counters.(i) ~now:!now;
+            true
+          end
+          else
+            let flat = Lesslog_des.Protocol.Trigger.rate trigger i ~now:!now
+            and reference = Access_counter.rate counters.(i) ~now:!now in
+            Int64.equal (Int64.bits_of_float flat) (Int64.bits_of_float reference)
+            && Lesslog_des.Protocol.Trigger.overloaded trigger i ~now:!now
+               = (reference > capacity))
+        ops)
+
 let () =
   Alcotest.run "des"
     [
@@ -835,6 +868,7 @@ let () =
           Alcotest.test_case "eviction tick: at most 512 words at m = 12"
             `Quick test_eviction_tick_allocation;
         ] );
+      ("trigger", [ prop_flat_trigger_matches_counter ]);
       ( "integration",
         [
           Alcotest.test_case "agrees with fluid solver" `Slow

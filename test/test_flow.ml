@@ -232,7 +232,7 @@ let test_evict_cold_never_removes_inserted () =
 let test_evict_cold_blocks_unbalancing_removal () =
   let cluster, key = setup ~target:9 () in
   let replica = pid 20 in
-  File_store.add (Cluster.store cluster replica) ~key
+  Cluster.add cluster replica ~key
     ~origin:File_store.Replicated ~version:0 ~now:0.0;
   let demand = Demand.uniform (Cluster.status cluster) ~total:120.0 in
   (* Both copies are cold (min_rate far above either serve rate), but

@@ -146,7 +146,7 @@ let check_trial seed =
          ~subtree_id:(Rng.int rng (Params.subtree_count params)));
   let density = [| 0.0; 0.02; 0.1; 0.3 |].(Rng.int rng 4) in
   let add p =
-    File_store.add (Cluster.store cluster p) ~key ~origin:File_store.Replicated
+    Cluster.add cluster p ~key ~origin:File_store.Replicated
       ~version:0 ~now:0.0
   in
   if Rng.bool rng then
@@ -379,8 +379,8 @@ let test_route_bound () =
        (List.map snd
           (Flow.inflows flow ~holders:no_copy ~demand:(Demand.of_rates rates)
              ~at:(Pid.unsafe_of_int end_))));
-  File_store.add
-    (Cluster.store cluster (Pid.unsafe_of_int end_))
+  Cluster.add cluster
+    (Pid.unsafe_of_int end_)
     ~key ~origin:File_store.Replicated ~version:0 ~now:0.0;
   let got = Ops.get cluster ~origin:(Pid.unsafe_of_int origin) ~key in
   Alcotest.(check (option int)) "Ops.get served at the route's end"

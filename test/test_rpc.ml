@@ -401,6 +401,39 @@ let test_slot_model_grows () =
   Alcotest.(check (option string)) "model agrees" None error;
   Alcotest.(check bool) "ring grew" true (slots > 64)
 
+(* A request that stays live while 100k later ones come and go must not
+   stretch the table: it is sized by what is in flight, not by the span
+   of live ids. The stuck ids 0, 25,600, 51,200 and 76,800 are multiples
+   of 64, so all four share home slot 0 of the 64-slot table: each later
+   one probes past the earlier ones, and completing them in issue order
+   has to shift the rest of the chain back each time. *)
+let test_stuck_request_keeps_table_small () =
+  let config = { Rpc.timeout = 1e9; policy = Retry.default } in
+  let engine = Engine.create () in
+  let rpc =
+    Rpc.create ~engine ~rng:(Rng.create ~seed:5) ~config
+      ~transmit:(fun ~id:_ ~attempt:_ () -> ())
+      ()
+  in
+  let stuck = ref [] in
+  for i = 0 to 100_000 do
+    let id = Rpc.issue rpc () in
+    if i mod 25_600 = 0 then stuck := id :: !stuck
+    else Alcotest.(check bool) "completes" true (Rpc.complete rpc ~id)
+  done;
+  Alcotest.(check int) "in flight" 4 (Rpc.in_flight rpc);
+  List.iter
+    (fun id -> Alcotest.(check int) "home slot 0" 0 (id land 63))
+    !stuck;
+  Alcotest.(check int) "table never grew" 64 (Rpc.slots rpc);
+  List.iter
+    (fun id ->
+      Alcotest.(check (float 0.0)) "issue time" 0.0 (Rpc.issued_at rpc ~id);
+      Alcotest.(check bool) "stuck request completes" true (Rpc.complete rpc ~id);
+      Alcotest.(check bool) "once" false (Rpc.complete rpc ~id))
+    (List.rev !stuck);
+  Alcotest.(check int) "drained" 0 (Rpc.in_flight rpc)
+
 let prop_never_silent =
   (* Whatever subset of requests the "network" answers, every request ends
      completed or exhausted once the engine drains — none vanish. *)
@@ -540,6 +573,127 @@ let test_detector_unmonitored () =
   Alcotest.(check int) "no recovery" 0 (Heartbeat.recoveries detector);
   Alcotest.(check int) "suspected count" 1 (Heartbeat.suspected_count detector)
 
+(* The detector as it was before its peers went flat: one mutable
+   record per peer. The flat detector must give the same pings, verdict
+   changes and counters under any interleaving of rounds and pongs. *)
+module Record_detector = struct
+  type peer = {
+    pid : int;
+    mutable misses : int;
+    mutable suspected : bool;
+    mutable last_seq : int;
+    mutable answered : bool;
+  }
+
+  type t = {
+    suspect_after : int;
+    peers : peer array;
+    mutable next_seq : int;
+    mutable changes : (int * Heartbeat.verdict) list;
+    mutable pings : (int * int) list;
+  }
+
+  let create ~suspect_after pids =
+    {
+      suspect_after;
+      peers =
+        Array.map
+          (fun pid ->
+            { pid; misses = 0; suspected = false; last_seq = -1; answered = true })
+          pids;
+      next_seq = 0;
+      changes = [];
+      pings = [];
+    }
+
+  let round t =
+    Array.iter
+      (fun p ->
+        if (not p.answered) && p.last_seq >= 0 then begin
+          p.misses <- p.misses + 1;
+          if p.misses >= t.suspect_after && not p.suspected then begin
+            p.suspected <- true;
+            t.changes <- (p.pid, `Suspect) :: t.changes
+          end
+        end;
+        let seq = t.next_seq in
+        t.next_seq <- t.next_seq + 1;
+        p.last_seq <- seq;
+        p.answered <- false;
+        t.pings <- (p.pid, seq) :: t.pings)
+      t.peers
+
+  let find t peer = Array.find_opt (fun p -> p.pid = peer) t.peers
+
+  let pong t ~peer ~seq =
+    match find t peer with
+    | None -> ()
+    | Some p ->
+        if seq <= p.last_seq then begin
+          if seq = p.last_seq then p.answered <- true;
+          p.misses <- 0;
+          if p.suspected then begin
+            p.suspected <- false;
+            t.changes <- (p.pid, `Trust) :: t.changes
+          end
+        end
+
+  let last_seq t peer =
+    match find t peer with None -> 0 | Some p -> p.last_seq
+
+  let suspected_count t =
+    Array.fold_left (fun acc p -> if p.suspected then acc + 1 else acc) 0 t.peers
+end
+
+(* [None] is a round; [Some (k, back)] is a pong from candidate [k] (the
+   last is unmonitored) carrying the sequence number [back] below the
+   last one sent to it — [-1] forges one from the future. A round is
+   [start ~until:now]: exactly one synchronous round, nothing posted. *)
+let prop_flat_detector_matches_records =
+  let pids = [| 5; 0; 9; 2 |] and unmonitored = 7 in
+  Test_support.qcheck_case ~name:"flat peers = per-peer records"
+    QCheck2.Gen.(
+      list_size (int_range 1 120)
+        (option ~ratio:0.7
+           (pair (int_bound (Array.length pids)) (int_range (-1) 2))))
+    (fun ops ->
+      let suspect_after = 3 in
+      let engine = Engine.create () in
+      let changes = ref [] and pings = ref [] in
+      let flat =
+        Heartbeat.create ~engine
+          ~config:{ Heartbeat.period = 1.0; suspect_after }
+          ~peers:(peers_of_ints (Array.to_list pids))
+          ~ping:(fun ~seq p -> pings := (Pid.to_int p, seq) :: !pings)
+          ~on_change:(fun p v -> changes := (Pid.to_int p, v) :: !changes)
+          ()
+      in
+      let reference = Record_detector.create ~suspect_after pids in
+      List.iter
+        (function
+          | None ->
+              Heartbeat.start flat ~until:(Engine.now engine);
+              Record_detector.round reference
+          | Some (k, back) ->
+              let peer = if k < Array.length pids then pids.(k) else unmonitored in
+              let seq = Record_detector.last_seq reference peer - back in
+              Heartbeat.pong flat ~peer:(Pid.unsafe_of_int peer) ~seq;
+              Record_detector.pong reference ~peer ~seq)
+        ops;
+      let count verdict l =
+        List.length (List.filter (fun (_, v) -> v = verdict) l)
+      in
+      !changes = reference.changes
+      && !pings = reference.pings
+      && Heartbeat.suspicions flat = count `Suspect reference.changes
+      && Heartbeat.recoveries flat = count `Trust reference.changes
+      && Heartbeat.suspected_count flat = Record_detector.suspected_count reference
+      && Array.for_all
+           (fun pid ->
+             Heartbeat.suspected flat (Pid.unsafe_of_int pid)
+             = (Option.get (Record_detector.find reference pid)).suspected)
+           pids)
+
 (* --- Allocation gate --------------------------------------------------------- *)
 
 (* A steady issue + complete cycle, with no [on_event] and no registry,
@@ -621,6 +775,8 @@ let () =
             test_slot_reuse_ignores_stale_timer;
           Alcotest.test_case "slot model grows under load" `Quick
             test_slot_model_grows;
+          Alcotest.test_case "stuck request keeps the table small" `Quick
+            test_stuck_request_keeps_table_small;
         ] );
       ("rpc properties", [ prop_never_silent; prop_slot_model ]);
       ( "heartbeat",
@@ -632,6 +788,7 @@ let () =
           Alcotest.test_case "suspicion timing" `Quick test_detector_timing;
           Alcotest.test_case "unmonitored peers ignored" `Quick
             test_detector_unmonitored;
+          prop_flat_detector_matches_records;
         ] );
       ( "allocation",
         [

@@ -85,7 +85,7 @@ let test_leave_reinserts_and_drops () =
   (* Plant a replica of another file on the leaver. *)
   let other = key_targeting cluster (pid 9) in
   ignore (Ops.insert cluster ~key:other);
-  File_store.add (Cluster.store cluster (pid 4)) ~key:other
+  Cluster.add cluster (pid 4) ~key:other
     ~origin:File_store.Replicated ~version:0 ~now:0.0;
   let stats = Self_org.leave cluster (pid 4) in
   Alcotest.(check (list string)) "replica discarded" [ other ]
@@ -321,6 +321,38 @@ let test_fail_join_allocation () =
          let s = Self_org.fail ~now:1.0 cluster k in
          assert (s.Self_org.lost = [])))
 
+(* Membership events of slots that hold no file read their stores and
+   find the shared empty one: none of them may create a store. Every
+   bystander of a one-file m = 12 cluster leaves, rejoins, fails and
+   rejoins; afterwards each still has the shared store, and the events
+   allocate well under the 30-odd words one store costs. *)
+let test_empty_slot_events_create_no_store () =
+  let cluster = Cluster.create (Params.create ~m:12 ()) in
+  let key = "self-org/sparse" in
+  ignore (Ops.insert cluster ~key);
+  let target = Cluster.target_of_key cluster key in
+  let bystanders =
+    List.filter (fun k -> not (Pid.equal k target)) (List.init 4096 pid)
+  in
+  let w0 = Gc.minor_words () in
+  List.iter
+    (fun k ->
+      ignore (Self_org.leave ~now:1.0 cluster k);
+      ignore (Self_org.join ~now:1.0 cluster k);
+      ignore (Self_org.fail ~now:1.0 cluster k);
+      ignore (Self_org.join ~now:1.0 cluster k))
+    bystanders;
+  let per_event =
+    (Gc.minor_words () -. w0) /. float_of_int (4 * List.length bystanders)
+  in
+  List.iter
+    (fun k ->
+      if Cluster.store cluster k != File_store.empty then
+        Alcotest.failf "P(%d) got a store of its own" (Pid.to_int k))
+    bystanders;
+  if per_event > 12.0 then
+    Alcotest.failf "%.1f words per event (at most 12)" per_event
+
 let () =
   Alcotest.run "self_org"
     [
@@ -363,5 +395,7 @@ let () =
             test_leave_join_allocation;
           Alcotest.test_case "bystander fail + join: at most 40 words" `Quick
             test_fail_join_allocation;
+          Alcotest.test_case "empty-slot events create no store" `Quick
+            test_empty_slot_events_create_no_store;
         ] );
     ]

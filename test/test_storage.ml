@@ -197,6 +197,27 @@ let prop_partition_exhaustive =
       List.sort compare (File_store.inserted_keys s @ File_store.replicated_keys s)
       = File_store.keys s)
 
+(* The shared empty store answers every read with "absent" and takes
+   every removal as a no-op, but refuses a file: a cluster slot's first
+   file must create the slot's own store. *)
+let test_shared_empty_store () =
+  let e = File_store.empty in
+  File_store.remove e ~key:"a";
+  File_store.demote_to_replica e ~key:"a";
+  File_store.set_version e ~key:"a" ~version:3;
+  File_store.record_access e ~key:"a" ~now:1.0;
+  Alcotest.(check (list string)) "no replicas to drop" []
+    (File_store.drop_replicas e);
+  Alcotest.check_raises "add raises"
+    (Invalid_argument "File_store.add: shared empty store") (fun () ->
+      File_store.add e ~key:"a" ~origin:File_store.Inserted ~version:0
+        ~now:0.0);
+  Alcotest.check_raises "set_observer raises"
+    (Invalid_argument "File_store.set_observer: shared empty store")
+    (fun () -> File_store.set_observer e (fun _ _ -> ()));
+  Alcotest.(check int) "still empty" 0 (File_store.size e);
+  Alcotest.(check bool) "holds nothing" false (File_store.holds e ~key:"a")
+
 let () =
   Alcotest.run "storage"
     [
@@ -221,6 +242,8 @@ let () =
           Alcotest.test_case "tiers" `Quick test_tiers;
           Alcotest.test_case "set version" `Quick test_set_version;
           Alcotest.test_case "remove" `Quick test_remove;
+          Alcotest.test_case "shared empty store is frozen" `Quick
+            test_shared_empty_store;
         ] );
       ("properties", [ prop_keys_sorted; prop_partition_exhaustive ]);
     ]
