@@ -899,8 +899,7 @@ let substrates_cmd =
     | Some path ->
         Lesslog_report.Bench_json.write ~path
           (Lesslog_harness.Shootout.to_bench report);
-        Printf.printf "wrote %s\n" path);
-    if not report.Lesslog_harness.Shootout.native_digest_match then exit 1
+        Printf.printf "wrote %s\n" path)
   in
   Cmd.v
     (Cmd.info "substrates"
@@ -908,9 +907,7 @@ let substrates_cmd =
          "Run the substrate shootout: the same seeded churn (Des_sim) and \
           fault (Fault_sim) schedules through the one replication core \
           over four overlays — native LessLog, Chord, Pastry, CAN — and \
-          print the hops/latency/replica/availability comparison. Exits 1 \
-          if the native-mode trace digest drifts from the direct \
-          (substrate-less) path.")
+          print the hops/latency/replica/availability comparison.")
     Term.(
       const run $ quick_arg $ m_arg $ seed_arg
       $ Arg.(value & opt (some string) None

@@ -365,11 +365,6 @@ let insert_via ?(now = 0.0) sub cluster ~key =
           f "insert[%s] %S -> P(%d)" sub.Substrate.name key (Pid.to_int p));
       [ p ]
 
-let choose_replica_target_via ~rng sub cluster ~overloaded ~key =
-  sub.Substrate.replica_target ~rng
-    ~holds:(fun p -> Cluster.holds cluster p ~key)
-    ~overloaded ~key
-
 (* Placement of fragment [index], mirroring ADVANCEDINSERTFILE's
    one-copy-per-subtree spread: fragment i goes to subtree (i mod 2^b),
    preferably at that subtree's insertion target (the node every request

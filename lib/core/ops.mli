@@ -129,16 +129,6 @@ val insert_via :
     current owner ([\[\]] iff no node is live). On the native substrate
     with [b = 0] this is exactly {!insert}. *)
 
-val choose_replica_target_via :
-  rng:Lesslog_prng.Rng.t ->
-  Lesslog_substrate.Substrate.t ->
-  Cluster.t ->
-  overloaded:Pid.t ->
-  key:string ->
-  Pid.t option
-(** The substrate's replica placement for an overloaded holder, with the
-    cluster's holder set supplying the [holds] predicate. *)
-
 val on_membership_via :
   ?now:float ->
   ?on_coded_repair:(key:string -> rebuilt:int -> lost:bool -> unit) ->

@@ -5,12 +5,7 @@ let of_cluster cluster =
   let status = Cluster.status cluster in
   let b = Lesslog_id.Params.b (Cluster.params cluster) in
   let next_hop ~key ~origin p =
-    match
-      Topology.route ~b (Cluster.tree_of_key cluster key) status
-        ~origin:(Lesslog_id.Pid.to_int origin) (Lesslog_id.Pid.to_int p)
-    with
-    | -1 -> None
-    | q -> Some (Lesslog_id.Pid.unsafe_of_int q)
+    Topology.route ~b (Cluster.tree_of_key cluster key) status ~origin p
   in
   let owner ~key =
     Topology.insertion_target ~b:0 (Cluster.tree_of_key cluster key) status
@@ -19,8 +14,9 @@ let of_cluster cluster =
   let neighbors ~key p =
     Topology.children_list ~b:0 (Cluster.tree_of_key cluster key) status p
   in
-  let replica_target ~rng ~holds:_ ~overloaded ~key =
-    Ops.choose_replica_target ~rng cluster ~overloaded ~key
+  let replica_target ~rng ~holds ~overloaded ~key =
+    Ops.choose ~rng ~holds ~b (Cluster.tree_of_key cluster key) status
+      ~overloaded
   in
   {
     Substrate.name = "lesslog";

@@ -112,18 +112,16 @@ type result = {
     span. Each replica push records an instant ["replicate"] span. The
     hot path stays allocation-flat.
 
-    With [substrate], every routing hop, replica placement and churn
-    repair is delegated to the given {!Lesslog_substrate.Substrate.t}
-    instead of the native direct path: routing through the substrate's
-    [next_hop], placement through [Ops.choose_replica_target_via], and
-    churn through [Ops.on_membership_via] for
-    {!Lesslog_substrate.Substrate.Generic} substrates (the native
-    adapter's [Self_organized] membership keeps the Section 5 mechanism
-    and the native cold-tier placement, so running through
-    {!Lesslog.Substrate_native} is bit-for-bit identical to omitting
-    [substrate], with or without a cold tier). Routes longer than the packed
-    hop field (63) — impossible on a conforming substrate — count as
-    faults.
+    Every routing hop, replica placement and churn repair goes through
+    one {!Lesslog_substrate.Substrate.t}: [substrate] when given, else
+    the native adapter {!Lesslog.Substrate_native.of_cluster}, so passing
+    the native adapter is the same run as omitting it. Routing is the
+    substrate's [next_hop], placement its [replica_target], and churn
+    [Ops.on_membership_via] for {!Lesslog_substrate.Substrate.Generic}
+    substrates (the native adapter's [Self_organized] membership keeps
+    the Section 5 mechanism and the native cold-tier placement). Routes
+    longer than the packed hop field (63) — impossible on a conforming
+    substrate — count as faults.
 
     With [policy], replica management switches from LessLog's native
     logless overload trigger to the log-driven weighted dynamic-RF

@@ -127,12 +127,13 @@ val run :
     ["rpc/retry"]/["rpc/timeout"] marks, completion closes it with the
     serving node and hop count, exhaustion closes it as a fault.
 
-    With [substrate], routing, replica placement and verdict-triggered
-    repair go through the given {!Lesslog_substrate.Substrate.t} (the
-    generic registry repair for
-    {!Lesslog_substrate.Substrate.Generic} substrates; the native
-    adapter keeps the Section 5 mechanism and is bit-for-bit identical to
-    omitting [substrate]). The rpc, dedup and heartbeat layers are
+    Routing, replica placement and verdict-triggered repair go through
+    one {!Lesslog_substrate.Substrate.t}: [substrate] when given, else
+    the native adapter {!Lesslog.Substrate_native.of_cluster}, so passing
+    the native adapter is the same run as omitting it. A
+    {!Lesslog_substrate.Substrate.Generic} substrate gets the generic
+    registry repair; the native adapter's [Self_organized] membership
+    keeps the Section 5 mechanism. The rpc, dedup and heartbeat layers are
     substrate-independent and run unchanged.
     @raise Invalid_argument when [config.sample_period] is not [> 0], or
     when [config.loss] or a burst's loss in [plan] is outside [[0, 1)]

@@ -3,7 +3,6 @@ module Overlay = Lesslog_net.Overlay
 module Cluster = Lesslog.Cluster
 module Ops = Lesslog.Ops
 module Self_org = Lesslog.Self_org
-module Topology = Lesslog_topology.Topology
 module File_store = Lesslog_storage.File_store
 module Access_counter = Lesslog_storage.Access_counter
 module Trace = Lesslog_trace.Trace
@@ -41,11 +40,10 @@ type t = {
   rng : Lesslog_prng.Rng.t;
   cluster : Cluster.t;
   key : string;
-  tree : Lesslog_ptree.Ptree.t;
   engine : Lesslog_sim.Engine.t;
   overlay : Overlay.t;
   trigger : Trigger.t;
-  substrate : Substrate.t option;
+  substrate : Substrate.t;
   sink : (Trace.Event.t -> unit) option;
   spans : Obs.Span.sink option;
   sp_replicate : int;
@@ -55,8 +53,13 @@ type t = {
 let create ~rng ~cluster ~key ~engine ~overlay ~trigger ~substrate ~sink ~obs
     =
   let spans = Option.map (fun (o : Obs.t) -> o.Obs.spans) obs in
-  { rng; cluster; key; tree = Cluster.tree_of_key cluster key; engine;
-    overlay; trigger; substrate; sink; spans; lost_keys = 0;
+  let substrate =
+    match substrate with
+    | Some sub -> sub
+    | None -> Lesslog.Substrate_native.of_cluster cluster
+  in
+  { rng; cluster; key; engine; overlay; trigger; substrate; sink; spans;
+    lost_keys = 0;
     sp_replicate =
       Option.fold ~none:0 ~some:(fun s -> Obs.Span.intern s "replicate") spans }
 
@@ -85,25 +88,15 @@ let emit_evict t ~node =
   | None -> ()
   | Some f -> f (Trace.Event.Evict { at = now t; node; key = t.key })
 
-(* The next hop's PID as an int, [-1] at the end of the route. *)
-let[@inline] route_step t ~origin me =
-  match t.substrate with
-  | None ->
-      Topology.route
-        ~b:(Params.b (Lesslog_ptree.Ptree.params t.tree))
-        t.tree (Cluster.status t.cluster)
-        ~origin:(Pid.to_int origin) (Pid.to_int me)
-  | Some sub -> (
-      match sub.Substrate.next_hop ~key:t.key ~origin me with
-      | Some next -> Pid.to_int next
-      | None -> -1)
-
 (* The [hops < hops_max] guard keeps a route from wrapping the packed hop
    field: a native route at b > 0 can be longer than the field holds
    ({!Lesslog_topology.Topology.route}'s hop budget), and a request that
    reaches it is a fault. *)
 let[@inline] forward t ~me ~id ~origin ~hops ~issued_at =
-  let next = route_step t ~origin me in
+  let next =
+    t.substrate.Substrate.next_hop ~key:t.key ~origin:(Pid.to_int origin)
+      (Pid.to_int me)
+  in
   next >= 0 && hops < Wire.hops_max
   && begin
        Overlay.send_packed t.overlay ~src:me ~dst:(Pid.unsafe_of_int next)
@@ -122,15 +115,11 @@ let[@inline] record_serve t ~server =
 let maybe_replicate t ~overloaded =
   let i = Pid.to_int overloaded in
   if Trigger.due t.trigger i ~now:(now t) then
-    let target =
-      match t.substrate with
-      | None ->
-          Ops.choose_replica_target ~rng:t.rng t.cluster ~overloaded ~key:t.key
-      | Some sub ->
-          Ops.choose_replica_target_via ~rng:t.rng sub t.cluster ~overloaded
-            ~key:t.key
-    in
-    match target with
+    match
+      t.substrate.Substrate.replica_target ~rng:t.rng
+        ~holds:(fun p -> Cluster.holds t.cluster p ~key:t.key)
+        ~overloaded ~key:t.key
+    with
     | None -> ()
     | Some dest ->
         Trigger.arm t.trigger i ~now:(now t);
@@ -165,9 +154,8 @@ let apply_push t ~me ~src ~version =
 (* --- Membership repair ---------------------------------------------- *)
 
 let placement t =
-  match t.substrate with
-  | Some sub when sub.Substrate.membership = Substrate.Generic -> Some sub
-  | Some _ | None -> None
+  let sub = t.substrate in
+  if sub.Substrate.membership = Substrate.Generic then Some sub else None
 
 let repair t p ~change ~ledger =
   let now = now t in

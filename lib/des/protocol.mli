@@ -4,10 +4,11 @@
 
     {!Des_sim} and {!Fault_sim} keep one {!t} each and call these steps
     from their handlers; {!Pdes_sim} shares the overload test
-    ({!Trigger}) and {!Lesslog.Ops.choose}. The per-request
-    steps take no closures, build no tuples or records, and are inlined
-    into their callers ([-inline 100]): out of line, the request path
-    allocates. *)
+    ({!Trigger}) and {!Lesslog.Ops.choose}. Every route hop and every
+    replica decision goes through the one
+    {!Lesslog_substrate.Substrate.t} a {!t} holds. The per-request steps
+    build no options, tuples or records, and are inlined into their
+    callers ([-inline 100]): out of line, the request path allocates. *)
 
 open Lesslog_id
 
@@ -43,12 +44,11 @@ type t = {
   rng : Lesslog_prng.Rng.t;
   cluster : Lesslog.Cluster.t;
   key : string;
-  tree : Lesslog_ptree.Ptree.t;  (** the key's lookup tree *)
   engine : Lesslog_sim.Engine.t;
   overlay : Lesslog_net.Overlay.t;
   trigger : Trigger.t;
-  substrate : Lesslog_substrate.Substrate.t option;
-      (** [None] = the native direct path *)
+  substrate : Lesslog_substrate.Substrate.t;
+      (** routes every hop and places every replica *)
   sink : (Lesslog_trace.Trace.Event.t -> unit) option;
   spans : Lesslog_obs.Obs.Span.sink option;
   sp_replicate : int;
@@ -66,6 +66,8 @@ val create :
   sink:(Lesslog_trace.Trace.Event.t -> unit) option ->
   obs:Lesslog_obs.Obs.t option ->
   t
+(** [substrate = None] is the native adapter,
+    {!Lesslog.Substrate_native.of_cluster} over [cluster]. *)
 
 val now : t -> float
 
@@ -87,17 +89,18 @@ val forward :
 (** Send the GET one hop along the route; [false] at a dead end or when
     [hops] has reached [Wire.hops_max] (the route would wrap the 6-bit
     hop field), which the caller reports as a fault. The route step is
-    one int, [-1] at the end of the route: [Topology.route] (the Section
-    4 climb with subtree migration) on the direct path, the substrate's
-    [next_hop] answer otherwise. *)
+    the substrate's [next_hop], one int, [-1] at the end of the route;
+    on the native adapter it is [Topology.route], the Section 4 climb
+    with subtree migration. *)
 
 val record_serve : t -> server:Pid.t -> unit
 (** The store's access record and the node's rate estimator. *)
 
 val maybe_replicate : t -> overloaded:Pid.t -> unit
-(** When {!Trigger.due}: choose a target ([Ops.choose_replica_target], or
-    [_via] the substrate), arm the cooldown and send a PUSH carrying the
-    holder's version. *)
+(** When {!Trigger.due}: choose a target (the substrate's
+    [replica_target], given the cluster's holder set; on the native
+    adapter it is [Ops.choose]), arm the cooldown and send a PUSH
+    carrying the holder's version. *)
 
 val apply_push : t -> me:Pid.t -> src:Pid.t -> version:int -> bool
 (** Add a [Replicated] copy unless [me] holds one, with its [Replicate]
@@ -105,8 +108,8 @@ val apply_push : t -> me:Pid.t -> src:Pid.t -> version:int -> bool
 
 val placement : t -> Lesslog_substrate.Substrate.t option
 (** The substrate that places and repairs data: the run's when its
-    membership is [Generic], else [None] (the native adapter places
-    exactly like the direct path). *)
+    membership is [Generic], else [None], where [Self_org] and the
+    native {!Lesslog.Ops} placement apply. *)
 
 val repair :
   t ->

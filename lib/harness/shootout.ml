@@ -39,29 +39,22 @@ type report = {
   des_schedule : Schedule.t;
   fault_schedule : Schedule.t;
   rows : row list;
-  native_digest_match : bool;
 }
 
-(* The contenders. [None] is the direct (substrate-less) native path, used
-   only for the digest gate. *)
-let substrates :
-    (string * (Cluster.t -> Substrate.t option)) list =
+let substrates : (string * (Cluster.t -> Substrate.t)) list =
   [
-    ("lesslog", fun cluster -> Some (Substrate_native.of_cluster cluster));
+    ("lesslog", Substrate_native.of_cluster);
     ( "chord",
       fun cluster ->
-        Some
-          (Chord_sub.make (Cluster.params cluster) (Cluster.status cluster)
-             (Cluster.psi cluster)) );
+        Chord_sub.make (Cluster.params cluster) (Cluster.status cluster)
+          (Cluster.psi cluster) );
     ( "pastry",
       fun cluster ->
-        Some
-          (Pastry_sub.make (Cluster.params cluster) (Cluster.status cluster)
-             (Cluster.psi cluster)) );
+        Pastry_sub.make (Cluster.params cluster) (Cluster.status cluster)
+          (Cluster.psi cluster) );
     ( "can",
       fun cluster ->
-        Some (Can_sub.make (Cluster.params cluster) (Cluster.status cluster))
-    );
+        Can_sub.make (Cluster.params cluster) (Cluster.status cluster) );
   ]
 
 let fresh_cluster (sch : Schedule.t) make_sub =
@@ -69,10 +62,7 @@ let fresh_cluster (sch : Schedule.t) make_sub =
   let cluster = Cluster.create params in
   let sub = make_sub cluster in
   for i = 0 to sch.keys - 1 do
-    let key = Schedule.key_of_index i in
-    match sub with
-    | None -> ignore (Ops.insert cluster ~key)
-    | Some s -> ignore (Ops.insert_via s cluster ~key)
+    ignore (Ops.insert_via sub cluster ~key:(Schedule.key_of_index i))
   done;
   (cluster, sub)
 
@@ -87,7 +77,7 @@ let run_des (sch : Schedule.t) make_sub =
   let r =
     Des_sim.run ~config ~churn
       ~sink:(Trace.Writer.emit writer)
-      ?substrate:sub ~rng ~cluster
+      ~substrate:sub ~rng ~cluster
       ~key:(Schedule.key_of_index 0)
       ~demand ~duration:sch.duration ()
   in
@@ -99,7 +89,7 @@ let run_faults (sch : Schedule.t) make_sub =
   let demand = Schedule.demand sch (Cluster.status cluster) in
   let plan = Schedule.to_plan sch in
   let config = { Fault_sim.default_config with capacity = sch.capacity } in
-  Fault_sim.run ~config ~plan ?substrate:sub ~rng ~cluster
+  Fault_sim.run ~config ~plan ~substrate:sub ~rng ~cluster
     ~key:(Schedule.key_of_index 0)
     ~demand ~duration:sch.duration ()
 
@@ -139,9 +129,6 @@ let run ?(quick = false) ~seed ~m () =
   let fault_schedule =
     scale (Schedule.generate ~seed ~m ~sim:Schedule.Faults)
   in
-  (* The drift gate: the exact schedule, through the pre-refactor direct
-     path. *)
-  let _, direct_digest = run_des des_schedule (fun _ -> None) in
   let rows =
     List.map
       (fun (name, make_sub) ->
@@ -150,17 +137,7 @@ let run ?(quick = false) ~seed ~m () =
         make_row name des digest f)
       substrates
   in
-  let native_digest =
-    match rows with r :: _ -> r.digest | [] -> direct_digest
-  in
-  {
-    m;
-    seed;
-    des_schedule;
-    fault_schedule;
-    rows;
-    native_digest_match = native_digest = direct_digest;
-  }
+  { m; seed; des_schedule; fault_schedule; rows }
 
 let to_bench report =
   let per_row r =
@@ -185,8 +162,6 @@ let to_bench report =
   [
     ("substrates/m", float_of_int report.m);
     ("substrates/seed", float_of_int report.seed);
-    ( "substrates/native_digest_match",
-      if report.native_digest_match then 1.0 else 0.0 );
   ]
   @ List.concat_map per_row report.rows
 
@@ -211,7 +186,4 @@ let render report =
         r.messages r.file_transfers r.f_served r.f_faulted
         (100.0 *. r.f_availability) r.f_lost_keys)
     report.rows;
-  Printf.bprintf b "native digest %s\n"
-    (if report.native_digest_match then "MATCH (bit-for-bit with direct path)"
-     else "DRIFT — substrate refactor changed native behaviour");
   Buffer.contents b

@@ -8,12 +8,7 @@
     latency quantiles, replica counts and availability per overlay. The
     protocol, seeds and first committed numbers are recorded in
     EXPERIMENTS.md ("substrate shootout"); [BENCH_substrates.json] is the
-    machine-readable form.
-
-    The native row doubles as the refactor's drift gate: the same Des
-    schedule is also run through the direct (substrate-less) code path,
-    and the two full trace digests must be equal —
-    {!report.native_digest_match}. *)
+    machine-readable form. *)
 
 type row = {
   name : string;
@@ -42,21 +37,18 @@ type report = {
   des_schedule : Lesslog_check.Schedule.t;
   fault_schedule : Lesslog_check.Schedule.t;
   rows : row list;  (** lesslog, chord, pastry, can — in that order. *)
-  native_digest_match : bool;
-      (** Native-via-substrate trace digest equals the direct-path digest
-          — the bit-for-bit gate CI fails on. *)
 }
 
 val run : ?quick:bool -> seed:int -> m:int -> unit -> report
 (** Generate both schedules from [seed] at space exponent [m] and run all
-    four substrates plus the direct-path gate. [quick] caps both schedule
-    durations at 5 simulated seconds (CI smoke). Keep [m <= 10]: the CAN
-    adapter builds a [2^m]-zone torus with quadratic adjacency setup. *)
+    four substrates. [quick] caps both schedule durations at 5 simulated
+    seconds (CI smoke). Keep [m <= 10]: the CAN adapter builds a
+    [2^m]-zone torus with quadratic adjacency setup. *)
 
 val to_bench : report -> (string * float) list
 (** Flat [substrates/<name>/<metric>] pairs for
-    {!Lesslog_report.Bench_json}, plus [substrates/native_digest_match]
-    (1 or 0), [substrates/m] and [substrates/seed]. *)
+    {!Lesslog_report.Bench_json}, plus [substrates/m] and
+    [substrates/seed]. *)
 
 val render : report -> string
 (** The CLI comparison table, ready to print. *)

@@ -19,11 +19,10 @@ let make ?(d = 2) params status =
   let alive i = Status_word.is_live status (Pid.unsafe_of_int i) in
   let next_hop ~key ~origin:_ p =
     match
-      Can.next_hop_toward zones ~from:(Pid.to_int p) ~target:(point_of_key d key)
-        ~alive
+      Can.next_hop_toward zones ~from:p ~target:(point_of_key d key) ~alive
     with
-    | None -> None
-    | Some j -> Some (Pid.unsafe_of_int j)
+    | None -> -1
+    | Some j -> j
   in
   let owner ~key =
     Option.map Pid.unsafe_of_int

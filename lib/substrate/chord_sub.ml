@@ -1,6 +1,7 @@
 module Status_word = Lesslog_membership.Status_word
 module Psi = Lesslog_hash.Psi
 module Chord = Lesslog_chord.Chord
+open Lesslog_id
 
 let make params status psi =
   let ring =
@@ -11,8 +12,14 @@ let make params status psi =
   in
   let next_hop ~key ~origin:_ p =
     match ring () with
-    | None -> None
-    | Some r -> Chord.next_hop r ~from:p ~target:(Psi.target psi key)
+    | None -> -1
+    | Some r -> (
+        match
+          Chord.next_hop r ~from:(Pid.unsafe_of_int p)
+            ~target:(Psi.target psi key)
+        with
+        | None -> -1
+        | Some q -> Pid.to_int q)
   in
   let owner ~key =
     Option.map (fun r -> Chord.successor r (Psi.target psi key)) (ring ())

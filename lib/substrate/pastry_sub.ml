@@ -17,8 +17,14 @@ let make ?digit_bits params status psi =
   in
   let next_hop ~key ~origin:_ p =
     match mesh () with
-    | None -> None
-    | Some t -> Pastry.next_hop t ~from:p ~target:(Psi.target psi key)
+    | None -> -1
+    | Some t -> (
+        match
+          Pastry.next_hop t ~from:(Pid.unsafe_of_int p)
+            ~target:(Psi.target psi key)
+        with
+        | None -> -1
+        | Some q -> Pid.to_int q)
   in
   let owner ~key =
     Option.map (fun t -> Pastry.owner_of t (Psi.target psi key)) (mesh ())

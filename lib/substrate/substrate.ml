@@ -6,7 +6,7 @@ type membership_style = Self_organized | Generic
 
 type t = {
   name : string;
-  next_hop : key:string -> origin:Pid.t -> Pid.t -> Pid.t option;
+  next_hop : key:string -> origin:int -> int -> int;
   owner : key:string -> Pid.t option;
   neighbors : key:string -> Pid.t -> Pid.t list;
   symmetric_neighbors : bool;
@@ -22,12 +22,13 @@ type t = {
 }
 
 let route_path t ~key ~origin ~max_hops =
+  let origin = Pid.to_int origin in
   let rec go acc hops p =
+    let acc = Pid.unsafe_of_int p :: acc in
     match t.next_hop ~key ~origin p with
-    | None -> (List.rev (p :: acc), true)
-    | Some q ->
-        if hops >= max_hops then (List.rev (p :: acc), false)
-        else go (p :: acc) (hops + 1) q
+    | -1 -> (List.rev acc, true)
+    | q ->
+        if hops >= max_hops then (List.rev acc, false) else go acc (hops + 1) q
   in
   go [] 0 origin
 

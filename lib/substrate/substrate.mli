@@ -3,12 +3,15 @@
 
     LessLog's claim (PAPER.md §1.4) is that logless replication rides on
     the lookup structure alone. This record is that boundary made
-    explicit: {!Lesslog.Ops} ([insert_via]/[choose_replica_target_via]/
-    [on_membership_via]) and the simulators ([Des_sim]/[Fault_sim] in
-    substrate mode, which route through [next_hop]) speak only this
-    interface, so the identical protocol code, [lib/net] reliability
-    layer, and [Obs] span attribution run over the native binomial trees,
-    Chord, Pastry, or CAN.
+    explicit. The simulators' node protocol ([Protocol], under [Des_sim]
+    and [Fault_sim]) holds exactly one value of this type — the native
+    adapter when the caller names none — and routes every hop through
+    [next_hop] and places every replica through [replica_target].
+    {!Lesslog.Ops} ([insert_via], [on_membership_via] and the cold-tier
+    calls' [?substrate]) speaks the same interface, so the identical
+    protocol code, [lib/net] reliability layer, and [Obs] span
+    attribution run over the native binomial trees, Chord, Pastry, or
+    CAN.
 
     {2 Determinism obligations}
 
@@ -35,7 +38,7 @@
       query time, as the CAN adapter does. Answers may never reflect a
       stale membership view once the epoch has moved.
     - {b Termination.} Following {!field-next_hop} from any live node must
-      reach a [None] in finitely many steps, with no visited-set help from
+      reach [-1] in finitely many steps, with no visited-set help from
       the caller (messages are stateless). The simulators additionally cap
       walks at [hop cap] hops and count an overflow as a routing fault,
       but a correct substrate never hits the cap.
@@ -43,12 +46,13 @@
       live population, including a node that has just joined or an empty
       system ([owner] = [None], [neighbors] = [[]]). A message can be
       in flight from a node that has since died; routing from such a
-      stale sender must still answer, not raise.
+      stale sender must still answer, not raise. Every [next_hop] answer
+      is [-1] or a live PID in [\[0, 2^m)].
 
     Implementations satisfying these obligations are automatically
     compatible with the [lib/check] oracles and (for the native adapter)
     the golden trace digests; the shared conformance suite in
-    [test/test_substrate.ml] property-checks the first three obligations
+    [test/test_substrate.ml] property-checks the last three obligations
     for every adapter. *)
 
 open Lesslog_id
@@ -66,13 +70,16 @@ type membership_style =
 
 type t = {
   name : string;  (** Short identifier used in benches and traces. *)
-  next_hop : key:string -> origin:Pid.t -> Pid.t -> Pid.t option;
-      (** One forwarding hop of a request for [key], issued at [origin],
-          at the given node; [None] when the node is the end of the route
-          (the responsible node — or, on substrates without
-          {!field-guaranteed_delivery}, a greedy dead end). The origin
-          rides on every GET; the native adapter needs it for the
-          Section 4 subtree migration, the overlay adapters ignore it. *)
+  next_hop : key:string -> origin:int -> int -> int;
+      (** [next_hop ~key ~origin p]: one forwarding hop of a request for
+          [key], issued at PID [origin], standing at PID [p]. The answer
+          is the next PID as an int, or [-1] when [p] is the end of the
+          route (the responsible node — or, on substrates without
+          {!field-guaranteed_delivery}, a greedy dead end): the
+          convention of {!Lesslog_topology.Topology.route}. PIDs travel
+          as ints so a forwarded hop boxes no option. The origin rides on
+          every GET; the native adapter needs it for the Section 4
+          subtree migration, the overlay adapters ignore it. *)
   owner : key:string -> Pid.t option;
       (** The live node currently responsible for [key] — where
           [insert_via] places the inserted copy and where routing is

@@ -77,9 +77,10 @@ let des_policy seed =
 
 (* Des_sim with the cold tier armed under a trickle: idle intervals
    classify Cold and demote, bursts promote, and two low-PID failures
-   (where fragments sit) exercise fragment repair. *)
-let des_cold () =
-  let params = Params.create ~m:7 () in
+   (where fragments sit) exercise fragment repair. At [b = 2] fragments
+   spread one per subtree and the climb migrates between subtrees. *)
+let des_cold ~b:fanout () =
+  let params = Params.create ~m:7 ~b:fanout () in
   let cluster = Cluster.create params in
   let key = "matrix/cold" in
   ignore (Ops.insert cluster ~key);
@@ -467,6 +468,31 @@ let des_cold_pins =
     ("repair bytes", "2306876");
   ]
 
+let des_cold_b2_pins =
+  [
+    ("digest", "4173734458890842015");
+    ("trace events", "24");
+    ("served", "22");
+    ("faults", "0");
+    ("replicas created", "0");
+    ("replicas evicted", "0");
+    ("replicas end", "4");
+    ("messages", "57");
+    ("control messages", "253");
+    ("file transfers", "0");
+    ("events", "95");
+    ("demotions", "1");
+    ("promotions", "1");
+    ("fragment repairs", "2");
+    ("lost", "false");
+    ("coded at end", "false");
+    ("coded serves", "15");
+    ("bytes end", "4194304");
+    ("mean bytes", "0x1.e3337cp+20");
+    ("bytes moved", "9017772");
+    ("repair bytes", "2306876");
+  ]
+
 let coldtier_full =
   [
     ("requests", "1418");
@@ -754,7 +780,8 @@ let runs =
     ("des policy, seed 1", (fun () -> des_policy 1), des_policy_1);
     ("des policy, seed 2", (fun () -> des_policy 2), des_policy_2);
     ("des policy, seed 3", (fun () -> des_policy 3), des_policy_3);
-    ("des cold tier", des_cold, des_cold_pins);
+    ("des cold tier", des_cold ~b:0, des_cold_pins);
+    ("des cold tier b=2", des_cold ~b:2, des_cold_b2_pins);
     ("coldtier_point full", (fun () -> coldtier_arm false), coldtier_full);
     ("coldtier_point hybrid", (fun () -> coldtier_arm true), coldtier_hybrid);
     ("faults native b=0", fault_run ~b:0 ~chord:false ~holder_crash:1.5, faults_native_b0);

@@ -1,18 +1,18 @@
-(* The shared Substrate conformance suite and the native differential
-   gate.
+(* The shared Substrate conformance suite.
 
    Part 1 applies the same properties to all four adapters — native
    LessLog trees, Chord, Pastry, CAN — exactly as promised by the
    contract in lib/substrate/substrate.mli: routes terminate at the
-   responsible node, neighbor sets are symmetric where the adapter
-   guarantees it, and routing stays consistent across kill/revive cycles
-   (epoch semantics).
+   responsible node, every [next_hop] answer is [-1] or a live PID (from
+   a live node and from a stale sender), neighbor sets are symmetric
+   where the adapter guarantees it, and routing stays consistent across
+   kill/revive cycles (epoch semantics). A pinned digest holds every
+   adapter's route paths over a fixed draw of the generator.
 
-   Part 2 is the refactor's differential gate: the native adapter driven
-   through the substrate-parameterized simulator paths must produce the
-   same trace event-for-event as the direct (substrate-less) code, in
-   both Des_sim and Fault_sim, at b = 0 and in the fault-tolerant model
-   (b = 2), and with the cold tier armed. *)
+   Part 2 holds the native adapter to the cost of the decision it wraps,
+   and the shootout to its four rows. The simulators have one request
+   path, over a substrate (the native adapter when a run names none);
+   the seed-matrix pins in test_seed_matrix.ml hold its behaviour. *)
 
 open Lesslog_id
 module Status_word = Lesslog_membership.Status_word
@@ -23,13 +23,9 @@ module Substrate = Lesslog_substrate.Substrate
 module Chord_sub = Lesslog_substrate.Chord_sub
 module Pastry_sub = Lesslog_substrate.Pastry_sub
 module Can_sub = Lesslog_substrate.Can_sub
-module Schedule = Lesslog_check.Schedule
-module Des_sim = Lesslog_des.Des_sim
-module Control_plane = Lesslog_des.Control_plane
-module Rf_policy = Lesslog_policy.Rf_policy
-module Demand = Lesslog_workload.Demand
-module Fault_sim = Lesslog_des.Fault_sim
-module Trace = Lesslog_trace.Trace
+module Subtrees = Lesslog_topology.Subtrees
+module Topology = Lesslog_topology.Topology
+module File_store = Lesslog_storage.File_store
 module Rng = Lesslog_prng.Rng
 
 (* --- Part 1: conformance ----------------------------------------------- *)
@@ -213,162 +209,149 @@ let prop_replica_target_fresh =
                    sub.Substrate.name (Pid.to_int p))
         (adapters cluster))
 
-(* --- Part 2: native differential gate ---------------------------------- *)
+(* The int convention, from both sides of a death: every node, live or
+   killed after the hop toward it was sent, answers [-1] or a live PID of
+   the space. [k mod 3] picks [b], so the native adapter's Section 4
+   migration runs too (the overlay adapters ignore [b]). *)
+let prop_next_hop_int =
+  QCheck2.Test.make ~count:100
+    ~name:"next_hop is -1 or a live PID, also from a stale sender"
+    ~print:print_case gen_case (fun (m, k, origin, kills) ->
+      let cluster = Cluster.create (Params.create ~m ~b:(k mod 3) ()) in
+      let params = Cluster.params cluster in
+      let status = Cluster.status cluster in
+      let space = Params.space params in
+      let key = Printf.sprintf "sub/k%d" k in
+      let subs = adapters cluster in
+      List.iter (fun s -> Status_word.set_dead status (Pid.of_int params s)) kills;
+      List.iter (fun sub -> sub.Substrate.notify ()) subs;
+      List.for_all
+        (fun sub ->
+          let ok = ref true in
+          for p = 0 to space - 1 do
+            let q = sub.Substrate.next_hop ~key ~origin p in
+            if
+              q <> -1
+              && (q < 0 || q >= space
+                 || Status_word.is_dead status (Pid.unsafe_of_int q))
+            then
+              ok :=
+                QCheck2.Test.fail_reportf "%s: next_hop from %s %d is %d"
+                  sub.Substrate.name
+                  (if Status_word.is_live status (Pid.unsafe_of_int p) then
+                     "live"
+                   else "stale")
+                  p q
+          done;
+          !ok)
+        subs)
 
-let scalars_des (r : Des_sim.result) =
-  ( r.Des_sim.served,
-    r.Des_sim.faults,
-    r.Des_sim.replicas_created,
-    r.Des_sim.messages,
-    r.Des_sim.control_messages,
-    r.Des_sim.file_transfers,
-    r.Des_sim.events )
-
-let scalars_faults (r : Fault_sim.result) =
-  ( r.Fault_sim.issued,
-    r.Fault_sim.served,
-    r.Fault_sim.faulted,
-    r.Fault_sim.replicas_created,
-    r.Fault_sim.migrations,
-    r.Fault_sim.lost_keys,
-    r.Fault_sim.messages )
-
-let fresh_cluster ~b (sch : Schedule.t) =
-  let cluster = Cluster.create (Params.create ~m:sch.Schedule.m ~b ()) in
-  for i = 0 to sch.Schedule.keys - 1 do
-    ignore (Ops.insert cluster ~key:(Schedule.key_of_index i))
-  done;
-  cluster
-
-let des_events ~b substrate (sch : Schedule.t) =
-  let cluster = fresh_cluster ~b sch in
-  let substrate =
-    if substrate then Some (Substrate_native.of_cluster cluster) else None
+(* Every adapter's route from every live origin, over a fixed draw of
+   [gen_case] with its kills applied (at least two nodes left live), as
+   one digest, taken when [next_hop] still answered [Pid.t option]: the
+   int convention must walk the same paths. *)
+let route_paths_digest () =
+  let cases =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 0x5ab |]) ~n:60 gen_case
   in
-  let events = ref [] in
-  let r =
-    Des_sim.run
-      ~config:{ Des_sim.default_config with capacity = sch.Schedule.capacity }
-      ~churn:(Schedule.to_churn sch)
-      ~sink:(fun e -> events := e :: !events)
-      ?substrate
-      ~rng:(Rng.create ~seed:sch.Schedule.seed)
-      ~cluster
-      ~key:(Schedule.key_of_index 0)
-      ~demand:(Schedule.demand sch (Cluster.status cluster))
-      ~duration:sch.Schedule.duration ()
-  in
-  (List.rev !events, r)
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (m, k, _, kills) ->
+      let cluster = Cluster.create (Params.create ~m ()) in
+      let params = Cluster.params cluster in
+      let status = Cluster.status cluster in
+      let key = Printf.sprintf "sub/k%d" k in
+      let subs = adapters cluster in
+      List.iter
+        (fun s ->
+          if Status_word.live_count status > 2 then
+            Status_word.set_dead status (Pid.of_int params s))
+        kills;
+      List.iter (fun sub -> sub.Substrate.notify ()) subs;
+      List.iter
+        (fun sub ->
+          Status_word.iter_live status (fun origin ->
+              let path, terminated =
+                Substrate.route_path sub ~key ~origin
+                  ~max_hops:(hop_cap params)
+              in
+              Printf.bprintf buf "%s %s:%s %b\n" sub.Substrate.name key
+                (String.concat ","
+                   (List.map (fun p -> string_of_int (Pid.to_int p)) path))
+                terminated))
+        subs)
+    cases;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let fault_events ~b substrate (sch : Schedule.t) =
-  let cluster = fresh_cluster ~b sch in
-  let substrate =
-    if substrate then Some (Substrate_native.of_cluster cluster) else None
-  in
-  let events = ref [] in
-  let r =
-    Fault_sim.run
-      ~config:
-        { Fault_sim.default_config with capacity = sch.Schedule.capacity }
-      ~plan:(Schedule.to_plan sch)
-      ~sink:(fun e -> events := e :: !events)
-      ?substrate
-      ~rng:(Rng.create ~seed:sch.Schedule.seed)
-      ~cluster
-      ~key:(Schedule.key_of_index 0)
-      ~demand:(Schedule.demand sch (Cluster.status cluster))
-      ~duration:sch.Schedule.duration ()
-  in
-  (List.rev !events, r)
+let test_route_paths_pinned () =
+  Alcotest.(check string)
+    "route paths digest" "f5b3b6b9ea1ef93de5b568ee82eddc6a"
+    (route_paths_digest ())
 
-(* Des_sim with the cold tier armed under a trickle (the seed matrix's
-   cold run): idle intervals demote to fragments, bursts promote, and two
-   low-PID failures force fragment repair — every placement the cold tier
-   makes runs through the substrate when one is given. *)
-let des_cold_events ~b substrate =
-  let params = Params.create ~m:7 ~b () in
+(* --- Part 2: the native adapter's cost, and the shootout -------------- *)
+
+(* A replica decision through the native adapter, made as [Protocol]
+   makes it (one [holds] closure over the cluster's holder set), costs
+   what [Ops.choose_replica_target] costs for the same decision: the
+   closure and the [Some]. An adapter that ignored the given [holds] and
+   built its own would pay a second closure. The cycle is
+   test_core_ops.ml's: kill a child of the target and decide at the
+   target, revive it and decide again, at m = 12 with one extra copy in
+   the target's children list. *)
+let decision_words ~b =
+  let params = Params.create ~m:12 ~b () in
   let cluster = Cluster.create params in
-  let key = "differential/cold" in
+  let key = "choice/alloc" in
+  let status = Cluster.status cluster in
+  let tree = Cluster.tree_of_key cluster key in
+  let overloaded = Subtrees.subtree_root tree ~subtree_id:0 in
   ignore (Ops.insert cluster ~key);
-  let substrate =
-    if substrate then Some (Substrate_native.of_cluster cluster) else None
+  let child = List.hd (Topology.children_list ~b tree status overloaded) in
+  Cluster.add cluster child ~key
+    ~origin:File_store.Replicated ~version:0 ~now:0.0;
+  (* Opaque, as in [Protocol.t]: the compiler must not inline the
+     adapter's closure into the call and drop an unused argument. *)
+  let sub = Sys.opaque_identity (Substrate_native.of_cluster cluster) in
+  let rng = Rng.create ~seed:5 in
+  let per_decision decide =
+    Test_support.words_per_cycle ~n:1000 (fun () ->
+        Status_word.set_dead status child;
+        decide ();
+        Status_word.set_live status child;
+        decide ())
+    /. 2.0
   in
-  let policy =
-    Rf_policy.create
-      ~config:
-        {
-          Rf_policy.default_config with
-          Rf_policy.interval = 0.25;
-          rf_max = Params.space params;
-          capacity = Some 100.0;
-        }
-      ~nodes:(Params.space params) ~files:1 ()
+  let native =
+    per_decision (fun () ->
+        ignore
+          (sub.Substrate.replica_target ~rng
+             ~holds:(fun p -> Cluster.holds cluster p ~key)
+             ~overloaded ~key))
   in
-  let churn =
-    [ { Des_sim.at = 1.3; action = Des_sim.Fail (Pid.unsafe_of_int 0) };
-      { Des_sim.at = 2.1; action = Des_sim.Fail (Pid.unsafe_of_int 1) } ]
+  let direct =
+    per_decision (fun () ->
+        ignore (Ops.choose_replica_target ~rng cluster ~overloaded ~key))
   in
-  let events = ref [] in
-  let r =
-    Des_sim.run ~churn ~policy
-      ~cold_tier:
-        { Control_plane.default_cold_tier with Control_plane.demote_after = 1 }
-      ~sink:(fun e -> events := e :: !events)
-      ?substrate ~rng:(Rng.create ~seed:9) ~cluster ~key
-      ~demand:(Demand.uniform (Cluster.status cluster) ~total:4.0)
-      ~duration:4.0 ()
-  in
-  (List.rev !events, r)
+  (native, direct)
 
-let scalars_cold (r : Des_sim.result) = (scalars_des r, r.Des_sim.cold)
-
-let check_identical name (direct_ev, direct_r) (via_ev, via_r) scalars =
-  Alcotest.(check int)
-    (name ^ ": event count")
-    (List.length direct_ev) (List.length via_ev);
-  List.iteri
-    (fun i (d, v) ->
-      if not (Trace.Event.equal d v) then
-        Alcotest.failf "%s: event %d differs:\n  direct: %s\n  via:    %s"
-          name i (Trace.Event.to_line d) (Trace.Event.to_line v))
-    (List.combine direct_ev via_ev);
-  if scalars direct_r <> scalars via_r then
-    Alcotest.failf "%s: result counters differ" name
-
-let test_des_differential ~b () =
+let test_decision_allocation () =
   List.iter
-    (fun seed ->
-      let sch = Schedule.generate ~seed ~m:6 ~sim:Schedule.Des in
-      check_identical
-        (Printf.sprintf "des b=%d seed %d" b seed)
-        (des_events ~b false sch) (des_events ~b true sch) scalars_des)
-    [ 7; 42; 1234 ]
+    (fun b ->
+      let native, direct = decision_words ~b in
+      if native > direct then
+        Alcotest.failf
+          "b = %d: %.1f words per decision through the native adapter, \
+           more than the %.1f of Ops.choose_replica_target"
+          b native direct)
+    [ 0; 2 ]
 
-let test_faults_differential ~b () =
-  List.iter
-    (fun seed ->
-      let sch = Schedule.generate ~seed ~m:6 ~sim:Schedule.Faults in
-      let sch = { sch with Schedule.duration = 10.0 } in
-      check_identical
-        (Printf.sprintf "faults b=%d seed %d" b seed)
-        (fault_events ~b false sch) (fault_events ~b true sch) scalars_faults)
-    [ 7; 42 ]
-
-let test_cold_differential ~b () =
-  check_identical
-    (Printf.sprintf "des cold tier b=%d" b)
-    (des_cold_events ~b false) (des_cold_events ~b true) scalars_cold
-
-(* The shootout's own gate, exercised at test scale: the report must
-   self-certify the native digest. *)
-let test_shootout_gate () =
+let test_shootout_rows () =
   let report = Lesslog_harness.Shootout.run ~quick:true ~seed:9 ~m:5 () in
-  Alcotest.(check bool)
-    "native digest matches direct path" true
-    report.Lesslog_harness.Shootout.native_digest_match;
-  Alcotest.(check int)
-    "four rows" 4
-    (List.length report.Lesslog_harness.Shootout.rows)
+  Alcotest.(check (list string))
+    "four rows" [ "lesslog"; "chord"; "pastry"; "can" ]
+    (List.map
+       (fun (r : Lesslog_harness.Shootout.row) -> r.name)
+       report.Lesslog_harness.Shootout.rows)
 
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in
@@ -378,25 +361,20 @@ let () =
         to_alcotest
           [
             prop_route_terminates;
+            prop_next_hop_int;
             prop_neighbor_symmetry;
             prop_kill_revive_consistency;
             prop_replica_target_fresh;
+          ]
+        @ [
+            Alcotest.test_case "route paths pinned" `Quick
+              test_route_paths_pinned;
           ] );
-      ( "differential",
+      ( "adapter cost",
         [
-          Alcotest.test_case "des: native via substrate = direct" `Quick
-            (test_des_differential ~b:0);
-          Alcotest.test_case "faults: native via substrate = direct" `Quick
-            (test_faults_differential ~b:0);
-          Alcotest.test_case "des b=2: native via substrate = direct" `Quick
-            (test_des_differential ~b:2);
-          Alcotest.test_case "faults b=2: native via substrate = direct"
-            `Quick (test_faults_differential ~b:2);
-          Alcotest.test_case "des cold tier: native via substrate = direct"
-            `Quick (test_cold_differential ~b:0);
-          Alcotest.test_case
-            "des cold tier b=2: native via substrate = direct" `Quick
-            (test_cold_differential ~b:2);
-          Alcotest.test_case "shootout digest gate" `Quick test_shootout_gate;
+          Alcotest.test_case "replica decision allocation" `Quick
+            test_decision_allocation;
         ] );
+      ( "shootout",
+        [ Alcotest.test_case "four rows" `Quick test_shootout_rows ] );
     ]
