@@ -355,6 +355,13 @@ let delete ?now cluster ~key =
 module Substrate = Lesslog_substrate.Substrate
 
 let insert_via ?(now = 0.0) sub cluster ~key =
+  (* A self-organized substrate's [owner] is one node of the whole tree;
+     ADVANCEDINSERTFILE wants one copy per subtree. *)
+  if sub.Substrate.membership = Substrate.Self_organized && scope cluster > 0
+  then
+    invalid_arg
+      "Ops.insert_via: a Self_organized substrate at b > 0 places one copy \
+       per subtree; use Ops.insert";
   Cluster.register_key cluster key;
   match sub.Substrate.owner ~key with
   | None -> []

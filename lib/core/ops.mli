@@ -127,7 +127,12 @@ val insert_via :
   Pid.t list
 (** Register the key and store the inserted copy at the substrate's
     current owner ([\[\]] iff no node is live). On the native substrate
-    with [b = 0] this is exactly {!insert}. *)
+    with [b = 0] this is exactly {!insert}.
+    @raise Invalid_argument when the substrate is
+    {!Lesslog_substrate.Substrate.Self_organized} and the cluster has
+    [b > 0]: its [owner] names one node, where ADVANCEDINSERTFILE places
+    one copy per subtree — call {!insert}. {!Lesslog_substrate.Substrate.Generic}
+    overlays keep their single owner at any [b]. *)
 
 val on_membership_via :
   ?now:float ->

@@ -9,7 +9,9 @@
     choice and its single [rng] draw. Both follow the cluster's [b], and
     neither allocates beyond a decision's [Some]. [owner] is the
     FINDLIVENODE insertion target and [neighbors] the children list,
-    both over the whole tree ([b = 0]).
+    both over the whole tree ([b = 0]); {!Ops.insert_via} therefore
+    refuses this adapter when the cluster has [b > 0], where
+    ADVANCEDINSERTFILE ({!Ops.insert}) places one copy per subtree.
 
     [membership] is {!Lesslog_substrate.Substrate.Self_organized}: churn
     is repaired by {!Self_org}, and the simulators' cold tier places

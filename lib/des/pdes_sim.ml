@@ -121,6 +121,7 @@ type result = {
   epochs : int;
   phases : int;
   cross_sends : int;
+  worker_times : Sharded_engine.worker_time array;
   digest : int;
 }
 
@@ -393,7 +394,7 @@ let start_arrivals (st : state) =
       done)
     st.shards
 
-let finalize_obs (st : state) (obs : Obs.t) ~latencies ~hops =
+let finalize_obs (st : state) (obs : Obs.t) ~latencies ~hops ~worker_times =
   Array.iter
     (fun (sh : shard) ->
       match sh.spans with
@@ -411,7 +412,20 @@ let finalize_obs (st : state) (obs : Obs.t) ~latencies ~hops =
   count "pdes/replications"
     (Array.fold_left (fun a (sh : shard) -> a + sh.replicas_created) 0 st.shards);
   ignore (Obs.Registry.timer_backed r "pdes/latency_s" latencies);
-  ignore (Obs.Registry.timer_backed r "pdes/hops" hops)
+  ignore (Obs.Registry.timer_backed r "pdes/hops" hops);
+  (* Host wall time per worker: registry only, never in the digest. *)
+  Array.iteri
+    (fun w (wt : Sharded_engine.worker_time) ->
+      let gauge field v =
+        Obs.Registry.set
+          (Obs.Registry.gauge r (Printf.sprintf "pdes/worker%d/%s" w field))
+          v
+      in
+      gauge "drain_s" wt.drain_s;
+      gauge "deliver_s" wt.deliver_s;
+      gauge "barrier_spin_s" wt.barrier_spin_s;
+      gauge "barrier_block_s" wt.barrier_block_s)
+    worker_times
 
 let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
     ?(domains = 1) ?(fuse = true) ~seed ~params ~key ~demand
@@ -432,13 +446,15 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
   (* With a single subtree there is no cross-shard traffic, so the epoch
      width is free — take something comfortably coarse. *)
   let lookahead = if nshards = 1 then Float.max lmin 1.0 else lmin in
-  let se = Sharded_engine.create ~shards:nshards ~lookahead () in
   let psi = Psi.create ~m:(Params.m params) in
   let tree = Ptree.make params ~root:(Pid.unsafe_of_int (Psi.target psi key)) in
   let status = Status_word.create params ~initially_live:true in
   let sspace = Params.subtree_space params in
-  let shards =
-    Array.init nshards (fun sid ->
+  (* Every record a shard writes per event is built here, on the worker
+     that will drain the shard (see {!Sharded_engine.create}). *)
+  let se, shards =
+    Sharded_engine.create ~domains ~shards:nshards ~lookahead
+      ~init:(fun sid eng ->
         let spans =
           match obs with
           | None -> None
@@ -446,7 +462,7 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
         in
         {
           sid;
-          eng = Sharded_engine.engine se sid;
+          eng;
           rng =
             Rng.create
               ~seed:
@@ -473,6 +489,7 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
           h_msg = -1;
           h_arrival = -1;
         })
+      ()
   in
   let st =
     {
@@ -509,14 +526,15 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
       (fun (a, _) (b, _) -> Float.compare a b)
       (churn_globals st (churn @ fault_churn faults) @ burst_globals st faults)
   in
-  Sharded_engine.run ~until:duration ~globals ~domains ~fuse se;
+  Sharded_engine.run ~until:duration ~globals ~fuse se;
+  let worker_times = Sharded_engine.worker_times se in
   let latencies = Histogram.create () and hops = Histogram.create () in
   Array.iter
     (fun (sh : shard) ->
       Histogram.merge latencies ~from:sh.latencies;
       Histogram.merge hops ~from:sh.hops_h)
     shards;
-  Option.iter (fun o -> finalize_obs st o ~latencies ~hops) obs;
+  Option.iter (fun o -> finalize_obs st o ~latencies ~hops ~worker_times) obs;
   let sum f = Array.fold_left (fun a (sh : shard) -> a + f sh) 0 shards in
   {
     served = sum (fun sh -> sh.served);
@@ -534,6 +552,7 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
     epochs = Sharded_engine.epoch se;
     phases = Sharded_engine.phases se;
     cross_sends = Sharded_engine.cross_sends se;
+    worker_times;
     digest =
       Array.fold_left (fun d (sh : shard) -> mix d sh.digest) 0x1505 shards;
   }

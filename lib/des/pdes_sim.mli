@@ -63,6 +63,12 @@ type result = {
   phases : int;
       (** Pool dispatches; [epochs / phases] is the fusion factor. *)
   cross_sends : int;  (** Mailbox messages between shards. *)
+  worker_times : Lesslog_sim.Sharded_engine.worker_time array;
+      (** Per worker, host seconds draining, delivering mail and waiting
+          at the window barrier (spinning and blocked apart); published
+          as [pdes/worker<w>/{drain_s,deliver_s,barrier_spin_s,
+          barrier_block_s}] with [obs]. Host timing: not in [digest] and
+          not domain-count invariant. *)
   digest : int;
       (** FNV fold over every handled event of every shard, combined in
           shard order — the domain-count-invariance witness. *)
@@ -97,9 +103,11 @@ val run :
     barrier globals that raise the drop probability to the maximum of
     the active bursts for their span (partitions are rejected);
     [domains] and [fuse] are purely speed knobs (epoch fusion is on by
-    default; [~fuse:false] forces one pool dispatch per epoch). With
-    [obs], per-shard span sinks are merged into the bundle in shard
-    order and [pdes/*] registry metrics are attributed at the end.
+    default; [~fuse:false] forces one pool dispatch per epoch). Each
+    shard's state is built on the worker that drains it
+    ({!Lesslog_sim.Sharded_engine.create}). With [obs], per-shard span
+    sinks are merged into the bundle in shard order and [pdes/*]
+    registry metrics are attributed at the end.
     @raise Invalid_argument when [m] exceeds the 24-bit packed origin
     field, the latency model fails [Latency.validate], [b > 0] with a
     latency minimum of zero, [config.loss] or a burst's loss outside

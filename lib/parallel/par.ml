@@ -16,6 +16,8 @@
 
 let default_cap = 16
 
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
 let recommended_domains () =
   match Sys.getenv_opt "LESSLOG_DOMAINS" with
   | Some s ->
@@ -174,7 +176,10 @@ module Barrier = struct
   let parties t = t.parties
 
   let arrive t ~last =
-    if t.parties = 1 then last ()
+    if t.parties = 1 then begin
+      last ();
+      -1
+    end
     else begin
       let g = Atomic.get t.gen in
       if Atomic.fetch_and_add t.arrivals 1 = t.parties - 1 then begin
@@ -185,7 +190,8 @@ module Barrier = struct
            broadcasting under it closes the missed-wakeup window. *)
         Mutex.lock t.m;
         Condition.broadcast t.c;
-        Mutex.unlock t.m
+        Mutex.unlock t.m;
+        -1
       end
       else begin
         let k = ref 0 in
@@ -194,12 +200,15 @@ module Barrier = struct
           Domain.cpu_relax ()
         done;
         if Atomic.get t.gen = g then begin
+          let blocked_at = now_ns () in
           Mutex.lock t.m;
           while Atomic.get t.gen = g do
             Condition.wait t.c t.m
           done;
-          Mutex.unlock t.m
+          Mutex.unlock t.m;
+          blocked_at
         end
+        else -1
       end
     end
 end

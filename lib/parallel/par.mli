@@ -14,6 +14,12 @@
     is fixed by the caller, so outcomes are identical at any domain
     count as long as jobs touch disjoint state. *)
 
+val now_ns : unit -> int
+(** The monotonic clock (bechamel's [Monotonic_clock]), in nanoseconds
+    from an arbitrary origin. {!Barrier.arrive} stamps the moment it
+    starts blocking with it; callers that time their own phases read the
+    same clock so the intervals compose. *)
+
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count], capped at 16 — or the value of
     the [LESSLOG_DOMAINS] environment variable when set (positive
@@ -60,7 +66,7 @@ module Barrier : sig
 
   val parties : t -> int
 
-  val arrive : t -> last:(unit -> unit) -> unit
+  val arrive : t -> last:(unit -> unit) -> int
   (** Block until all [parties] have arrived. The last arriver runs
       [last] before anyone is released: its plain writes are visible to
       every party after [arrive] returns, and every party's plain writes
@@ -68,7 +74,14 @@ module Barrier : sig
       [parties = 1], [arrive] just runs [last]. Every party must arrive
       exactly once per phase — a party that skips an arrival (e.g. by
       raising) deadlocks the rest, so callers trap exceptions, arrive,
-      and re-raise after release. *)
+      and re-raise after release.
+
+      Returns the {!now_ns} reading at which this party stopped spinning
+      and blocked on the condition variable, or [-1] when it never
+      blocked (it was released while spinning, or it was the last
+      arriver). A caller that reads {!now_ns} just before and just after
+      [arrive] can split its wait into spin and block time; the clock is
+      read here only on the blocking path. *)
 end
 
 val ensure_pool : int -> Pool.t

@@ -50,7 +50,29 @@
    Rare whole-system actions (membership churn, phase changes) run as
    {e global events}: the window is clipped so it never spans one, and
    the action runs sequentially at the barrier with all shard clocks
-   lined up on its timestamp. *)
+   lined up on its timestamp.
+
+   {b Ownership.} The worker count is fixed at {!create}, and so is the
+   block split: worker w drains shards [w*n/W, (w+1)*n/W) in every
+   phase. {!create} builds each shard's engine, and through the caller's
+   [init] hook the caller's per-shard state, inside one pool job on the
+   worker that will drain that shard, so the records each event writes
+   (the engine's clock and counters, the queue's staging floats and vec
+   headers, the caller's shard record) of two workers never share a
+   cache line. Built one after another by the coordinator, neighbouring
+   shards' records did, and every event on one worker invalidated a line
+   the other was using (false sharing; EXPERIMENTS.md, "Domain-parallel
+   scaling"). A domain allocates small blocks in its own minor heap, but
+   a minor collection promotes each block into the major-heap pools of
+   whichever domain reaches it first; so each worker runs a minor
+   collection before it publishes what it built, while only its own
+   stack reaches it. At one worker the job runs inline and collects
+   nothing.
+
+   {b Wall time per worker.} Each worker reads the monotonic clock
+   ({!Par.now_ns}) a few times per window, never per event, and adds up
+   its seconds delivering mail, draining its shards and waiting at the
+   barrier, spinning and blocked apart ({!worker_times}). *)
 
 module Par = Lesslog_parallel.Par
 
@@ -96,6 +118,22 @@ let[@inline] mb_push mb ~time ~h ~a ~b ~x =
   mb.x.(i) <- x;
   mb.len <- i + 1
 
+(* One worker's wall-time totals, in clock ns. Written once per window by
+   its worker only, and built on that worker by {!create}. *)
+type wtime = {
+  mutable deliver_ns : int;
+  mutable drain_ns : int;
+  mutable spin_ns : int;
+  mutable block_ns : int;
+}
+
+type worker_time = {
+  drain_s : float;
+  deliver_s : float;
+  barrier_spin_s : float;
+  barrier_block_s : float;
+}
+
 (* Shared state of one fused phase: written by the coordinator before
    the pool job starts, per-worker slots written by their owner during a
    window, decision fields written by the barrier's last arriver. All
@@ -124,28 +162,85 @@ type t = {
   mail : mailbox array;  (* (parity * n + src) * n + dst *)
   sent_min : float array;  (* per src shard: min undelivered send time *)
   sent_cnt : int array;  (* per src shard: undelivered sends *)
+  desc : descriptor;  (* fixed worker count and block split *)
+  wtimes : wtime array;  (* per worker, each built on its worker *)
   mutable parity : int;  (* buffer index current-window sends append to *)
   mutable epoch : int;
   mutable phases : int;  (* pool dispatches; epochs/phases = fusion factor *)
   mutable cross_sends : int;  (* delivered mailbox messages *)
-  mutable desc : descriptor option;  (* reused while the worker count holds *)
 }
 
-let create ~shards ~lookahead () =
+let make_descriptor ~shards:n ~workers =
+  {
+    d_workers = workers;
+    block_lo = Array.init workers (fun w -> w * n / workers);
+    block_hi = Array.init workers (fun w -> (w + 1) * n / workers);
+    wmin = Array.make workers Float.infinity;
+    wsent = Array.make workers 0;
+    wdelivered = Array.make workers 0;
+    bar = Par.Barrier.create ~parties:workers ();
+    abort = Atomic.make false;
+    bound = 0.0;
+    until_bound = Float.infinity;
+    next_global = Float.infinity;
+    fuse = true;
+    continue_ = false;
+    cur_min = Float.infinity;
+  }
+
+(* A thunk that runs [f w] for every worker [w < d_workers]: inline at
+   one worker, else as one job of the shared pool, whose extra workers
+   (it only grows, so it may be wider) are not barrier parties and must
+   not touch any shard. The job closure is built once, not per call. *)
+let on_workers d f =
+  let job w = if w < d.d_workers then f w in
+  fun () ->
+    if d.d_workers = 1 then f 0
+    else Par.Pool.run (Par.ensure_pool d.d_workers) job
+
+let create ?(domains = 1) ~shards ~lookahead ~init () =
   if shards < 1 then invalid_arg "Sharded_engine.create: shards";
   if not (lookahead > 0.0) then invalid_arg "Sharded_engine.create: lookahead";
-  {
-    shards = Array.init shards (fun _ -> Engine.create ());
-    lookahead;
-    mail = Array.init (2 * shards * shards) (fun _ -> mb_make ());
-    sent_min = Array.make shards Float.infinity;
-    sent_cnt = Array.make shards 0;
-    parity = 0;
-    epoch = 0;
-    phases = 0;
-    cross_sends = 0;
-    desc = None;
-  }
+  if domains < 1 then invalid_arg "Sharded_engine.create: domains";
+  let workers = min domains shards in
+  let desc = make_descriptor ~shards ~workers in
+  let built = Array.make workers [||] and wtimes = Array.make workers None in
+  (* Everything a worker writes while it drains is allocated here, by
+     that worker: its timing record, its shards' engines and the
+     caller's state for them, shard by shard in index order. Published
+     young, the blocks would be promoted by whichever domain reached
+     them first — the coordinator, through [built]; so with several
+     workers each one promotes its own first (see the header). *)
+  on_workers desc
+    (fun w ->
+      let wt = { deliver_ns = 0; drain_ns = 0; spin_ns = 0; block_ns = 0 } in
+      let lo = desc.block_lo.(w) in
+      let mine =
+        Array.init (desc.block_hi.(w) - lo) (fun k ->
+            let e = Engine.create () in
+            (e, init (lo + k) e))
+      in
+      if workers > 1 then Gc.minor ();
+      wtimes.(w) <- Some wt;
+      built.(w) <- mine)
+    ();
+  let built = Array.concat (Array.to_list built) in
+  let t =
+    {
+      shards = Array.map fst built;
+      lookahead;
+      mail = Array.init (2 * shards * shards) (fun _ -> mb_make ());
+      sent_min = Array.make shards Float.infinity;
+      sent_cnt = Array.make shards 0;
+      desc;
+      wtimes = Array.map Option.get wtimes;
+      parity = 0;
+      epoch = 0;
+      phases = 0;
+      cross_sends = 0;
+    }
+  in
+  (t, Array.map snd built)
 
 let shard_count t = Array.length t.shards
 let engine t i = t.shards.(i)
@@ -154,6 +249,18 @@ let now t ~shard = Engine.now t.shards.(shard)
 let epoch t = t.epoch
 let phases t = t.phases
 let cross_sends t = t.cross_sends
+
+let worker_times t =
+  let s ns = float_of_int ns *. 1e-9 in
+  Array.map
+    (fun wt ->
+      {
+        drain_s = s wt.drain_ns;
+        deliver_s = s wt.deliver_ns;
+        barrier_spin_s = s wt.spin_ns;
+        barrier_block_s = s wt.block_ns;
+      })
+    t.wtimes
 
 let events_executed t =
   Array.fold_left (fun acc e -> acc + Engine.events_executed e) 0 t.shards
@@ -249,9 +356,13 @@ let decide t d =
 
 (* One worker's phase: windows until the decision ends the phase. A
    handler exception must not strand the other parties at the barrier,
-   so it is trapped, flagged, and re-raised only after the release. *)
+   so it is trapped, flagged, and re-raised only after the release. The
+   clock is read at the window's two internal boundaries and around the
+   barrier; a fused window starts where the last one's barrier ended. *)
 let phase_worker t d w =
   let lo = d.block_lo.(w) and hi = d.block_hi.(w) in
+  let wt = t.wtimes.(w) in
+  let mark = ref (Par.now_ns ()) in
   let continue = ref true in
   while !continue do
     let ex = ref None in
@@ -269,6 +380,9 @@ let phase_worker t d w =
          t.sent_min.(s) <- Float.infinity;
          t.sent_cnt.(s) <- 0
        done;
+       let delivered_at = Par.now_ns () in
+       wt.deliver_ns <- wt.deliver_ns + (delivered_at - !mark);
+       mark := delivered_at;
        let bound = d.bound in
        for s = lo to hi - 1 do
          Engine.drain_below t.shards.(s) ~bound
@@ -281,59 +395,41 @@ let phase_worker t d w =
          sent := !sent + t.sent_cnt.(s)
        done;
        d.wmin.(w) <- !mn;
-       d.wsent.(w) <- !sent
+       d.wsent.(w) <- !sent;
+       let drained_at = Par.now_ns () in
+       wt.drain_ns <- wt.drain_ns + (drained_at - !mark);
+       mark := drained_at
      with e ->
        ex := Some (e, Printexc.get_raw_backtrace ());
        Atomic.set d.abort true;
        d.wmin.(w) <- Float.infinity;
        d.wsent.(w) <- 0);
-    Par.Barrier.arrive d.bar ~last:(fun () -> decide t d);
+    let blocked_at = Par.Barrier.arrive d.bar ~last:(fun () -> decide t d) in
+    let released_at = Par.now_ns () in
+    if blocked_at < 0 then wt.spin_ns <- wt.spin_ns + (released_at - !mark)
+    else begin
+      wt.spin_ns <- wt.spin_ns + (blocked_at - !mark);
+      wt.block_ns <- wt.block_ns + (released_at - blocked_at)
+    end;
+    mark := released_at;
     (match !ex with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());
     continue := d.continue_
   done
 
-let descriptor_for t ~workers =
-  match t.desc with
-  | Some d when d.d_workers = workers -> d
-  | _ ->
-      let n = Array.length t.shards in
-      let d =
-        {
-          d_workers = workers;
-          block_lo = Array.init workers (fun w -> w * n / workers);
-          block_hi = Array.init workers (fun w -> (w + 1) * n / workers);
-          wmin = Array.make workers Float.infinity;
-          wsent = Array.make workers 0;
-          wdelivered = Array.make workers 0;
-          bar = Par.Barrier.create ~parties:workers ();
-          abort = Atomic.make false;
-          bound = 0.0;
-          until_bound = Float.infinity;
-          next_global = Float.infinity;
-          fuse = true;
-          continue_ = false;
-          cur_min = Float.infinity;
-        }
-      in
-      t.desc <- Some d;
-      d
-
-let run ?until ?(globals = []) ?(domains = 1) ?(fuse = true) t =
-  if domains < 1 then invalid_arg "Sharded_engine.run: domains";
-  let n = Array.length t.shards in
-  let workers = max 1 (min domains n) in
-  let pool = if workers = 1 then None else Some (Par.ensure_pool workers) in
+let run ?until ?(globals = []) ?(fuse = true) t =
+  let d = t.desc in
+  let workers = d.d_workers in
   let horizon = match until with None -> Float.infinity | Some u -> u in
   (* [Float.succ] turns the strict drain bound inclusive: events at
      exactly [until] still run. *)
   let until_bound =
     match until with None -> Float.infinity | Some u -> Float.succ u
   in
-  let d = descriptor_for t ~workers in
   d.until_bound <- until_bound;
   d.fuse <- fuse;
+  let phase = on_workers d (phase_worker t d) in
   flush_mail t;
   let globals = ref globals in
   let cur_min = ref (min_next t) in
@@ -375,13 +471,7 @@ let run ?until ?(globals = []) ?(domains = 1) ?(fuse = true) t =
       (* Flip the mailbox parity: this phase's sends buffer separately
          from the previous window's mail being delivered. *)
       t.parity <- 1 - t.parity;
-      (match pool with
-      | None -> phase_worker t d 0
-      | Some pool ->
-          (* The shared pool only grows, so it may be wider than
-             [workers]; extra workers are not barrier parties and must
-             not touch any shard. *)
-          Par.Pool.run pool (fun w -> if w < workers then phase_worker t d w));
+      phase ();
       for w = 0 to workers - 1 do
         t.cross_sends <- t.cross_sends + d.wdelivered.(w)
       done;

@@ -4,9 +4,9 @@
 
     {2 Model}
 
-    Shards are fixed at creation; workers (OCaml domains) are chosen at
-    {!run} time and only decide which domain drains which shard — never
-    what happens. The contract callers must uphold:
+    Shards and workers (OCaml domains) are fixed at creation; the worker
+    count only decides which domain builds and drains which shard —
+    never what happens. The contract callers must uphold:
 
     - handlers registered on shard [s]'s engine touch only shard-[s]
       state (plus read-only shared data);
@@ -39,13 +39,49 @@
     Cross-shard traffic, a due global, or the horizon ends the phase.
     Mailboxes are double-buffered by window parity so delivery of the
     previous window's mail never touches the buffers the current
-    window's sends append to. *)
+    window's sends append to.
+
+    {2 Ownership}
+
+    A shard is built where it is drained. {!create} runs one pool job
+    over the same contiguous block split the phases use, and each
+    worker allocates its own shards' engines and, through the caller's
+    [init] hook, the caller's per-shard state, then runs a minor
+    collection so those blocks are promoted into its own domain's
+    major-heap pools before anyone else can reach them (a minor
+    collection promotes a young block into the pools of whichever domain
+    reaches it first). The small records one worker writes on every
+    event (the engine's clock and counters, its queue's staging record
+    and vec headers, the caller's shard record) then never share a cache
+    line with another worker's. Built one after another on one domain,
+    neighbouring shards' records did, and the two workers' writes to
+    them contended for the same lines (false sharing). Build all
+    per-shard mutable state in [init]; state allocated elsewhere and
+    written per event brings the contention back. *)
 
 type t
 
-val create : shards:int -> lookahead:float -> unit -> t
-(** [shards >= 1]; [lookahead > 0] is the minimum cross-shard delivery
-    delay (the epoch width). *)
+val create :
+  ?domains:int ->
+  shards:int ->
+  lookahead:float ->
+  init:(int -> Engine.t -> 'a) ->
+  unit ->
+  t * 'a array
+(** [create ~domains ~shards ~lookahead ~init ()] builds [shards]
+    engines ([>= 1]) drained by [min domains shards] workers ([domains]
+    defaults to 1; the shared {!Par.ensure_pool} supplies the domains);
+    [lookahead > 0] is the minimum cross-shard delivery delay (the epoch
+    width). Worker [w] owns shards [[w*n/W, (w+1)*n/W)] for the whole
+    life of [t], and calls [init i (engine t i)] exactly once for each
+    of its shards, in index order, on its own domain; the values come
+    back in shard order. With more than one worker, each then runs one
+    minor collection ({!Gc.minor}) before publishing its shards. At one
+    worker everything runs inline on the caller's domain. [init] must touch only its own shard (it runs
+    concurrently with other workers' calls); an exception it raises is
+    re-raised after every worker has finished.
+    @raise Invalid_argument when [shards < 1], [lookahead <= 0] or
+    [domains < 1]. *)
 
 val shard_count : t -> int
 val lookahead : t -> float
@@ -80,14 +116,12 @@ val send :
 val run :
   ?until:float ->
   ?globals:(float * (unit -> unit)) list ->
-  ?domains:int ->
   ?fuse:bool ->
   t ->
   unit
 (** Drive all shards to completion (or to [until], inclusive, clamping
-    every shard clock there) using up to [domains] pool workers
-    (default 1; capped at the shard count; the shared {!Par.ensure_pool}
-    supplies the domains).
+    every shard clock there) on the workers fixed at {!create}, each
+    draining the shards it built.
 
     [fuse] (default [true]) enables epoch fusion — consecutive quiet
     windows executed inside one pool dispatch. [~fuse:false] forces one
@@ -109,3 +143,22 @@ val events_executed : t -> int
 
 val cross_sends : t -> int
 (** Cross-shard messages delivered so far. *)
+
+type worker_time = {
+  drain_s : float;  (** Draining own shards below the window bound. *)
+  deliver_s : float;  (** Handing the previous window's mail to them. *)
+  barrier_spin_s : float;
+      (** Waiting at the window barrier while spinning (for the last
+          arriver: running the window decision). *)
+  barrier_block_s : float;
+      (** Waiting at the window barrier blocked on its condition
+          variable. *)
+}
+(** One worker's wall time inside {!run}'s phase jobs, in seconds of
+    {!Par.now_ns}. The clock is read a few times per epoch window, never
+    per event. Time outside phase jobs — globals, the coordinator's
+    flushes, pool dispatch — belongs to no worker. Host timing: never
+    part of any result digest. *)
+
+val worker_times : t -> worker_time array
+(** Per worker, totals over every {!run} so far, indexed by worker. *)

@@ -138,7 +138,7 @@ let test_barrier_single_party () =
   Alcotest.(check int) "parties" 1 (Par.Barrier.parties b);
   let ran = ref 0 in
   for _ = 1 to 5 do
-    Par.Barrier.arrive b ~last:(fun () -> incr ran)
+    ignore (Par.Barrier.arrive b ~last:(fun () -> incr ran) : int)
   done;
   Alcotest.(check int) "last runs every phase" 5 !ran
 
@@ -160,9 +160,11 @@ let test_barrier_phases_in_pool () =
   let bad = Atomic.make 0 in
   Par.Pool.run pool (fun _w ->
       for p = 1 to phases do
-        Par.Barrier.arrive b ~last:(fun () ->
-            Atomic.incr last_runs;
-            cell := p);
+        ignore
+          (Par.Barrier.arrive b ~last:(fun () ->
+               Atomic.incr last_runs;
+               cell := p)
+            : int);
         if !cell <> p then Atomic.incr bad
       done);
   Par.Pool.shutdown pool;
@@ -184,11 +186,45 @@ let test_barrier_interleaves_with_work () =
           ignore (Sys.opaque_identity w)
         done;
         slots.(w) <- p;
-        Par.Barrier.arrive b ~last:(fun () ->
-            if Array.exists (fun v -> v <> p) slots then Atomic.incr sum_bad)
+        ignore
+          (Par.Barrier.arrive b ~last:(fun () ->
+               if Array.exists (fun v -> v <> p) slots then
+                 Atomic.incr sum_bad)
+            : int)
       done);
   Par.Pool.shutdown pool;
   Alcotest.(check int) "every phase folded all parties" 0 (Atomic.get sum_bad)
+
+let test_barrier_block_stamp () =
+  (* With no spinning, a party that arrives first blocks, and [arrive]
+     returns the clock reading at which it did, inside its own wait; the
+     last arriver never blocks and returns -1. Worker 1 arrives only
+     well after worker 0 has announced its arrival. *)
+  let pool = Par.Pool.create ~domains:2 in
+  let b = Par.Barrier.create ~spin:0 ~parties:2 () in
+  let arriving = Atomic.make false in
+  let before = ref 0 and stamp = ref 0 and after = ref 0 and last = ref 0 in
+  Par.Pool.run pool (fun w ->
+      if w = 0 then begin
+        before := Par.now_ns ();
+        Atomic.set arriving true;
+        stamp := Par.Barrier.arrive b ~last:ignore;
+        after := Par.now_ns ()
+      end
+      else begin
+        while not (Atomic.get arriving) do
+          Domain.cpu_relax ()
+        done;
+        let until = Par.now_ns () + 50_000_000 in
+        while Par.now_ns () < until do
+          Domain.cpu_relax ()
+        done;
+        last := Par.Barrier.arrive b ~last:ignore
+      end);
+  Par.Pool.shutdown pool;
+  Alcotest.(check int) "last arriver: -1" (-1) !last;
+  Alcotest.(check bool) "first arriver blocked inside its wait" true
+    (!before <= !stamp && !stamp <= !after)
 
 let prop_map_matches_sequential =
   Test_support.qcheck_case ~count:50 ~name:"parallel map = Array.map"
@@ -259,6 +295,8 @@ let () =
             test_barrier_phases_in_pool;
           Alcotest.test_case "unequal work per party" `Quick
             test_barrier_interleaves_with_work;
+          Alcotest.test_case "blocked party stamps its wait" `Quick
+            test_barrier_block_stamp;
         ] );
       ("properties", [ prop_map_matches_sequential ]);
     ]

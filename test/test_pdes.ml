@@ -11,8 +11,13 @@ module Demand = Lesslog_workload.Demand
 module Status_word = Lesslog_membership.Status_word
 module Latency = Lesslog_net.Latency
 module Histogram = Lesslog_metrics.Histogram
+module Par = Lesslog_parallel.Par
 
 (* --- Sharded engine ---------------------------------------------------- *)
+
+(* An engine with no per-shard caller state. *)
+let create ?domains ~shards ~lookahead () =
+  fst (Sharded.create ?domains ~shards ~lookahead ~init:(fun _ _ -> ()) ())
 
 (* A reproducible synthetic workload: event [b] at a node re-posts
    locally while [b > 0], and every third value also crosses to the next
@@ -28,7 +33,7 @@ let synthetic_schedule ~shards ~seeds =
 
 let run_sharded ?fuse ~shards ~domains sched =
   let lookahead = 0.5 in
-  let se = Sharded.create ~shards ~lookahead () in
+  let se = create ~domains ~shards ~lookahead () in
   let log = Array.make shards [] in
   let handlers = Array.make shards (-1) in
   for s = 0 to shards - 1 do
@@ -52,7 +57,7 @@ let run_sharded ?fuse ~shards ~domains sched =
       Engine.post_at (Sharded.engine se s) ~time:t ~h:handlers.(s) ~a ~b
         ~x:0.0)
     sched;
-  Sharded.run ?fuse ~domains se;
+  Sharded.run ?fuse se;
   let phases = Sharded.phases se and epochs = Sharded.epoch se in
   (Array.map List.rev log, epochs, phases)
 
@@ -120,7 +125,7 @@ let test_fusion_collapses_quiet_epochs () =
   Alcotest.(check int) "one phase" 1 phases
 
 let test_send_below_lookahead_rejected () =
-  let se = Sharded.create ~shards:2 ~lookahead:0.5 () in
+  let se = create ~shards:2 ~lookahead:0.5 () in
   let h = Engine.register (Sharded.engine se 1) (fun _ _ -> ()) in
   Alcotest.check_raises "below lookahead"
     (Invalid_argument "Sharded_engine.send: cross-shard delay below lookahead")
@@ -130,7 +135,7 @@ let test_send_below_lookahead_rejected () =
    cross-shard payload with the issuing epoch and check it on arrival. *)
 let test_no_same_epoch_delivery () =
   let shards = 3 and lookahead = 0.125 in
-  let se = Sharded.create ~shards ~lookahead () in
+  let se = create ~shards ~lookahead () in
   let handlers = Array.make shards (-1) in
   let violations = ref 0 and delivered = ref 0 in
   for s = 0 to shards - 1 do
@@ -154,12 +159,12 @@ let test_no_same_epoch_delivery () =
     Engine.post_at (Sharded.engine se s) ~time:(0.1 *. float_of_int (s + 1))
       ~h:handlers.(s) ~a:(-1) ~b:6 ~x:0.0
   done;
-  Sharded.run ~domains:1 se;
+  Sharded.run se;
   Alcotest.(check bool) "cross deliveries happened" true (!delivered > 0);
   Alcotest.(check int) "same-epoch deliveries" 0 !violations
 
 let test_globals_fire_in_order () =
-  let se = Sharded.create ~shards:2 ~lookahead:1.0 () in
+  let se = create ~shards:2 ~lookahead:1.0 () in
   let fired = ref [] in
   let h =
     Engine.register (Sharded.engine se 0) (fun a _ ->
@@ -173,11 +178,57 @@ let test_globals_fire_in_order () =
     ~globals:
       [ (2.0, fun () -> fired := `Global 2 :: !fired);
         (4.0, fun () -> fired := `Global 4 :: !fired) ]
-    ~domains:1 se;
+    se;
   Alcotest.(check bool)
     "interleaved in time order" true
     (List.rev !fired
     = [ `Event 1; `Global 2; `Event 3; `Global 4; `Event 5 ])
+
+(* The constructor hook: shard i is built exactly once, gets its own
+   engine and value back in shard order, and is built on the domain that
+   later drains it — at several worker counts, and with the shared pool
+   wider than the engine's workers (extra workers build nothing). *)
+let test_init_hook () =
+  let shards = 8 in
+  let domain () = (Domain.self () :> int) in
+  let check_at ~domains =
+    let label what = Printf.sprintf "%d domains: %s" domains what in
+    let calls = Array.init shards (fun _ -> Atomic.make 0) in
+    let built_on = Array.make shards (-1) and drained_on = Array.make shards (-1) in
+    let se, values =
+      Sharded.create ~domains ~shards ~lookahead:0.5
+        ~init:(fun i eng ->
+          Atomic.incr calls.(i);
+          built_on.(i) <- domain ();
+          let h = Engine.register eng (fun _ _ -> drained_on.(i) <- domain ()) in
+          Engine.post_at eng ~time:0.25 ~h ~a:0 ~b:0 ~x:0.0;
+          (i, eng))
+        ()
+    in
+    Sharded.run se;
+    Alcotest.(check (array int))
+      (label "built once") (Array.make shards 1) (Array.map Atomic.get calls);
+    Alcotest.(check (array int))
+      (label "values in shard order") (Array.init shards Fun.id)
+      (Array.map fst values);
+    Array.iteri
+      (fun i (_, eng) ->
+        Alcotest.(check bool) (label "own engine") true (eng == Sharded.engine se i))
+      values;
+    Alcotest.(check (array int)) (label "built where drained") built_on drained_on;
+    let times = Sharded.worker_times se in
+    Alcotest.(check int) (label "one timing per worker") (min domains shards)
+      (Array.length times);
+    Array.iter
+      (fun (wt : Sharded.worker_time) ->
+        Alcotest.(check bool) (label "times non-negative") true
+          (wt.drain_s >= 0.0 && wt.deliver_s >= 0.0 && wt.barrier_spin_s >= 0.0
+          && wt.barrier_block_s >= 0.0))
+      times
+  in
+  List.iter (fun domains -> check_at ~domains) [ 1; 2; 4; 8 ];
+  ignore (Sys.opaque_identity (Par.ensure_pool 8));
+  List.iter (fun domains -> check_at ~domains) [ 2; 3 ]
 
 (* --- Pdes_sim ----------------------------------------------------------- *)
 
@@ -467,6 +518,8 @@ let () =
           qcheck_fused_equals_unfused;
           Alcotest.test_case "fusion collapses quiet epochs" `Quick
             test_fusion_collapses_quiet_epochs;
+          Alcotest.test_case "init hook: once, in order, on its drainer"
+            `Quick test_init_hook;
         ] );
       ( "pdes-sim",
         [

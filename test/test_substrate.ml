@@ -353,6 +353,54 @@ let test_shootout_rows () =
        (fun (r : Lesslog_harness.Shootout.row) -> r.name)
        report.Lesslog_harness.Shootout.rows)
 
+(* [Ops.insert_via] refuses a self-organized substrate at b > 0, whose
+   single [owner] would stand in for ADVANCEDINSERTFILE's one copy per
+   subtree, and leaves the cluster untouched; a Generic overlay (Chord)
+   places its one copy at any b. *)
+let insert_via_error =
+  Invalid_argument
+    "Ops.insert_via: a Self_organized substrate at b > 0 places one copy \
+     per subtree; use Ops.insert"
+
+let test_insert_via_native_b2_raises () =
+  let params = Params.create ~m:6 ~b:2 () in
+  let cluster = Cluster.create params in
+  let key = "insert-via" in
+  Alcotest.check_raises "native, m = 6, b = 2" insert_via_error (fun () ->
+      ignore
+        (Ops.insert_via (Substrate_native.of_cluster cluster) cluster ~key));
+  Alcotest.(check (list int)) "no copy placed" []
+    (List.map Pid.to_int (Cluster.holders cluster ~key));
+  Alcotest.(check int) "Ops.insert: one copy per subtree" 4
+    (List.length (Ops.insert cluster ~key))
+
+let test_insert_via_generic_places () =
+  List.iter
+    (fun b ->
+      let params = Params.create ~m:6 ~b () in
+      let native = Cluster.create params and chord = Cluster.create params in
+      let key = "insert-via" in
+      let sub =
+        Chord_sub.make params (Cluster.status chord) (Cluster.psi chord)
+      in
+      let owner = Option.get (sub.Substrate.owner ~key) in
+      let placed = Ops.insert_via sub chord ~key in
+      Alcotest.(check (list int))
+        (Printf.sprintf "chord b = %d: the owner" b)
+        [ Pid.to_int owner ] (List.map Pid.to_int placed);
+      Alcotest.(check (list int))
+        (Printf.sprintf "chord b = %d: held" b)
+        [ Pid.to_int owner ]
+        (List.map Pid.to_int (Cluster.holders chord ~key));
+      if b = 0 then
+        Alcotest.(check (list int)) "native b = 0 = Ops.insert"
+          (List.map Pid.to_int (Ops.insert native ~key))
+          (List.map Pid.to_int
+             (Ops.insert_via
+                (Substrate_native.of_cluster (Cluster.create params))
+                (Cluster.create params) ~key)))
+    [ 0; 2 ]
+
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "substrate"
@@ -377,4 +425,11 @@ let () =
         ] );
       ( "shootout",
         [ Alcotest.test_case "four rows" `Quick test_shootout_rows ] );
+      ( "insert via",
+        [
+          Alcotest.test_case "native b=2 raises" `Quick
+            test_insert_via_native_b2_raises;
+          Alcotest.test_case "chord places at b=0 and 2" `Quick
+            test_insert_via_generic_places;
+        ] );
     ]
