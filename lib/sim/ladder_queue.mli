@@ -1,4 +1,4 @@
-(** Ladder (calendar) event queue with struct-of-arrays storage.
+(** Ladder (calendar) event queue; each event's fields stored side by side.
 
     Holds fixed-shape events — [(time, seq, h, a, b, x)] where [h] names a
     handler and [a]/[b]/[x] are its payload — ordered by [(time, seq)].
@@ -9,23 +9,35 @@
     queue (the engine's monotone counter), which makes the order total:
     for the same inputs the pop order is bit-identical to a binary heap
     keyed by [(Float.compare, Int.compare)] — [Heap] stays in-tree as the
-    differential oracle for exactly that property.
+    differential oracle for exactly that property. Events are routed to
+    buckets by the bucket index alone, which is monotone in time, so the
+    order holds under float rounding at bucket edges too.
+
+    Storage: every band (the rung slab, the open heap of events pushed
+    into a bucket already drained, the far heap) keeps an event's two
+    floats [(time, x)] side by side in one float array and its four ints
+    [(seq, h, a, b)] side by side in one int array. Every rung bucket is
+    a chain of fixed 64-slot blocks from one slab per queue. The bucket
+    being drained — the run — is not copied out: it is an index array
+    over its slab slots, sorted by [(time, seq)], and pops read each
+    event from the slab in place. The run's blocks go back to the slab's
+    free list, all at once, only after its last event is popped; a split
+    frees each block of the split bucket once read. The slab grows
+    (doubling) only when the free list is empty. Queue memory is
+    therefore bounded by the peak number of events held in rungs and the
+    run, plus at most one partial block per non-empty bucket, plus the
+    run index and the open- and far-heap arrays — not by the number of
+    events that pass through. Rounds of posts with a drain between them
+    allocate nothing once the slab and the arrays have grown to the
+    round's peak.
 
     Popping uses a cursor: [pop] returns whether an event was dequeued
     and the accessors read its fields. Once capacity is warm, [pop] and
     [pop_until] allocate nothing. [push] allocates nothing where it is
     inlined (release builds); as an out-of-line call ([-opaque] dev
     builds) its caller boxes [time] and [x]. Only capacity growth
-    allocates. Every rung bucket is a chain of fixed 64-slot blocks
-    from one slab per queue; draining a bucket returns its blocks to
-    the slab's free list, and the slab grows (doubling) only when that
-    list is empty. Queue memory is therefore bounded by the peak number
-    of events held in rungs, plus at most one partial block per
-    non-empty bucket, plus the run, open-heap and far-heap arrays —
-    not by the number of events that pass through. Rounds of posts
-    with a drain between them allocate nothing once the slab and the
-    arrays have grown to the round's peak. The float accessors [time],
-    [arg_x] and [min_time] return a boxed float unless inlined. *)
+    allocates. The float accessors [time], [arg_x] and [min_time] return
+    a boxed float unless inlined. *)
 
 type t
 

@@ -298,6 +298,100 @@ let prop_ladder_pop_until_epochs =
       && List.rev !out_l = oracle_order times
       && !out_h = !out_l)
 
+(* The run is read in place from its slab blocks, which go back to the
+   free list only once it is drained. Ops relative to [now], the time of
+   the last event popped:
+   - [Push d]: one event at [now + d]; a small [d] lands inside the
+     bucket being drained (the open heap), a negative one below popped
+     times;
+   - [Burst (d, n)]: [n] events at one time [now + d]. More than the
+     split threshold cannot split (no spread) and is drained as one run;
+     pushed while a run is half drained, its blocks can grow the slab;
+   - [Pop], and [Window w]: [pop_until (now + w)] until it refuses, which
+     mostly stops in the middle of a run.
+   Every popped field must match the heap's, so a queue that handed a
+   run's blocks back early, letting a push overwrite a slot not yet
+   popped, fails here. So does one that routes by a child rung's
+   computed end: pushed at that end, an event its parent indexes into
+   the split bucket was filed there and lost. Times are multiples of
+   1/8, which makes ties. *)
+type run_op = Push of float | Burst of float * int | Pop | Window of float
+
+let run_op_gen =
+  QCheck2.Gen.(
+    let eighths lo hi = map (fun k -> float_of_int k /. 8.0) (int_range lo hi) in
+    frequency
+      [
+        (5, map (fun d -> Push d) (eighths (-16) 320));
+        (1, map2 (fun d n -> Burst (d, n)) (eighths 0 160) (int_range 1 200));
+        (5, return Pop);
+        (1, map (fun w -> Window w) (eighths 0 32));
+      ])
+
+let prop_ladder_in_place_run =
+  Test_support.qcheck_case ~name:"ladder = heap (in-place run, all fields)"
+    QCheck2.Gen.(
+      pair
+        (pair (int_range 2 16) (int_range 4 32))
+        (list_size (int_range 0 300) run_op_gen))
+    (fun ((buckets, split_threshold), ops) ->
+      let lq = Ladder.create ~buckets ~split_threshold () in
+      let h =
+        Heap.create ~cmp:(fun (t1, s1, _, _, _, _) (t2, s2, _, _, _, _) ->
+            event_cmp (t1, s1) (t2, s2))
+      in
+      let seq = ref 0 and now = ref 0.0 and ok = ref true in
+      let push time =
+        let s = !seq in
+        let ev = (time, s, s mod 7, 3 * s, -s, float_of_int s /. 3.0) in
+        let _, _, hd, a, b, x = ev in
+        Ladder.push lq ~time ~seq:s ~h:hd ~a ~b ~x;
+        Heap.push h ev;
+        incr seq
+      in
+      let popped ev =
+        let time, s, hd, a, b, x = ev in
+        now := time;
+        ok :=
+          !ok && Ladder.time lq = time && Ladder.seq lq = s
+          && Ladder.handler lq = hd && Ladder.arg_a lq = a
+          && Ladder.arg_b lq = b && Ladder.arg_x lq = x
+      in
+      let pop () =
+        match (Heap.pop h, Ladder.pop lq) with
+        | None, false -> ()
+        | Some ev, true -> popped ev
+        | _ -> ok := false
+      in
+      List.iter
+        (function
+          | Push d -> push (!now +. d)
+          | Burst (d, n) ->
+              let time = !now +. d in
+              for _ = 1 to n do
+                push time
+              done
+          | Pop -> pop ()
+          | Window w ->
+              let bound = !now +. w in
+              let rec drain () =
+                match
+                  ( Heap.pop_if h (fun (t, _, _, _, _, _) -> t < bound),
+                    Ladder.pop_until lq ~bound )
+                with
+                | None, false -> ()
+                | Some ev, true ->
+                    popped ev;
+                    drain ()
+                | _ -> ok := false
+              in
+              drain ())
+        ops;
+      while !ok && not (Heap.is_empty h) do
+        pop ()
+      done;
+      !ok && Ladder.is_empty lq)
+
 let test_engine_step_below_and_advance () =
   let e = Engine.create () in
   let seen = ref [] in
@@ -845,6 +939,7 @@ let () =
           prop_ladder_far_heap_refill;
           prop_ladder_rung_edge;
           prop_ladder_pop_until_epochs;
+          prop_ladder_in_place_run;
           prop_engine_executes_in_time_order;
           prop_post_batch_equals_posts;
         ] );
