@@ -23,11 +23,12 @@ let create ?(max_retries = default.max_retries) ?(base = default.base)
 
 let attempts p = p.max_retries + 1
 
-let backoff p ~retry =
+(* Inlined where called, so the result reaches the caller unboxed. *)
+let[@inline] backoff p ~retry =
   if retry < 1 then invalid_arg "Retry.backoff: retry";
   Float.min p.max_delay (p.base *. (p.factor ** float_of_int (retry - 1)))
 
-let delay p rng ~retry =
+let[@inline] delay p rng ~retry =
   let b = backoff p ~retry in
   if p.jitter = 0.0 then b
   else b *. (1.0 -. (p.jitter *. Rng.float rng 1.0))

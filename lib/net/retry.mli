@@ -42,7 +42,9 @@ val backoff : policy -> retry:int -> float
 
 val delay : policy -> Lesslog_prng.Rng.t -> retry:int -> float
 (** {!backoff} with jitter applied: uniform over
-    [[backoff * (1 - jitter), backoff]]. *)
+    [[backoff * (1 - jitter), backoff]]. It and {!backoff} are inlined
+    where they are called (release builds), so the delay reaches the
+    caller unboxed: a retry allocates nothing. *)
 
 val max_lifetime : policy -> timeout:float -> float
 (** An upper bound on how long a request can stay pending: every attempt

@@ -42,9 +42,18 @@ type 'meta event =
    table doubles only when the next id's home is taken and at least
    half the slots are live, so it stays within four times the peak
    in-flight count (64 slots at least), however far apart the live ids
-   are. The engine has no timer cancellation: a timer fires
-   unconditionally and is stale unless its request is still live on the
-   attempt the timer was armed for. *)
+   are.
+
+   Every attempt's timeout falls due [config.timeout] after it is armed,
+   so timeouts fall due in the order they were armed. They sit in one
+   ring of (id, attempt, due) in arm order, and one engine event is
+   outstanding for the ring's front. The engine has no cancellation: an
+   entry is stale when its request is no longer live on the attempt it
+   was armed for, and stays stale (ids are never reused, attempts only
+   grow). Stale entries are dropped when they reach the front, so a
+   request settled before its timeout costs a ring slot, not an event.
+   The ring holds the attempts armed within one timeout window, stale
+   ones included; it starts at 64 entries and doubles when full. *)
 type 'meta t = {
   engine : Engine.t;
   rng : Rng.t;
@@ -63,7 +72,16 @@ type 'meta t = {
   mutable exhausted : int;
   mutable retransmissions : int;
   mutable timeouts : int;
-  mutable timer_h : int;
+  mutable ring_id : int array;
+  mutable ring_attempt : int array;
+  mutable ring_due : Float.Array.t;
+  mutable ring_head : int;
+  mutable ring_len : int;
+  mutable front_posted : bool;
+      (* the front's event is queued or being handled; false only when
+         the ring is empty *)
+  mutable front_h : int;
+  mutable backoff_h : int;
 }
 
 let initial_slots = 64
@@ -80,6 +98,11 @@ let rec probe slot_id mask id s left =
    free slot, at most once round the table. *)
 let[@inline] slot t id =
   if id < 0 then -1 else probe t.slot_id t.mask id (id land t.mask) t.mask
+
+(* The slot of [id] while it is live on [attempt], else [-1]. *)
+let[@inline] live_slot t id attempt =
+  let s = slot t id in
+  if s >= 0 && t.attempt.(s) = attempt then s else -1
 
 (* The first free slot from [id]'s home on; the table must have one. *)
 let rec free_slot slot_id mask s =
@@ -132,19 +155,46 @@ let grow t =
   t.issued_at <- issued_at;
   t.meta <- meta
 
-(* Both timers of a request are events of one engine handler: [a] is
-   the request id and [b] the attempt, shifted left past a bit that is 0
-   for the attempt's timeout and 1 for the end of the backoff before the
-   next attempt. *)
+(* Double the ring, its entries moved to the front in arm order. *)
+let grow_ring t =
+  let cap = Array.length t.ring_id in
+  let ids = Array.make (2 * cap) 0 and attempts = Array.make (2 * cap) 0 in
+  let dues = Float.Array.make (2 * cap) 0.0 in
+  for k = 0 to t.ring_len - 1 do
+    let i = (t.ring_head + k) land (cap - 1) in
+    ids.(k) <- t.ring_id.(i);
+    attempts.(k) <- t.ring_attempt.(i);
+    Float.Array.set dues k (Float.Array.get t.ring_due i)
+  done;
+  t.ring_id <- ids;
+  t.ring_attempt <- attempts;
+  t.ring_due <- dues;
+  t.ring_head <- 0
+
+let post_front t =
+  Engine.post_at t.engine
+    ~time:(Float.Array.unsafe_get t.ring_due t.ring_head)
+    ~h:t.front_h ~a:0 ~b:0 ~x:0.0
+
+(* Arm attempt [attempt]'s timeout at the ring's back; an empty ring's
+   new front gets the outstanding event. *)
 let arm t id attempt =
-  Engine.post t.engine ~delay:t.config.timeout ~h:t.timer_h ~a:id
-    ~b:(attempt lsl 1) ~x:0.0
+  if t.ring_len = Array.length t.ring_id then grow_ring t;
+  let i = (t.ring_head + t.ring_len) land (Array.length t.ring_id - 1) in
+  t.ring_id.(i) <- id;
+  t.ring_attempt.(i) <- attempt;
+  Float.Array.set t.ring_due i (Engine.now t.engine +. t.config.timeout);
+  t.ring_len <- t.ring_len + 1;
+  if not t.front_posted then begin
+    t.front_posted <- true;
+    post_front t
+  end
 
 (* Event records are built only under an [on_event] callback. The
    Timeout callback may re-enter the tracker (complete [id], issue and
-   grow the ring), so afterwards the request is looked up again: if it
-   no longer owns a slot on this attempt, it has been settled and the
-   timeout ends there. *)
+   grow the slot table or the ring), so afterwards the request is looked
+   up again: if it no longer owns a slot on this attempt, it has been
+   settled and the timeout ends there. *)
 let timed_out t id attempt s =
   t.timeouts <- t.timeouts + 1;
   count t (fun m -> m.m_timeouts);
@@ -152,8 +202,8 @@ let timed_out t id attempt s =
   (match t.on_event with
   | None -> ()
   | Some f -> f (Timeout { id; attempt; meta }));
-  let s = slot t id in
-  if s >= 0 && t.attempt.(s) = attempt then
+  let s = live_slot t id attempt in
+  if s >= 0 then
     if attempt + 1 >= Retry.attempts t.config.policy then begin
       free t s;
       t.exhausted <- t.exhausted + 1;
@@ -164,8 +214,7 @@ let timed_out t id attempt s =
     end
     else
       let backoff = Retry.delay t.config.policy t.rng ~retry:(attempt + 1) in
-      Engine.post t.engine ~delay:backoff ~h:t.timer_h ~a:id
-        ~b:((attempt lsl 1) lor 1) ~x:0.0
+      Engine.post t.engine ~delay:backoff ~h:t.backoff_h ~a:id ~b:attempt ~x:0.0
 
 let retransmit t id attempt s =
   let meta = t.meta.(s) in
@@ -178,12 +227,32 @@ let retransmit t id attempt s =
   t.transmit ~id ~attempt:(attempt + 1) meta;
   arm t id (attempt + 1)
 
-let on_timer t id word =
-  let attempt = word lsr 1 in
-  let s = slot t id in
-  if s >= 0 && t.attempt.(s) = attempt then
-    if word land 1 = 0 then timed_out t id attempt s
-    else retransmit t id attempt s
+(* The end of the backoff after attempt [attempt] timed out. *)
+let on_backoff t id attempt =
+  let s = live_slot t id attempt in
+  if s >= 0 then retransmit t id attempt s
+
+(* The front's timeout is due. Every entry due by now leaves the front
+   in arm order, each live one timed out, so timeouts that fall due at
+   one instant fire in one dispatch, in arm order. The event
+   stays counted as posted while the callbacks run, so an attempt they
+   arm only joins the ring. Then stale entries leave the front, and the
+   next live one gets the event. *)
+let on_front t _ _ =
+  let continue = ref true in
+  while !continue && t.ring_len > 0 do
+    let i = t.ring_head in
+    let id = t.ring_id.(i) and attempt = t.ring_attempt.(i) in
+    let s = live_slot t id attempt in
+    if s >= 0 && Float.Array.unsafe_get t.ring_due i > Engine.now t.engine then
+      continue := false
+    else begin
+      t.ring_head <- (i + 1) land (Array.length t.ring_id - 1);
+      t.ring_len <- t.ring_len - 1;
+      if s >= 0 then timed_out t id attempt s
+    end
+  done;
+  if t.ring_len > 0 then post_front t else t.front_posted <- false
 
 let create ~engine ~rng ?(config = default_config) ?on_event ?registry
     ~transmit () =
@@ -207,10 +276,18 @@ let create ~engine ~rng ?(config = default_config) ?on_event ?registry
       exhausted = 0;
       retransmissions = 0;
       timeouts = 0;
-      timer_h = -1;
+      ring_id = Array.make initial_slots 0;
+      ring_attempt = Array.make initial_slots 0;
+      ring_due = Float.Array.make initial_slots 0.0;
+      ring_head = 0;
+      ring_len = 0;
+      front_posted = false;
+      front_h = -1;
+      backoff_h = -1;
     }
   in
-  t.timer_h <- Engine.register engine (on_timer t);
+  t.front_h <- Engine.register engine (on_front t);
+  t.backoff_h <- Engine.register engine (on_backoff t);
   t
 
 let issue t meta =

@@ -25,11 +25,27 @@
     stays within four times the peak in-flight count however long one
     request lives. Completion and exhaustion only free the slot (a
     finished request's metadata stays referenced until its slot is
-    reused). A timer whose request no
-    longer owns its slot, or whose attempt is not the one in flight, is
-    stale and ignored. With no [on_event] and no [registry], issuing,
-    timing out, retransmitting and completing allocate nothing in the
-    tracker itself once the ring is warm.
+    reused).
+
+    Every attempt's timeout falls due [config.timeout] after it is
+    armed, so timeouts fall due in arm order: they sit in one FIFO ring
+    of (id, attempt, due time), and one engine event is outstanding, for
+    the ring's front. An entry whose request is no longer live on that
+    attempt is stale; stale entries are dropped as they reach the front,
+    so a request completed before its timeout costs a ring slot and no
+    engine event. The ring holds the attempts armed within one timeout
+    window, stale ones included until they reach the front; it starts at
+    64 entries and doubles when full. When the front's event fires,
+    every timeout due by then is handled, in arm order. The order
+    against other events differs from one timer per attempt only at
+    exact time ties: a timeout behind the front has its event posted
+    when the front before it fires, so an event posted after the
+    timeout was armed may fire first; and timeouts armed at one instant
+    fire together, before an event posted between those arms. Each
+    backoff end is one engine event. With no [on_event] and no [registry], issuing, timing out,
+    retransmitting and completing allocate nothing in the tracker itself
+    once the slot table and the ring are warm (release builds, where the
+    engine and {!Retry} calls are inlined).
 
     Servers keep retransmissions idempotent with {!Dedup}: the first
     delivery of a request ID performs the side effects, duplicates only
@@ -62,8 +78,8 @@ val create :
   unit ->
   'meta t
 (** [transmit] is called synchronously from {!issue} (attempt 0) and from
-    the tracker's timer handler, which [create] registers with [engine]
-    (retransmissions). With [registry], the
+    the tracker's backoff handler (retransmissions); [create] registers
+    it and the timeout ring's handler with [engine]. With [registry], the
     tracker keeps the [rpc/]* metrics: issued / completed / timeouts /
     retransmissions / exhausted counters and an issue-to-completion
     latency timer ([rpc/request_s], retries included). Event records
@@ -80,8 +96,8 @@ val issue : 'meta t -> 'meta -> int
     ID) before issuing. *)
 
 val complete : 'meta t -> id:int -> bool
-(** The response for [id] arrived: free its slot, so its pending timers
-    become stale, and return [true]. [false] when the request is unknown,
+(** The response for [id] arrived: free its slot, so its armed timeout
+    and any backoff end become stale, and return [true]. [false] when the request is unknown,
     already completed, already exhausted, or this is a duplicate
     response — callers count a request served only on [true]. *)
 

@@ -13,7 +13,10 @@
     per event — a node, a request id and attempt, an index into a
     setup-time array, a time — in the payload. There is no cancellation:
     consumers ignore stale timers with generation counters or liveness
-    checks. *)
+    checks. Timers of one fixed delay fall due in the order they were
+    armed, so they need no event each: keep them in an arm-ordered FIFO
+    with one event outstanding for its front, and drop stale entries as
+    they reach the front (the pattern of [Lesslog_net.Rpc]'s timeouts). *)
 
 type t
 

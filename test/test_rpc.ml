@@ -459,6 +459,305 @@ let prop_never_silent =
       Rpc.completed rpc + Rpc.exhausted rpc = Rpc.issued rpc
       && Rpc.in_flight rpc = 0)
 
+(* --- Timeout ring against one timer per attempt ------------------------------ *)
+
+(* A reference tracker with one timer per attempt: every attempt posts
+   its own timeout event, and a backoff end is a second event of
+   the same handler, [b] carrying the attempt shifted past a bit that is
+   0 for a timeout and 1 for a backoff end. Live requests sit in a
+   [Hashtbl]. The ring must reproduce its events, counters and rng draws
+   exactly. *)
+module Timer_per_attempt = struct
+  type 'meta t = {
+    engine : Engine.t;
+    rng : Rng.t;
+    config : Rpc.config;
+    on_event : 'meta Rpc.event -> unit;
+    transmit : id:int -> attempt:int -> 'meta -> unit;
+    live : (int, int * 'meta) Hashtbl.t;  (* id -> attempt in flight, meta *)
+    mutable next_id : int;
+    mutable completed : int;
+    mutable exhausted : int;
+    mutable retransmissions : int;
+    mutable timeouts : int;
+    mutable timer_h : int;
+  }
+
+  let arm t id attempt =
+    Engine.post t.engine ~delay:t.config.timeout ~h:t.timer_h ~a:id
+      ~b:(attempt lsl 1) ~x:0.0
+
+  let live_on t id attempt =
+    match Hashtbl.find_opt t.live id with
+    | Some (a, meta) when a = attempt -> Some meta
+    | _ -> None
+
+  let timed_out t id attempt meta =
+    t.timeouts <- t.timeouts + 1;
+    t.on_event (Rpc.Timeout { id; attempt; meta });
+    if live_on t id attempt <> None then
+      if attempt + 1 >= Retry.attempts t.config.policy then begin
+        Hashtbl.remove t.live id;
+        t.exhausted <- t.exhausted + 1;
+        t.on_event (Rpc.Exhausted { id; attempts = attempt + 1; meta })
+      end
+      else
+        Engine.post t.engine
+          ~delay:(Retry.delay t.config.policy t.rng ~retry:(attempt + 1))
+          ~h:t.timer_h ~a:id ~b:((attempt lsl 1) lor 1) ~x:0.0
+
+  let retransmit t id attempt meta =
+    Hashtbl.replace t.live id (attempt + 1, meta);
+    t.retransmissions <- t.retransmissions + 1;
+    t.on_event (Rpc.Retransmit { id; attempt = attempt + 1; meta });
+    t.transmit ~id ~attempt:(attempt + 1) meta;
+    arm t id (attempt + 1)
+
+  let on_timer t id word =
+    let attempt = word lsr 1 in
+    match live_on t id attempt with
+    | None -> ()
+    | Some meta ->
+        if word land 1 = 0 then timed_out t id attempt meta
+        else retransmit t id attempt meta
+
+  let create ~engine ~rng ~config ~on_event ~transmit =
+    let t =
+      {
+        engine;
+        rng;
+        config;
+        on_event;
+        transmit;
+        live = Hashtbl.create 64;
+        next_id = 0;
+        completed = 0;
+        exhausted = 0;
+        retransmissions = 0;
+        timeouts = 0;
+        timer_h = -1;
+      }
+    in
+    t.timer_h <- Engine.register engine (on_timer t);
+    t
+
+  let issue t meta =
+    let id = t.next_id in
+    Hashtbl.replace t.live id (0, meta);
+    t.next_id <- id + 1;
+    t.transmit ~id ~attempt:0 meta;
+    arm t id 0;
+    id
+
+  let complete t ~id =
+    Hashtbl.mem t.live id
+    && begin
+         Hashtbl.remove t.live id;
+         t.completed <- t.completed + 1;
+         true
+       end
+end
+
+(* The two trackers behind one interface, for the differential driver. *)
+type tracker = {
+  issue : unit -> int;
+  complete : int -> bool;
+  counters : unit -> int list;
+      (* issued, completed, exhausted, retransmissions, timeouts, in flight *)
+}
+
+type sched_op =
+  | Issue_now of int  (* that many requests at one instant *)
+  | Reply of { pick : int; delay : float }
+  | Run_for of float
+
+let pp_sched_op = function
+  | Issue_now n -> Printf.sprintf "issue %d" n
+  | Reply { pick; delay } -> Printf.sprintf "reply %d after %h" pick delay
+  | Run_for dt -> Printf.sprintf "run %h" dt
+
+let sched_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun n -> Issue_now n) (int_range 1 80));
+        ( 6,
+          map2
+            (fun pick delay -> Reply { pick; delay })
+            (int_bound 1000) (float_bound_inclusive 4.0) );
+        (2, map (fun dt -> Run_for dt) (float_bound_inclusive 3.0));
+      ])
+
+(* What a Timeout callback does, from the request and attempt it
+   reports and a per-schedule [salt]: complete the reported request,
+   complete an older one, issue more requests (which grows the slot
+   table and the ring while the ring's front is being handled; capped,
+   as each issued request may time out and issue again), or nothing. *)
+let on_timeout ~salt ~id ~attempt tracker =
+  match (id + (3 * attempt) + salt) mod 7 with
+  | 0 -> ignore (tracker.complete id)
+  | 1 -> ignore (tracker.complete (id / 2))
+  | 2 when List.hd (tracker.counters ()) < 600 ->
+      for _ = 1 to 1 + (salt mod 40) do
+        ignore (tracker.issue ())
+      done
+  | _ -> ()
+
+(* Replay [ops] on a fresh engine and rng with the tracker [make] builds,
+   recording each event as (kind, id, attempt, time) and each reply's
+   result; callbacks re-enter the tracker as [on_timeout] says. The
+   returned log ends with the counters and the rng's next draw. *)
+let run_schedule ~salt ~make ops =
+  let config =
+    {
+      Rpc.timeout = 1.0;
+      policy = Retry.create ~max_retries:2 ~base:0.5 ~jitter:0.5 ();
+    }
+  in
+  let engine = Engine.create () and rng = Rng.create ~seed:(17 + salt) in
+  let log = ref [] in
+  let note kind id attempt =
+    log := Printf.sprintf "%s %d/%d at %h" kind id attempt (Engine.now engine) :: !log
+  in
+  let self = ref None in
+  let on_event = function
+    | Rpc.Timeout { id; attempt; meta } ->
+        if meta <> id then note "bad meta" id attempt;
+        note "timeout" id attempt;
+        on_timeout ~salt ~id ~attempt (Option.get !self)
+    | Rpc.Retransmit { id; attempt; _ } -> note "retransmit" id attempt
+    | Rpc.Exhausted { id; attempts; _ } -> note "exhausted" id attempts
+  in
+  let transmit ~id ~attempt _ = note "transmit" id attempt in
+  let tracker = make ~engine ~rng ~config ~on_event ~transmit in
+  self := Some tracker;
+  let reply_h =
+    Engine.register engine (fun id _ ->
+        note (if tracker.complete id then "served" else "rejected") id 0)
+  in
+  List.iter
+    (function
+      | Issue_now n ->
+          for _ = 1 to n do
+            ignore (tracker.issue ())
+          done
+      | Reply { pick; delay } ->
+          let id = pick mod (List.nth (tracker.counters ()) 0 + 1) in
+          Engine.post engine ~delay ~h:reply_h ~a:id ~b:0 ~x:0.0
+      | Run_for dt -> Engine.run ~until:(Engine.now engine +. dt) engine)
+    ops;
+  Engine.run engine;
+  let tail =
+    String.concat " " (List.map string_of_int (tracker.counters ()))
+    ^ Printf.sprintf " rng %d" (Rng.int rng 1_000_000_007)
+  in
+  List.rev (tail :: !log)
+
+let ring_tracker ~engine ~rng ~config ~on_event ~transmit =
+  let rpc = Rpc.create ~engine ~rng ~config ~on_event ~transmit () in
+  {
+    issue = (fun () -> Rpc.issue rpc (Rpc.issued rpc));
+    complete = (fun id -> Rpc.complete rpc ~id);
+    counters =
+      (fun () ->
+        [
+          Rpc.issued rpc;
+          Rpc.completed rpc;
+          Rpc.exhausted rpc;
+          Rpc.retransmissions rpc;
+          Rpc.timeouts rpc;
+          Rpc.in_flight rpc;
+        ]);
+  }
+
+let per_attempt_tracker ~engine ~rng ~config ~on_event ~transmit =
+  let module R = Timer_per_attempt in
+  let t = R.create ~engine ~rng ~config ~on_event ~transmit in
+  {
+    issue = (fun () -> R.issue t t.R.next_id);
+    complete = (fun id -> R.complete t ~id);
+    counters =
+      (fun () ->
+        [
+          t.R.next_id;
+          t.R.completed;
+          t.R.exhausted;
+          t.R.retransmissions;
+          t.R.timeouts;
+          Hashtbl.length t.R.live;
+        ]);
+  }
+
+(* The first line where the two logs differ, or [None]. *)
+let differential ~salt ops =
+  let ring = run_schedule ~salt ~make:ring_tracker ops
+  and reference = run_schedule ~salt ~make:per_attempt_tracker ops in
+  let rec first i = function
+    | a :: l, b :: l' -> if a = b then first (i + 1) (l, l') else Some (i, a, b)
+    | [], [] -> None
+    | a :: _, [] -> Some (i, a, "<end>")
+    | [], b :: _ -> Some (i, "<end>", b)
+  in
+  Option.map
+    (fun (i, a, b) -> Printf.sprintf "line %d: ring %S, per attempt %S" i a b)
+    (first 0 (ring, reference))
+
+let prop_ring_matches_timer_per_attempt =
+  Test_support.qcheck_case ~name:"timeout ring = one timer per attempt"
+    QCheck2.Gen.(pair (int_bound 1000) (list_size (int_range 1 50) sched_op_gen))
+    (fun (salt, ops) ->
+      match differential ~salt ops with
+      | None -> true
+      | Some msg ->
+          QCheck2.Test.fail_reportf "salt %d, [%s]: %s" salt
+            (String.concat "; " (List.map pp_sched_op ops))
+            msg)
+
+(* A fixed schedule that reaches every case the property draws from:
+   200 requests armed at one instant (the ring doubles twice), replies
+   before and after the timeouts, callbacks that complete and issue
+   while the front is handled, and exhaustion. No reply lands on the
+   exact instant a timeout falls due: such a tie may resolve the other
+   way round, as {!Rpc} says, and the random schedules meet one with
+   probability zero. *)
+let test_ring_differential_fixed () =
+  let ops =
+    [ Issue_now 200; Run_for 0.3; Issue_now 70 ]
+    @ List.init 150 (fun i ->
+          Reply { pick = (i * 37) + 11; delay = 0.0137 *. float_of_int i })
+    @ [ Run_for 1.2; Issue_now 5; Reply { pick = 3; delay = 2.5 }; Run_for 2.0 ]
+  in
+  List.iter
+    (fun salt ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "salt %d" salt) None (differential ~salt ops))
+    [ 0; 1; 2; 5; 39 ]
+
+(* N requests answered before their timeouts dispatch no timer each: the
+   only tracker event is the ring front's, which finds every entry
+   settled. One timer per attempt would add N dispatches. *)
+let test_settled_requests_fire_no_timer () =
+  let n = 1000 in
+  let engine = Engine.create () in
+  let rpc =
+    Rpc.create ~engine ~rng:(Rng.create ~seed:9)
+      ~transmit:(fun ~id:_ ~attempt:_ () -> ())
+      ()
+  in
+  let complete, results = completer engine rpc in
+  for batch = 0 to 9 do
+    Engine.run ~until:(0.05 *. float_of_int batch) engine;
+    for _ = 1 to n / 10 do
+      complete ~delay:0.5 (Rpc.issue rpc ())
+    done
+  done;
+  Engine.run engine;
+  Alcotest.(check bool) "all served" true (List.for_all Fun.id (results ()));
+  Alcotest.(check int) "completed" n (Rpc.completed rpc);
+  Alcotest.(check int) "no timeouts" 0 (Rpc.timeouts rpc);
+  Alcotest.(check int) "replies + one front event" (n + 1)
+    (Engine.events_executed engine)
+
 (* --- Heartbeat detector --------------------------------------------------- *)
 
 (* A loopback harness: pings are answered instantly by live peers, with a
@@ -696,52 +995,115 @@ let prop_flat_detector_matches_records =
 
 (* --- Allocation gate --------------------------------------------------------- *)
 
+(* Whether cross-module engine calls are inlined: in release builds
+   [Engine.now] reads the clock unboxed; under the dev profile's
+   [-opaque] every call returns a fresh box. *)
+let engine_calls_inlined () =
+  let e = Engine.create () in
+  Test_support.words_per_cycle ~n:1000 (fun () ->
+      if Engine.now e < 0.0 then assert false)
+  = 0.0
+
 (* A steady issue + complete cycle, with no [on_event] and no registry,
-   allocates nothing beyond the engine calls it makes. Each cycle also
-   steps the engine once, so the queue keeps a standing backlog and the
-   step fires a stale timer through the tracker's handler. The same
-   engine calls in a bare loop — [Engine.now] for the issue time, one
-   [Engine.post] for the timeout, one [Engine.step] — are the reference:
-   in release builds they cost the 2-word float dispatch hands the
-   handler; under the dev profile's [-opaque] they also box the floats
-   of the calls that no longer inline. *)
+   allocates nothing in the tracker. One request stays live through each
+   round, so the ring's front event is posted before the round starts
+   and the round's requests only join the ring; a full drain between
+   rounds empties it. The reference is the engine calls an issue makes,
+   two [Engine.now] reads (the issue time and the timeout's due time):
+   nothing in release builds, a box each under [-opaque]. *)
 let test_rpc_cycle_allocates_nothing () =
-  let n = 10_000 and backlog = 100 in
-  let timeout = Rpc.default_config.Rpc.timeout in
+  let n = 10_000 in
   let engine = Engine.create () in
   let rpc =
     Rpc.create ~engine ~rng:(Rng.create ~seed:5)
       ~transmit:(fun ~id:_ ~attempt:_ (_ : int) -> ())
       ()
   in
-  let request () = ignore (Rpc.complete rpc ~id:(Rpc.issue rpc 7)) in
-  for _ = 1 to backlog do
-    request ()
-  done;
-  let rpc_words =
-    Test_support.words_per_cycle ~n (fun () ->
-        request ();
-        ignore (Engine.step engine))
+  let round () =
+    let anchor = Rpc.issue rpc 7 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Rpc.complete rpc ~id:(Rpc.issue rpc 7))
+    done;
+    let words = Gc.minor_words () -. w0 in
+    ignore (Rpc.complete rpc ~id:anchor);
+    Engine.run engine;
+    words /. float_of_int n
   in
+  ignore (round ());
+  ignore (round ());
+  let rpc_words = round () in
   let bare = Engine.create () in
-  let h = Engine.register bare (fun _ _ -> ()) in
-  let post () =
-    if Engine.now bare < 0.0 then assert false;
-    Engine.post bare ~delay:timeout ~h ~a:0 ~b:0 ~x:0.0
-  in
-  for _ = 1 to backlog do
-    post ()
-  done;
   let engine_words =
     Test_support.words_per_cycle ~n (fun () ->
-        post ();
+        if Engine.now bare < 0.0 || Engine.now bare < 0.0 then assert false)
+  in
+  Alcotest.(check (float 0.0))
+    "rpc words per request beyond two clock reads" 0.0
+    (rpc_words -. engine_words);
+  Alcotest.(check int) "all completed" (3 * (n + 1)) (Rpc.completed rpc);
+  Alcotest.(check int) "no timeouts" 0 (Rpc.timeouts rpc);
+  Alcotest.(check int) "one front event per round" 3 (Engine.events_executed engine)
+
+(* A request that never completes, retried without end: each cycle is
+   one ring-front event (timeout, jittered backoff drawn, backoff end
+   posted) and one backoff end (retransmit, timeout armed, front posted).
+   A far event keeps the queue from draining. The reference makes the
+   same engine and {!Retry} calls from two bare handlers (the front's
+   handler reads the clock to find what is due); in release
+   builds, where those calls are inlined, both sides allocate nothing. *)
+let test_timeout_cycle_allocates_nothing () =
+  let n = 10_000 in
+  let policy = Retry.create ~max_retries:1_000_000 () in
+  let config = { Rpc.timeout = 1.0; policy } in
+  let idle engine =
+    let h = Engine.register engine (fun _ _ -> ()) in
+    Engine.post engine ~delay:1e12 ~h ~a:0 ~b:0 ~x:0.0
+  in
+  let engine = Engine.create () in
+  idle engine;
+  let rpc =
+    Rpc.create ~engine ~rng:(Rng.create ~seed:5) ~config
+      ~transmit:(fun ~id:_ ~attempt:_ (_ : int) -> ())
+      ()
+  in
+  ignore (Rpc.issue rpc 7);
+  let rpc_words =
+    Test_support.words_per_cycle ~n (fun () ->
+        ignore (Engine.step engine);
+        ignore (Engine.step engine))
+  in
+  let bare = Engine.create () and rng = Rng.create ~seed:5 in
+  idle bare;
+  let retry = ref 0 and backoff_h = ref (-1) in
+  let timeout_h =
+    Engine.register bare (fun _ _ ->
+        if Engine.now bare < 0.0 then assert false;
+        incr retry;
+        Engine.post bare
+          ~delay:(Retry.delay policy rng ~retry:!retry)
+          ~h:!backoff_h ~a:0 ~b:0 ~x:0.0)
+  in
+  backoff_h :=
+    Engine.register bare (fun _ _ ->
+        Engine.post_at bare
+          ~time:(Engine.now bare +. config.timeout)
+          ~h:timeout_h ~a:0 ~b:0 ~x:0.0);
+  Engine.post bare ~delay:config.timeout ~h:timeout_h ~a:0 ~b:0 ~x:0.0;
+  let engine_words =
+    Test_support.words_per_cycle ~n (fun () ->
+        ignore (Engine.step bare);
         ignore (Engine.step bare))
   in
   Alcotest.(check (float 0.0))
-    "rpc words per request beyond the engine calls" 0.0
+    "rpc words per retry beyond the engine and Retry calls" 0.0
     (rpc_words -. engine_words);
-  Alcotest.(check int) "all completed" (backlog + (3 * n)) (Rpc.completed rpc);
-  Alcotest.(check int) "no timeouts" 0 (Rpc.timeouts rpc);
+  if engine_calls_inlined () then
+    Alcotest.(check (float 0.0)) "rpc words per retry (inlined build)" 0.0
+      rpc_words;
+  Alcotest.(check (list int)) "timeouts, retransmissions, in flight"
+    [ 3 * n; 3 * n; 1 ]
+    [ Rpc.timeouts rpc; Rpc.retransmissions rpc; Rpc.in_flight rpc ];
   Alcotest.(check (float 0.0)) "same clock" (Engine.now bare) (Engine.now engine)
 
 let () =
@@ -779,6 +1141,14 @@ let () =
             test_stuck_request_keeps_table_small;
         ] );
       ("rpc properties", [ prop_never_silent; prop_slot_model ]);
+      ( "timeout ring",
+        [
+          Alcotest.test_case "fixed schedule matches one timer per attempt"
+            `Quick test_ring_differential_fixed;
+          Alcotest.test_case "settled requests fire no timer" `Quick
+            test_settled_requests_fire_no_timer;
+          prop_ring_matches_timer_per_attempt;
+        ] );
       ( "heartbeat",
         [
           Alcotest.test_case "suspects a dead peer" `Quick
@@ -794,5 +1164,7 @@ let () =
         [
           Alcotest.test_case "issue + complete allocates nothing" `Quick
             test_rpc_cycle_allocates_nothing;
+          Alcotest.test_case "timeout -> backoff -> retransmit allocates nothing"
+            `Quick test_timeout_cycle_allocates_nothing;
         ] );
     ]
