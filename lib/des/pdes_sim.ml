@@ -428,8 +428,7 @@ let finalize_obs (st : state) (obs : Obs.t) ~latencies ~hops ~worker_times =
     worker_times
 
 let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
-    ?(domains = 1) ?(fuse = true) ~seed ~params ~key ~demand
-    ~duration () =
+    ?(domains = 1) ~seed ~params ~key ~demand ~duration () =
   if Params.m params > Wire.origin_bits then
     invalid_arg "Pdes_sim.run: m exceeds the packed origin field";
   if faults.Faults.partitions <> [] then
@@ -526,7 +525,7 @@ let run ?(config = default_config) ?(churn = []) ?(faults = Faults.empty) ?obs
       (fun (a, _) (b, _) -> Float.compare a b)
       (churn_globals st (churn @ fault_churn faults) @ burst_globals st faults)
   in
-  Sharded_engine.run ~until:duration ~globals ~fuse se;
+  Sharded_engine.run ~until:duration ~globals se;
   let worker_times = Sharded_engine.worker_times se in
   let latencies = Histogram.create () and hops = Histogram.create () in
   Array.iter

@@ -61,7 +61,8 @@ type result = {
   events : int;
   epochs : int;  (** Epoch windows of the sharded engine. *)
   phases : int;
-      (** Pool dispatches; [epochs / phases] is the fusion factor. *)
+      (** Pool dispatches: 1, as {!Lesslog_sim.Sharded_engine.run} makes
+          one per call. *)
   cross_sends : int;  (** Mailbox messages between shards. *)
   worker_times : Lesslog_sim.Sharded_engine.worker_time array;
       (** Per worker, host seconds draining, delivering mail and waiting
@@ -84,7 +85,6 @@ val run :
   ?faults:Lesslog_workload.Faults.plan ->
   ?obs:Obs.t ->
   ?domains:int ->
-  ?fuse:bool ->
   seed:int ->
   params:Params.t ->
   key:string ->
@@ -102,12 +102,10 @@ val run :
     machinery — crashes become [Fail]/[Join] churn, loss bursts become
     barrier globals that raise the drop probability to the maximum of
     the active bursts for their span (partitions are rejected);
-    [domains] and [fuse] are purely speed knobs (epoch fusion is on by
-    default; [~fuse:false] forces one pool dispatch per epoch). Each
-    shard's state is built on the worker that drains it
-    ({!Lesslog_sim.Sharded_engine.create}). With [obs], per-shard span
-    sinks are merged into the bundle in shard order and [pdes/*]
-    registry metrics are attributed at the end.
+    [domains] is purely a speed knob. Each shard's state is built on the
+    worker that drains it ({!Lesslog_sim.Sharded_engine.create}). With
+    [obs], per-shard span sinks are merged into the bundle in shard
+    order and [pdes/*] registry metrics are attributed at the end.
     @raise Invalid_argument when [m] exceeds the 24-bit packed origin
     field, the latency model fails [Latency.validate], [b > 0] with a
     latency minimum of zero, [config.loss] or a burst's loss outside

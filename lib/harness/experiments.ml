@@ -233,7 +233,6 @@ type pdes_point = {
   pdes_messages : int;
   pdes_cross_sends : int;
   pdes_epochs : int;
-  pdes_phases : int;
   pdes_digest : int;
   pdes_p50_latency : float;
   pdes_p99_latency : float;
@@ -277,7 +276,6 @@ let pdes_point ~b ~domains ~m ~rate_per_node ~duration ~capacity ~seed =
     pdes_messages = r.Pdes_sim.messages;
     pdes_cross_sends = r.Pdes_sim.cross_sends;
     pdes_epochs = r.Pdes_sim.epochs;
-    pdes_phases = r.Pdes_sim.phases;
     pdes_digest = r.Pdes_sim.digest;
     pdes_p50_latency = q r.Pdes_sim.latencies 0.5;
     pdes_p99_latency = q r.Pdes_sim.latencies 0.99;

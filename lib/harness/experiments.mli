@@ -117,8 +117,6 @@ type pdes_point = {
   pdes_messages : int;
   pdes_cross_sends : int;  (** Mailbox messages between shards. *)
   pdes_epochs : int;  (** Epoch windows of the sharded engine. *)
-  pdes_phases : int;
-      (** Pool dispatches; [epochs / phases] is the epoch-fusion factor. *)
   pdes_digest : int;  (** Domain-count-invariant run digest. *)
   pdes_p50_latency : float;
   pdes_p99_latency : float;

@@ -52,7 +52,8 @@ end
 module Barrier : sig
   (** In-job phase barrier: lets the workers of one {!Pool.run} job cross
       several internal phases without returning to the coordinator — the
-      sharded engine's epoch fusion. One {!arrive} per party per phase;
+      sharded engine's epoch windows, whose last arriver also runs the
+      due globals. One {!arrive} per party per phase;
       the last arriver runs a decision closure while the others hold,
       then all are released together. *)
 

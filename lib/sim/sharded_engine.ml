@@ -10,25 +10,21 @@
    influenced by another within the window and all shards may drain
    their own queues concurrently.
 
-   {b Fused phases.} One pool job per {e phase}, not per epoch. A phase
-   hands every worker a fixed contiguous block of shards; per epoch
-   window the worker (1) drains the mailboxes addressed to its own
-   destination shards — one {!Engine.post_batch} per nonempty mailbox,
-   in the fixed source-then-FIFO order that pins tie-breaking seqs —
-   (2) drains its shards below the window bound, and (3) publishes its
-   local minimum next-event time (engines plus its own undelivered
-   sends) through a pre-sized per-worker results array. No coordinator
-   pass touches the shards between windows.
+   {b One job per run.} {!run} dispatches one pool job and hands every
+   worker a fixed contiguous block of shards; per epoch window the
+   worker (1) drains the mailboxes addressed to its own destination
+   shards — one {!Engine.post_batch} per nonempty mailbox, in the fixed
+   source-then-FIFO order that pins tie-breaking seqs — (2) drains its
+   shards below the window bound, and (3) publishes its local minimum
+   next-event time (engines plus its own undelivered sends) through a
+   pre-sized per-worker results array.
 
-   {b Epoch fusion.} At the end of a window the workers meet at an
-   in-job {!Par.Barrier}; the last arriver folds the per-worker minima
-   and, when the window ended with every mailbox empty and neither a
-   global action nor the horizon due, opens the next window in place —
-   the workers spin through consecutive quiet windows against the shared
-   phase descriptor and a run of k quiet epochs costs one pool dispatch
-   plus k barrier crossings instead of k dispatches. Any cross-shard
-   traffic, global or horizon ends the phase and returns control to the
-   coordinator.
+   {b The barrier decides.} At the end of a window the workers meet at
+   an in-job {!Par.Barrier}; the last arriver folds the per-worker
+   minima into the event frontier, fires every global due at or before
+   it (flushing the mail after each), and then either ends the run at
+   the horizon or opens the next window. A run of k epochs costs one
+   pool dispatch plus k barrier crossings, globals included.
 
    {b Mailboxes.} Cross-shard sends go to per-(src, dst) mailboxes —
    single-producer by construction, since a shard's events execute on
@@ -38,14 +34,12 @@
    delivery and sending never touch the same arrays; the inter-window
    barrier provides the happens-before edge between a source's appends
    and the destination's drain. Each source shard also tracks the
-   minimum timestamp and count of its undelivered sends, which is how
-   the window minimum can include parked mail without scanning n^2
-   mailboxes.
+   minimum timestamp of its undelivered sends, which is how the window
+   minimum can include parked mail without scanning n^2 mailboxes.
 
    Together with per-shard sequential draining this makes the full event
    sequence — order, timestamps, payloads, per-engine tie-breaking
-   seqs — bit-identical at any domain count, including 1, and identical
-   with fusion on or off.
+   seqs — bit-identical at any domain count, including 1.
 
    Rare whole-system actions (membership churn, phase changes) run as
    {e global events}: the window is clipped so it never spans one, and
@@ -54,7 +48,7 @@
 
    {b Ownership.} The worker count is fixed at {!create}, and so is the
    block split: worker w drains shards [w*n/W, (w+1)*n/W) in every
-   phase. {!create} builds each shard's engine, and through the caller's
+   run. {!create} builds each shard's engine, and through the caller's
    [init] hook the caller's per-shard state, inside one pool job on the
    worker that will drain that shard, so the records each event writes
    (the engine's clock and counters, the queue's staging floats and vec
@@ -72,7 +66,8 @@
    {b Wall time per worker.} Each worker reads the monotonic clock
    ({!Par.now_ns}) a few times per window, never per event, and adds up
    its seconds delivering mail, draining its shards and waiting at the
-   barrier, spinning and blocked apart ({!worker_times}). *)
+   barrier, spinning and blocked apart ({!worker_times}). The last
+   arriver's decision, globals included, counts as its spin time. *)
 
 module Par = Lesslog_parallel.Par
 
@@ -134,26 +129,25 @@ type worker_time = {
   barrier_block_s : float;
 }
 
-(* Shared state of one fused phase: written by the coordinator before
-   the pool job starts, per-worker slots written by their owner during a
-   window, decision fields written by the barrier's last arriver. All
-   plain fields ride the happens-before edges of the pool hand-off and
-   the in-job barrier. *)
+(* Shared state of one run: written by the caller before the pool job
+   starts, per-worker slots written by their owner during a window,
+   decision fields written by the barrier's last arriver. All plain
+   fields ride the happens-before edges of the pool hand-off and the
+   in-job barrier. *)
 type descriptor = {
   d_workers : int;
   block_lo : int array;  (* worker w owns shards [lo, hi) — contiguous *)
   block_hi : int array;
   wmin : float array;  (* per-worker window minimum (engines + own sends) *)
-  wsent : int array;  (* per-worker cross-shard sends this window *)
-  wdelivered : int array;  (* per-worker mailbox messages delivered, phase total *)
+  wdelivered : int array;  (* per-worker mailbox messages delivered, run total *)
   bar : Par.Barrier.t;
-  abort : bool Atomic.t;  (* a worker raised: end the phase, re-raise after *)
+  abort : bool Atomic.t;  (* a handler raised: end the run, re-raise after *)
   mutable bound : float;  (* current window's drain bound *)
+  mutable horizon : float;  (* [until], or infinity *)
   mutable until_bound : float;  (* Float.succ horizon, or infinity *)
-  mutable next_global : float;  (* next in-horizon global's time, or infinity *)
-  mutable fuse : bool;
-  mutable continue_ : bool;  (* decision: open another window in place *)
-  mutable cur_min : float;  (* decision: global minimum incl. parked mail *)
+  mutable globals : (float * (unit -> unit)) list;  (* not yet fired *)
+  mutable running : bool;  (* decision: another window is open *)
+  mutable failed : (exn * Printexc.raw_backtrace) option;  (* a global raised *)
 }
 
 type t = {
@@ -161,12 +155,11 @@ type t = {
   lookahead : float;
   mail : mailbox array;  (* (parity * n + src) * n + dst *)
   sent_min : float array;  (* per src shard: min undelivered send time *)
-  sent_cnt : int array;  (* per src shard: undelivered sends *)
   desc : descriptor;  (* fixed worker count and block split *)
   wtimes : wtime array;  (* per worker, each built on its worker *)
   mutable parity : int;  (* buffer index current-window sends append to *)
   mutable epoch : int;
-  mutable phases : int;  (* pool dispatches; epochs/phases = fusion factor *)
+  mutable phases : int;  (* pool jobs: one per run that opens a window *)
   mutable cross_sends : int;  (* delivered mailbox messages *)
 }
 
@@ -176,16 +169,15 @@ let make_descriptor ~shards:n ~workers =
     block_lo = Array.init workers (fun w -> w * n / workers);
     block_hi = Array.init workers (fun w -> (w + 1) * n / workers);
     wmin = Array.make workers Float.infinity;
-    wsent = Array.make workers 0;
     wdelivered = Array.make workers 0;
     bar = Par.Barrier.create ~parties:workers ();
     abort = Atomic.make false;
     bound = 0.0;
+    horizon = Float.infinity;
     until_bound = Float.infinity;
-    next_global = Float.infinity;
-    fuse = true;
-    continue_ = false;
-    cur_min = Float.infinity;
+    globals = [];
+    running = false;
+    failed = None;
   }
 
 (* A thunk that runs [f w] for every worker [w < d_workers]: inline at
@@ -231,7 +223,6 @@ let create ?(domains = 1) ~shards ~lookahead ~init () =
       lookahead;
       mail = Array.init (2 * shards * shards) (fun _ -> mb_make ());
       sent_min = Array.make shards Float.infinity;
-      sent_cnt = Array.make shards 0;
       desc;
       wtimes = Array.map Option.get wtimes;
       parity = 0;
@@ -242,10 +233,7 @@ let create ?(domains = 1) ~shards ~lookahead ~init () =
   in
   (t, Array.map snd built)
 
-let shard_count t = Array.length t.shards
 let engine t i = t.shards.(i)
-let lookahead t = t.lookahead
-let now t ~shard = Engine.now t.shards.(shard)
 let epoch t = t.epoch
 let phases t = t.phases
 let cross_sends t = t.cross_sends
@@ -265,11 +253,6 @@ let worker_times t =
 let events_executed t =
   Array.fold_left (fun acc e -> acc + Engine.events_executed e) 0 t.shards
 
-let pending t =
-  let queued = Array.fold_left (fun acc e -> acc + Engine.pending e) 0 t.shards
-  and mailed = Array.fold_left (fun acc mb -> acc + mb.len) 0 t.mail in
-  queued + mailed
-
 (* Inlined at its call site, so the sampled delay and the computed
    arrival time reach the engine or the mailbox unboxed. *)
 let[@inline] send t ~src ~dst ~delay ~h ~a ~b ~x =
@@ -280,8 +263,7 @@ let[@inline] send t ~src ~dst ~delay ~h ~a ~b ~x =
     let n = Array.length t.shards in
     let time = Engine.now t.shards.(src) +. delay in
     mb_push t.mail.((((t.parity * n) + src) * n) + dst) ~time ~h ~a ~b ~x;
-    if time < t.sent_min.(src) then t.sent_min.(src) <- time;
-    t.sent_cnt.(src) <- t.sent_cnt.(src) + 1
+    if time < t.sent_min.(src) then t.sent_min.(src) <- time
   end
 
 (* Hand every parked message of parity [parity] addressed to [dst] to
@@ -304,20 +286,20 @@ let deliver_dst t ~parity ~dst =
   done;
   !delivered
 
-(* Coordinator-only full flush (run start, after a global action): both
-   parity buffers, destination-major — at most one buffer holds mail at
-   any barrier, so the order across parities is immaterial. *)
+(* Full flush (run start, after a global action), by one domain while
+   no worker drains: both parity buffers, destination-major — at most
+   one buffer holds mail at any barrier, so the order across parities is
+   immaterial. *)
 let flush_mail t =
   let n = Array.length t.shards in
   for dst = 0 to n - 1 do
     t.cross_sends <- t.cross_sends + deliver_dst t ~parity:0 ~dst;
     t.cross_sends <- t.cross_sends + deliver_dst t ~parity:1 ~dst
   done;
-  Array.fill t.sent_min 0 n Float.infinity;
-  Array.fill t.sent_cnt 0 n 0
+  Array.fill t.sent_min 0 n Float.infinity
 
 (* Sentinel scan — no [float option] boxing. Only meaningful when the
-   mailboxes are empty (coordinator, after a flush). *)
+   mailboxes are empty (after a flush). *)
 let min_next t =
   let mn = ref Float.infinity in
   Array.iter
@@ -330,46 +312,76 @@ let min_next t =
 let advance_all t ~time =
   Array.iter (fun e -> Engine.advance_to e ~time) t.shards
 
-(* Fold the per-worker results and either open the next window in place
-   (epoch fusion: quiet window, nothing due before it) or end the phase.
-   Runs on the barrier's last arriver; its writes are released to every
-   worker and, through the pool join, to the coordinator. *)
-let decide t d =
-  let mn = ref Float.infinity and sent = ref 0 in
-  for w = 0 to d.d_workers - 1 do
-    if d.wmin.(w) < !mn then mn := d.wmin.(w);
-    sent := !sent + d.wsent.(w)
-  done;
-  d.cur_min <- !mn;
-  if
-    d.fuse
-    && (not (Atomic.get d.abort))
-    && !sent = 0
-    && !mn < d.next_global
-    && !mn < d.until_bound
-  then begin
-    d.bound <- Float.min (!mn +. t.lookahead) (Float.min d.until_bound d.next_global);
-    t.epoch <- t.epoch + 1;
-    d.continue_ <- true
-  end
-  else d.continue_ <- false
+(* From the event frontier [mn] (every pending event, parked mail
+   included), do what is due before the next window: fire the globals
+   due at or before [mn] within the horizon, each with every clock on
+   its time and followed by a flush; then either stop at the horizon or
+   open the next window, flipping the mail parity so its sends buffer
+   apart from the mail its workers deliver first. Runs on one domain
+   while no worker drains: the caller before the job, then the barrier's
+   last arriver. A raising global ends the run; it is kept for {!run} to
+   re-raise, since escaping here would strand the other parties. *)
+let rec next_window t d mn =
+  match d.globals with
+  | (g_at, fire) :: rest
+    when g_at <= d.horizon && g_at <= mn && g_at < Float.infinity -> (
+      d.globals <- rest;
+      advance_all t ~time:g_at;
+      match fire () with
+      | () ->
+          flush_mail t;
+          next_window t d (min_next t)
+      | exception e ->
+          d.failed <- Some (e, Printexc.get_raw_backtrace ());
+          d.running <- false)
+  | globals ->
+      if mn >= d.until_bound then begin
+        (* Done: no pending event inside the horizon. Sends parked past
+           the horizon stay in their mailboxes; a later [run] flushes
+           them first. *)
+        if d.horizon < Float.infinity then advance_all t ~time:d.horizon;
+        d.running <- false
+      end
+      else begin
+        let next_global =
+          match globals with
+          | (g_at, _) :: _ when g_at <= d.horizon -> g_at
+          | _ -> Float.infinity
+        in
+        t.epoch <- t.epoch + 1;
+        d.bound <-
+          Float.min (mn +. t.lookahead) (Float.min d.until_bound next_global);
+        t.parity <- 1 - t.parity;
+        d.running <- true
+      end
 
-(* One worker's phase: windows until the decision ends the phase. A
+(* The barrier decision: fold the per-worker minima into the frontier
+   and choose the next window, or end the run after a handler raised. *)
+let decide t d =
+  if Atomic.get d.abort then d.running <- false
+  else begin
+    let mn = ref Float.infinity in
+    for w = 0 to d.d_workers - 1 do
+      if d.wmin.(w) < !mn then mn := d.wmin.(w)
+    done;
+    next_window t d !mn
+  end
+
+(* One worker's share of a run: windows until the decision ends it. A
    handler exception must not strand the other parties at the barrier,
    so it is trapped, flagged, and re-raised only after the release. The
    clock is read at the window's two internal boundaries and around the
-   barrier; a fused window starts where the last one's barrier ended. *)
-let phase_worker t d w =
+   barrier; a window starts where the last one's barrier ended. *)
+let window_worker t d w =
   let lo = d.block_lo.(w) and hi = d.block_hi.(w) in
   let wt = t.wtimes.(w) in
+  let decide () = decide t d in
   let mark = ref (Par.now_ns ()) in
-  let continue = ref true in
-  while !continue do
+  while d.running do
     let ex = ref None in
     (try
-       (* Previous window's mail for our destinations. Fused windows are
-          quiet by construction, so this scan finds nothing after the
-          first window of the phase. *)
+       (* Previous window's mail for our destinations: empty after a
+          quiet window or a global's flush. *)
        let old_parity = 1 - t.parity in
        let delivered = ref 0 in
        for dst = lo to hi - 1 do
@@ -377,8 +389,7 @@ let phase_worker t d w =
        done;
        d.wdelivered.(w) <- d.wdelivered.(w) + !delivered;
        for s = lo to hi - 1 do
-         t.sent_min.(s) <- Float.infinity;
-         t.sent_cnt.(s) <- 0
+         t.sent_min.(s) <- Float.infinity
        done;
        let delivered_at = Par.now_ns () in
        wt.deliver_ns <- wt.deliver_ns + (delivered_at - !mark);
@@ -387,24 +398,21 @@ let phase_worker t d w =
        for s = lo to hi - 1 do
          Engine.drain_below t.shards.(s) ~bound
        done;
-       let mn = ref Float.infinity and sent = ref 0 in
+       let mn = ref Float.infinity in
        for s = lo to hi - 1 do
          let ti = Engine.next_time_inf t.shards.(s) in
          if ti < !mn then mn := ti;
-         if t.sent_min.(s) < !mn then mn := t.sent_min.(s);
-         sent := !sent + t.sent_cnt.(s)
+         if t.sent_min.(s) < !mn then mn := t.sent_min.(s)
        done;
        d.wmin.(w) <- !mn;
-       d.wsent.(w) <- !sent;
        let drained_at = Par.now_ns () in
        wt.drain_ns <- wt.drain_ns + (drained_at - !mark);
        mark := drained_at
      with e ->
        ex := Some (e, Printexc.get_raw_backtrace ());
        Atomic.set d.abort true;
-       d.wmin.(w) <- Float.infinity;
-       d.wsent.(w) <- 0);
-    let blocked_at = Par.Barrier.arrive d.bar ~last:(fun () -> decide t d) in
+       d.wmin.(w) <- Float.infinity);
+    let blocked_at = Par.Barrier.arrive d.bar ~last:decide in
     let released_at = Par.now_ns () in
     if blocked_at < 0 then wt.spin_ns <- wt.spin_ns + (released_at - !mark)
     else begin
@@ -412,69 +420,27 @@ let phase_worker t d w =
       wt.block_ns <- wt.block_ns + (released_at - blocked_at)
     end;
     mark := released_at;
-    (match !ex with
+    match !ex with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    continue := d.continue_
+    | None -> ()
   done
 
-let run ?until ?(globals = []) ?(fuse = true) t =
+let run ?until ?(globals = []) t =
   let d = t.desc in
-  let workers = d.d_workers in
-  let horizon = match until with None -> Float.infinity | Some u -> u in
+  d.horizon <- Option.value until ~default:Float.infinity;
   (* [Float.succ] turns the strict drain bound inclusive: events at
      exactly [until] still run. *)
-  let until_bound =
-    match until with None -> Float.infinity | Some u -> Float.succ u
-  in
-  d.until_bound <- until_bound;
-  d.fuse <- fuse;
-  let phase = on_workers d (phase_worker t d) in
+  d.until_bound <- Float.succ d.horizon;
+  d.globals <- globals;
+  d.failed <- None;
+  Atomic.set d.abort false;
+  Array.fill d.wdelivered 0 d.d_workers 0;
   flush_mail t;
-  let globals = ref globals in
-  let cur_min = ref (min_next t) in
-  let continue = ref true in
-  while !continue do
-    let next_global =
-      match !globals with
-      | (g_at, _) :: _ when g_at <= horizon -> g_at
-      | _ -> Float.infinity
-    in
-    if next_global < Float.infinity && next_global <= !cur_min then begin
-      (* Global action due at or before the event frontier: sequential,
-         full access to all shards, then a flush so anything it posted
-         is queued before the next window is chosen. *)
-      match !globals with
-      | [] -> assert false
-      | (g_at, fire) :: rest ->
-          globals := rest;
-          advance_all t ~time:g_at;
-          fire ();
-          flush_mail t;
-          cur_min := min_next t
-    end
-    else if !cur_min >= until_bound then begin
-      (* Done: no pending event inside the horizon. Sends parked past
-         the horizon stay in their mailboxes; a later [run] flushes
-         them first. *)
-      (match until with Some u -> advance_all t ~time:u | None -> ());
-      continue := false
-    end
-    else begin
-      t.epoch <- t.epoch + 1;
-      t.phases <- t.phases + 1;
-      d.bound <-
-        Float.min (!cur_min +. t.lookahead) (Float.min until_bound next_global);
-      d.next_global <- next_global;
-      Atomic.set d.abort false;
-      Array.fill d.wdelivered 0 workers 0;
-      (* Flip the mailbox parity: this phase's sends buffer separately
-         from the previous window's mail being delivered. *)
-      t.parity <- 1 - t.parity;
-      phase ();
-      for w = 0 to workers - 1 do
-        t.cross_sends <- t.cross_sends + d.wdelivered.(w)
-      done;
-      cur_min := d.cur_min
-    end
-  done
+  next_window t d (min_next t);
+  if d.running then begin
+    t.phases <- t.phases + 1;
+    on_workers d (window_worker t d) ();
+    Array.iter (fun n -> t.cross_sends <- t.cross_sends + n) d.wdelivered
+  end;
+  d.globals <- [];
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) d.failed

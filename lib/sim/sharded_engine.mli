@@ -15,36 +15,33 @@
 
     Under that contract the event sequence — order, timestamps,
     payloads, per-engine tie-breaking seqs — is bit-identical at any
-    domain count, including 1, and with {!run}'s [fuse] on or off: an
-    epoch spans [[T, T + lookahead)] where [T] is the earliest pending
-    event anywhere, so a cross-shard message (sent at [>= T], delivered
-    after [>= lookahead]) can never land in the epoch that issued it;
-    and mailboxes are drained in a fixed order (destination shard, then
-    source shard, then FIFO), so destination seq assignment does not
-    depend on worker interleaving.
+    domain count, including 1: an epoch spans [[T, T + lookahead)]
+    where [T] is the earliest pending event anywhere, so a cross-shard
+    message (sent at [>= T], delivered after [>= lookahead]) can never
+    land in the epoch that issued it; and mailboxes are drained in a
+    fixed order (destination shard, then source shard, then FIFO), so
+    destination seq assignment does not depend on worker interleaving.
 
     {2 Execution shape}
 
-    {!run} dispatches one pool job per {e phase}, not per epoch. Each
-    worker owns a fixed contiguous block of shards; within a phase it
-    first delivers the previous window's mail addressed to its own
-    destination shards (batched, one {!Engine.post_batch} per nonempty
-    mailbox), then drains its shards below the window bound, then
-    publishes its local minimum next-event time through a pre-sized
-    per-worker slot. Workers meet at an in-job {!Par.Barrier} where the
-    last arriver folds the minima and — when the window ended with every
-    mailbox empty and neither a global action nor the horizon due —
-    opens the next epoch window in place ({e epoch fusion}): a run of
-    [k] quiet epochs costs one pool dispatch plus [k] barrier crossings.
-    Cross-shard traffic, a due global, or the horizon ends the phase.
-    Mailboxes are double-buffered by window parity so delivery of the
-    previous window's mail never touches the buffers the current
-    window's sends append to.
+    {!run} dispatches one pool job per call, not per epoch. Each worker
+    owns a fixed contiguous block of shards; per epoch window it first
+    delivers the previous window's mail addressed to its own destination
+    shards (batched, one {!Engine.post_batch} per nonempty mailbox),
+    then drains its shards below the window bound, then publishes its
+    local minimum next-event time through a pre-sized per-worker slot.
+    Workers meet at an in-job {!Par.Barrier} where the last arriver
+    folds the minima, runs the global actions that are due, and then
+    either ends the run at the horizon or opens the next window: a run
+    of [k] epochs costs one pool dispatch plus [k] barrier crossings.
+    Mailboxes are double-buffered by window parity, flipped at every
+    window, so delivery of the previous window's mail never touches the
+    buffers the current window's sends append to.
 
     {2 Ownership}
 
     A shard is built where it is drained. {!create} runs one pool job
-    over the same contiguous block split the phases use, and each
+    over the same contiguous block split the runs use, and each
     worker allocates its own shards' engines and, through the caller's
     [init] hook, the caller's per-shard state, then runs a minor
     collection so those blocks are promoted into its own domain's
@@ -77,22 +74,17 @@ val create :
     of its shards, in index order, on its own domain; the values come
     back in shard order. With more than one worker, each then runs one
     minor collection ({!Gc.minor}) before publishing its shards. At one
-    worker everything runs inline on the caller's domain. [init] must touch only its own shard (it runs
-    concurrently with other workers' calls); an exception it raises is
-    re-raised after every worker has finished.
+    worker everything runs inline on the caller's domain. [init] must
+    touch only its own shard (it runs concurrently with other workers'
+    calls); an exception it raises is re-raised after every worker has
+    finished.
     @raise Invalid_argument when [shards < 1], [lookahead <= 0] or
     [domains < 1]. *)
-
-val shard_count : t -> int
-val lookahead : t -> float
 
 val engine : t -> int -> Engine.t
 (** Shard [i]'s engine: register handlers and post shard-local events
     directly on it. Handler ids are per-engine; registering the same
     handlers in the same order on every shard keeps ids aligned. *)
-
-val now : t -> shard:int -> float
-(** Shard-local clock (shards within an epoch advance independently). *)
 
 val epoch : t -> int
 (** Completed-or-running epoch count — the mailbox-ordering property
@@ -100,43 +92,37 @@ val epoch : t -> int
     stamping {!send} payloads with this. *)
 
 val phases : t -> int
-(** Pool dispatches so far. [epoch t / phases t] is the fusion factor:
-    how many epoch windows the average phase executed in place. Equal to
-    {!epoch} when {!run} is called with [~fuse:false]. *)
+(** Pool dispatches so far: one per {!run} that opened an epoch window,
+    none for a run with nothing to drain before its horizon. *)
 
 val send :
   t -> src:int -> dst:int -> delay:float -> h:int -> a:int -> b:int ->
   x:float -> unit
 (** Cross-shard post: deliver [(h, a, b, x)] to shard [dst] at
-    [now ~shard:src + delay], where [h] names a handler registered on
-    the {e destination} shard's engine. [src = dst] degrades to a local
-    {!Engine.post}.
+    [Engine.now (engine t src) +. delay], where [h] names a handler
+    registered on the {e destination} shard's engine. [src = dst]
+    degrades to a local {!Engine.post}.
     @raise Invalid_argument when [src <> dst] and [delay < lookahead]. *)
 
-val run :
-  ?until:float ->
-  ?globals:(float * (unit -> unit)) list ->
-  ?fuse:bool ->
-  t ->
-  unit
+val run : ?until:float -> ?globals:(float * (unit -> unit)) list -> t -> unit
 (** Drive all shards to completion (or to [until], inclusive, clamping
     every shard clock there) on the workers fixed at {!create}, each
-    draining the shards it built.
-
-    [fuse] (default [true]) enables epoch fusion — consecutive quiet
-    windows executed inside one pool dispatch. [~fuse:false] forces one
-    dispatch per epoch; results are identical either way (the knob
-    exists for differential tests and overhead measurements).
+    draining the shards it built, in one pool job.
 
     [globals] is a time-sorted list of whole-system actions (membership
     churn, phase switches) that run {e sequentially at a barrier}: the
     epoch window is clipped so it never spans one, every shard clock is
     advanced to the action's time, and the action may touch any shard
     and post or {!send} freely. A global due at the same instant as a
-    queued event runs before it. Actions past [until] do not fire. *)
+    queued event runs before it. Actions past [until] do not fire. Those
+    due before the first event run on the caller's domain, the rest on
+    whichever worker arrives last at the window barrier.
 
-val pending : t -> int
-(** Events queued across all shards and mailboxes. *)
+    An exception raised by a handler or by a global ends the run: every
+    worker leaves the job at the next barrier, and [run] re-raises the
+    exception (the lowest-numbered worker's when several handlers
+    raised). The engine's shards are then left wherever the run stopped;
+    the shared pool is free for other engines. *)
 
 val events_executed : t -> int
 (** Total executed across shards. *)
@@ -149,16 +135,18 @@ type worker_time = {
   deliver_s : float;  (** Handing the previous window's mail to them. *)
   barrier_spin_s : float;
       (** Waiting at the window barrier while spinning (for the last
-          arriver: running the window decision). *)
+          arriver: running the window decision and any globals due). *)
   barrier_block_s : float;
       (** Waiting at the window barrier blocked on its condition
           variable. *)
 }
-(** One worker's wall time inside {!run}'s phase jobs, in seconds of
+(** One worker's wall time inside {!run}'s pool job, in seconds of
     {!Par.now_ns}. The clock is read a few times per epoch window, never
-    per event. Time outside phase jobs — globals, the coordinator's
-    flushes, pool dispatch — belongs to no worker. Host timing: never
-    part of any result digest. *)
+    per event. A global fired at a window barrier, and the mail flush
+    after it, count in the barrier time of the worker that ran them.
+    Time outside the job — globals due before the first event, the
+    run's first flush, pool dispatch — belongs to no worker. Host
+    timing: never part of any result digest. *)
 
 val worker_times : t -> worker_time array
 (** Per worker, totals over every {!run} so far, indexed by worker. *)

@@ -151,7 +151,7 @@ let test_barrier_phases_in_pool () =
   (* Workers cross many phases inside one pool job. Per phase, [last]
      runs exactly once and its plain writes (the shared cell) are
      visible to every party after release — the message-passing edge the
-     fused engine loop rides. *)
+     sharded engine's window loop rides. *)
   let parties = 3 and phases = 200 in
   let pool = Par.Pool.create ~domains:parties in
   let b = Par.Barrier.create ~spin:16 ~parties () in

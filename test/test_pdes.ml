@@ -31,7 +31,13 @@ let synthetic_schedule ~shards ~seeds =
           (i mod shards, t, (seed + i) mod 7, (seed * i) mod 5)))
     seeds
 
-let run_sharded ?fuse ~shards ~domains sched =
+(* [gsched] lists barrier globals as [(at, s, b)]: at [at] the global
+   posts an event with payload [b] on shard [s] and sends one to the next
+   shard, both with [a = -1] so the log tells them apart. Each firing is
+   logged too, on shard [s], with [b = -1], and then [on_global at se]
+   runs. *)
+let run_sharded ?(gsched = []) ?(on_global = fun _ _ -> ()) ~shards
+    ~domains sched =
   let lookahead = 0.5 in
   let se = create ~domains ~shards ~lookahead () in
   let log = Array.make shards [] in
@@ -57,9 +63,35 @@ let run_sharded ?fuse ~shards ~domains sched =
       Engine.post_at (Sharded.engine se s) ~time:t ~h:handlers.(s) ~a ~b
         ~x:0.0)
     sched;
-  Sharded.run ?fuse se;
+  let global (at, s, b) =
+    ( at,
+      fun () ->
+        let eng = Sharded.engine se s and dst = (s + 1) mod shards in
+        log.(s) <- (Engine.now eng, -1, -1, at) :: log.(s);
+        Engine.post eng ~delay:0.05 ~h:handlers.(s) ~a:(-1) ~b ~x:at;
+        Sharded.send se ~src:s ~dst ~delay:(lookahead +. 0.02) ~h:handlers.(dst)
+          ~a:(-1) ~b ~x:(at +. 1.0);
+        on_global at se )
+  in
+  let globals =
+    List.map global
+      (List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b) gsched)
+  in
+  Sharded.run ~globals se;
   let phases = Sharded.phases se and epochs = Sharded.epoch se in
   (Array.map List.rev log, epochs, phases)
+
+(* FNV-1a over every logged event, shard by shard, floats by their bits:
+   one number that pins a whole run. *)
+let log_digest logs =
+  let mix h v = (h lxor v) * 0x100000001b3 in
+  let fmix h f = mix h (Int64.to_int (Int64.bits_of_float f)) in
+  Array.fold_left
+    (fun h log ->
+      List.fold_left
+        (fun h (t, a, b, x) -> fmix (mix (mix (fmix h t) a) b) x)
+        (mix h 0x5eed) log)
+    0xcbf29ce4 logs
 
 let test_one_shard_matches_engine () =
   let sched = synthetic_schedule ~shards:1 ~seeds:[ 3; 11; 29 ] in
@@ -96,27 +128,74 @@ let test_sharded_domain_invariance () =
       done)
     [ 2; 3; 4; 8 ]
 
-(* Epoch fusion is a pure dispatch optimisation: on any random schedule
-   the fused and unfused runs must produce identical event sequences —
-   at 1 domain and at several. The generator draws a shard count and a
-   handful of schedule seeds, the same recipe as the fixed tests. *)
-let qcheck_fused_equals_unfused =
-  Test_support.qcheck_case ~count:40 ~name:"fused = unfused on random schedules"
-    QCheck2.Gen.(
-      pair (int_range 1 4) (list_size (int_range 1 6) (int_range 0 1000)))
-    (fun (shards, seeds) ->
-      let sched = synthetic_schedule ~shards ~seeds in
-      let fused, ep_f, ph_f = run_sharded ~fuse:true ~shards ~domains:1 sched in
-      let unfused, ep_u, ph_u =
-        run_sharded ~fuse:false ~shards ~domains:1 sched
+(* A fixed schedule pinned by digest. It has cross-shard sends from
+   handlers, globals that post locally and send across shards, and
+   globals due while mail is parked: the event at 10.0 on shard 0 sends
+   to shard 1 for 10.51 and the window stops at the global at 10.3, so
+   the global fires with that message still in its mailbox. The same
+   happens at 20.49 (a message for 20.51), and the next global, at
+   20.52 on shard 1, is due before any event left in the queues: it
+   must still follow the parked message, which the flush after each
+   global puts in the frontier. *)
+let pinned_schedule =
+  synthetic_schedule ~shards:3 ~seeds:[ 2; 7; 13 ]
+  @ [ (0, 10.0, 4, 3); (0, 20.0, 5, 3) ]
+
+let pinned_globals =
+  [
+    (0.45, 1, 4); (2.0, 0, 3); (2.0, 2, 1); (5.5, 2, 6); (10.3, 2, 2);
+    (20.49, 2, 0); (20.52, 1, 0);
+  ]
+
+let pinned_digest = -2082301370027677207
+
+let test_pinned_schedule () =
+  List.iter
+    (fun domains ->
+      let label what = Printf.sprintf "%d domains: %s" domains what in
+      let parked = ref false in
+      let on_global at se =
+        if at = 10.3 then
+          parked := Engine.next_time_inf (Sharded.engine se 1) = Float.infinity
       in
-      let fused3, _, _ = run_sharded ~fuse:true ~shards ~domains:3 sched in
-      fused = unfused && fused = fused3 && ep_f = ep_u && ph_u = ep_u
-      && ph_f <= ep_f)
+      let logs, _, phases =
+        run_sharded ~gsched:pinned_globals ~on_global ~shards:3 ~domains
+          pinned_schedule
+      in
+      Alcotest.(check bool) (label "shard 1 idle at the 10.3 global") true !parked;
+      Alcotest.(check bool) (label "the parked message arrives") true
+        (List.mem (10.0 +. 0.51, 4, 2, 1.0) logs.(1));
+      Alcotest.(check int) (label "digest") pinned_digest (log_digest logs);
+      Alcotest.(check int) (label "one pool job") 1 phases)
+    [ 1; 2; 3 ]
+
+(* Random schedules with random globals that post and send: the logs are
+   identical at 1, 2 and 3 domains, and each run is one pool job. The
+   generator draws a shard count, a handful of schedule seeds (the same
+   recipe as the fixed tests) and up to five globals in [0, 8). *)
+let qcheck_random_globals =
+  Test_support.qcheck_case ~count:40
+    ~name:"random schedules with globals"
+    QCheck2.Gen.(
+      triple (int_range 1 4)
+        (list_size (int_range 1 6) (int_range 0 1000))
+        (list_size (int_range 0 5)
+           (triple (float_bound_exclusive 8.0) (int_range 0 3) (int_range 0 6))))
+    (fun (shards, seeds, globals) ->
+      let sched = synthetic_schedule ~shards ~seeds in
+      let gsched = List.map (fun (at, s, b) -> (at, s mod shards, b)) globals in
+      let run domains = run_sharded ~gsched ~shards ~domains sched in
+      let logs1, epochs1, phases1 = run 1 in
+      List.for_all
+        (fun domains ->
+          let logs, epochs, phases = run domains in
+          logs = logs1 && epochs = epochs1 && phases = 1)
+        [ 2; 3 ]
+      && phases1 = 1)
 
 let test_fusion_collapses_quiet_epochs () =
   (* A purely local workload (no cross-shard sends, no globals) spans
-     many epoch windows but needs only one pool dispatch. *)
+     many epoch windows in one pool dispatch. *)
   let sched =
     List.init 8 (fun i -> (i mod 2, float_of_int i, 1, 0))
   in
@@ -229,6 +308,61 @@ let test_init_hook () =
   List.iter (fun domains -> check_at ~domains) [ 1; 2; 4; 8 ];
   ignore (Sys.opaque_identity (Par.ensure_pool 8));
   List.iter (fun domains -> check_at ~domains) [ 2; 3 ]
+
+(* A raising handler or global ends the run on every worker, and [run]
+   re-raises the original exception; the shared pool then runs another
+   engine, so no worker was left waiting at the barrier. *)
+exception Boom of string
+
+let check_pool_still_runs ~domains =
+  let logs, _, _ =
+    run_sharded ~gsched:pinned_globals ~shards:3 ~domains pinned_schedule
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "%d domains: next engine's digest" domains)
+    pinned_digest (log_digest logs)
+
+(* Four shards, each with a chain of local events over [0, 4); shard 3's
+   handler raises at 2.0 when [raise_at_2] is set. *)
+let failing_engine ~domains ~raise_at_2 =
+  let se = create ~domains ~shards:4 ~lookahead:0.5 () in
+  for s = 0 to 3 do
+    let eng = Sharded.engine se s in
+    let h = ref (-1) in
+    h :=
+      Engine.register eng (fun _ b ->
+          if raise_at_2 && s = 3 && Engine.now eng = 2.0 then
+            raise (Boom "handler");
+          if b > 0 then Engine.post eng ~delay:0.25 ~h:!h ~a:0 ~b:(b - 1) ~x:0.0);
+    Engine.post_at eng ~time:0.0 ~h:!h ~a:0 ~b:15 ~x:0.0
+  done;
+  se
+
+let test_raising_handler () =
+  List.iter
+    (fun domains ->
+      let se = failing_engine ~domains ~raise_at_2:true in
+      Alcotest.check_raises
+        (Printf.sprintf "%d domains: handler exception re-raised" domains)
+        (Boom "handler") (fun () -> Sharded.run se);
+      check_pool_still_runs ~domains)
+    [ 1; 2; 4 ]
+
+let test_raising_global () =
+  List.iter
+    (fun (domains, at) ->
+      let se = failing_engine ~domains ~raise_at_2:false in
+      Alcotest.check_raises
+        (Printf.sprintf "%d domains: global at %g re-raised" domains at)
+        (Boom "global")
+        (fun () ->
+          Sharded.run
+            ~globals:[ (at, fun () -> raise (Boom "global")); (3.0, ignore) ]
+            se);
+      check_pool_still_runs ~domains)
+    (* At 0.0 the global is due before the first window and runs on the
+       caller; at 1.5 it runs at a window barrier. *)
+    [ (1, 0.0); (1, 1.5); (2, 0.0); (2, 1.5); (4, 0.0); (4, 1.5) ]
 
 (* --- Pdes_sim ----------------------------------------------------------- *)
 
@@ -368,34 +502,29 @@ let fault_plan ~seed ~params ~duration =
     ~duration ~crash_fraction:0.1 ~restart_fraction:0.5 ~bursts:2
     ~burst_loss:0.4 ~partitions:0 ()
 
-let run_faulted ?fuse ~domains () =
+let run_faulted ~domains () =
   let params = Params.create ~m:9 ~b:3 () in
   let duration = 2.5 in
   let status = Status_word.create params ~initially_live:true in
   let demand = Demand.uniform status ~total:900.0 in
   Pdes.run
     ~faults:(fault_plan ~seed:77 ~params ~duration)
-    ?fuse ~domains ~seed:4242 ~params ~key:"pdes/faulted" ~demand ~duration ()
+    ~domains ~seed:4242 ~params ~key:"pdes/faulted" ~demand ~duration ()
 
 let test_pdes_faulted_domain_invariance () =
   (* The churn-heavy workload: crashes, restarts and loss bursts as
-     barrier globals must not disturb domain-count invariance — and
-     fusion must stay a no-op on results. *)
+     barrier globals must not disturb domain-count invariance, and the
+     whole run is one pool job at every domain count. *)
   let base = run_faulted ~domains:1 () in
   Alcotest.(check bool) "run does something" true (base.Pdes.served > 0);
+  Alcotest.(check int) "faulted, 1 domain: one pool job" 1 base.Pdes.phases;
   List.iter
     (fun domains ->
-      check_same_result
-        (Printf.sprintf "faulted, %d domains" domains)
-        base
-        (run_faulted ~domains ()))
-    [ 2; 4; 8 ];
-  let unfused = run_faulted ~fuse:false ~domains:2 () in
-  check_same_result "faulted, unfused" base unfused;
-  Alcotest.(check int) "unfused: one dispatch per epoch" unfused.Pdes.epochs
-    unfused.Pdes.phases;
-  Alcotest.(check bool) "fused: fewer dispatches than epochs" true
-    (base.Pdes.phases < base.Pdes.epochs)
+      let r = run_faulted ~domains () in
+      let label = Printf.sprintf "faulted, %d domains" domains in
+      check_same_result label base r;
+      Alcotest.(check int) (label ^ ": one pool job") 1 r.Pdes.phases)
+    [ 2; 4; 8 ]
 
 let test_pdes_loss_burst_drops_messages () =
   (* A wall-to-wall loss burst at p = 0.99 suppresses almost every
@@ -515,11 +644,17 @@ let () =
             test_no_same_epoch_delivery;
           Alcotest.test_case "globals in time order" `Quick
             test_globals_fire_in_order;
-          qcheck_fused_equals_unfused;
+          Alcotest.test_case "pinned schedule with globals" `Quick
+            test_pinned_schedule;
+          qcheck_random_globals;
           Alcotest.test_case "fusion collapses quiet epochs" `Quick
             test_fusion_collapses_quiet_epochs;
           Alcotest.test_case "init hook: once, in order, on its drainer"
             `Quick test_init_hook;
+          Alcotest.test_case "raising handler re-raised"
+            `Quick test_raising_handler;
+          Alcotest.test_case "raising global re-raised"
+            `Quick test_raising_global;
         ] );
       ( "pdes-sim",
         [
