@@ -110,10 +110,9 @@ let run () =
       (float_of_int events /. best_inst);
     Printf.printf
       "overhead %+.2f%% best-of-%d, attempt %d/%d (budget < 5%%); %d spans \
-       completed, %d dropped, %d metrics registered\n%!"
+       completed, %d metrics registered\n%!"
       (100.0 *. overhead) rounds n max_attempts
       (Obs.Span.completed obs.Obs.spans)
-      (Obs.Span.dropped obs.Obs.spans)
       (List.length (Obs.Registry.snapshot obs.Obs.registry));
     if overhead > 0.05 && n < max_attempts then attempt (n + 1)
     else (meas, overhead)
@@ -128,7 +127,6 @@ let run () =
       ("obs/instrumented_events_per_sec", float_of_int events /. best_inst);
       ("obs/overhead_frac", overhead);
       ("obs/spans_completed", float_of_int (Obs.Span.completed obs.Obs.spans));
-      ("obs/spans_dropped", float_of_int (Obs.Span.dropped obs.Obs.spans));
     ];
   Printf.printf "wrote %s\n" (out_file "BENCH_obs.json");
   if overhead > 0.05 then begin

@@ -717,13 +717,9 @@ let stats_cmd =
       (Lesslog_report.Table.render
          ~header:[ "metric"; "kind"; "count"; "value"; "p50"; "p99"; "max" ]
          rows);
-    Printf.printf
-      "spans: %d completed, %d retained, %d dropped, %d open; run served %d, \
-       faults %d\n"
+    Printf.printf "spans: %d completed, %d retained; run served %d, faults %d\n"
       (Obs.Span.completed obs.Obs.spans)
       (Obs.Span.retained obs.Obs.spans)
-      (Obs.Span.dropped obs.Obs.spans)
-      (Obs.Span.open_spans obs.Obs.spans)
       result.Lesslog_des.Des_sim.served result.Lesslog_des.Des_sim.faults;
     match json with
     | Some path ->
@@ -738,7 +734,7 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "O1: run the event-driven simulator with the metrics registry \
-          attached and print every des/* and core/* metric.")
+          attached and print every des/* metric.")
     Term.(
       const run
       $ Arg.(value & opt int 10 & info [ "m" ] ~docv:"M" ~doc:"Space width.")
@@ -759,12 +755,11 @@ let trace_cmd =
     let obs, result = instrumented_run ~m ~rate ~duration ~capacity ~seed in
     Obs.Span.write_chrome ~path:spans obs.Obs.spans;
     Printf.printf
-      "wrote %s: %d spans (%d completed, %d dropped; run served %d, faults \
-       %d) — load it in chrome://tracing or Perfetto\n"
+      "wrote %s: %d spans (%d completed; run served %d, faults %d) — load \
+       it in chrome://tracing or Perfetto\n"
       spans
       (Obs.Span.retained obs.Obs.spans)
       (Obs.Span.completed obs.Obs.spans)
-      (Obs.Span.dropped obs.Obs.spans)
       result.Lesslog_des.Des_sim.served result.Lesslog_des.Des_sim.faults;
     match lines with
     | Some path ->

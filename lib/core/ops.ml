@@ -5,7 +5,6 @@ module Topology = Lesslog_topology.Topology
 module Subtrees = Lesslog_topology.Subtrees
 module File_store = Lesslog_storage.File_store
 module Rng = Lesslog_prng.Rng
-module Obs = Lesslog_obs.Obs
 
 type get_result = {
   server : Pid.t option;
@@ -117,19 +116,6 @@ let rec walk cluster held tree status ~budget ~now ~key ~origin visited hops
         walk cluster held tree status ~budget ~now ~key ~origin (p :: visited)
           (hops + 1) migrations q
 
-(* Attribution of a finished lookup. The handles are re-fetched per call
-   (a hashtable hit each): [get] with a registry is the inspection path,
-   the hot simulators resolve their handles once at start-up instead. *)
-let record_get registry (r : get_result) =
-  Obs.Registry.incr (Obs.Registry.counter registry "core/get");
-  if r.server = None then
-    Obs.Registry.incr (Obs.Registry.counter registry "core/get_fault");
-  Obs.Registry.observe_int (Obs.Registry.timer registry "core/get_hops") r.hops;
-  if r.subtree_migrations > 0 then
-    Obs.Registry.add
-      (Obs.Registry.counter registry "core/get_migrations")
-      r.subtree_migrations
-
 (* When the walk found no full copy but passed through a holder of a
    coded fragment, and at least k fragments are live somewhere, that
    node can gather k fragments and decode — the request is served. The
@@ -148,7 +134,7 @@ let coded_fallback cluster ~now ~key (r : get_result) =
             File_store.record_access (Cluster.store cluster p) ~key ~now;
             { r with server = Some p })
 
-let get ?(now = 0.0) ?registry cluster ~origin ~key =
+let get ?(now = 0.0) cluster ~origin ~key =
   if Status_word.is_dead (Cluster.status cluster) origin then
     invalid_arg "Ops.get: dead origin";
   let params = Cluster.params cluster in
@@ -161,9 +147,7 @@ let get ?(now = 0.0) ?registry cluster ~origin ~key =
       ~budget:(((1 lsl b) * (Params.m params - b + 1)) - 1)
       ~now ~key ~origin [] 0 0 origin
   in
-  let r = coded_fallback cluster ~now ~key r in
-  Option.iter (fun reg -> record_get reg r) registry;
-  r
+  coded_fallback cluster ~now ~key r
 
 let rec without holds = function
   | [] -> []
@@ -243,11 +227,7 @@ let choose_replica_target ~rng cluster ~overloaded ~key =
     (Cluster.tree_of_key cluster key)
     (Cluster.status cluster) ~overloaded
 
-let replicate ?(now = 0.0) ?registry ~rng cluster ~overloaded ~key =
-  (match registry with
-  | None -> ()
-  | Some reg ->
-      Obs.Registry.incr (Obs.Registry.counter reg "core/replicate"));
+let replicate ?(now = 0.0) ~rng cluster ~overloaded ~key =
   match choose_replica_target ~rng cluster ~overloaded ~key with
   | None ->
       Log.debug (fun f ->
@@ -255,10 +235,6 @@ let replicate ?(now = 0.0) ?registry ~rng cluster ~overloaded ~key =
             (Pid.to_int overloaded));
       None
   | Some dest ->
-      (match registry with
-      | None -> ()
-      | Some reg ->
-          Obs.Registry.incr (Obs.Registry.counter reg "core/replicate_placed"));
       let version = current_version cluster ~key ~overloaded in
       Cluster.add cluster dest ~key
         ~origin:File_store.Replicated ~version ~now;

@@ -32,7 +32,6 @@ val insert : ?now:float -> Cluster.t -> key:string -> Pid.t list
 
 val get :
   ?now:float ->
-  ?registry:Lesslog_obs.Obs.Registry.t ->
   Cluster.t ->
   origin:Pid.t ->
   key:string ->
@@ -44,9 +43,8 @@ val get :
     node when the target is dead, and (for [b > 0]) the Section 4
     migration to the origin's mirror in each later subtree in turn when
     a subtree dead-ends, each subtree entered at most once. Records an
-    access on the serving store. With [registry], attributes the lookup to the
-    [core/get]* metrics (request/fault counters, hop histogram, subtree
-    migrations). @raise Invalid_argument when [origin] is dead.
+    access on the serving store. @raise Invalid_argument when [origin]
+    is dead.
     @raise Failure when the walk exceeds the route's hop budget,
     [2^b (m - b + 1) - 1] hops — a broken route step, never a
     conforming one. *)
@@ -91,15 +89,13 @@ val choose :
 
 val replicate :
   ?now:float ->
-  ?registry:Lesslog_obs.Obs.Registry.t ->
   rng:Lesslog_prng.Rng.t ->
   Cluster.t ->
   overloaded:Pid.t ->
   key:string ->
   Pid.t option
 (** One REPLICATEFILE step: {!choose_replica_target}, then create the copy
-    there. With [registry], counts the decision ([core/replicate]) and
-    the actual placement ([core/replicate_placed]). *)
+    there. *)
 
 val update : ?now:float -> Cluster.t -> key:string -> update_result
 (** UPDATEFILE: bump the version at the target(s) and broadcast top-down

@@ -60,7 +60,7 @@ type result = {
    keeps anyway, so they are filled in once at end of run
    ({!finalize_obs}), and the latency and hop timers are backed by the
    run's own result histograms ({!Obs.Registry.timer_backed}): per-request
-   attribution costs exactly one span open and one span close. *)
+   attribution costs exactly one {!Obs.Span.emit}. *)
 type instruments = { spans : Obs.Span.sink; sp_lookup : int }
 
 let make_instruments (obs : Obs.t) =
@@ -132,15 +132,15 @@ let refresh_frags st (l, frag_holders) =
 (* A request resolved at [origin] ([server < 0] = fault): record its
    whole span in one call. The wire already carries the issue timestamp
    on every GET and REPLY, and a reply's destination is the origin, so
-   the sink's open-span table is never touched — requests in flight when
-   the engine stops simply leave no span. Outcome counts and latency/hop
+   nothing is kept per open request — requests in flight when the engine
+   stops simply leave no span. Outcome counts and latency/hop
    quantiles flow into the registry at end of run, through the
    simulator's own tallies and the backing histograms — not here. *)
 let obs_resolved st ~id ~origin ~server ~hops ~issued_at =
   match st.obs with
   | None -> ()
   | Some i ->
-      Obs.Span.emit_int i.spans ~name:i.sp_lookup ~id ~origin
+      Obs.Span.emit i.spans ~name:i.sp_lookup ~id ~origin
         ~at:issued_at
         ~dur:(now st -. issued_at)
         ~server ~hops ~attempt:0

@@ -69,28 +69,28 @@ type result = {
   messages : int;
 }
 
-(* Observability handles, resolved once per run (see {!Des_sim}). The
-   [rpc/]* counters live in the tracker itself (it is created with the
-   registry); here we keep the spans — one ["lookup"] span per request id,
-   instant marks for timeouts/retries — and the serve-side attribution. *)
+(* Observability handles, resolved once per run, as in {!Des_sim}: only
+   the span sink is touched per event. Each request's ["lookup"] span is
+   emitted whole when the request settles — its reply completes it, or
+   the tracker reports it exhausted — from the issue time and attempt
+   the tracker holds; timeouts and retransmissions drop instant
+   ["rpc/timeout"] and ["rpc/retry"] marks. The [fsim/]* and [rpc/]*
+   metrics are filled once at end of run ({!finalize_obs}) from the
+   simulator's and the tracker's own tallies. *)
 type instruments = {
   spans : Obs.Span.sink;
   sp_lookup : int;
   sp_timeout : int;
   sp_retry : int;
-  ob_served : Obs.Registry.counter;
 }
 
-let make_instruments ~latencies ~hops (obs : Obs.t) =
-  let r = obs.Obs.registry in
-  ignore (Obs.Registry.timer_backed r "fsim/latency_s" latencies);
-  ignore (Obs.Registry.timer_backed r "fsim/hops" hops);
+let make_instruments (obs : Obs.t) =
+  let intern = Obs.Span.intern obs.Obs.spans in
   {
     spans = obs.Obs.spans;
-    sp_lookup = Obs.Span.intern obs.Obs.spans "lookup";
-    sp_timeout = Obs.Span.intern obs.Obs.spans "rpc/timeout";
-    sp_retry = Obs.Span.intern obs.Obs.spans "rpc/retry";
-    ob_served = Obs.Registry.counter r "fsim/served";
+    sp_lookup = intern "lookup";
+    sp_timeout = intern "rpc/timeout";
+    sp_retry = intern "rpc/retry";
   }
 
 type state = {
@@ -123,15 +123,15 @@ type state = {
 
 let now st = Protocol.now st.p
 
-(* A request served at its origin: close its span and count it. Faults
-   are closed from the Exhausted rpc event; latency and hops flow into
-   the registry through the backing histograms. *)
-let obs_completed st ~id ~server ~hops =
+(* A request settled at [origin] ([server < 0] = exhausted): record its
+   whole lookup span. *)
+let[@inline] obs_settled st ~id ~origin ~server ~hops ~issued_at ~attempt =
   match st.obs with
   | None -> ()
   | Some i ->
-      Obs.Span.end_span_int i.spans ~id ~at:(now st) ~server ~hops;
-      Obs.Registry.incr i.ob_served
+      Obs.Span.emit i.spans ~name:i.sp_lookup ~id ~origin ~at:issued_at
+        ~dur:(now st -. issued_at) ~server ~hops ~attempt
+
 let truth_live st p = st.truth.(Pid.to_int p)
 let rpc st = Option.get st.rpc
 let detector st = Option.get st.detector
@@ -139,8 +139,13 @@ let detector st = Option.get st.detector
 (* --- Serving ({!Protocol}'s node steps, minus oracle faults) ------------ *)
 
 (* The reply for [id] reached its origin: count it served unless the
-   tracker already settled the request (duplicate reply, or exhausted). *)
-let[@inline] completed st ~id ~server ~hops ~issued_at =
+   tracker already settled the request (duplicate reply, or exhausted).
+   Under obs the answered attempt is read before completion frees the
+   request's slot. *)
+let[@inline] completed st ~id ~origin ~server ~hops ~issued_at =
+  let attempt =
+    match st.obs with None -> 0 | Some _ -> Rpc.attempt (rpc st) ~id
+  in
   if Rpc.complete (rpc st) ~id then begin
     st.served <- st.served + 1;
     let latency = now st -. issued_at in
@@ -148,7 +153,7 @@ let[@inline] completed st ~id ~server ~hops ~issued_at =
     Histogram.add_int st.hops hops;
     if latency <= st.config.deadline then
       st.within_deadline <- st.within_deadline + 1;
-    obs_completed st ~id ~server ~hops
+    obs_settled st ~id ~origin ~server ~hops ~issued_at ~attempt
   end
 
 (* First delivery of a request ID does the work; duplicates only re-send
@@ -161,7 +166,8 @@ let[@inline] serve st ~server ~id ~origin ~issued_at ~hops =
     Protocol.maybe_replicate st.p ~overloaded:server
   end;
   if Pid.equal server origin then
-    completed st ~id ~server:(Pid.to_int server) ~hops ~issued_at
+    completed st ~id ~origin:(Pid.to_int origin) ~server:(Pid.to_int server)
+      ~hops ~issued_at
   else
     Overlay.send_packed st.p.overlay ~src:server ~dst:origin
       ~b:(Wire.reply ~id ~server:(Pid.to_int server) ~hops)
@@ -191,8 +197,8 @@ let[@inline] handle st ~me ~src b x =
         ~origin:(Pid.unsafe_of_int (Wire.get_origin b))
         ~hops:(Wire.get_hops b) ~issued_at:x
   | Wire.Reply ->
-      completed st ~id:(Wire.id b) ~server:(Wire.reply_server b)
-        ~hops:(Wire.reply_hops b) ~issued_at:x
+      completed st ~id:(Wire.id b) ~origin:(Pid.to_int me)
+        ~server:(Wire.reply_server b) ~hops:(Wire.reply_hops b) ~issued_at:x
   | Wire.Push ->
       if Protocol.apply_push st.p ~me ~src ~version:(Wire.payload b) then
         st.replicas_created <- st.replicas_created + 1
@@ -389,12 +395,7 @@ let start_arrivals st ~demand ~until =
           (* Ids are packed unwrapped into a GET's id field. *)
           if Rpc.issued (rpc st) > Wire.id_mask then
             invalid_arg "Fault_sim: rpc id exceeds Wire.id_mask";
-          let id = Rpc.issue (rpc st) origin in
-          match st.obs with
-          | None -> ()
-          | Some i ->
-              Obs.Span.begin_span i.spans ~name:i.sp_lookup ~id ~origin:origin_i
-                ~at:(now st)
+          ignore (Rpc.issue (rpc st) origin)
         end;
         arm origin_i ~rate ~from:(now st));
   Status_word.iter_live (Cluster.status st.p.cluster) (fun origin ->
@@ -402,6 +403,23 @@ let start_arrivals st ~demand ~until =
       if rate > 0.0 then arm (Pid.to_int origin) ~rate ~from:0.0)
 
 (* --- Entry point ----------------------------------------------------------- *)
+
+(* Registry attribution, once per run, as in {!Des_sim}: counters from
+   the simulator's and the tracker's tallies, timers backed by the result
+   histograms. [rpc/request_s] is issue-to-completion latency, retries
+   included — the samples [fsim/latency_s] holds. *)
+let finalize_obs st (obs : Obs.t) =
+  let r = obs.Obs.registry and t = rpc st in
+  let count name v = Obs.Registry.add (Obs.Registry.counter r name) v in
+  count "fsim/served" st.served;
+  count "rpc/issued" (Rpc.issued t);
+  count "rpc/completed" (Rpc.completed t);
+  count "rpc/timeouts" (Rpc.timeouts t);
+  count "rpc/retransmissions" (Rpc.retransmissions t);
+  count "rpc/exhausted" (Rpc.exhausted t);
+  ignore (Obs.Registry.timer_backed r "fsim/latency_s" st.latencies);
+  ignore (Obs.Registry.timer_backed r "fsim/hops" st.hops);
+  ignore (Obs.Registry.timer_backed r "rpc/request_s" st.latencies)
 
 let run ?(config = default_config) ?(plan = Faults.empty) ?sink ?obs
     ?substrate ~rng ~cluster ~key ~demand ~duration () =
@@ -424,7 +442,7 @@ let run ?(config = default_config) ?(plan = Faults.empty) ?sink ?obs
   let monitored = Status_word.live_array (Cluster.status cluster) in
   let latencies = Histogram.create () and hops = Histogram.create () in
   (* The simulator's span names are interned before the protocol's. *)
-  let instruments = Option.map (make_instruments ~latencies ~hops) obs in
+  let instruments = Option.map make_instruments obs in
   let trigger =
     Protocol.Trigger.create ~capacity:config.capacity ~tau:config.detection_tau
       ~cooldown:config.cooldown space
@@ -460,7 +478,7 @@ let run ?(config = default_config) ?(plan = Faults.empty) ?sink ?obs
     | None -> ()
     | Some i ->
         Obs.Span.emit i.spans ~name:(name i) ~id ~origin ~at:(now st) ~dur:0.0
-          ~server:None ~hops:0 ~attempt
+          ~server:(-1) ~hops:0 ~attempt
   in
   (* Trace records are built only under a sink, as in {!Protocol}; with
      neither a sink nor obs the tracker gets no callback and builds no
@@ -481,17 +499,12 @@ let run ?(config = default_config) ?(plan = Faults.empty) ?sink ?obs
             f
               (Trace.Event.Retry
                  { at = now st; id; origin = Pid.to_int origin; attempt }));
-        (match st.obs with
-        | None -> ()
-        | Some i -> Obs.Span.set_attempt i.spans ~id ~attempt);
         mark (fun i -> i.sp_retry) ~id ~origin:(Pid.to_int origin) ~attempt
-    | Rpc.Exhausted { id; attempts = _; meta = origin } ->
+    | Rpc.Exhausted { id; attempts; issued_at; meta = origin } ->
         Protocol.emit_request st.p ~origin:(Pid.to_int origin) ~server:(-1)
           ~hops:0;
-        (match st.obs with
-        | None -> ()
-        | Some i ->
-            Obs.Span.end_span i.spans ~id ~at:(now st) ~server:None ~hops:0)
+        obs_settled st ~id ~origin:(Pid.to_int origin) ~server:(-1) ~hops:0
+          ~issued_at ~attempt:(attempts - 1)
   in
   st.rpc <-
     Some
@@ -499,7 +512,6 @@ let run ?(config = default_config) ?(plan = Faults.empty) ?sink ?obs
          ?on_event:
            (if Option.is_none st.p.sink && Option.is_none obs then None
             else Some rpc_events)
-         ?registry:(Option.map (fun (o : Obs.t) -> o.Obs.registry) obs)
          ~transmit:(fun ~id ~attempt meta -> transmit st ~id ~attempt meta)
          ());
   st.detector <-
@@ -517,6 +529,7 @@ let run ?(config = default_config) ?(plan = Faults.empty) ?sink ?obs
   start_sampling st ~quiet_from ~duration;
   start_arrivals st ~demand ~until:(config.arrival_stop *. duration);
   Engine.run ~until:duration engine;
+  Option.iter (finalize_obs st) obs;
   let r = rpc st in
   let d = detector st in
   {

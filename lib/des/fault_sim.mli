@@ -120,12 +120,15 @@ val run :
     truth (it is never written by the harness afterwards — only by
     {!Lesslog.Self_org} calls triggered by detector verdicts).
 
-    With [obs], the rpc tracker keeps the [rpc/]* metrics in
-    [obs.registry], serve completions feed the [fsim/]* counters and
-    timers, and each request opens a ["lookup"] span keyed by its rpc id:
-    retransmissions bump the span's attempt and drop instant
-    ["rpc/retry"]/["rpc/timeout"] marks, completion closes it with the
-    serving node and hop count, exhaustion closes it as a fault.
+    With [obs], each request settled during the run records one
+    ["lookup"] span keyed by its rpc id, from its issue time to its
+    settlement, with the attempt it settled on: completion records the
+    serving node and hop count, exhaustion records a fault on the last
+    attempt. Timeouts and retransmissions drop instant
+    ["rpc/timeout"]/["rpc/retry"] marks. At end of run the [fsim/]* and
+    [rpc/]* metrics are filled into [obs.registry] from the run's
+    tallies; [rpc/request_s] and [fsim/latency_s] share the latency
+    histogram. Instrumenting a run changes none of its results.
 
     Routing, replica placement and verdict-triggered repair go through
     one {!Lesslog_substrate.Substrate.t}: [substrate] when given, else

@@ -152,7 +152,7 @@ let obs_resolved (sh : shard) ~id ~origin ~server ~hops ~issued_at ~at =
   match sh.spans with
   | None -> ()
   | Some spans ->
-      Obs.Span.emit_int spans ~name:sh.sp_lookup ~id ~origin ~at:issued_at
+      Obs.Span.emit spans ~name:sh.sp_lookup ~id ~origin ~at:issued_at
         ~dur:(at -. issued_at) ~server ~hops ~attempt:0
 
 (* Overload replication: every candidate is in the overloaded node's

@@ -147,7 +147,7 @@ let apply_push t ~me ~src ~version =
        | Some spans ->
            Obs.Span.emit spans ~name:t.sp_replicate ~id:(Pid.to_int src)
              ~origin:(Pid.to_int src) ~at:(now t) ~dur:0.0
-             ~server:(Some (Pid.to_int me)) ~hops:0 ~attempt:0);
+             ~server:(Pid.to_int me) ~hops:0 ~attempt:0);
        true
      end
 

@@ -1,37 +1,14 @@
 module Engine = Lesslog_sim.Engine
 module Rng = Lesslog_prng.Rng
-module Obs = Lesslog_obs.Obs
 
 type config = { timeout : float; policy : Retry.policy }
 
 let default_config = { timeout = 1.0; policy = Retry.default }
 
-(* Registry handles resolved once at [create]; per-event updates are a
-   field write each. *)
-type metrics = {
-  m_issued : Obs.Registry.counter;
-  m_completed : Obs.Registry.counter;
-  m_timeouts : Obs.Registry.counter;
-  m_retransmissions : Obs.Registry.counter;
-  m_exhausted : Obs.Registry.counter;
-  m_latency : Obs.Registry.timer;
-      (* issue-to-completion, including every retry *)
-}
-
-let make_metrics registry =
-  {
-    m_issued = Obs.Registry.counter registry "rpc/issued";
-    m_completed = Obs.Registry.counter registry "rpc/completed";
-    m_timeouts = Obs.Registry.counter registry "rpc/timeouts";
-    m_retransmissions = Obs.Registry.counter registry "rpc/retransmissions";
-    m_exhausted = Obs.Registry.counter registry "rpc/exhausted";
-    m_latency = Obs.Registry.timer registry "rpc/request_s";
-  }
-
 type 'meta event =
   | Timeout of { id : int; attempt : int; meta : 'meta }
   | Retransmit of { id : int; attempt : int; meta : 'meta }
-  | Exhausted of { id : int; attempts : int; meta : 'meta }
+  | Exhausted of { id : int; attempts : int; issued_at : float; meta : 'meta }
 
 (* Live requests sit in parallel slot arrays, an open-addressed table
    keyed by request id: a request lives at its home slot [id land mask]
@@ -60,7 +37,6 @@ type 'meta t = {
   config : config;
   transmit : id:int -> attempt:int -> 'meta -> unit;
   on_event : ('meta event -> unit) option;
-  metrics : metrics option;
   mutable mask : int;
   mutable slot_id : int array;
   mutable attempt : int array;
@@ -85,8 +61,6 @@ type 'meta t = {
 }
 
 let initial_slots = 64
-
-let count t f = match t.metrics with None -> () | Some m -> Obs.Registry.incr (f m)
 
 let rec probe slot_id mask id s left =
   let v = Array.unsafe_get slot_id s in
@@ -197,7 +171,6 @@ let arm t id attempt =
    settled and the timeout ends there. *)
 let timed_out t id attempt s =
   t.timeouts <- t.timeouts + 1;
-  count t (fun m -> m.m_timeouts);
   let meta = t.meta.(s) in
   (match t.on_event with
   | None -> ()
@@ -205,12 +178,12 @@ let timed_out t id attempt s =
   let s = live_slot t id attempt in
   if s >= 0 then
     if attempt + 1 >= Retry.attempts t.config.policy then begin
+      let issued_at = Float.Array.get t.issued_at s in
       free t s;
       t.exhausted <- t.exhausted + 1;
-      count t (fun m -> m.m_exhausted);
       match t.on_event with
       | None -> ()
-      | Some f -> f (Exhausted { id; attempts = attempt + 1; meta })
+      | Some f -> f (Exhausted { id; attempts = attempt + 1; issued_at; meta })
     end
     else
       let backoff = Retry.delay t.config.policy t.rng ~retry:(attempt + 1) in
@@ -220,7 +193,6 @@ let retransmit t id attempt s =
   let meta = t.meta.(s) in
   t.attempt.(s) <- attempt + 1;
   t.retransmissions <- t.retransmissions + 1;
-  count t (fun m -> m.m_retransmissions);
   (match t.on_event with
   | None -> ()
   | Some f -> f (Retransmit { id; attempt = attempt + 1; meta }));
@@ -254,8 +226,7 @@ let on_front t _ _ =
   done;
   if t.ring_len > 0 then post_front t else t.front_posted <- false
 
-let create ~engine ~rng ?(config = default_config) ?on_event ?registry
-    ~transmit () =
+let create ~engine ~rng ?(config = default_config) ?on_event ~transmit () =
   if not (config.timeout > 0.0) then invalid_arg "Rpc.create: timeout";
   let t =
     {
@@ -264,7 +235,6 @@ let create ~engine ~rng ?(config = default_config) ?on_event ?registry
       config;
       transmit;
       on_event;
-      metrics = Option.map make_metrics registry;
       mask = initial_slots - 1;
       slot_id = Array.make initial_slots (-1);
       attempt = Array.make initial_slots 0;
@@ -301,7 +271,6 @@ let issue t meta =
   t.meta.(s) <- meta;
   t.in_flight <- t.in_flight + 1;
   t.next_id <- id + 1;
-  count t (fun m -> m.m_issued);
   t.transmit ~id ~attempt:0 meta;
   arm t id 0;
   id
@@ -310,12 +279,6 @@ let complete t ~id =
   let s = slot t id in
   s >= 0
   && begin
-       (match t.metrics with
-       | None -> ()
-       | Some m ->
-           Obs.Registry.incr m.m_completed;
-           Obs.Registry.observe m.m_latency
-             (Engine.now t.engine -. Float.Array.get t.issued_at s));
        free t s;
        t.completed <- t.completed + 1;
        true
@@ -325,6 +288,10 @@ let[@inline] issued_at t ~id =
   let s = slot t id in
   if s < 0 then invalid_arg "Rpc.issued_at: request not in flight";
   Float.Array.unsafe_get t.issued_at s
+
+let attempt t ~id =
+  let s = slot t id in
+  if s < 0 then -1 else t.attempt.(s)
 
 let in_flight t = t.in_flight
 let slots t = t.mask + 1

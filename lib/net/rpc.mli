@@ -13,7 +13,8 @@
 
     Each request carries caller metadata (['meta], e.g. the origin node)
     which is handed back to [transmit] and to every event; {!issued_at}
-    reads a live request's issue time.
+    and {!attempt} read a live request's issue time and current attempt,
+    so a caller can record a request whole when it settles.
 
     Live requests sit in slot arrays (id, attempt, issue time, metadata),
     an open-addressed table keyed by id: home slot [id land mask], else
@@ -42,10 +43,10 @@
     when the front before it fires, so an event posted after the
     timeout was armed may fire first; and timeouts armed at one instant
     fire together, before an event posted between those arms. Each
-    backoff end is one engine event. With no [on_event] and no [registry], issuing, timing out,
-    retransmitting and completing allocate nothing in the tracker itself
-    once the slot table and the ring are warm (release builds, where the
-    engine and {!Retry} calls are inlined).
+    backoff end is one engine event. With no [on_event], issuing, timing
+    out, retransmitting and completing allocate nothing in the tracker
+    itself once the slot table and the ring are warm (release builds,
+    where the engine and {!Retry} calls are inlined).
 
     Servers keep retransmissions idempotent with {!Dedup}: the first
     delivery of a request ID performs the side effects, duplicates only
@@ -62,9 +63,10 @@ type 'meta event =
       (** Attempt [attempt] (0-based) of request [id] went unanswered. *)
   | Retransmit of { id : int; attempt : int; meta : 'meta }
       (** Attempt [attempt] is being transmitted ([attempt >= 1]). *)
-  | Exhausted of { id : int; attempts : int; meta : 'meta }
-      (** All [attempts] transmissions timed out; the request is now a
-          reported fault. *)
+  | Exhausted of { id : int; attempts : int; issued_at : float; meta : 'meta }
+      (** All [attempts] transmissions timed out; the request, issued at
+          [issued_at], is now a reported fault and no longer live, so its
+          last attempt is [attempts - 1]. *)
 
 type 'meta t
 
@@ -73,17 +75,15 @@ val create :
   rng:Lesslog_prng.Rng.t ->
   ?config:config ->
   ?on_event:('meta event -> unit) ->
-  ?registry:Lesslog_obs.Obs.Registry.t ->
   transmit:(id:int -> attempt:int -> 'meta -> unit) ->
   unit ->
   'meta t
 (** [transmit] is called synchronously from {!issue} (attempt 0) and from
     the tracker's backoff handler (retransmissions); [create] registers
-    it and the timeout ring's handler with [engine]. With [registry], the
-    tracker keeps the [rpc/]* metrics: issued / completed / timeouts /
-    retransmissions / exhausted counters and an issue-to-completion
-    latency timer ([rpc/request_s], retries included). Event records
-    are built only when [on_event] is given. [on_event] may re-enter
+    it and the timeout ring's handler with [engine]. The tracker keeps
+    no metrics registry: its lifetime counters ({!issued} and the rest)
+    are the tallies a caller reports. Event records are built only when
+    [on_event] is given. [on_event] may re-enter
     the tracker, e.g. complete the request a [Timeout] reports: the
     tracker looks the request up again before retrying or exhausting it.
     @raise Invalid_argument when [config.timeout <= 0]. *)
@@ -104,6 +104,11 @@ val complete : 'meta t -> id:int -> bool
 val issued_at : 'meta t -> id:int -> float
 (** Simulated time at which live request [id] was issued (attempt 0).
     @raise Invalid_argument when [id] is not in flight. *)
+
+val attempt : 'meta t -> id:int -> int
+(** The attempt live request [id] is on (0 until its first
+    retransmission), or [-1] when [id] is not in flight. Read it before
+    {!complete} to record the attempt that was answered. *)
 
 val in_flight : 'meta t -> int
 (** Requests neither completed nor exhausted yet. *)

@@ -35,15 +35,6 @@ module Registry = struct
         Hashtbl.add t.entries name (G g);
         g
 
-  let timer t name =
-    match Hashtbl.find_opt t.entries name with
-    | Some (T tm) -> tm
-    | Some _ -> kind_clash name
-    | None ->
-        let tm = { t_name = name; hist = Histogram.create () } in
-        Hashtbl.add t.entries name (T tm);
-        tm
-
   let timer_backed t name hist =
     match Hashtbl.find_opt t.entries name with
     | Some (T tm) ->
@@ -55,13 +46,10 @@ module Registry = struct
         Hashtbl.add t.entries name (T tm);
         tm
 
-  let incr c = c.c <- c.c + 1
   let add c n = c.c <- c.c + n
   let value c = c.c
   let set g v = g.g <- v
   let read g = g.g
-  let observe tm v = Histogram.add tm.hist v
-  let observe_int tm v = Histogram.add_int tm.hist v
 
   type snapshot = {
     name : string;
@@ -119,13 +107,9 @@ module Registry = struct
 end
 
 module Span = struct
-  (* Interleaved flat storage with bit-packed side data: a span is a few
-     adjacent words in one int array, so the per-span hot-path cost is
-     three word writes (one cache line) to open and five to close —
-     begin/end/emit allocate nothing. Open spans live at
-     [id land (open_cap - 1)] — ids are monotone and spans short-lived,
-     so collisions only happen when an old span never ended (it is
-     dropped and counted).
+  (* Interleaved flat storage with bit-packed side data: a span is five
+     adjacent words in one int array, so recording one costs five word
+     writes and allocates nothing.
 
      Packed words:
        meta = name | origin << 10 | attempt << 34
@@ -176,36 +160,31 @@ module Span = struct
   type sink = {
     mutable names : string array;
     mutable n_names : int;
-    (* open spans: 4 words per slot — id (-1 = free), meta, start_ns,
-       pad — interleaved so opening or closing a span touches one cache
-       line, not three; slot base = (id land open_mask) * 4 *)
-    open_mask : int;
-    open_tbl : ibuf;
-    (* completed ring: 5 words per span — id, meta, loc, start_ns,
-       dur_ns — write position = (total land ring_mask) * 5 *)
+    (* the ring: 5 words per span — id, meta, loc, start_ns, dur_ns —
+       write position = (written land ring_mask) * 5 *)
     ring_mask : int;
     ring : ibuf;
-    mutable total : int;
-    mutable dropped : int;
+    mutable written : int;
+    mutable completed : int;
+        (* spans recorded, merged sources' included; [written] counts
+           only what reached this ring *)
   }
 
   let pow2_at_least n =
     let rec go p = if p >= n then p else go (p * 2) in
     go 1
 
-  let create_sink ?(open_capacity = 4096) ?(capacity = 16384) () =
-    if open_capacity <= 0 || capacity <= 0 then
-      invalid_arg "Obs.Span.create_sink: capacities must be positive";
-    let oc = pow2_at_least open_capacity and rc = pow2_at_least capacity in
+  let create_sink ?(capacity = 16384) () =
+    if capacity <= 0 then
+      invalid_arg "Obs.Span.create_sink: capacity must be positive";
+    let rc = pow2_at_least capacity in
     {
       names = Array.make 8 "";
       n_names = 0;
-      open_mask = oc - 1;
-      open_tbl = ibuf (oc * 4) (-1);
       ring_mask = rc - 1;
       ring = ibuf (rc * 5) 0;
-      total = 0;
-      dropped = 0;
+      written = 0;
+      completed = 0;
     }
 
   let intern t name =
@@ -224,77 +203,34 @@ module Span = struct
         t.n_names <- t.n_names + 1;
         t.n_names - 1
 
-  (* Hot-path slot arithmetic is masked, so every index is in bounds by
+  (* The write position is masked, so every index is in bounds by
      construction; unsafe accesses keep the per-span cost down to bare
      word writes. *)
   let push t ~id ~meta ~loc ~start_ns ~dur_ns =
-    let w = (t.total land t.ring_mask) * 5 in
+    let w = (t.written land t.ring_mask) * 5 in
     Bigarray.Array1.unsafe_set t.ring w id;
     Bigarray.Array1.unsafe_set t.ring (w + 1) meta;
     Bigarray.Array1.unsafe_set t.ring (w + 2) loc;
     Bigarray.Array1.unsafe_set t.ring (w + 3) start_ns;
     Bigarray.Array1.unsafe_set t.ring (w + 4) dur_ns;
-    t.total <- t.total + 1
+    t.written <- t.written + 1
 
-  let begin_span t ~name ~id ~origin ~at =
-    let s = (id land t.open_mask) * 4 in
-    if Bigarray.Array1.unsafe_get t.open_tbl s >= 0 then
-      t.dropped <- t.dropped + 1;
-    Bigarray.Array1.unsafe_set t.open_tbl s id;
-    Bigarray.Array1.unsafe_set t.open_tbl (s + 1)
-      (name lor ((origin land span_origin_mask) lsl name_bits));
-    Bigarray.Array1.unsafe_set t.open_tbl (s + 2) (ns_of_s at)
-
-  let set_attempt t ~id ~attempt =
-    let s = (id land t.open_mask) * 4 in
-    if Bigarray.Array1.unsafe_get t.open_tbl s = id then begin
-      let m = Bigarray.Array1.unsafe_get t.open_tbl (s + 1) in
-      Bigarray.Array1.unsafe_set t.open_tbl (s + 1)
-        (m land lnot (attempt_mask lsl attempt_shift)
-        lor (clamp attempt attempt_mask lsl attempt_shift))
-    end
-
-  let end_span_int t ~id ~at ~server ~hops =
-    let s = (id land t.open_mask) * 4 in
-    if Bigarray.Array1.unsafe_get t.open_tbl s = id then begin
-      Bigarray.Array1.unsafe_set t.open_tbl s (-1);
-      let start_ns = Bigarray.Array1.unsafe_get t.open_tbl (s + 2) in
-      push t ~id
-        ~meta:(Bigarray.Array1.unsafe_get t.open_tbl (s + 1))
-        ~loc:(pack_loc ~server ~hops)
-        ~start_ns ~dur_ns:(ns_of_s at - start_ns)
-    end
-
-  let end_span t ~id ~at ~server ~hops =
-    end_span_int t ~id ~at
-      ~server:(match server with Some p -> p | None -> -1)
-      ~hops
-
-  let emit_int t ~name ~id ~origin ~at ~dur ~server ~hops ~attempt =
+  let emit t ~name ~id ~origin ~at ~dur ~server ~hops ~attempt =
+    t.completed <- t.completed + 1;
     push t ~id
       ~meta:(pack_meta ~name ~origin ~attempt)
       ~loc:(pack_loc ~server ~hops)
       ~start_ns:(ns_of_s at) ~dur_ns:(ns_of_s dur)
 
-  let emit t ~name ~id ~origin ~at ~dur ~server ~hops ~attempt =
-    emit_int t ~name ~id ~origin ~at ~dur
-      ~server:(match server with Some p -> p | None -> -1)
-      ~hops ~attempt
+  let completed t = t.completed
+  let retained t = min t.written (t.ring_mask + 1)
 
-  let completed t = t.total
-  let retained t = min t.total (t.ring_mask + 1)
-  let dropped t = t.dropped
-
-  let open_spans t =
-    let n = ref 0 in
-    for s = 0 to t.open_mask do
-      if t.open_tbl.{s * 4} >= 0 then incr n
-    done;
-    !n
+  (* The ring positions [first t, t.written) hold the retained spans,
+     oldest first. *)
+  let first t = max 0 (t.written - (t.ring_mask + 1))
 
   let iter t f =
-    let first = max 0 (t.total - (t.ring_mask + 1)) in
-    for k = first to t.total - 1 do
+    for k = first t to t.written - 1 do
       let i = (k land t.ring_mask) * 5 in
       let meta = t.ring.{i + 1} and loc = t.ring.{i + 2} in
       let sv = loc lsr span_hops_bits in
@@ -323,10 +259,10 @@ module Span = struct
      rewritten, so packed origin/attempt/loc survive bit for bit; the
      ring bound applies as if the spans had been recorded on [into]
      directly. Merging shard sinks in a fixed (shard-id) order keeps the
-     combined ring deterministic at any domain count. *)
+     combined ring deterministic at any domain count. The lifetime count
+     grows by the source's, overwritten spans included. *)
   let merge_into ~into src =
-    let first = max 0 (src.total - (src.ring_mask + 1)) in
-    for k = first to src.total - 1 do
+    for k = first src to src.written - 1 do
       let i = (k land src.ring_mask) * 5 in
       let meta = src.ring.{i + 1} in
       let name = intern into src.names.(meta land (name_limit - 1)) in
@@ -335,7 +271,7 @@ module Span = struct
         ~loc:src.ring.{i + 2} ~start_ns:src.ring.{i + 3}
         ~dur_ns:src.ring.{i + 4}
     done;
-    into.dropped <- into.dropped + src.dropped
+    into.completed <- into.completed + src.completed
 
   (* Non-finite numbers have no JSON literal; a span can only carry one
      through a corrupted clock, and 0 keeps the file loadable. *)
@@ -345,8 +281,7 @@ module Span = struct
     let buf = Buffer.create (4096 + (retained t * 96)) in
     Buffer.add_string buf "{\"traceEvents\":[";
     let first_row = ref true in
-    let first = max 0 (t.total - (t.ring_mask + 1)) in
-    for k = first to t.total - 1 do
+    for k = first t to t.written - 1 do
       let i = (k land t.ring_mask) * 5 in
       let meta = t.ring.{i + 1} and loc = t.ring.{i + 2} in
       let sv = loc lsr span_hops_bits in
@@ -385,8 +320,8 @@ end
 
 type t = { registry : Registry.t; spans : Span.sink }
 
-let create ?open_capacity ?span_capacity () =
+let create ?span_capacity () =
   {
     registry = Registry.create ();
-    spans = Span.create_sink ?open_capacity ?capacity:span_capacity ();
+    spans = Span.create_sink ?capacity:span_capacity ();
   }

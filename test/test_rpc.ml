@@ -328,9 +328,9 @@ let slot_model ops =
         | Some (at, Backing_off a) when a + 1 = attempt && meta = id ->
             Hashtbl.replace model id (at, Sending { attempt; sent_at = now () })
         | _ -> fail "unexpected retransmit of %d attempt %d" id attempt)
-    | Rpc.Exhausted { id; attempts = n; meta } -> (
+    | Rpc.Exhausted { id; attempts = n; issued_at; meta } -> (
         match Hashtbl.find_opt model id with
-        | Some (_, Exhausting) when n = attempts && meta = id ->
+        | Some (at, Exhausting) when n = attempts && meta = id && issued_at = at ->
             Hashtbl.remove model id
         | _ -> fail "unexpected exhaustion of %d" id)
   in
@@ -465,7 +465,8 @@ let prop_never_silent =
    its own timeout event, and a backoff end is a second event of
    the same handler, [b] carrying the attempt shifted past a bit that is
    0 for a timeout and 1 for a backoff end. Live requests sit in a
-   [Hashtbl]. The ring must reproduce its events, counters and rng draws
+   [Hashtbl] with their issue times. The ring must reproduce its events
+   (an exhaustion's issue time included), counters and rng draws
    exactly. *)
 module Timer_per_attempt = struct
   type 'meta t = {
@@ -474,7 +475,8 @@ module Timer_per_attempt = struct
     config : Rpc.config;
     on_event : 'meta Rpc.event -> unit;
     transmit : id:int -> attempt:int -> 'meta -> unit;
-    live : (int, int * 'meta) Hashtbl.t;  (* id -> attempt in flight, meta *)
+    live : (int, int * 'meta * float) Hashtbl.t;
+        (* id -> attempt in flight, meta, issue time *)
     mutable next_id : int;
     mutable completed : int;
     mutable exhausted : int;
@@ -489,25 +491,25 @@ module Timer_per_attempt = struct
 
   let live_on t id attempt =
     match Hashtbl.find_opt t.live id with
-    | Some (a, meta) when a = attempt -> Some meta
+    | Some (a, meta, issued_at) when a = attempt -> Some (meta, issued_at)
     | _ -> None
 
-  let timed_out t id attempt meta =
+  let timed_out t id attempt (meta, issued_at) =
     t.timeouts <- t.timeouts + 1;
     t.on_event (Rpc.Timeout { id; attempt; meta });
     if live_on t id attempt <> None then
       if attempt + 1 >= Retry.attempts t.config.policy then begin
         Hashtbl.remove t.live id;
         t.exhausted <- t.exhausted + 1;
-        t.on_event (Rpc.Exhausted { id; attempts = attempt + 1; meta })
+        t.on_event (Rpc.Exhausted { id; attempts = attempt + 1; issued_at; meta })
       end
       else
         Engine.post t.engine
           ~delay:(Retry.delay t.config.policy t.rng ~retry:(attempt + 1))
           ~h:t.timer_h ~a:id ~b:((attempt lsl 1) lor 1) ~x:0.0
 
-  let retransmit t id attempt meta =
-    Hashtbl.replace t.live id (attempt + 1, meta);
+  let retransmit t id attempt (meta, issued_at) =
+    Hashtbl.replace t.live id (attempt + 1, meta, issued_at);
     t.retransmissions <- t.retransmissions + 1;
     t.on_event (Rpc.Retransmit { id; attempt = attempt + 1; meta });
     t.transmit ~id ~attempt:(attempt + 1) meta;
@@ -517,9 +519,9 @@ module Timer_per_attempt = struct
     let attempt = word lsr 1 in
     match live_on t id attempt with
     | None -> ()
-    | Some meta ->
-        if word land 1 = 0 then timed_out t id attempt meta
-        else retransmit t id attempt meta
+    | Some live ->
+        if word land 1 = 0 then timed_out t id attempt live
+        else retransmit t id attempt live
 
   let create ~engine ~rng ~config ~on_event ~transmit =
     let t =
@@ -543,7 +545,7 @@ module Timer_per_attempt = struct
 
   let issue t meta =
     let id = t.next_id in
-    Hashtbl.replace t.live id (0, meta);
+    Hashtbl.replace t.live id (0, meta, Engine.now t.engine);
     t.next_id <- id + 1;
     t.transmit ~id ~attempt:0 meta;
     arm t id 0;
@@ -626,7 +628,8 @@ let run_schedule ~salt ~make ops =
         note "timeout" id attempt;
         on_timeout ~salt ~id ~attempt (Option.get !self)
     | Rpc.Retransmit { id; attempt; _ } -> note "retransmit" id attempt
-    | Rpc.Exhausted { id; attempts; _ } -> note "exhausted" id attempts
+    | Rpc.Exhausted { id; attempts; issued_at; _ } ->
+        note (Printf.sprintf "exhausted (issued at %h)" issued_at) id attempts
   in
   let transmit ~id ~attempt _ = note "transmit" id attempt in
   let tracker = make ~engine ~rng ~config ~on_event ~transmit in
