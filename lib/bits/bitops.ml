@@ -40,9 +40,13 @@ let set_bit v i = v lor (1 lsl i)
 
 let clear_bit v i = v land lnot (1 lsl i)
 
+(* Branch-free: the bits below the lowest set one, counted. Through
+   [floor_log2]'s six data-dependent tests, every bitset walk
+   ({!Packed_bits}'s iterators) ran up to a fifth slower or faster with
+   the code's placement in the binary. *)
 let trailing_zeros x =
   if x = 0 then invalid_arg "Bitops.trailing_zeros";
-  floor_log2 (x land -x)
+  popcount ((x land -x) - 1)
 
 let is_all_ones ~width v = v = mask ~width
 

@@ -12,16 +12,23 @@ type t = {
   (* [File_store.empty] until the slot's first file: a slot that never
      stores anything costs this one pointer. *)
   stores : File_store.t array;
-  registry : (string, unit) Hashtbl.t;
+  (* The key registry: every registered key, sorted, at
+     [registry.(0 .. registered - 1)] (the slots above hold ""). Only
+     register and unregister change it, so a scan reads it in place. *)
+  mutable registry : string array;
+  mutable registered : int;
   (* base key -> (k, r) for keys currently held as erasure-coded
      fragments instead of full copies. *)
   coded : (string, int * int) Hashtbl.t;
   (* key -> lookup tree memo; ψ and the tree root are pure functions of
-     the key, so entries never invalidate. The one-slot [last_tree] keeps
-     the common case — the same key queried repeatedly — at a pointer
-     compare instead of a string hash. *)
+     the key, so entries never invalidate. The one-slot [last_key] /
+     [last_tree] keeps the common case — the same key queried
+     repeatedly — at a pointer compare instead of a string hash. It
+     starts at the key "", memoized at creation, so it always holds a
+     true pair and no lookup allocates. *)
   trees : (string, Ptree.t) Hashtbl.t;
-  mutable last_tree : (string * Ptree.t) option;
+  mutable last_key : string;
+  mutable last_tree : Ptree.t;
   (* key -> bitset of PID slots whose store holds a copy (live or dead),
      maintained exactly by the per-store observers installed in [make].
      [holds] is a bit test and [holders] a live-AND-holder word walk. *)
@@ -43,16 +50,24 @@ let holder_bits t key =
           t.last_holders <- Some (key, bits);
           bits)
 
+let key_tree params psi key =
+  Ptree.make params ~root:(Pid.unsafe_of_int (Psi.target psi key))
+
 let make params status =
+  let psi = Psi.create ~m:(Params.m params) in
+  let trees = Hashtbl.create 16 and tree = key_tree params psi "" in
+  Hashtbl.add trees "" tree;
   {
     params;
-    psi = Psi.create ~m:(Params.m params);
+    psi;
     status;
     stores = Array.make (Params.space params) File_store.empty;
-    registry = Hashtbl.create 16;
+    registry = [||];
+    registered = 0;
     coded = Hashtbl.create 16;
-    trees = Hashtbl.create 16;
-    last_tree = None;
+    trees;
+    last_key = "";
+    last_tree = tree;
     holder_index = Hashtbl.create 16;
     last_holders = None;
   }
@@ -96,19 +111,20 @@ let add ?tier t p ~key ~origin ~version ~now =
 let tree_of t p = Ptree.make t.params ~root:p
 
 let tree_of_key t key =
-  match t.last_tree with
-  | Some (k, tree) when k == key || String.equal k key -> tree
-  | _ ->
-      let tree =
-        match Hashtbl.find_opt t.trees key with
-        | Some tree -> tree
-        | None ->
-            let tree = tree_of t (Pid.unsafe_of_int (Psi.target t.psi key)) in
-            Hashtbl.add t.trees key tree;
-            tree
-      in
-      t.last_tree <- Some (key, tree);
-      tree
+  if t.last_key == key || String.equal t.last_key key then t.last_tree
+  else begin
+    let tree =
+      match Hashtbl.find t.trees key with
+      | tree -> tree
+      | exception Not_found ->
+          let tree = key_tree t.params t.psi key in
+          Hashtbl.add t.trees key tree;
+          tree
+    in
+    t.last_key <- key;
+    t.last_tree <- tree;
+    tree
+  end
 
 let target_of_key t key = Ptree.root (tree_of_key t key)
 
@@ -122,17 +138,47 @@ let holders t ~key =
     (fun i -> acc := Pid.unsafe_of_int i :: !acc);
   List.rev !acc
 
-let register_key t key = Hashtbl.replace t.registry key ()
+(* The first index of [registry.(lo .. hi - 1)] whose key is not below
+   [key] ([hi] when every key is). *)
+let rec registry_search registry key lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if String.compare registry.(mid) key < 0 then
+      registry_search registry key (mid + 1) hi
+    else registry_search registry key lo mid
 
-let unregister_key t key = Hashtbl.remove t.registry key
+let register_key t key =
+  let n = t.registered in
+  let i = registry_search t.registry key 0 n in
+  if i = n || not (String.equal t.registry.(i) key) then begin
+    if n = Array.length t.registry then begin
+      let grown = Array.make (max 8 (2 * n)) "" in
+      Array.blit t.registry 0 grown 0 n;
+      t.registry <- grown
+    end;
+    Array.blit t.registry i t.registry (i + 1) (n - i);
+    t.registry.(i) <- key;
+    t.registered <- n + 1
+  end
 
-let registered_keys t =
-  Hashtbl.fold (fun k () acc -> k :: acc) t.registry [] |> List.sort compare
+let unregister_key t key =
+  let n = t.registered in
+  let i = registry_search t.registry key 0 n in
+  if i < n && String.equal t.registry.(i) key then begin
+    Array.blit t.registry (i + 1) t.registry i (n - i - 1);
+    t.registry.(n - 1) <- "";
+    t.registered <- n - 1
+  end
 
-let exists_registered_key t f =
-  match Hashtbl.iter (fun k () -> if f k then raise_notrace Exit) t.registry with
-  | () -> false
-  | exception Exit -> true
+let registered_count t = t.registered
+
+let registered_key t i =
+  if i < 0 || i >= t.registered then
+    invalid_arg "Cluster.registered_key: index out of range";
+  t.registry.(i)
+
+let registered_keys t = List.init t.registered (Array.get t.registry)
 
 let register_coded t key ~k ~r = Hashtbl.replace t.coded key (k, r)
 

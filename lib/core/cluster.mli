@@ -88,10 +88,15 @@ val unregister_key : t -> string -> unit
 (** Remove from the key registry (done by {!Ops.delete}). *)
 
 val registered_keys : t -> string list
+(** Sorted ascending. *)
 
-val exists_registered_key : t -> (string -> bool) -> bool
-(** Whether [f] holds for some registered key, in no particular order,
-    stopping at the first; builds no key list. *)
+val registered_count : t -> int
+
+val registered_key : t -> int -> string
+(** [registered_key t i] is the [i]th registered key in ascending order,
+    [0 <= i < registered_count t], read in place: a loop over the
+    registry with it builds no list and no closure.
+    @raise Invalid_argument when [i] is out of range. *)
 
 val register_coded : t -> string -> k:int -> r:int -> unit
 (** Mark a base key as held in erasure-coded form with code parameters

@@ -271,26 +271,27 @@ let start_arrivals st ~phase ~from_time =
    (the inserted copy's node is down), unguarded eviction would drop
    the last live copy cluster-wide. The live copy count is re-read
    immediately before each removal, so the sweep stops at one copy. *)
-let evict st ~min_rate =
-  let cluster = st.p.cluster and key = st.p.key and now = now st in
-  let removed = ref 0 in
+let evict_holder st ~min_rate i =
+  let cluster = st.p.cluster and key = st.p.key in
+  let store = Cluster.store cluster (Pid.unsafe_of_int i) in
+  if
+    File_store.is_cold_replica store ~key ~now:(now st) ~min_rate
+    && Cluster.total_copies cluster ~key > 1
+  then begin
+    File_store.remove store ~key;
+    Protocol.emit_evict st.p ~node:i;
+    st.replicas_evicted <- st.replicas_evicted + 1
+  end
+
+(* One tick, [visit] being [evict_holder] applied once per run: the
+   tick builds no closure and boxes no float. *)
+let evict st visit =
+  let cluster = st.p.cluster and before = st.replicas_evicted in
   Packed_bits.iter_inter
     (Status_word.live_bits (Cluster.status cluster))
-    (Cluster.holder_bitset cluster ~key)
-    (fun i ->
-      let store = Cluster.store cluster (Pid.unsafe_of_int i) in
-      if
-        File_store.is_cold_replica store ~key ~now ~min_rate
-        && Cluster.total_copies cluster ~key > 1
-      then begin
-        File_store.remove store ~key;
-        Protocol.emit_evict st.p ~node:i;
-        incr removed
-      end);
-  if !removed > 0 then begin
-    st.replicas_evicted <- st.replicas_evicted + !removed;
-    record_copies st
-  end
+    (Cluster.holder_bitset cluster ~key:st.p.key)
+    visit;
+  if st.replicas_evicted > before then record_copies st
 
 (* Eviction ticks every [period] up to [duration], each posting the
    next after it ran. *)
@@ -298,6 +299,7 @@ let start_eviction st ~duration =
   match st.config.eviction with
   | None -> ()
   | Some { period; min_rate } ->
+      let visit = evict_holder st ~min_rate in
       let h = ref (-1) in
       let arm () =
         let t = now st +. period in
@@ -306,7 +308,7 @@ let start_eviction st ~duration =
       in
       h :=
         Engine.register st.p.engine (fun _ _ ->
-            evict st ~min_rate;
+            evict st visit;
             arm ());
       arm ()
 

@@ -341,16 +341,16 @@ let schedule_plan st (plan : Faults.plan) =
 
 (* --- Detector accuracy ---------------------------------------------------- *)
 
-let agreement st =
+(* A plain loop, inlined into the sampler: a sample builds no closure
+   and returns its fraction unboxed. *)
+let[@inline] agreement st =
   let status = Cluster.status st.p.cluster in
-  let agree =
-    Array.fold_left
-      (fun acc p ->
-        if Status_word.is_live status p = truth_live st p then acc + 1
-        else acc)
-      0 st.monitored
-  in
-  float_of_int agree /. float_of_int (Array.length st.monitored)
+  let agree = ref 0 in
+  for i = 0 to Array.length st.monitored - 1 do
+    let p = st.monitored.(i) in
+    if Status_word.is_live status p = truth_live st p then incr agree
+  done;
+  float_of_int !agree /. float_of_int (Array.length st.monitored)
 
 (* Agreement samples every [sample_period] up to [duration]. Sample
    times are accumulated, not read back from the clock: the event's

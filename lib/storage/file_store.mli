@@ -38,14 +38,15 @@ val empty : t
 (** One shared, frozen store that holds nothing. {!Cluster} hands it out
     for every slot that has never held a file, so a slot costs one
     pointer until its first file arrives. Every read of it answers
-    "absent" and every removal is a no-op; {!add} and {!set_observer}
-    raise [Invalid_argument] on it. *)
+    "absent" and every removal (and {!clear}) is a no-op; {!add} and
+    {!set_observer} raise [Invalid_argument] on it. *)
 
 val set_observer : t -> (string -> bool -> unit) -> unit
 (** [set_observer t f] registers the single change observer: [f key true]
     fires after every {!add} and [f key false] after every removal that
-    actually dropped a copy ({!remove}, {!drop_replicas}). Notifications are idempotent with respect to
-    holding — an [add] of an already-held key still fires [f key true] —
+    actually dropped a copy ({!remove}, {!clear}).
+    Notifications are idempotent with respect to holding — an [add] of
+    an already-held key still fires [f key true] —
     so observers maintaining an index must treat them as "now holds" /
     "now does not hold" statements, not as deltas. {!Cluster} uses this to
     keep a per-key holder bitset exact without scanning stores.
@@ -80,12 +81,24 @@ val set_version : t -> key:string -> version:int -> unit
 
 val tier : t -> key:string -> tier option
 
+(** The key lists below are sorted, and each costs its list cells and
+    the sort, which a list of fewer than two keys skips: an empty answer
+    allocates nothing. *)
+
 val keys : t -> string list
 val inserted_keys : t -> string list
 val replicated_keys : t -> string list
 
 val coded_keys : t -> string list
 (** Keys of the [Coded]-tier entries (fragment keys), sorted. *)
+
+val inserted_full : t -> entry list
+(** The inserted copies of the full tier, sorted by key: the files a
+    departing node's store hands on (a fragment is the cold tier's to
+    rebuild, and a replica is simply dropped). A list cell each. *)
+
+val holds_inserted_full : t -> bool
+(** Whether {!inserted_full} is non-empty. Allocates nothing. *)
 
 val size : t -> int
 
@@ -94,9 +107,9 @@ val demote_to_replica : t -> key:string -> unit
     copy migrates to a (re)joined node and the old holder keeps serving a
     non-authoritative copy. No-op when the key is absent. *)
 
-val drop_replicas : t -> string list
-(** Remove every replicated copy (a voluntarily leaving node); returns the
-    dropped keys. *)
+val clear : t -> unit
+(** Remove every entry (the store of a node that leaves or crashes),
+    notifying the observer once per dropped key. Allocates nothing. *)
 
 val is_cold_replica : t -> key:string -> now:float -> min_rate:float -> bool
 (** The counter-based mechanism's per-copy test: the store holds a

@@ -54,7 +54,14 @@ let test_bit_ops () =
 let test_trailing_zeros () =
   check "tz 1" 0 (Bitops.trailing_zeros 1);
   check "tz 8" 3 (Bitops.trailing_zeros 8);
-  check "tz 12" 2 (Bitops.trailing_zeros 12)
+  check "tz 12" 2 (Bitops.trailing_zeros 12);
+  (* Every position of the 63-bit int, the sign bit included, alone and
+     under every higher bit. *)
+  for k = 0 to Sys.int_size - 1 do
+    check (Printf.sprintf "tz 2^%d" k) k (Bitops.trailing_zeros (1 lsl k));
+    check (Printf.sprintf "tz -2^%d" k) k
+      (Bitops.trailing_zeros (-1 lsl k))
+  done
 
 let test_field_extraction () =
   (* Subtree id/vid split of the fault-tolerant model: m=4, b=2. *)
